@@ -27,7 +27,6 @@ from .generator import (
     GeneratorConfig,
     PhaseAccumulatorState,
     ToneConfig,
-    band_add,
     band_shift,
     band_sum,
     cordic_sincos,
@@ -46,8 +45,8 @@ from .analyzer import (
     IqTimeSeries,
     boxcar_response,
     channelize,
-    ddc_sine,
-    ddc_square,
+    ddc,
+    ddc_products,
 )
 from .metrics import (
     PsdMethod,

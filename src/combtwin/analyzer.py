@@ -10,14 +10,13 @@ are undivided integer sums; normalization happens in the metrics layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .fxp import ConfigError, Rounding, saturate, shift_right
-from .generator import FilterSpec, cmul_lut, design_windowed_sinc, make_lut
+from .generator import FilterSpec, design_windowed_sinc, fir_apply, lut_mix
 
 
 class DemodMode(Enum):
@@ -127,17 +126,6 @@ class IqTimeSeries:
 # channelizer
 
 
-def _fir_decimate_direct(
-    i: np.ndarray, q: np.ndarray, spec: FilterSpec, decim: int, stream_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    h = spec.taps_array()
-    yi = np.convolve(i, h)[: len(i)]
-    yq = np.convolve(q, h)[: len(q)]
-    yi = shift_right(yi, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    yq = shift_right(yq, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    return saturate(yi, stream_bits)[::decim], saturate(yq, stream_bits)[::decim]
-
-
 def _polyphase_branch_input(x: np.ndarray, r: int, decim: int, n_out: int) -> np.ndarray:
     if r == 0:
         return x[::decim][:n_out]
@@ -188,21 +176,17 @@ def channelize(
         raise ConfigError(f"band_index {band_index} out of range 0..{cfg.n_bands - 1}")
     if method not in ("polyphase", "direct"):
         raise ConfigError("method must be 'polyphase' or 'direct'")
-    wi, wq = wideband
     w = cfg.wide_width_bits
-    lut_len = cfg.shifter_lut_len
-    cycles = lut_len * (2 * band_index + 1) // (5 * cfg.decim_to_band)
-    li, lq = make_lut(lut_len, cycles, w, sign=-1)
-    idx = np.arange(len(wi)) % lut_len
-    mi, mq = cmul_lut(wi, wq, li[idx], lq[idx], w, w)
+    d = cfg.decim_to_band
+    cycles = cfg.shifter_lut_len * (2 * band_index + 1) // (5 * d)
+    mi, mq = lut_mix(wideband, cfg.shifter_lut_len, cycles, w, -1)
     spec = cfg.resolved_channelizer_filter()
     if method == "direct":
-        bi, bq = _fir_decimate_direct(mi, mq, spec, cfg.decim_to_band, w)
+        bi, bq = fir_apply(mi, mq, spec, w)
+        bi, bq = bi[::d], bq[::d]
     else:
-        bi, bq = _fir_decimate_polyphase(mi, mq, spec, cfg.decim_to_band, w)
-    ri, rq = make_lut(5, 1, w, sign=+1)
-    ridx = np.arange(len(bi)) % 5
-    return cmul_lut(bi, bq, ri[ridx], rq[ridx], w, w)
+        bi, bq = _fir_decimate_polyphase(mi, mq, spec, d, w)
+    return lut_mix((bi, bq), 5, 1, w, +1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,63 +203,43 @@ def _boxcar_sums(
     return ii, qq, n_disc
 
 
-def ddc_sine(
+def ddc_products(
     subband: tuple[np.ndarray, np.ndarray],
     reference: tuple[np.ndarray, np.ndarray],
-    l_avg: int,
-    *,
-    band_index: int = 0,
-    tone_index: int = 0,
-    freq_word: int = 0,
-    band_rate_hz: float = 250e6,
-) -> IqTimeSeries:
-    """Multiply by the conjugate reference, then boxcar-accumulate.
+    mode: DemodMode,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample products of the subband with the conjugate reference.
 
-    Two real multiplies per output component, products kept exact (no
-    rounding before accumulation); one output per l_avg inputs, trailing
-    partial window discarded and counted.
+    SINE_DDC: two real multiplies per output component, kept exact (no
+    rounding before accumulation). SQUARE_WAVE: multiply by the MSB square
+    waves of the reference (sign(0) = +1), add and subtract only.
     """
     fi, fq = subband
     ci, cq = reference
     if len(fi) != len(ci) or len(fq) != len(cq):
         raise ConfigError("subband and reference must have equal length")
-    yi = fi * ci + fq * cq
-    yq = fq * ci - fi * cq
-    ii, qq, n_disc = _boxcar_sums(yi, yq, l_avg)
-    return IqTimeSeries(
-        band_index=band_index,
-        tone_index=tone_index,
-        freq_word=freq_word,
-        i=ii,
-        q=qq,
-        rate_hz=band_rate_hz / l_avg,
-        l_avg=l_avg,
-        demod_mode=DemodMode.SINE_DDC,
-        n_discarded=n_disc,
-    )
+    if mode is DemodMode.SINE_DDC:
+        return fi * ci + fq * cq, fq * ci - fi * cq
+    sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
+    ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
+    return sc * fi + ss * fq, sc * fq - ss * fi
 
 
-def ddc_square(
+def ddc(
     subband: tuple[np.ndarray, np.ndarray],
     reference: tuple[np.ndarray, np.ndarray],
     l_avg: int,
+    mode: DemodMode = DemodMode.SINE_DDC,
     *,
     band_index: int = 0,
     tone_index: int = 0,
     freq_word: int = 0,
     band_rate_hz: float = 250e6,
 ) -> IqTimeSeries:
-    """Sign-only demodulation: multiply by the MSB square waves of the
-    reference (sign(0) = +1), conjugate convention as ddc_sine, add and
-    subtract only, then boxcar-accumulate."""
-    fi, fq = subband
-    ci, cq = reference
-    if len(fi) != len(ci) or len(fq) != len(cq):
-        raise ConfigError("subband and reference must have equal length")
-    sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
-    ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
-    yi = sc * fi + ss * fq
-    yq = sc * fq - ss * fi
+    """Demodulate against the reference (ddc_products), then
+    boxcar-accumulate: one output per l_avg inputs, trailing partial
+    window discarded and counted."""
+    yi, yq = ddc_products(subband, reference, mode)
     ii, qq, n_disc = _boxcar_sums(yi, yq, l_avg)
     return IqTimeSeries(
         band_index=band_index,
@@ -285,7 +249,7 @@ def ddc_square(
         q=qq,
         rate_hz=band_rate_hz / l_avg,
         l_avg=l_avg,
-        demod_mode=DemodMode.SQUARE_WAVE,
+        demod_mode=mode,
         n_discarded=n_disc,
     )
 

@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .fxp import ConfigError
 from .harness import (
     LONG_RUN_SCENARIOS,

@@ -10,7 +10,7 @@ saturation, so scalar and vector results are bit-identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

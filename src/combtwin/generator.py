@@ -2,13 +2,14 @@
 
 Per-tone phase accumulator and CORDIC, per-band tone summation, -f_b/5
 down-shift, xU zero-stuff interpolation, band shift via a sine/cosine
-lookup table, and band addition into one wideband I/Q stream. All stages
+lookup table, and band summation into one wideband I/Q stream. All stages
 run on raw integer codes (int64 arrays); stream formats are Q1.(w-1).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +21,6 @@ from .fxp import (
     FxpFormat,
     FxpValue,
     IqSample,
-    Overflow,
     Rounding,
     saturate,
     shift_right,
@@ -303,6 +303,22 @@ def cmul_lut(
     return saturate(pi, out_bits), saturate(pq, out_bits)
 
 
+def lut_mix(
+    x: tuple[np.ndarray, np.ndarray],
+    length: int,
+    cycles: int,
+    width: int,
+    sign: int,
+    start: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply a width-bit stream by the make_lut exponential, sample n
+    taking LUT entry (start + n) mod length; output stays width bits."""
+    xi, xq = x
+    li, lq = make_lut(length, cycles, width, sign)
+    idx = (start + np.arange(len(xi))) % length
+    return cmul_lut(xi, xq, li[idx], lq[idx], width, width)
+
+
 # ---------------------------------------------------------------------------
 # generator configuration
 
@@ -407,7 +423,11 @@ def tone_generate(
 def band_sum(
     tone_streams: Sequence[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact integer sum of tone streams in the widened band format."""
+    """Exact integer sum of streams, checked against sum_width_bits.
+
+    Sums the tones of one band (band format) and the shifted bands of the
+    comb (wideband format).
+    """
     if not tone_streams:
         raise ConfigError("band_sum needs at least one stream")
     lengths = {len(s[0]) for s in tone_streams} | {len(s[1]) for s in tone_streams}
@@ -416,8 +436,8 @@ def band_sum(
     bi = np.zeros(lengths.pop(), dtype=np.int64)
     bq = np.zeros_like(bi)
     for si, sq in tone_streams:
-        bi = bi + si
-        bq = bq + sq
+        bi += si
+        bq += sq
     hi = (1 << (sum_width_bits - 1)) - 1
     if bi.size and (max(bi.max(), bq.max()) > hi or min(bi.min(), bq.min()) < -hi - 1):
         raise ConfigError("band_sum overflowed the configured sum width")
@@ -428,11 +448,7 @@ def down_shift(
     band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig, start: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply by e^(-j*2pi*n/5): shift the band down by band_rate/5."""
-    bi, bq = band
-    w = cfg.resolved_sum_width
-    li, lq = make_lut(5, 1, w, sign=-1)
-    idx = (start + np.arange(len(bi))) % 5
-    return cmul_lut(bi, bq, li[idx], lq[idx], w, w)
+    return lut_mix(band, 5, 1, cfg.resolved_sum_width, -1, start)
 
 
 def upsample_interp(
@@ -463,28 +479,7 @@ def band_shift(
     """Multiply by the band-center exponential from the shifter LUT."""
     frac = cfg.band_center_fraction(band_index)  # validates band_index
     cycles = int(frac * cfg.shifter_lut_len)
-    bi, bq = band
-    w = cfg.resolved_sum_width
-    li, lq = make_lut(cfg.shifter_lut_len, cycles, w, sign=+1)
-    idx = (start + np.arange(len(bi))) % cfg.shifter_lut_len
-    return cmul_lut(bi, bq, li[idx], lq[idx], w, w)
-
-
-def band_add(
-    shifted_bands: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact widened sum of shifted bands: the wideband comb output."""
-    if not shifted_bands:
-        raise ConfigError("band_add needs at least one stream")
-    lengths = {len(s[0]) for s in shifted_bands}
-    if len(lengths) != 1:
-        raise ConfigError("all streams must have equal length")
-    wi = np.zeros(lengths.pop(), dtype=np.int64)
-    wq = np.zeros_like(wi)
-    for si, sq in shifted_bands:
-        wi = wi + si
-        wq = wq + sq
-    return wi, wq
+    return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1, start)
 
 
 def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
@@ -498,10 +493,12 @@ def generate_comb(
     cfg: GeneratorConfig,
     tones: Sequence[ToneConfig],
     n_band_samples: int,
+    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the full excitation pipeline; returns the wideband I/Q stream.
 
-    Bands with no configured tones contribute silence.
+    Bands with no configured tones contribute silence. threads > 1 runs
+    the bands in a thread pool; the result does not depend on it.
     """
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
@@ -510,19 +507,24 @@ def generate_comb(
                 f"tone band_index {t.band_index} >= n_bands {cfg.n_bands}"
             )
         by_band.setdefault(t.band_index, []).append(t)
-    shifted = []
-    for band_index in sorted(by_band):
-        streams = [
-            tone_generate(t, cfg, n_band_samples) for t in by_band[band_index]
-        ]
+    if not by_band:
+        z = np.zeros(n_band_samples * cfg.upsample_factor, dtype=np.int64)
+        return z, z.copy()
+
+    def one_band(b: int) -> tuple[np.ndarray, np.ndarray]:
+        streams = [tone_generate(t, cfg, n_band_samples) for t in by_band[b]]
         band = band_sum(streams, cfg.resolved_sum_width)
         band = down_shift(band, cfg)
         band = upsample_interp(band, cfg)
-        shifted.append(band_shift(band, band_index, cfg))
-    if not shifted:
-        z = np.zeros(n_band_samples * cfg.upsample_factor, dtype=np.int64)
-        return z, z.copy()
-    return band_add(shifted)
+        return band_shift(band, b, cfg)
+
+    bands = sorted(by_band)
+    if threads > 1 and len(bands) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            shifted = list(ex.map(one_band, bands))
+    else:
+        shifted = [one_band(b) for b in bands]
+    return band_sum(shifted, cfg.wide_width)
 
 
 def default_freq_words(L_acc: int, tones_per_band: int) -> list[int]:

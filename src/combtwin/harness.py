@@ -13,8 +13,8 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +22,9 @@ from .analyzer import (
     AnalyzerConfig,
     DemodMode,
     IqTimeSeries,
-    boxcar_response,
     channelize,
-    ddc_sine,
-    ddc_square,
+    ddc,
+    ddc_products,
 )
 from .fxp import ConfigError, FxpValue
 from .generator import (
@@ -34,15 +33,10 @@ from .generator import (
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
-    band_shift,
-    band_sum,
     cordic_sincos_array,
     default_freq_words,
-    design_windowed_sinc,
-    down_shift,
+    generate_comb,
     phase_words,
-    tone_generate,
-    upsample_interp,
     waveform_period,
 )
 from .metrics import (
@@ -307,34 +301,6 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     return (n_interp + n_chan) // u + 2
 
 
-def _generate_band_streams(
-    cfg: ChainConfig, n_band_samples: int, threads: int
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-band wideband contributions (already shifted to band center)."""
-    g = cfg.generator
-    by_band: dict[int, list[ToneConfig]] = {}
-    for t in cfg.tones:
-        by_band.setdefault(t.band_index, []).append(t)
-
-    def one_band(b: int) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
-        streams = [
-            tone_generate(t, g, n_band_samples)
-            for t in sorted(by_band[b], key=lambda t: t.tone_index)
-        ]
-        band = band_sum(streams, g.resolved_sum_width)
-        band = down_shift(band, g)
-        band = upsample_interp(band, g)
-        return b, band_shift(band, b, g)
-
-    bands = sorted(by_band)
-    if threads > 1 and len(bands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            out = dict(ex.map(one_band, bands))
-    else:
-        out = dict(one_band(b) for b in bands)
-    return out
-
-
 def _channelize_bands(
     cfg: ChainConfig,
     wideband: tuple[np.ndarray, np.ndarray],
@@ -348,20 +314,6 @@ def _channelize_bands(
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return dict(ex.map(one, band_indices))
     return dict(one(b) for b in band_indices)
-
-
-def _ddc_products(
-    subband: tuple[np.ndarray, np.ndarray],
-    reference: tuple[np.ndarray, np.ndarray],
-    mode: DemodMode,
-) -> tuple[np.ndarray, np.ndarray]:
-    fi, fq = subband
-    ci, cq = reference
-    if mode is DemodMode.SINE_DDC:
-        return fi * ci + fq * cq, fq * ci - fi * cq
-    sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
-    ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
-    return sc * fi + ss * fq, sc * fq - ss * fi
 
 
 def _periodic_window_sums(
@@ -385,9 +337,10 @@ def run_loopback(
     """Generate the comb, loop it straight into the analyzer, demodulate
     every tone, and compute amplitude/phase PSDs and spur reports.
 
-    engine: "direct" streams every sample; "periodic" computes two exact
-    waveform periods and assembles accumulator outputs from the steady
-    period (bit-identical to direct for all retained windows); "auto"
+    engine: "direct" streams every sample; "periodic" computes k =
+    ceil(transient/period) + 1 exact waveform periods and assembles
+    accumulator outputs by tiling the last one, which the filter transient
+    has passed (bit-identical to direct for all retained windows); "auto"
     picks periodic when it is both applicable and cheaper.
     """
     if engine not in ("auto", "periodic", "direct"):
@@ -399,58 +352,56 @@ def run_loopback(
     n_windows = cfg.acquisition_len + cfg.warmup_windows
     n_band_total = n_windows * a.L_avg
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
+    transient = _band_transient_len(cfg)
+    n_periods = -(-transient // p_band) + 1
 
-    transient_ok = cfg.warmup_windows * a.L_avg >= _band_transient_len(cfg)
+    transient_ok = cfg.warmup_windows * a.L_avg >= transient
     if engine == "periodic" and not transient_ok:
         raise ConfigError(
             "periodic engine needs warmup_windows*L_avg to cover the filter "
-            f"transient ({_band_transient_len(cfg)} band samples)"
+            f"transient ({transient} band samples)"
         )
     use_periodic = engine == "periodic" or (
         engine == "auto"
         and transient_ok
-        and 2 * p_band < n_band_total
+        and n_periods * p_band < n_band_total
         and p_band * g.upsample_factor <= 1 << 23
     )
-    n_gen = 2 * p_band if use_periodic else n_band_total
+    n_gen = n_periods * p_band if use_periodic else n_band_total
 
-    band_streams = _generate_band_streams(cfg, n_gen, threads)
-    n_wide = n_gen * g.upsample_factor
-    wide_i = np.zeros(n_wide, dtype=np.int64)
-    wide_q = np.zeros(n_wide, dtype=np.int64)
-    for b in sorted(band_streams):
-        wide_i += band_streams[b][0]
-        wide_q += band_streams[b][1]
-
+    wideband = generate_comb(g, cfg.tones, n_gen, threads)
     band_indices = sorted({t.band_index for t in cfg.tones})
-    subbands = _channelize_bands(cfg, (wide_i, wide_q), band_indices, threads)
+    subbands = _channelize_bands(cfg, wideband, band_indices, threads)
+    w = cfg.warmup_windows
 
     def one_tone(tone: ToneConfig) -> tuple[tuple[int, int], IqTimeSeries]:
         ph = phase_words(g.L_acc, tone.freq_word, n_gen)
         ref = cordic_sincos_array(ph, g.L_acc, g.cordic)
         sub = subbands[tone.band_index]
-        yi, yq = _ddc_products(sub, ref, a.demod_mode)
-        if use_periodic:
-            si = _periodic_window_sums(yi[p_band : 2 * p_band], p_band, a.L_avg, n_windows)
-            sq = _periodic_window_sums(yq[p_band : 2 * p_band], p_band, a.L_avg, n_windows)
-            n_disc = 0
-        else:
-            nw = len(yi) // a.L_avg
-            n_disc = len(yi) - nw * a.L_avg
-            si = yi[: nw * a.L_avg].reshape(nw, a.L_avg).sum(axis=1)
-            sq = yq[: nw * a.L_avg].reshape(nw, a.L_avg).sum(axis=1)
-        series = IqTimeSeries(
+        key = (tone.band_index, tone.tone_index)
+        if not use_periodic:
+            s = ddc(
+                sub,
+                ref,
+                a.L_avg,
+                a.demod_mode,
+                band_index=tone.band_index,
+                tone_index=tone.tone_index,
+                freq_word=tone.freq_word,
+                band_rate_hz=a.band_rate_hz,
+            )
+            return key, replace(s, i=s.i[w:], q=s.q[w:])
+        yi, yq = ddc_products(sub, ref, a.demod_mode)
+        return key, IqTimeSeries(
             band_index=tone.band_index,
             tone_index=tone.tone_index,
             freq_word=tone.freq_word,
-            i=si[cfg.warmup_windows :],
-            q=sq[cfg.warmup_windows :],
+            i=_periodic_window_sums(yi[-p_band:], p_band, a.L_avg, n_windows)[w:],
+            q=_periodic_window_sums(yq[-p_band:], p_band, a.L_avg, n_windows)[w:],
             rate_hz=a.fs_hz,
             l_avg=a.L_avg,
             demod_mode=a.demod_mode,
-            n_discarded=n_disc,
         )
-        return (tone.band_index, tone.tone_index), series
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
@@ -656,15 +607,9 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
 
     # short direct re-run for the pre-accumulation product spectra
     n_pre = max(4096, 4 * _band_transient_len(cfg))
-    band_streams = _generate_band_streams(cfg, n_pre, threads)
-    n_wide = n_pre * g.upsample_factor
-    wide_i = np.zeros(n_wide, dtype=np.int64)
-    wide_q = np.zeros(n_wide, dtype=np.int64)
-    for b in sorted(band_streams):
-        wide_i += band_streams[b][0]
-        wide_q += band_streams[b][1]
+    wideband = generate_comb(g, cfg.tones, n_pre, threads)
     band_indices = sorted({t.band_index for t in cfg.tones})
-    subbands = _channelize_bands(cfg, (wide_i, wide_q), band_indices, threads)
+    subbands = _channelize_bands(cfg, wideband, band_indices, threads)
     skip = _band_transient_len(cfg)
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
 
@@ -673,8 +618,8 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
         ph = phase_words(g.L_acc, tone.freq_word, n_pre)
         ref = cordic_sincos_array(ph, g.L_acc, g.cordic)
         sub = subbands[tone.band_index]
-        pi_s, pq_s = _ddc_products(sub, ref, DemodMode.SINE_DDC)
-        pi_q, pq_q = _ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
+        pi_s, pq_s = ddc_products(sub, ref, DemodMode.SINE_DDC)
+        pi_q, pq_q = ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
         zs = (pi_s + 1j * pq_s)[skip:]
         zq = (pi_q + 1j * pq_q)[skip:]
         lines_sine = _spectral_line_count(zs, PRE_ACCUM_LINE_THRESHOLD_DB)

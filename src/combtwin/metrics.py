@@ -280,8 +280,6 @@ def predict_spurs(
     contributor. Empty when every grid component is a boxcar zero (R
     divides L_avg).
     """
-    from .analyzer import boxcar_response
-
     if L_acc < 1 or U < 1 or lut_len < 1 or L_avg < 1:
         raise ConfigError("all integer arguments must be >= 1")
     if band_rate <= 0:

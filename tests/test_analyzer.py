@@ -11,8 +11,7 @@ from combtwin.analyzer import (
     DemodMode,
     boxcar_response,
     channelize,
-    ddc_sine,
-    ddc_square,
+    ddc,
 )
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
@@ -181,7 +180,7 @@ def test_ddc_sine_self_demodulation():
     word, l_acc, l_avg = 205, 1024, 1024
     n = 4 * l_avg
     ref = reference_wave(word, l_acc, n)
-    out = ddc_sine(ref, ref, l_avg, freq_word=word)
+    out = ddc(ref, ref, l_avg, freq_word=word)
     assert len(out) == 4
     assert out.n_discarded == 0
     # each window accumulates |ref|^2 exactly
@@ -196,11 +195,11 @@ def test_ddc_sine_rejects_other_grid_tone():
     n = 4 * l_avg
     ref = reference_wave(205, l_acc, n)
     other = reference_wave(307, l_acc, n)
-    out = ddc_sine(other, ref, l_avg)
+    out = ddc(other, ref, l_avg)
     # boxcar zero at grid spacing: bounded by accumulated quantization
     assert np.abs(out.i).max() <= 4 * l_avg
     assert np.abs(out.q).max() <= 4 * l_avg
-    self_out = ddc_sine(ref, ref, l_avg)
+    self_out = ddc(ref, ref, l_avg)
     assert np.abs(out.i).max() < 1e-2 * self_out.i[0]
 
 
@@ -208,8 +207,8 @@ def test_ddc_zero_subband_zero_series():
     l_avg = 1024
     ref = reference_wave(205, 1024, 2 * l_avg)
     z = np.zeros(2 * l_avg, dtype=np.int64)
-    for fn in (ddc_sine, ddc_square):
-        out = fn((z, z), ref, l_avg)
+    for mode in DemodMode:
+        out = ddc((z, z), ref, l_avg, mode)
         assert not out.i.any() and not out.q.any()
 
 
@@ -217,7 +216,7 @@ def test_ddc_trailing_partial_window_discarded():
     l_avg = 1024
     n = 3 * l_avg + 500
     ref = reference_wave(205, 1024, n)
-    out = ddc_sine(ref, ref, l_avg)
+    out = ddc(ref, ref, l_avg)
     assert len(out) == 3
     assert out.n_discarded == 500
 
@@ -229,7 +228,7 @@ def test_ddc_square_uses_reference_signs_only():
     si = rng.integers(-2000, 2000, n)
     sq = rng.integers(-2000, 2000, n)
     ref = reference_wave(17, 1024, n)
-    out = ddc_square((si, sq), ref, l_avg)
+    out = ddc((si, sq), ref, l_avg, DemodMode.SQUARE_WAVE)
     sc = np.where(ref[0] >= 0, 1, -1).astype(np.int64)
     ss = np.where(ref[1] >= 0, 1, -1).astype(np.int64)
     want_i = (sc * si + ss * sq)[:l_avg].sum()
@@ -243,7 +242,8 @@ def test_ddc_square_sign_of_zero_is_positive():
     ref_i = np.array([0, -1, 0, 1], dtype=np.int64)
     ref_q = np.array([1, 0, -1, 0], dtype=np.int64)
     ones = np.ones(4, dtype=np.int64)
-    out = ddc_square((ones, np.zeros(4, dtype=np.int64)), (ref_i, ref_q), l_avg)
+    zeros = np.zeros(4, dtype=np.int64)
+    out = ddc((ones, zeros), (ref_i, ref_q), l_avg, DemodMode.SQUARE_WAVE)
     # signs: sc = [+,-,+,+], ss = [+,+,-,+]
     assert out.i[0] == 1 - 1 + 1 + 1
     assert out.q[0] == -(1 + 1 - 1 + 1)
@@ -254,8 +254,8 @@ def test_square_to_sine_magnitude_ratio():
     word, l_acc, l_avg = 205, 1024, 1024
     n = 8 * l_avg
     ref = reference_wave(word, l_acc, n)
-    out_s = ddc_sine(ref, ref, l_avg)
-    out_q = ddc_square(ref, ref, l_avg)
+    out_s = ddc(ref, ref, l_avg)
+    out_q = ddc(ref, ref, l_avg, DemodMode.SQUARE_WAVE)
     ms = np.abs(out_s.i.mean() + 1j * out_s.q.mean())
     mq = np.abs(out_q.i.mean() + 1j * out_q.q.mean())
     ratio = (mq * 511.0 / ms) / (4.0 / math.pi)
@@ -270,7 +270,7 @@ def test_square_to_sine_magnitude_ratio():
 def test_series_metadata_and_complex_view():
     l_avg = 512
     ref = reference_wave(205, 1024, 2 * l_avg)
-    out = ddc_sine(ref, ref, l_avg, band_index=1, tone_index=3, freq_word=205)
+    out = ddc(ref, ref, l_avg, band_index=1, tone_index=3, freq_word=205)
     assert out.band_index == 1 and out.tone_index == 3 and out.freq_word == 205
     assert out.rate_hz == pytest.approx(250e6 / 512)
     z = out.complex_values()

@@ -13,7 +13,6 @@ from combtwin.generator import (
     GeneratorConfig,
     PhaseAccumulatorState,
     ToneConfig,
-    band_add,
     band_shift,
     band_sum,
     cordic_gain,
@@ -358,10 +357,10 @@ def test_band_shift_rejects_bad_band():
 def test_band_add_identity_and_zero():
     rng = np.random.default_rng(25)
     s = (rng.integers(-100, 100, 32), rng.integers(-100, 100, 32))
-    ai, aq = band_add([s])
+    ai, aq = band_sum([s], 16)
     assert np.array_equal(ai, s[0]) and np.array_equal(aq, s[1])
     z = (np.zeros(32, dtype=np.int64), np.zeros(32, dtype=np.int64))
-    ai, aq = band_add([z] * 10)
+    ai, aq = band_sum([z] * 10, 16)
     assert not ai.any() and not aq.any()
 
 
@@ -371,7 +370,7 @@ def test_band_add_exact_sum():
         (rng.integers(-4000, 4000, 40), rng.integers(-4000, 4000, 40))
         for _ in range(10)
     ]
-    ai, aq = band_add(bands)
+    ai, aq = band_sum(bands, 17)
     for n in range(40):
         assert int(ai[n]) == sum(int(b[0][n]) for b in bands)
         assert int(aq[n]) == sum(int(b[1][n]) for b in bands)

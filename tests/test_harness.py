@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpValue
 from combtwin.analyzer import DemodMode
@@ -22,6 +24,7 @@ from combtwin.harness import (
     run_cordic_sweep,
     run_demod_compare,
     run_loopback,
+    _band_transient_len,
     _config_to_dict,
 )
 
@@ -199,6 +202,55 @@ def test_periodic_engine_matches_direct():
         for tp, td in zip(rp.tones, rd.tones):
             assert np.array_equal(tp.series.i, td.series.i)
             assert np.array_equal(tp.series.q, td.series.q)
+
+
+def test_periodic_engine_tiles_a_period_past_the_transient():
+    # period 40 band samples, filter transient 192: only the 6th period is steady
+    cfg = make_chain_config(
+        "tiny", 8, 8, 1, 1, 64, upsample_factor=1, shifter_lut_len=5, freq_words=[1]
+    )
+    cfg = replace(cfg, warmup_windows=30)
+    auto = run_loopback(cfg, engine="auto")
+    direct = run_loopback(cfg, engine="direct")
+    assert auto.engine == "periodic"
+    assert np.array_equal(auto.tones[0].series.i, direct.tones[0].series.i)
+    assert np.array_equal(auto.tones[0].series.q, direct.tones[0].series.q)
+
+
+@st.composite
+def small_chains(draw):
+    l_acc = 4 * draw(st.integers(2, 16))
+    u = draw(st.sampled_from([1, 2, 4]))
+    n_tones = draw(st.integers(1, 2))
+    l_avg = draw(st.integers(4, 32))
+    cfg = make_chain_config(
+        "prop",
+        l_acc,
+        l_avg,
+        draw(st.integers(1, 2)),
+        n_tones,
+        draw(st.integers(8, 48)),
+        upsample_factor=u,
+        shifter_lut_len=5 * u * draw(st.integers(1, 2)),
+        demod_mode=draw(st.sampled_from(list(DemodMode))),
+        freq_words=draw(
+            st.lists(st.integers(0, l_acc - 1), min_size=n_tones, max_size=n_tones)
+        ),
+    )
+    warmup = -(-_band_transient_len(cfg) // l_avg) + draw(st.integers(0, 2))
+    return replace(cfg, warmup_windows=warmup)
+
+
+@settings(max_examples=40)
+@given(small_chains())
+def test_periodic_engine_equals_direct_on_random_chains(cfg):
+    rp = run_loopback(cfg, engine="periodic")
+    rd = run_loopback(cfg, engine="direct")
+    for tp, td in zip(rp.tones, rd.tones, strict=True):
+        assert np.array_equal(tp.series.i, td.series.i)
+        assert np.array_equal(tp.series.q, td.series.q)
+        assert np.array_equal(tp.amp_spectrum.values, td.amp_spectrum.values)
+        assert np.array_equal(tp.phase_spectrum.values, td.phase_spectrum.values)
 
 
 def test_engine_auto_falls_back_to_direct_when_period_too_long():
