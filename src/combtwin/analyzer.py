@@ -69,6 +69,9 @@ class AnalyzerConfig:
             )
         if acc > 63:
             raise ConfigError("accumulator_width_bits must be <= 63 (int64 exactness)")
+        self.resolved_channelizer_filter().check_int64_headroom(
+            self.wide_width_bits, "channelizer_filter"
+        )
 
     @property
     def ddc_product_bits(self) -> int:

@@ -115,7 +115,8 @@ def _cmd_run_loopback(args) -> int:
     print(f"scenario {result.scenario_name}  engine {result.engine}  hash {result.config_hash[:12]}")
     print(
         f"wall {result.wall_time_s:.3f} s  "
-        f"throughput {result.throughput_sps:.3e} full-rate samples/s"
+        f"computed {result.computed_sps:.3e} full-rate samples/s  "
+        f"simulated {result.throughput_sps:.3e} full-rate samples/s"
     )
     for tr in result.tones:
         s = tr.series

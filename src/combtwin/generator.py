@@ -8,6 +8,7 @@ run on raw integer codes (int64 arrays); stream formats are Q1.(w-1).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -188,6 +189,31 @@ def cordic_sincos_array(
     return i_out, q_out
 
 
+@functools.lru_cache(maxsize=8)
+def _cordic_table(L_acc: int, cfg: CordicConfig) -> tuple[np.ndarray, np.ndarray]:
+    ci, cq = cordic_sincos_array(np.arange(L_acc, dtype=np.int64), L_acc, cfg)
+    ci.flags.writeable = False
+    cq.flags.writeable = False
+    return ci, cq
+
+
+def cordic_lookup(
+    phases: np.ndarray, L_acc: int, cfg: CordicConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """cordic_sincos_array(phases, L_acc, cfg), gathered from a memoised
+    table of all L_acc phase words.
+
+    CORDIC output depends only on the phase word, so the iterations run
+    once per table entry instead of once per sample; the result is
+    bit-identical. Tables are kept for the 8 most recent (L_acc, cfg).
+    """
+    ti, tq = _cordic_table(L_acc, cfg)
+    phases = np.asarray(phases, dtype=np.int64)
+    if phases.size and (phases.min() < 0 or phases.max() >= L_acc):
+        raise ValueError("phase out of range [0, L_acc)")
+    return ti[phases], tq[phases]
+
+
 def cordic_sincos(phase: int, L_acc: int, cfg: CordicConfig) -> IqSample:
     """Scalar wrapper around cordic_sincos_array."""
     if not (0 <= phase < L_acc):
@@ -214,6 +240,12 @@ class FilterSpec:
             raise ConfigError("filter must have odd length")
         if list(self.taps) != list(reversed(self.taps)):
             raise ConfigError("filter must be symmetric (linear phase)")
+        fmt = self.coeff_format
+        if not all(fmt.min_raw <= t <= fmt.max_raw for t in self.taps):
+            raise ConfigError(
+                f"filter taps must lie in [{fmt.min_raw}, {fmt.max_raw}], the "
+                f"range of the {fmt.total_bits}-bit coefficient format"
+            )
 
     @property
     def shift(self) -> int:
@@ -221,6 +253,15 @@ class FilterSpec:
 
     def taps_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=np.int64)
+
+    def check_int64_headroom(self, stream_bits: int, name: str) -> None:
+        """Raise ConfigError unless every convolution sum over a
+        stream_bits-bit input fits int64: sum|h| * 2^(stream_bits-1) < 2^63."""
+        if sum(abs(t) for t in self.taps) << (stream_bits - 1) >= 1 << 63:
+            raise ConfigError(
+                f"{name} taps on a {stream_bits}-bit stream can overflow int64 "
+                "(sum|h| * 2^(stream_bits-1) >= 2^63)"
+            )
 
 
 def windowed_sinc_taps(num_taps: int, cutoff_cycles: float, gain: float = 1.0) -> np.ndarray:
@@ -239,6 +280,16 @@ def design_windowed_sinc(
     running rate. gain scales the passband (an interpolator uses gain = U
     to compensate zero-stuffing).
     """
+    return _design_windowed_sinc(num_taps, cutoff_cycles, gain, coeff_bits)
+
+
+# every config construction resolves (and so designs) its default filters;
+# the FilterSpec is immutable, so one design per argument set is shared.
+# typed: gain 8 and 8.0 give different descriptions
+@functools.lru_cache(maxsize=32, typed=True)
+def _design_windowed_sinc(
+    num_taps: int, cutoff_cycles: float, gain: float, coeff_bits: int
+) -> FilterSpec:
     h = windowed_sinc_taps(num_taps, cutoff_cycles, gain)
     frac = coeff_bits - 2
     raw = np.floor(h * (1 << frac) + 0.5).astype(np.int64)
@@ -362,6 +413,9 @@ class GeneratorConfig:
                     f"shifter LUT length {self.shifter_lut_len} does not hold an "
                     f"integer number of cycles for band {band}"
                 )
+        self.resolved_interp_filter().check_int64_headroom(
+            self.resolved_sum_width, "interp_filter"
+        )
 
     @property
     def full_rate_hz(self) -> float:
@@ -414,7 +468,7 @@ def tone_generate(
     if tone.freq_word >= cfg.L_acc:
         raise ConfigError("freq_word must be < L_acc")
     ph = phase_words(cfg.L_acc, tone.freq_word, n_samples)
-    ci, cq = cordic_sincos_array(ph, cfg.L_acc, cfg.cordic)
+    ci, cq = cordic_lookup(ph, cfg.L_acc, cfg.cordic)
     amp = np.int64(tone.amplitude_code.raw)
     sh = np.int64(tone.amplitude_code.fmt.frac_bits)
     return (ci * amp) >> sh, (cq * amp) >> sh

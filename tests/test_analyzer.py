@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combtwin import ConfigError, FxpValue
+from combtwin import ConfigError, FxpFormat, FxpValue
 from combtwin.analyzer import (
     AnalyzerConfig,
     DemodMode,
@@ -16,6 +18,7 @@ from combtwin.analyzer import (
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
+    FilterSpec,
     GeneratorConfig,
     ToneConfig,
     band_shift,
@@ -128,6 +131,49 @@ def test_polyphase_equals_direct_on_random_input():
         pi, pq = channelize((wi, wq), b, cfg, method="polyphase")
         assert np.array_equal(di, pi)
         assert np.array_equal(dq, pq)
+
+
+@st.composite
+def channelizer_cases(draw):
+    d = draw(st.integers(1, 8))
+    n_bands = draw(st.integers(1, 3))
+    w = draw(st.integers(2, 32))
+    half = draw(st.lists(st.integers(-(1 << 17), (1 << 17) - 1), min_size=1, max_size=16))
+    spec = FilterSpec(
+        taps=tuple(half + half[-2::-1]),
+        coeff_format=FxpFormat(18, 16),
+        description="random symmetric",
+    )
+    cfg = AnalyzerConfig(
+        decim_to_band=d,
+        L_avg=16,
+        n_bands=n_bands,
+        wide_width_bits=w,
+        shifter_lut_len=5 * d * draw(st.integers(1, 3)),
+        channelizer_filter=spec,
+    )
+    n = draw(st.integers(1, 300))
+    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    stream = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    wide = (np.array(draw(stream), dtype=np.int64), np.array(draw(stream), dtype=np.int64))
+    return cfg, wide, draw(st.integers(0, n_bands - 1))
+
+
+@settings(max_examples=150)
+@given(channelizer_cases())
+def test_polyphase_equals_direct_on_random_configs(case):
+    cfg, wide, band = case
+    di, dq = channelize(wide, band, cfg, method="direct")
+    pi, pq = channelize(wide, band, cfg, method="polyphase")
+    assert np.array_equal(di, pi)
+    assert np.array_equal(dq, pq)
+
+
+def test_channelizer_taps_that_can_wrap_int64_are_rejected():
+    taps = FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(52, 16), description="x")
+    with pytest.raises(ConfigError, match="channelizer_filter"):
+        AnalyzerConfig(channelizer_filter=taps)  # 20-bit wideband stream
+    AnalyzerConfig(channelizer_filter=taps, wide_width_bits=11)  # 3 * 2^60 < 2^63
 
 
 def test_channelize_recovers_single_tone_band():

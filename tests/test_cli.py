@@ -119,6 +119,8 @@ def test_run_loopback_stdout_and_artifacts(tmp_path, capsys):
     txt = capsys.readouterr().out
     assert rc == 0
     assert txt.startswith("scenario desk_a  engine periodic  hash ")
+    rates = txt.splitlines()[1]
+    assert " computed " in rates and " simulated " in rates
     assert "amp spur bins: 512,1024  phase spur bins: 512,1024" in txt
     assert f"wrote {out}" in txt
     man = json.loads((out / "manifest.json").read_text())

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combtwin import ConfigError, FxpValue
+from combtwin import ConfigError, FxpFormat, FxpValue
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
@@ -16,11 +18,13 @@ from combtwin.generator import (
     band_shift,
     band_sum,
     cordic_gain,
+    cordic_lookup,
     cordic_sincos,
     cordic_sincos_array,
     default_freq_words,
     design_windowed_sinc,
     down_shift,
+    fir_apply,
     generate_comb,
     make_lut,
     phase_acc_step,
@@ -201,6 +205,44 @@ def test_cordic_amplitude_error_shrinks_with_iterations():
     for prev, cur in zip(errs, errs[1:]):
         assert cur <= prev * 1.01 + 0.05
     assert errs[-1] < errs[0] / 10
+
+
+@st.composite
+def cordic_lookups(draw):
+    l_acc = 4 * draw(st.integers(2, 512))
+    cfg = CordicConfig(
+        data_bits=draw(st.integers(4, 24)),
+        iterations=draw(st.integers(1, 24)),
+        angle_bits=draw(st.one_of(st.none(), st.integers(4, 24))),
+        guard_bits=draw(st.integers(0, 8)),
+    )
+    phases = draw(st.lists(st.integers(0, l_acc - 1), max_size=64))
+    return l_acc, cfg, np.array(phases, dtype=np.int64)
+
+
+@settings(max_examples=200)
+@given(cordic_lookups())
+def test_cordic_lookup_equals_cordic_sincos_array(case):
+    l_acc, cfg, phases = case
+    ti, tq = cordic_lookup(phases, l_acc, cfg)
+    ri, rq = cordic_sincos_array(phases, l_acc, cfg)
+    assert ti.dtype == ri.dtype == np.int64
+    assert np.array_equal(ti, ri)
+    assert np.array_equal(tq, rq)
+
+
+def test_cordic_lookup_range_check_and_private_table():
+    cfg = CordicConfig(data_bits=10, iterations=10)
+    for bad in ([1024], [-1], [0, 5, 1024]):
+        with pytest.raises(ValueError):
+            cordic_lookup(np.array(bad), 1024, cfg)
+    with pytest.raises(ConfigError):
+        cordic_lookup(np.array([0]), 1022, cfg)  # not a multiple of 4
+    ph = np.arange(1024)
+    ci, cq = cordic_lookup(ph, 1024, cfg)
+    ci[:] = 0  # callers own their arrays; the shared table is untouched
+    again, _ = cordic_lookup(ph, 1024, cfg)
+    assert np.array_equal(again, cordic_sincos_array(ph, 1024, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +519,38 @@ def test_filter_spec_validation():
     with pytest.raises(ConfigError):
         FilterSpec(taps=(1, 1, 2), coeff_format=fmt, description="asymmetric")
     FilterSpec(taps=(1, 2, 1), coeff_format=fmt, description="ok")
+    with pytest.raises(ConfigError):
+        FilterSpec(taps=(1, 1 << 16, 1), coeff_format=fmt, description="tap too large")
+    with pytest.raises(ConfigError):
+        FilterSpec(taps=(-(1 << 16) - 1,), coeff_format=fmt, description="tap too small")
+    FilterSpec(taps=(-(1 << 16), (1 << 16) - 1, -(1 << 16)), coeff_format=fmt, description="edges")
+
+
+def test_unbounded_taps_are_rejected_before_they_wrap_int64():
+    # taps of 2^50 on a 20-bit stream: the convolution sum 3 * 2^50 * (2^19 - 1)
+    # wraps int64 and fir_apply returns -524288 where +524287 is right
+    with pytest.raises(ConfigError):
+        FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(18, 16), description="x")
+    wide = FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(52, 16), description="x")
+    x = np.full(4, 2**19 - 1, dtype=np.int64)
+    assert fir_apply(x, x, wide, 20)[0][-1] == -524288  # the silent wrap
+    with pytest.raises(ConfigError, match="interp_filter"):
+        GeneratorConfig(
+            n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=wide, sum_width_bits=20
+        )
+    # the bound is sum|h| * 2^(stream_bits-1) < 2^63, checked exactly
+    edge = FilterSpec(taps=(1 << 45, 1 << 46, 1 << 45), coeff_format=FxpFormat(52, 16), description="x")
+    GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=16)
+    with pytest.raises(ConfigError):
+        GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=17)
+
+
+def test_filter_design_keeps_the_gain_argument_type():
+    # designs are shared between calls; 8 and 8.0 must still give their own text
+    a = design_windowed_sinc(63, 1.0 / 16, gain=8)
+    b = design_windowed_sinc(63, 1.0 / 16, gain=8.0)
+    assert a.taps == b.taps
+    assert "gain 8," in a.description and "gain 8.0," in b.description
 
 
 def test_windowed_sinc_filter_is_symmetric_and_unit_peak():

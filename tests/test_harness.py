@@ -1,8 +1,10 @@
 """End-to-end loopback scenarios, sweeps, comparisons, oracles, persistence."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +189,15 @@ def test_run_result_metadata(desk_a_result):
 def test_throughput_counter(desk_a_result):
     # full-rate samples per second, sanity bound
     assert desk_a_result.throughput_sps >= 5e6
+
+
+def test_computed_rate_counts_only_generated_samples(desk_a_result):
+    # periodic: 2 periods of 5120 band samples computed for 2560 windows of 1024
+    r = desk_a_result
+    assert r.computed_sps / r.throughput_sps == pytest.approx(2 * 5120 / (2560 * 1024))
+    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64)
+    d = run_loopback(cfg, engine="direct")
+    assert d.computed_sps / d.throughput_sps == pytest.approx((64 + 1) / 64)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +480,23 @@ def test_persist_reruns_are_byte_identical(tmp_path):
             acc.update((out / rel).read_bytes())
         digests.append(acc.hexdigest())
     assert digests[0] == digests[1]
+
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.mark.parametrize("name", ["desk_a", "desk_b", "demod_single", "demod_two_tone"])
+def test_persisted_artifacts_match_golden_digests(tmp_path, name):
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[name]
+    res = run_loopback(builtin_scenarios()[name])
+    persist(res, str(tmp_path / name))
+    digests = {
+        p.relative_to(tmp_path / name).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / name).rglob("*"))
+        if p.is_file()
+    }
+    assert res.config_hash == golden["config_hash"]
+    assert digests == golden["files"]
 
 
 def test_persisted_config_reloads_to_same_hash(tmp_path, desk_a_result):

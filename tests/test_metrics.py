@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from combtwin.metrics import (
     PsdMethod,
+    Spectrum,
     SpectrumUnits,
     SpectrumWindow,
+    SpurLine,
     amp_phase,
     dbc_per_hz,
     deglitch,
@@ -191,6 +196,26 @@ def test_psd_method_defaults():
     assert len(w.values) == 257
 
 
+@settings(max_examples=120)
+@given(
+    n=st.integers(2, 3000),
+    window=st.sampled_from(list(SpectrumWindow)),
+    fs=st.sampled_from([1.0, 0.37, 3814.697265625, 244140.625]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, window=SpectrumWindow.RECT, fs=1.0, seed=0)
+@example(n=2, window=SpectrumWindow.HANN, fs=1.0, seed=0)
+@example(n=999, window=SpectrumWindow.HANN, fs=244140.625, seed=1)
+@example(n=2560, window=SpectrumWindow.RECT, fs=244140.625, seed=2)
+def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    name = "boxcar" if window is SpectrumWindow.RECT else "hann"
+    _, want = signal.periodogram(x, fs=fs, window=name, detrend=False, scaling="density")
+    got = psd(x, fs, method=PsdMethod.PERIODOGRAM, window=window).values
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_psd_rejects_short_input():
     with pytest.raises(ValueError):
         psd(np.ones(4), 1.0, method=PsdMethod.WELCH, segment_len=512)
@@ -329,6 +354,67 @@ def test_detect_spurs_finds_all_injected_lines():
 def test_detect_spurs_threshold_validation():
     with pytest.raises(ValueError):
         detect_spurs(_flat_spectrum(), threshold_db=0.0)
+
+
+def _detect_spurs_loop(spec, threshold_db, floor_min):
+    """Bin-by-bin reference for detect_spurs: (lines, linear floor)."""
+    vals = spec.linear_values()
+    floor_lin = max(float(np.median(vals)), floor_min)
+    thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
+    lines = []
+    for b in range(1, len(vals)):
+        v = vals[b]
+        if v <= thresh:
+            continue
+        left = vals[b - 1] if b - 1 >= 0 else -np.inf
+        right = vals[b + 1] if b + 1 < len(vals) else -np.inf
+        if v > left and v > right:
+            level_db = (
+                math.inf if floor_lin == 0.0 else 10.0 * math.log10(v / floor_lin)
+            )
+            lines.append(SpurLine(freq_hz=b * spec.bin_hz, level_db=level_db, bin=b))
+    return tuple(lines), floor_lin
+
+
+@st.composite
+def spur_spectra(draw):
+    m = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["plateau", "float", "zero", "edge"]))
+    if kind == "zero":
+        vals = [0.0] * m
+    elif kind == "float":
+        vals = draw(st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m))
+    else:  # few distinct levels, so equal neighbours are common
+        vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 1e3]), min_size=m, max_size=m))
+        if kind == "edge":
+            vals[-1] = 1e6  # a line in the last bin, which has no right neighbour
+    units = draw(st.sampled_from([SpectrumUnits.LINEAR_PER_HZ, SpectrumUnits.DBC_PER_HZ]))
+    values = np.array(vals)
+    if units is SpectrumUnits.DBC_PER_HZ:
+        values = values * 1e-4 - 50.0  # -50..+50 dB
+    return Spectrum(
+        n_points=2 * m - 1,
+        bin_hz=draw(st.sampled_from([1.0, 0.1, 3.814697265625])),
+        values=values,
+        units=units,
+        window=SpectrumWindow.RECT,
+        method=PsdMethod.PERIODOGRAM,
+    )
+
+
+@settings(max_examples=300)
+@given(
+    spec=spur_spectra(),
+    threshold_db=st.floats(0.1, 40.0),
+    floor_min=st.sampled_from([0.0, 1e-24, 1.0]),
+)
+def test_detect_spurs_equals_bin_loop(spec, threshold_db, floor_min):
+    lines, floor_lin = _detect_spurs_loop(spec, threshold_db, floor_min)
+    rep = detect_spurs(spec, threshold_db=threshold_db, floor_min=floor_min)
+    assert rep.lines == lines
+    assert all(type(line.bin) is int for line in rep.lines)
+    if spec.units is SpectrumUnits.LINEAR_PER_HZ:
+        assert rep.floor == floor_lin
 
 
 # ---------------------------------------------------------------------------
