@@ -12,13 +12,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .formats import config_from_ini, config_to_ini
 from .fxp import ConfigError
 from .harness import (
     LONG_RUN_SCENARIOS,
     ChainConfig,
-    _config_to_dict,
     builtin_scenarios,
-    config_from_dict,
     config_hash,
     persist,
     run_cordic_sweep,
@@ -49,9 +48,7 @@ def _load_config(name_or_path: str, long_run: bool) -> ChainConfig:
         return builtins[name_or_path]
     p = Path(name_or_path)
     if p.exists():
-        from .formats import config_dict_from_ini
-
-        return config_from_dict(config_dict_from_ini(p.read_text(encoding="utf-8")))
+        return config_from_ini(p.read_text(encoding="utf-8"))
     raise ConfigError(
         f"unknown config '{name_or_path}': not a builtin "
         f"({', '.join(sorted(builtins))}) and no such file"
@@ -62,24 +59,26 @@ def _build_parser() -> _Parser:
     ap = _Parser(prog="combtwin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser) -> None:
+    def add_config(p: _Parser, run: bool) -> None:
         p.add_argument("--config", default=None, help="builtin scenario name or INI file path")
-        p.add_argument("--out", default=None, help="output directory (run artifacts)")
-        p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap (results unchanged)")
         p.add_argument("--long-run", action="store_true", help="unlock full-scale configs")
+        if run:
+            p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+            p.add_argument("--threads", type=int, default=1, help="worker thread cap (results unchanged)")
 
     p = sub.add_parser("run-loopback", help="generate the comb and analyze it in loopback")
-    add_common(p)
+    add_config(p, run=True)
+    p.add_argument("--out", default=None, help="output directory (run artifacts)")
     p.add_argument("--engine", default="auto", choices=("auto", "periodic", "direct"))
 
     p = sub.add_parser("sweep-cordic", help="SINAD/SFDR versus CORDIC sizing")
-    add_common(p)
+    add_config(p, run=False)
+    p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--bits", default="10", help="comma list of data bit widths")
     p.add_argument("--iters", default="7,10", help="comma list of iteration counts")
 
     p = sub.add_parser("compare-demod", help="sine DDC versus square-wave demodulation")
-    add_common(p)
+    add_config(p, run=True)
 
     p = sub.add_parser("predict-spurs", help="baseband alias frequencies of the waveform period")
     p.add_argument("--l-acc", type=int, required=True, help="phase accumulator modulus")
@@ -205,10 +204,8 @@ def _cmd_deglitch(args) -> int:
 
 
 def _cmd_dump_config(args) -> int:
-    from .formats import config_dict_to_ini
-
     cfg = _load_config(args.config, long_run=True)
-    text = config_dict_to_ini(_config_to_dict(cfg))
+    text = config_to_ini(cfg)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -10,16 +10,23 @@ byte-identical files.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import functools
 import hashlib
 import io
 import json
 import struct
-from typing import Iterable
+import typing
+from dataclasses import dataclass
+from enum import Enum
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 from .analyzer import DemodMode, IqTimeSeries
-from .fxp import ConfigError
+from .fxp import ConfigError, FxpFormat, FxpValue
+from .generator import AMPLITUDE_FORMAT, FilterSpec
+from .harness import ChainConfig
 from .metrics import PsdMethod, Spectrum, SpectrumUnits, SpectrumWindow, SpurReport
 
 _BIN_MAGIC = b"CTIQ"
@@ -213,161 +220,204 @@ def spur_report_to_json(report: SpurReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenario config INI
+# scenario config schema
+#
+# One walk over the dataclass fields of ChainConfig and its parts gives the
+# canonical dictionary (hashed by config_hash, stored in the manifest) and
+# the config.ini layout: a nested dictionary is a section named by its path,
+# keys are lower-cased, None is left out, a number list is one comma-separated
+# value and each tone record is one key. A key whose field defaults to None
+# may be missing; so may the keys in _DEFAULTED, which take the field default.
+
+# [scenario] holds the top-level keys, named and ordered as before the schema
+_SCENARIO_KEYS = {
+    "scenario_name": "name",
+    "seed": "seed",
+    "acquisition_len": "acquisition_len",
+    "warmup_windows": "warmup_windows",
+}
+_DEFAULTED = ("warmup_windows", "guard_bits", "description")
 
 
-def config_dict_to_ini(d: dict) -> str:
-    """Flat key=value sections mirroring the config dictionary."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp["scenario"] = {
-        "name": d["scenario_name"],
-        "seed": str(d["seed"]),
-        "acquisition_len": str(d["acquisition_len"]),
-        "warmup_windows": str(d["warmup_windows"]),
-    }
-    g = d["generator"]
-    gen = {
-        "n_bands": str(g["n_bands"]),
-        "tones_per_band": str(g["tones_per_band"]),
-        "l_acc": str(g["L_acc"]),
-        "band_rate_hz": _fmt_float(g["band_rate_hz"]),
-        "upsample_factor": str(g["upsample_factor"]),
-        "shifter_lut_len": str(g["shifter_lut_len"]),
-    }
-    if g["sum_width_bits"] is not None:
-        gen["sum_width_bits"] = str(g["sum_width_bits"])
-    cp["generator"] = gen
-    c = g["cordic"]
-    cor = {
-        "data_bits": str(c["data_bits"]),
-        "iterations": str(c["iterations"]),
-        "guard_bits": str(c["guard_bits"]),
-    }
-    if c["angle_bits"] is not None:
-        cor["angle_bits"] = str(c["angle_bits"])
-    cp["generator.cordic"] = cor
-    if g["interp_filter"] is not None:
-        cp["generator.interp_filter"] = _filter_to_section(g["interp_filter"])
-    a = d["analyzer"]
-    ana = {
-        "decim_to_band": str(a["decim_to_band"]),
-        "l_avg": str(a["L_avg"]),
-        "demod_mode": a["demod_mode"],
-        "n_bands": str(a["n_bands"]),
-        "band_rate_hz": _fmt_float(a["band_rate_hz"]),
-        "wide_width_bits": str(a["wide_width_bits"]),
-        "reference_bits": str(a["reference_bits"]),
-        "shifter_lut_len": str(a["shifter_lut_len"]),
-    }
-    if a["accumulator_width_bits"] is not None:
-        ana["accumulator_width_bits"] = str(a["accumulator_width_bits"])
-    cp["analyzer"] = ana
-    if a["channelizer_filter"] is not None:
-        cp["analyzer.channelizer_filter"] = _filter_to_section(a["channelizer_filter"])
-    cp["tones"] = {
-        f"tone_{n}": (
-            f"{t['band_index']},{t['tone_index']},{t['freq_word']},{t['amplitude_raw']}"
-        )
-        for n, t in enumerate(d["tones"])
-    }
+@dataclass(frozen=True)
+class _StoredFilter:
+    """A FilterSpec as stored: the coefficient format as its two widths."""
+
+    taps: tuple[int, ...]
+    total_bits: int
+    frac_bits: int
+    description: str = ""
+
+
+class _Field(NamedTuple):
+    name: str  # dataclass attribute
+    key: str  # dictionary key
+    type: Any  # field type, `X | None` unwrapped
+    optional: bool
+    section: bool  # stored as its own INI section
+
+
+@functools.cache
+def _fields(cls) -> tuple[_Field, ...]:
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        nullable = type(None) in typing.get_args(tp)
+        if nullable:
+            (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+        key = "amplitude_raw" if tp is FxpValue else f.name
+        section = dataclasses.is_dataclass(tp) and tp is not FxpValue
+        records = typing.get_origin(tp) is tuple and dataclasses.is_dataclass(typing.get_args(tp)[0])
+        out.append(_Field(f.name, key, tp, nullable or f.name in _DEFAULTED, section or records))
+    return tuple(out)
+
+
+def _encode(v):
+    if isinstance(v, FilterSpec):
+        v = _StoredFilter(v.taps, v.coeff_format.total_bits, v.coeff_format.frac_bits, v.description)
+    if isinstance(v, FxpValue):
+        return v.raw
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, tuple):
+        return [_encode(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        return {f.key: _encode(getattr(v, f.name)) for f in _fields(type(v))}
+    return v
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _where(path: str, f: _Field) -> str:
+    """Where a field lives in config.ini, for error messages."""
+    if f.section:
+        return f"section [{_join(path, f.key)}]"
+    return f"key '{_SCENARIO_KEYS.get(f.key, f.key.lower())}' in [{path or 'scenario'}]"
+
+
+def _decode(tp, v, path: str):
+    """Build a value of type tp from its dictionary form; leaves may be the
+    strings an INI file holds."""
+    if tp is FilterSpec:
+        s = _decode(_StoredFilter, v, path)
+        return FilterSpec(s.taps, FxpFormat(s.total_bits, s.frac_bits), s.description)
+    if tp is FxpValue:
+        return FxpValue(int(v), AMPLITUDE_FORMAT)
+    if dataclasses.is_dataclass(tp):
+        fields = _fields(tp)
+        unknown = set(v) - {f.key for f in fields}
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{path or 'scenario'}]")
+        kw = {}
+        for f in fields:
+            if f.key in v:
+                x = v[f.key]
+                kw[f.name] = None if x is None else _decode(f.type, x, _join(path, f.key))
+            elif not f.optional:
+                raise ConfigError(f"missing {_where(path, f)}")
+        return tp(**kw)
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, x, path) for x in (v.split(",") if isinstance(v, str) else v))
+    try:
+        return tp(v)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value {v!r} for {path}: {e}") from e
+
+
+def config_to_dict(cfg: ChainConfig) -> dict:
+    """The canonical dictionary of a config: what config_hash hashes and the
+    manifest stores."""
+    return _encode(cfg)
+
+
+def config_from_dict(d: dict) -> ChainConfig:
+    """Inverse of config_to_dict; raises ConfigError naming a missing,
+    unknown or malformed key."""
+    return _decode(ChainConfig, d, "")
+
+
+def _flatten(d: dict, path: str, sections: dict) -> None:
+    own = sections.setdefault(path or "scenario", {})
+    for key, v in d.items():
+        sub = _join(path, key)
+        if isinstance(v, dict):
+            _flatten(v, sub, sections)
+        elif isinstance(v, list) and v and isinstance(v[0], dict):
+            prefix = key.removesuffix("s")
+            sections[sub] = {
+                f"{prefix}_{n}": ",".join(map(str, rec.values())) for n, rec in enumerate(v)
+            }
+        elif v is not None:
+            own[key.lower()] = ",".join(map(str, v)) if isinstance(v, list) else str(v)
+
+
+def config_to_ini(cfg: ChainConfig) -> str:
+    """config.ini text of a config; config_from_ini reads it back to the same
+    config hash."""
+    d = config_to_dict(cfg)
+    sections = {"scenario": {ini: str(d.pop(key)) for key, ini in _SCENARIO_KEYS.items()}}
+    _flatten(d, "", sections)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
-def _filter_to_section(f: dict) -> dict[str, str]:
-    return {
-        "taps": ",".join(str(t) for t in f["taps"]),
-        "total_bits": str(f["total_bits"]),
-        "frac_bits": str(f["frac_bits"]),
-        "description": f["description"],
-    }
+def _records(cls, name: str, section: dict) -> list[dict]:
+    keys = [f.key for f in _fields(cls)]
+    prefix = name.removesuffix("s") + "_"
+    rows = []
+    for k, v in section.items():
+        n = k.removeprefix(prefix)
+        if not (k.startswith(prefix) and n.isdecimal()):
+            raise ConfigError(f"unknown key '{k}' in [{name}]")
+        values = v.split(",")
+        if len(values) != len(keys):
+            raise ConfigError(f"[{name}] {k} needs {len(keys)} values: {','.join(keys)}")
+        rows.append((int(n), dict(zip(keys, values))))
+    return [row for _, row in sorted(rows, key=lambda r: r[0])]
 
 
-def _filter_from_section(sec) -> dict:
-    return {
-        "taps": [int(t) for t in sec["taps"].split(",")],
-        "total_bits": int(sec["total_bits"]),
-        "frac_bits": int(sec["frac_bits"]),
-        "description": sec.get("description", ""),
-    }
+def _unflatten(cls, path: str, own: dict, sections: dict) -> dict:
+    """The dictionary of cls from its section's keys (own) and the sections
+    below it, popped from sections."""
+    d = {}
+    for f in _fields(cls):
+        sub = _join(path, f.key)
+        if f.section and sub in sections:
+            if typing.get_origin(f.type) is tuple:
+                d[f.key] = _records(typing.get_args(f.type)[0], sub, sections.pop(sub))
+            else:
+                stored = _StoredFilter if f.type is FilterSpec else f.type
+                d[f.key] = _unflatten(stored, sub, sections.pop(sub), sections)
+        elif not f.section and f.key.lower() in own:
+            d[f.key] = own.pop(f.key.lower())
+    if own:
+        raise ConfigError(f"unknown key(s) {sorted(own)} in [{path or 'scenario'}]")
+    return d
 
 
-def config_dict_from_ini(text: str) -> dict:
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
+def config_from_ini(text: str) -> ChainConfig:
+    """Read config.ini text; raises ConfigError naming a missing or unknown
+    key or section."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"malformed config file: {e}") from e
-    try:
-        s = cp["scenario"]
-        g = cp["generator"]
-        c = cp["generator.cordic"]
-        a = cp["analyzer"]
-        tones = []
-        for key in sorted(cp["tones"], key=lambda k: int(k.rsplit("_", 1)[1])):
-            b, t, w, amp = cp["tones"][key].split(",")
-            tones.append(
-                {
-                    "band_index": int(b),
-                    "tone_index": int(t),
-                    "freq_word": int(w),
-                    "amplitude_raw": int(amp),
-                }
-            )
-        return {
-            "scenario_name": s["name"],
-            "seed": int(s["seed"]),
-            "acquisition_len": int(s["acquisition_len"]),
-            "warmup_windows": int(s.get("warmup_windows", "1")),
-            "generator": {
-                "n_bands": int(g["n_bands"]),
-                "tones_per_band": int(g["tones_per_band"]),
-                "L_acc": int(g["l_acc"]),
-                "band_rate_hz": float(g["band_rate_hz"]),
-                "upsample_factor": int(g["upsample_factor"]),
-                "shifter_lut_len": int(g["shifter_lut_len"]),
-                "sum_width_bits": (
-                    int(g["sum_width_bits"]) if "sum_width_bits" in g else None
-                ),
-                "cordic": {
-                    "data_bits": int(c["data_bits"]),
-                    "iterations": int(c["iterations"]),
-                    "angle_bits": int(c["angle_bits"]) if "angle_bits" in c else None,
-                    "guard_bits": int(c.get("guard_bits", "0")),
-                },
-                "interp_filter": (
-                    _filter_from_section(cp["generator.interp_filter"])
-                    if cp.has_section("generator.interp_filter")
-                    else None
-                ),
-            },
-            "analyzer": {
-                "decim_to_band": int(a["decim_to_band"]),
-                "L_avg": int(a["l_avg"]),
-                "demod_mode": a["demod_mode"],
-                "n_bands": int(a["n_bands"]),
-                "band_rate_hz": float(a["band_rate_hz"]),
-                "wide_width_bits": int(a["wide_width_bits"]),
-                "reference_bits": int(a["reference_bits"]),
-                "shifter_lut_len": int(a["shifter_lut_len"]),
-                "channelizer_filter": (
-                    _filter_from_section(cp["analyzer.channelizer_filter"])
-                    if cp.has_section("analyzer.channelizer_filter")
-                    else None
-                ),
-                "accumulator_width_bits": (
-                    int(a["accumulator_width_bits"])
-                    if "accumulator_width_bits" in a
-                    else None
-                ),
-            },
-            "tones": tones,
-        }
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"config file missing or malformed key: {e}") from e
+    sections = {name: dict(cp[name]) for name in cp.sections()}
+    scenario = sections.pop("scenario", {})
+    d = {key: scenario.pop(ini) for key, ini in _SCENARIO_KEYS.items() if ini in scenario}
+    d.update(_unflatten(ChainConfig, "", scenario, sections))
+    cfg = config_from_dict(d)
+    if sections:
+        raise ConfigError(f"unknown section(s) {', '.join(f'[{s}]' for s in sections)}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

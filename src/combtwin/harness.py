@@ -30,7 +30,6 @@ from .fxp import ConfigError, FxpValue
 from .generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
-    FilterSpec,
     GeneratorConfig,
     ToneConfig,
     cordic_lookup,
@@ -196,65 +195,10 @@ LONG_RUN_SCENARIOS = ("full_a", "full_b")
 # config hashing
 
 
-def _config_to_dict(cfg: ChainConfig) -> dict:
-    def filt(f: FilterSpec | None):
-        if f is None:
-            return None
-        return {
-            "taps": list(f.taps),
-            "total_bits": f.coeff_format.total_bits,
-            "frac_bits": f.coeff_format.frac_bits,
-            "description": f.description,
-        }
-
-    g, a = cfg.generator, cfg.analyzer
-    return {
-        "scenario_name": cfg.scenario_name,
-        "seed": cfg.seed,
-        "acquisition_len": cfg.acquisition_len,
-        "warmup_windows": cfg.warmup_windows,
-        "generator": {
-            "n_bands": g.n_bands,
-            "tones_per_band": g.tones_per_band,
-            "L_acc": g.L_acc,
-            "band_rate_hz": g.band_rate_hz,
-            "upsample_factor": g.upsample_factor,
-            "shifter_lut_len": g.shifter_lut_len,
-            "sum_width_bits": g.sum_width_bits,
-            "cordic": {
-                "data_bits": g.cordic.data_bits,
-                "iterations": g.cordic.iterations,
-                "angle_bits": g.cordic.angle_bits,
-                "guard_bits": g.cordic.guard_bits,
-            },
-            "interp_filter": filt(g.interp_filter),
-        },
-        "analyzer": {
-            "decim_to_band": a.decim_to_band,
-            "L_avg": a.L_avg,
-            "demod_mode": a.demod_mode.value,
-            "n_bands": a.n_bands,
-            "band_rate_hz": a.band_rate_hz,
-            "wide_width_bits": a.wide_width_bits,
-            "reference_bits": a.reference_bits,
-            "shifter_lut_len": a.shifter_lut_len,
-            "channelizer_filter": filt(a.channelizer_filter),
-            "accumulator_width_bits": a.accumulator_width_bits,
-        },
-        "tones": [
-            {
-                "band_index": t.band_index,
-                "tone_index": t.tone_index,
-                "freq_word": t.freq_word,
-                "amplitude_raw": t.amplitude_code.raw,
-            }
-            for t in cfg.tones
-        ],
-    }
-
-
 def config_hash(cfg: ChainConfig) -> str:
-    blob = json.dumps(_config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    from .formats import config_to_dict
+
+    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -791,74 +735,7 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# config reconstruction and persistence
-
-
-def config_from_dict(d: dict) -> ChainConfig:
-    """Inverse of the canonical config dictionary (INI loader backend)."""
-    from .generator import FilterSpec as _FS
-    from .fxp import FxpFormat
-
-    def filt(fd: dict | None) -> _FS | None:
-        if fd is None:
-            return None
-        return _FS(
-            taps=tuple(fd["taps"]),
-            coeff_format=FxpFormat(
-                total_bits=fd["total_bits"], frac_bits=fd["frac_bits"]
-            ),
-            description=fd.get("description", ""),
-        )
-
-    g = d["generator"]
-    c = g["cordic"]
-    a = d["analyzer"]
-    gen = GeneratorConfig(
-        n_bands=g["n_bands"],
-        tones_per_band=g["tones_per_band"],
-        L_acc=g["L_acc"],
-        band_rate_hz=g["band_rate_hz"],
-        upsample_factor=g["upsample_factor"],
-        shifter_lut_len=g["shifter_lut_len"],
-        cordic=CordicConfig(
-            data_bits=c["data_bits"],
-            iterations=c["iterations"],
-            angle_bits=c["angle_bits"],
-            guard_bits=c["guard_bits"],
-        ),
-        interp_filter=filt(g["interp_filter"]),
-        sum_width_bits=g["sum_width_bits"],
-    )
-    ana = AnalyzerConfig(
-        decim_to_band=a["decim_to_band"],
-        L_avg=a["L_avg"],
-        demod_mode=DemodMode(a["demod_mode"]),
-        n_bands=a["n_bands"],
-        band_rate_hz=a["band_rate_hz"],
-        wide_width_bits=a["wide_width_bits"],
-        reference_bits=a["reference_bits"],
-        shifter_lut_len=a["shifter_lut_len"],
-        channelizer_filter=filt(a["channelizer_filter"]),
-        accumulator_width_bits=a["accumulator_width_bits"],
-    )
-    tones = tuple(
-        ToneConfig(
-            band_index=t["band_index"],
-            tone_index=t["tone_index"],
-            freq_word=t["freq_word"],
-            amplitude_code=FxpValue(t["amplitude_raw"], AMPLITUDE_FORMAT),
-        )
-        for t in d["tones"]
-    )
-    return ChainConfig(
-        generator=gen,
-        analyzer=ana,
-        tones=tones,
-        acquisition_len=d["acquisition_len"],
-        scenario_name=d["scenario_name"],
-        seed=d["seed"],
-        warmup_windows=d["warmup_windows"],
-    )
+# persistence
 
 
 def persist(result: RunResult, out_dir) -> dict:
@@ -884,9 +761,7 @@ def persist(result: RunResult, out_dir) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out.parent))
     try:
         files: dict[str, bytes] = {}
-        files["config.ini"] = formats.config_dict_to_ini(
-            _config_to_dict(result.config)
-        ).encode("utf-8")
+        files["config.ini"] = formats.config_to_ini(result.config).encode("utf-8")
         for tr in result.tones:
             s = tr.series
             stem = f"b{s.band_index:03d}_t{s.tone_index:03d}"
@@ -915,7 +790,7 @@ def persist(result: RunResult, out_dir) -> dict:
             "scenario_name": result.scenario_name,
             "engine": result.engine,
             "config_hash": result.config_hash,
-            "config": _config_to_dict(result.config),
+            "config": formats.config_to_dict(result.config),
             "files": {rel: formats.sha256_hex(data) for rel, data in sorted(files.items())},
         }
         (tmp / "manifest.json").write_text(

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from combtwin.cli import main
-from combtwin.formats import config_dict_to_ini, read_samples
-from combtwin.harness import _config_to_dict, builtin_scenarios
+from combtwin.formats import config_to_ini, read_samples
+from combtwin.harness import builtin_scenarios, config_hash
 
 
 def _small_ini(tmp_path, name, scenario="desk_a", acq=160):
     cfg = replace(builtin_scenarios()[scenario], acquisition_len=acq)
     path = tmp_path / name
-    path.write_text(config_dict_to_ini(_config_to_dict(cfg)), encoding="utf-8")
+    path.write_text(config_to_ini(cfg), encoding="utf-8")
     return str(path)
 
 
@@ -157,6 +157,14 @@ def test_sweep_cordic_csv(tmp_path, capsys):
 # compare-demod
 
 
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):
+    assert main(["compare-demod", "--out", str(tmp_path / "x")]) == 1
+    assert main(["sweep-cordic", "--seed", "3"]) == 1
+    assert main(["sweep-cordic", "--threads", "2"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_demod_stdout(capsys):
     rc = main(["compare-demod"])
     txt = capsys.readouterr().out
@@ -199,6 +207,136 @@ def test_psd_stdout_default(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # dump-config
+
+
+DEMO_TAPS = (1, -3, 9, 20, 9, -3, 1)
+FILTER_SECTIONS = "".join(
+    f"\n[{name}]\ntaps = {','.join(map(str, DEMO_TAPS))}\ntotal_bits = 18\n"
+    "frac_bits = 16\ndescription = demo\n"
+    for name in ("generator.interp_filter", "analyzer.channelizer_filter")
+)
+
+
+def _desk_a_ini(capsys) -> str:
+    """desk_a as dump-config prints it, plus explicit filter sections."""
+    assert main(["dump-config", "--config", "desk_a"]) == 0
+    return capsys.readouterr().out + FILTER_SECTIONS
+
+
+def _edit_ini(text, section, key=None, value=None):
+    """Drop `key` (or the whole section when key is None) from `section`, or
+    set `key` to `value` when value is given."""
+    out, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        if current == section:
+            if key is None:
+                continue
+            if line.split("=")[0].strip() == key:
+                if value is not None:
+                    out.append(f"{key} = {value}")
+                continue
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _dump(tmp_path, capsys, text):
+    path = tmp_path / "edited.ini"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["dump-config", "--config", str(path)])
+    return rc, capsys.readouterr()
+
+
+REQUIRED_KEYS = [
+    ("scenario", k) for k in ("name", "seed", "acquisition_len")
+] + [
+    ("generator", k)
+    for k in ("n_bands", "tones_per_band", "l_acc", "band_rate_hz", "upsample_factor",
+              "shifter_lut_len")
+] + [("generator.cordic", k) for k in ("data_bits", "iterations")] + [
+    ("analyzer", k)
+    for k in ("decim_to_band", "l_avg", "demod_mode", "n_bands", "band_rate_hz",
+              "wide_width_bits", "reference_bits", "shifter_lut_len")
+] + [
+    (s, k)
+    for s in ("generator.interp_filter", "analyzer.channelizer_filter")
+    for k in ("taps", "total_bits", "frac_bits")
+]
+
+
+@pytest.mark.parametrize("section,key", REQUIRED_KEYS)
+def test_config_ini_missing_required_key_is_named(tmp_path, capsys, section, key):
+    rc, cap = _dump(tmp_path, capsys, _edit_ini(_desk_a_ini(capsys), section, key))
+    assert rc == 1
+    assert f"'{key}'" in cap.err
+
+
+@pytest.mark.parametrize("section", ["scenario", "generator", "generator.cordic", "analyzer", "tones"])
+def test_config_ini_missing_required_section_is_named(tmp_path, capsys, section):
+    rc, cap = _dump(tmp_path, capsys, _edit_ini(_desk_a_ini(capsys), section))
+    assert rc == 1
+    assert section in cap.err
+
+
+def test_config_ini_optional_keys_keep_their_defaults(tmp_path, capsys):
+    base = _desk_a_ini(capsys)
+    rc, cap = _dump(tmp_path, capsys, base)
+    assert rc == 0
+    # None-valued widths are omitted from the file and read back as None
+    for key in ("sum_width_bits", "angle_bits", "accumulator_width_bits"):
+        assert f"{key} =" not in cap.out
+    for section, key, shown in [
+        ("scenario", "warmup_windows", "warmup_windows = 1\n"),
+        ("generator.cordic", "guard_bits", "guard_bits = 0\n"),
+        ("generator.interp_filter", "description", "description = \n"),
+    ]:
+        rc, cap = _dump(tmp_path, capsys, _edit_ini(base, section, key))
+        assert rc == 0 and shown in cap.out, key
+    explicit = base.replace("guard_bits = 0", "guard_bits = 0\nangle_bits = 12")
+    rc, cap = _dump(tmp_path, capsys, explicit)
+    assert rc == 0 and "angle_bits = 12\n" in cap.out
+    # no filter section: the designed filter, i.e. the builtin desk_a config
+    bare = _edit_ini(_edit_ini(base, "generator.interp_filter"), "analyzer.channelizer_filter")
+    rc, cap = _dump(tmp_path, capsys, bare)
+    assert rc == 0
+    assert cap.err.strip() == f"config hash {config_hash(builtin_scenarios()['desk_a'])}"
+    assert "_filter]" not in cap.out
+
+
+@pytest.mark.parametrize("record", ["0,0,51", "0,0,51,8192,7"])
+def test_config_ini_tone_record_needs_four_fields(tmp_path, capsys, record):
+    text = _edit_ini(_desk_a_ini(capsys), "tones", "tone_0", value=record)
+    rc, _ = _dump(tmp_path, capsys, text)
+    assert rc == 1
+
+
+def test_config_ini_bad_demod_mode_exits_1(tmp_path, capsys):
+    text = _edit_ini(_desk_a_ini(capsys), "analyzer", "demod_mode", value="bogus")
+    rc, cap = _dump(tmp_path, capsys, text)
+    assert rc == 1
+    assert "bogus" in cap.err
+
+
+@pytest.mark.parametrize(
+    "old,new,named",
+    [
+        ("accumulator_width_bits", "accumulator_width_bit", "accumulator_width_bit"),
+        ("[analyzer]", "[analyzer]\nl_avgg = 40", "l_avgg"),
+        ("[generator.interp_filter]", "[generator.interp_filterx]", "generator.interp_filterx"),
+        ("[tones]", "[extra]\nx = 1\n[tones]", "extra"),
+        ("[scenario]", "[scenario]\ngenerator = 3", "generator"),
+        ("tone_0 =", "tone0 =", "tone0"),
+    ],
+    ids=["misspelt-key", "extra-key", "misspelt-section", "extra-section", "section-as-key",
+         "bad-record-key"],
+)
+def test_config_ini_unknown_key_or_section_is_rejected(tmp_path, capsys, old, new, named):
+    base = _desk_a_ini(capsys).replace("[analyzer]", "[analyzer]\naccumulator_width_bits = 40")
+    assert _dump(tmp_path, capsys, base)[0] == 0
+    rc, cap = _dump(tmp_path, capsys, base.replace(old, new))
+    assert rc == 1
+    assert named in cap.err and "unknown" in cap.err
 
 
 def test_dump_config_round_trip_hash(tmp_path, capsys):

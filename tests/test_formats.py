@@ -1,12 +1,17 @@
 """Serialization: series CSV/binary, spectrum CSV, INI config round-trips."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from combtwin.analyzer import DemodMode, IqTimeSeries
+from combtwin.analyzer import AnalyzerConfig, DemodMode, IqTimeSeries
 from combtwin.formats import (
-    config_dict_from_ini,
-    config_dict_to_ini,
+    config_from_ini,
+    config_to_dict,
+    config_to_ini,
     read_samples,
     series_from_binary,
     series_from_csv,
@@ -17,12 +22,15 @@ from combtwin.formats import (
     spur_report_to_json,
     write_samples_csv,
 )
-from combtwin.harness import (
-    builtin_scenarios,
-    config_from_dict,
-    config_hash,
-    _config_to_dict,
+from combtwin.fxp import FxpFormat, FxpValue
+from combtwin.generator import (
+    AMPLITUDE_FORMAT,
+    CordicConfig,
+    FilterSpec,
+    GeneratorConfig,
+    ToneConfig,
 )
+from combtwin.harness import ChainConfig, builtin_scenarios, config_hash
 from combtwin.metrics import PsdMethod, SpectrumWindow, psd
 
 
@@ -139,21 +147,112 @@ def test_spur_report_json_fields():
 
 def test_config_ini_round_trip_all_scenarios():
     for name, cfg in builtin_scenarios().items():
-        d = _config_to_dict(cfg)
-        ini = config_dict_to_ini(d)
-        d2 = config_dict_from_ini(ini)
-        assert d2 == d
-        cfg2 = config_from_dict(d2)
+        cfg2 = config_from_ini(config_to_ini(cfg))
+        assert config_to_dict(cfg2) == config_to_dict(cfg), name
         assert config_hash(cfg2) == config_hash(cfg), name
+
+
+# words with characters INI files treat specially inside values
+words = st.text(alphabet="abcXYZ019_-.%#;=:", min_size=1, max_size=6)
+names = st.lists(words, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def filter_specs(draw):
+    total = draw(st.integers(4, 18))
+    fmt = FxpFormat(total, draw(st.integers(0, total)))
+    half = draw(st.lists(st.integers(fmt.min_raw, fmt.max_raw), min_size=1, max_size=6))
+    return FilterSpec(tuple(half + half[-2::-1]), fmt, draw(st.just("") | names))
+
+
+@st.composite
+def chain_configs(draw):
+    """Random valid configs, every optional key both set and left out."""
+    data_bits = draw(st.integers(4, 16))
+    u = draw(st.sampled_from([1, 2, 4, 8]))
+    n_bands = draw(st.integers(1, 3))
+    l_acc = 4 * draw(st.integers(2, 1024))
+    rate = draw(st.floats(1e3, 1e9))
+    gen = GeneratorConfig(
+        n_bands=n_bands,
+        tones_per_band=draw(st.integers(1, 4)),
+        L_acc=l_acc,
+        band_rate_hz=rate,
+        upsample_factor=u,
+        shifter_lut_len=5 * u * draw(st.integers(1, 3)),
+        cordic=CordicConfig(
+            data_bits,
+            draw(st.integers(1, 16)),
+            draw(st.none() | st.integers(4, 24)),
+            draw(st.integers(0, 8)),
+        ),
+        interp_filter=draw(st.none() | filter_specs()),
+        sum_width_bits=draw(st.none() | st.integers(8, 24)),
+    )
+    l_avg = draw(st.integers(1, 4096))
+    ana = AnalyzerConfig(
+        decim_to_band=u,
+        L_avg=l_avg,
+        demod_mode=draw(st.sampled_from(DemodMode)),
+        n_bands=n_bands,
+        band_rate_hz=rate,
+        wide_width_bits=gen.wide_width,
+        reference_bits=data_bits,
+        shifter_lut_len=gen.shifter_lut_len,
+        channelizer_filter=draw(st.none() | filter_specs()),
+        accumulator_width_bits=draw(
+            st.none() | st.integers(gen.wide_width + data_bits + 2 + (l_avg - 1).bit_length(), 63)
+        ),
+    )
+    ids = draw(
+        st.lists(st.tuples(st.integers(0, n_bands - 1), st.integers(0, 5)), min_size=1,
+                 max_size=4, unique=True)
+    )
+    tones = tuple(
+        ToneConfig(b, t, draw(st.integers(0, l_acc - 1)),
+                   FxpValue(draw(st.integers(0, 1 << 15)), AMPLITUDE_FORMAT))
+        for b, t in ids
+    )
+    return ChainConfig(
+        generator=gen,
+        analyzer=ana,
+        tones=tones,
+        acquisition_len=draw(st.integers(1, 10**6)),
+        scenario_name=draw(names),
+        seed=draw(st.integers(0, 2**31)),
+        warmup_windows=draw(st.integers(0, 5)),
+    )
+
+
+@settings(max_examples=150)
+@given(chain_configs())
+def test_config_ini_round_trip_keeps_the_hash(cfg):
+    ini = config_to_ini(cfg)
+    cfg2 = config_from_ini(ini)
+    assert config_hash(cfg2) == config_hash(cfg)
+    assert config_to_dict(cfg2) == config_to_dict(cfg)
+    assert config_to_ini(cfg2) == ini
 
 
 def test_config_ini_rejects_malformed():
     from combtwin import ConfigError
 
     with pytest.raises(ConfigError):
-        config_dict_from_ini("not an ini at all [whatever")
+        config_from_ini("not an ini at all [whatever")
     with pytest.raises(ConfigError):
-        config_dict_from_ini("[scenario]\nname = x\n")  # missing sections
+        config_from_ini("[scenario]\nname = x\n")  # missing sections
+    # the reader's errors are ConfigErrors naming the INI key or section
+    ini = config_to_ini(builtin_scenarios()["desk_a"])
+    for old, new, named in [
+        ("l_avg = 1024\n", "", "key 'l_avg' in [analyzer]"),
+        ("name = desk_a\n", "", "key 'name' in [scenario]"),
+        ("[generator.cordic]", "[generator.cordics]", "section [generator.cordic]"),
+        ("demod_mode = sine", "demod_mode = bogus", "'bogus' for analyzer.demod_mode"),
+        ("l_avg = ", "l_avgg = ", "unknown key(s) ['l_avgg'] in [analyzer]"),
+        ("[tones]", "[tone]", "section [tones]"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            config_from_ini(ini.replace(old, new))
 
 
 def test_read_samples_csv_and_binary(tmp_path):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpValue
 from combtwin.analyzer import DemodMode
+from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
 from combtwin.generator import AMPLITUDE_FORMAT, ToneConfig
 from combtwin.harness import (
     LONG_RUN_SCENARIOS,
     builtin_scenarios,
-    config_from_dict,
     config_hash,
     default_sweep_config,
     float_oracle,
@@ -27,7 +27,6 @@ from combtwin.harness import (
     run_demod_compare,
     run_loopback,
     _band_transient_len,
-    _config_to_dict,
 )
 
 
@@ -83,8 +82,9 @@ def test_config_hash_is_stable_and_discriminating():
 
 def test_config_dict_round_trip():
     for name, cfg in builtin_scenarios().items():
-        d = _config_to_dict(cfg)
+        d = config_to_dict(cfg)
         cfg2 = config_from_dict(d)
+        assert config_to_dict(cfg2) == d, name
         assert config_hash(cfg2) == config_hash(cfg), name
 
 
@@ -500,10 +500,7 @@ def test_persisted_artifacts_match_golden_digests(tmp_path, name):
 
 
 def test_persisted_config_reloads_to_same_hash(tmp_path, desk_a_result):
-    from combtwin.formats import config_dict_from_ini
-
     out = tmp_path / "cfg"
     persist(desk_a_result, str(out))
-    d = config_dict_from_ini((out / "config.ini").read_text())
-    cfg2 = config_from_dict(d)
+    cfg2 = config_from_ini((out / "config.ini").read_text())
     assert config_hash(cfg2) == desk_a_result.config_hash
