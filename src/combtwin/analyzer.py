@@ -15,8 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .fxp import ConfigError, Rounding, saturate, shift_right
-from .generator import FilterSpec, design_windowed_sinc, fir_apply, lut_mix
+from .fxp import ConfigError
+from .generator import (
+    FilterSpec,
+    design_windowed_sinc,
+    fir_apply,
+    lut_mix,
+    polyphase_decimate,
+)
 
 
 class DemodMode(Enum):
@@ -129,40 +135,6 @@ class IqTimeSeries:
 # channelizer
 
 
-def _polyphase_branch_input(x: np.ndarray, r: int, decim: int, n_out: int) -> np.ndarray:
-    if r == 0:
-        return x[::decim][:n_out]
-    out = np.zeros(n_out, dtype=np.int64)
-    src = x[decim - r :: decim]
-    out[1:] = src[: n_out - 1]
-    return out
-
-
-def _fir_decimate_polyphase(
-    i: np.ndarray, q: np.ndarray, spec: FilterSpec, decim: int, stream_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compute only the retained outputs: y[m*D] = sum_r (h_r * x_r)[m].
-
-    Branch sums are exact integers, so the final shift-and-saturate sees
-    the same value as the direct path and the result is bit-identical.
-    """
-    h = spec.taps_array()
-    n_out = (len(i) + decim - 1) // decim
-    acc_i = np.zeros(n_out, dtype=np.int64)
-    acc_q = np.zeros(n_out, dtype=np.int64)
-    for r in range(decim):
-        hr = h[r::decim]
-        if hr.size == 0:
-            continue
-        xi = _polyphase_branch_input(i, r, decim, n_out)
-        xq = _polyphase_branch_input(q, r, decim, n_out)
-        acc_i += np.convolve(xi, hr)[:n_out]
-        acc_q += np.convolve(xq, hr)[:n_out]
-    acc_i = shift_right(acc_i, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    acc_q = shift_right(acc_q, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    return saturate(acc_i, stream_bits), saturate(acc_q, stream_bits)
-
-
 def channelize(
     wideband: tuple[np.ndarray, np.ndarray],
     band_index: int,
@@ -188,7 +160,8 @@ def channelize(
         bi, bq = fir_apply(mi, mq, spec, w)
         bi, bq = bi[::d], bq[::d]
     else:
-        bi, bq = _fir_decimate_polyphase(mi, mq, spec, d, w)
+        h = spec.taps_array()
+        bi, bq = (spec.requantize(polyphase_decimate(s, h, d), w) for s in (mi, mq))
     return lut_mix((bi, bq), 5, 1, w, +1)
 
 

@@ -273,7 +273,9 @@ def _fields(cls) -> tuple[_Field, ...]:
     return tuple(out)
 
 
-def _encode(v):
+def _encode(v, tp=None):
+    if tp is float and v is not None:
+        return float(v)  # an int given for a float field hashes as its INI read-back
     if isinstance(v, FilterSpec):
         v = _StoredFilter(v.taps, v.coeff_format.total_bits, v.coeff_format.frac_bits, v.description)
     if isinstance(v, FxpValue):
@@ -283,7 +285,7 @@ def _encode(v):
     if isinstance(v, tuple):
         return [_encode(x) for x in v]
     if dataclasses.is_dataclass(v):
-        return {f.key: _encode(getattr(v, f.name)) for f in _fields(type(v))}
+        return {f.key: _encode(getattr(v, f.name), f.type) for f in _fields(type(v))}
     return v
 
 

@@ -207,12 +207,12 @@ def saturate(x: np.ndarray, total_bits: int) -> np.ndarray:
 
 
 def wrap(x: np.ndarray, total_bits: int) -> np.ndarray:
-    # exact modulo 2^total_bits on the raw integer
+    # exact modulo 2^total_bits on the raw integer: x - lo may wrap int64,
+    # which is exact modulo 2^64 and so modulo 2^total_bits
     if total_bits > 63:
         raise ConfigError("array wrap supports total_bits <= 63")
     lo = -(1 << (total_bits - 1))
-    span = 1 << total_bits
-    return (x - lo) % span + lo
+    return ((x - lo) & ((1 << total_bits) - 1)) + lo
 
 
 def apply_overflow(x: np.ndarray, total_bits: int, policy: Overflow) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Frequency-comb excitation path.
 
 Per-tone phase accumulator and CORDIC, per-band tone summation, -f_b/5
-down-shift, xU zero-stuff interpolation, band shift via a sine/cosine
+down-shift, xU polyphase interpolation, band shift via a sine/cosine
 lookup table, and band summation into one wideband I/Q stream. All stages
 run on raw integer codes (int64 arrays); stream formats are Q1.(w-1).
 """
@@ -214,6 +214,16 @@ def cordic_lookup(
     return ti[phases], tq[phases]
 
 
+def cordic_tone(
+    L_acc: int, word: int, n: int, cfg: CordicConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled CORDIC tone, cordic_lookup(phase_words(L_acc, word, n)):
+    one period of L_acc / gcd(L_acc, word) samples gathered, then tiled."""
+    p = L_acc // math.gcd(L_acc, word)
+    ci, cq = cordic_lookup(phase_words(L_acc, word, p), L_acc, cfg)
+    return periodic_extend(ci, n), periodic_extend(cq, n)
+
+
 def cordic_sincos(phase: int, L_acc: int, cfg: CordicConfig) -> IqSample:
     """Scalar wrapper around cordic_sincos_array."""
     if not (0 <= phase < L_acc):
@@ -253,6 +263,12 @@ class FilterSpec:
 
     def taps_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=np.int64)
+
+    def requantize(self, acc: np.ndarray, stream_bits: int) -> np.ndarray:
+        """Exact convolution sums back to the stream format: shift out the
+        coefficient fraction (truncate toward -inf), then saturate."""
+        acc = shift_right(acc, self.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
+        return saturate(acc, stream_bits)
 
     def check_int64_headroom(self, stream_bits: int, name: str) -> None:
         """Raise ConfigError unless every convolution sum over a
@@ -309,11 +325,45 @@ def fir_apply(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Causal length-preserving FIR in exact integers, then shift and saturate."""
     h = spec.taps_array()
-    yi = np.convolve(i, h)[: len(i)]
-    yq = np.convolve(q, h)[: len(q)]
-    yi = shift_right(yi, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    yq = shift_right(yq, spec.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
-    return saturate(yi, stream_bits), saturate(yq, stream_bits)
+    return tuple(spec.requantize(np.convolve(s, h)[: len(s)], stream_bits) for s in (i, q))
+
+
+# Polyphase kernels (Crochiere & Rabiner 1983) return the branch sums before
+# any requantization: exact on int64 (the fixed-point chain), complex128 for
+# the float oracle.
+
+
+def polyphase_interpolate(x: np.ndarray, h: np.ndarray, u: int) -> np.ndarray:
+    """np.convolve(x zero-stuffed by u, h)[:len(x)*u] without the products
+    on zeros: output m*u + r is (x * h[r::u])[m]; a branch without taps
+    (fewer taps than u) stays zero."""
+    n = len(x)
+    y = np.zeros(n * u, dtype=np.result_type(x, h))
+    for r in range(min(u, len(h))):
+        y[r::u] = np.convolve(x, h[r::u])[:n]
+    return y
+
+
+def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
+    """np.convolve(x, h)[:len(x)][::d] computing only the retained outputs:
+    output m is sum_r (h[r::d] * x_r)[m] with x_r[m] = x[m*d - r], zero
+    before the stream starts."""
+    n_out = -(-len(x) // d)
+    y = np.zeros(n_out, dtype=np.result_type(x, h))
+    for r in range(min(d, len(h))):
+        if r == 0:
+            xr = x[::d]
+        else:
+            xr = np.zeros(n_out, dtype=x.dtype)
+            xr[1:] = x[d - r :: d][: n_out - 1]
+        y += np.convolve(xr, h[r::d])[:n_out]
+    return y
+
+
+def periodic_extend(a: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """a[(start + k) % len(a)] for k < n, by tiling a once."""
+    s = start % len(a)
+    return np.tile(a, -(-(s + n) // len(a)))[s : s + n]
 
 
 def make_lut(
@@ -346,11 +396,13 @@ def cmul_lut(
     Four exact integer products, right shift by lut_width-1 (truncate
     toward -inf, the stream rounding default), saturate to out_bits.
     """
-    pi = xi * li - xq * lq
-    pq = xi * lq + xq * li
+    pi = xi * li
+    pi -= xq * lq
+    pq = xi * lq
+    pq += xq * li
     sh = np.int64(lut_width - 1)
-    pi = pi >> sh
-    pq = pq >> sh
+    pi >>= sh
+    pq >>= sh
     return saturate(pi, out_bits), saturate(pq, out_bits)
 
 
@@ -366,8 +418,8 @@ def lut_mix(
     taking LUT entry (start + n) mod length; output stays width bits."""
     xi, xq = x
     li, lq = make_lut(length, cycles, width, sign)
-    idx = (start + np.arange(len(xi))) % length
-    return cmul_lut(xi, xq, li[idx], lq[idx], width, width)
+    li, lq = periodic_extend(li, len(xi), start), periodic_extend(lq, len(xi), start)
+    return cmul_lut(xi, xq, li, lq, width, width)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +519,7 @@ def tone_generate(
         raise ConfigError("n_samples must be >= 1")
     if tone.freq_word >= cfg.L_acc:
         raise ConfigError("freq_word must be < L_acc")
-    ph = phase_words(cfg.L_acc, tone.freq_word, n_samples)
-    ci, cq = cordic_lookup(ph, cfg.L_acc, cfg.cordic)
+    ci, cq = cordic_tone(cfg.L_acc, tone.freq_word, n_samples, cfg.cordic)
     amp = np.int64(tone.amplitude_code.raw)
     sh = np.int64(tone.amplitude_code.fmt.frac_bits)
     return (ci * amp) >> sh, (cq * amp) >> sh
@@ -508,20 +559,17 @@ def down_shift(
 def upsample_interp(
     band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-stuff by U and interpolate with the configured FIR.
+    """Interpolate by U with the configured FIR, as a polyphase filter.
 
+    Bit-identical to zero-stuffing by U and running fir_apply at the full
+    rate, but only the U branch filters (len(taps)/U taps each) run.
     Output length is input length * U; for periodic input the steady
     state (past the first taps-1 samples) is periodic with U times the
     input period.
     """
-    bi, bq = band
-    u = cfg.upsample_factor
-    w = cfg.resolved_sum_width
-    ui = np.zeros(len(bi) * u, dtype=np.int64)
-    uq = np.zeros(len(bq) * u, dtype=np.int64)
-    ui[::u] = bi
-    uq[::u] = bq
-    return fir_apply(ui, uq, cfg.resolved_interp_filter(), w)
+    spec = cfg.resolved_interp_filter()
+    h, u, w = spec.taps_array(), cfg.upsample_factor, cfg.resolved_sum_width
+    return tuple(spec.requantize(polyphase_interpolate(s, h, u), w) for s in band)
 
 
 def band_shift(

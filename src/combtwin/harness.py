@@ -32,11 +32,13 @@ from .generator import (
     CordicConfig,
     GeneratorConfig,
     ToneConfig,
-    cordic_lookup,
     cordic_sincos_array,
+    cordic_tone,
     default_freq_words,
     generate_comb,
     phase_words,
+    polyphase_decimate,
+    polyphase_interpolate,
     waveform_period,
 )
 from .metrics import (
@@ -321,8 +323,7 @@ def run_loopback(
     w = cfg.warmup_windows
 
     def one_tone(tone: ToneConfig) -> tuple[tuple[int, int], IqTimeSeries]:
-        ph = phase_words(g.L_acc, tone.freq_word, n_gen)
-        ref = cordic_lookup(ph, g.L_acc, g.cordic)
+        ref = cordic_tone(g.L_acc, tone.freq_word, n_gen, g.cordic)
         sub = subbands[tone.band_index]
         key = (tone.band_index, tone.tone_index)
         if not use_periodic:
@@ -561,8 +562,7 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
 
     rows = []
     for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
-        ph = phase_words(g.L_acc, tone.freq_word, n_pre)
-        ref = cordic_lookup(ph, g.L_acc, g.cordic)
+        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
         sub = subbands[tone.band_index]
         pi_s, pq_s = ddc_products(sub, ref, DemodMode.SINE_DDC)
         pi_q, pq_q = ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
@@ -642,6 +642,15 @@ def _square_signs(ph: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     return sc, ss
 
 
+def _mul_cyclic(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    """x[k] *= tab[k % len(tab)] in place, without building the tiled table."""
+    m = len(x) - len(x) % len(tab)
+    rows = x[:m].reshape(-1, len(tab))
+    rows *= tab
+    x[m:] *= tab[: len(x) - m]
+    return x
+
+
 def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
     """The same chain topology in double precision with exact exponentials.
 
@@ -662,6 +671,21 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
     for t in cfg.tones:
         by_band.setdefault(t.band_index, []).append(t)
 
+    # every exponential is evaluated once per distinct argument, reduced
+    # modulo its period, and gathered or applied cyclically from that table,
+    # so the float chain is exactly periodic (no ulp drift across the
+    # acquisition)
+    tone_tab = np.exp(2j * np.pi * np.arange(g.L_acc) / g.L_acc)
+    fifth = np.arange(5)
+    down_tab = np.exp(-2j * np.pi * fifth / 5.0)
+    up_tab = np.exp(2j * np.pi * fifth / 5.0)
+
+    def center_tabs(b: int) -> tuple[np.ndarray, np.ndarray]:
+        frac = g.band_center_fraction(b)
+        den = frac.denominator
+        w_arg = (np.arange(den, dtype=np.int64) * frac.numerator) % den
+        return np.exp(2j * np.pi * w_arg / den), np.exp(-2j * np.pi * w_arg / den)
+
     n_wide = n_band * u
     wide = np.zeros(n_wide, dtype=np.complex128)
     for b in sorted(by_band):
@@ -669,18 +693,10 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
         for t in by_band[b]:
             ph = phase_words(g.L_acc, t.freq_word, n_band)
             amp = ref_amp * t.amplitude_code.to_float()
-            band += amp * np.exp(2j * np.pi * ph / g.L_acc)
-        # reduce every exponential argument modulo its period so the float
-        # chain is exactly periodic (no ulp drift across the acquisition)
-        n_idx = np.arange(n_band) % 5
-        band = band * np.exp(-2j * np.pi * n_idx / 5.0)
-        stuffed = np.zeros(n_wide, dtype=np.complex128)
-        stuffed[::u] = band
-        band_w = np.convolve(stuffed, h_interp)[:n_wide]
-        frac = g.band_center_fraction(b)
-        den = frac.denominator
-        w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % den
-        wide += band_w * np.exp(2j * np.pi * w_arg / den)
+            band += amp * tone_tab[ph]
+        band_w = polyphase_interpolate(_mul_cyclic(band, down_tab), h_interp, u)
+        wide += _mul_cyclic(band_w, center_tabs(b)[0])
+        del band_w  # one full-rate temporary at a time
 
     predicted = tuple(
         (f, "period-extension alias")
@@ -690,18 +706,14 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
     )
 
     tone_results = []
-    for b in sorted({t.band_index for t in cfg.tones}):
-        frac = g.band_center_fraction(b)
-        den = frac.denominator
-        w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % den
-        mixed = wide * np.exp(-2j * np.pi * w_arg / den)
-        sub = np.convolve(mixed, h_chan)[:n_wide][::u]
-        sub = sub * np.exp(2j * np.pi * (np.arange(len(sub)) % 5) / 5.0)
+    for b in sorted(by_band):
+        mixed = _mul_cyclic(wide.copy(), center_tabs(b)[1])
+        sub = _mul_cyclic(polyphase_decimate(mixed, h_chan, u), up_tab)
+        del mixed  # one full-rate temporary at a time
         for tone in sorted(by_band[b], key=lambda t: t.tone_index):
             ph = phase_words(g.L_acc, tone.freq_word, n_band)
             if a.demod_mode is DemodMode.SINE_DDC:
-                ref = ref_amp * np.exp(2j * np.pi * ph / g.L_acc)
-                y = sub * np.conj(ref)
+                y = sub * np.conj(ref_amp * tone_tab[ph])
             else:
                 sc, ss = _square_signs(ph, g.L_acc)
                 y = sub * (sc - 1j * ss)

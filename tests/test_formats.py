@@ -30,7 +30,7 @@ from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
 )
-from combtwin.harness import ChainConfig, builtin_scenarios, config_hash
+from combtwin.harness import ChainConfig, builtin_scenarios, config_hash, make_chain_config
 from combtwin.metrics import PsdMethod, SpectrumWindow, psd
 
 
@@ -150,6 +150,17 @@ def test_config_ini_round_trip_all_scenarios():
         cfg2 = config_from_ini(config_to_ini(cfg))
         assert config_to_dict(cfg2) == config_to_dict(cfg), name
         assert config_hash(cfg2) == config_hash(cfg), name
+
+
+def test_int_given_for_a_float_field_hashes_as_its_ini_read_back():
+    # config.ini stores 250000000 and reads it back as a float; the
+    # dictionary must encode float fields as floats from the start
+    cfg = make_chain_config("x", 1024, 1024, 1, 1, 10, band_rate_hz=250000000)
+    back = config_from_ini(config_to_ini(cfg))
+    assert config_to_dict(back) == config_to_dict(cfg)
+    assert config_hash(back) == config_hash(cfg)
+    assert config_hash(cfg) == config_hash(make_chain_config("x", 1024, 1024, 1, 1, 10))
+    assert config_hash(cfg).startswith("120da64088fe")
 
 
 # words with characters INI files treat specially inside values

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combtwin import (
     ConfigError,
@@ -16,7 +18,14 @@ from combtwin import (
     fxp_rescale,
     fxp_to_float,
 )
-from combtwin.fxp import apply_overflow, saturate, shift_right, wrap
+from combtwin.fxp import (
+    _apply_overflow_int,
+    _shift_right_int,
+    apply_overflow,
+    saturate,
+    shift_right,
+    wrap,
+)
 
 Q17 = FxpFormat(8, 7)
 Q17_WRAP = FxpFormat(8, 7, overflow=Overflow.WRAP)
@@ -166,6 +175,44 @@ def test_array_helpers_match_scalar_ops():
         assert w[i] == ((int(x[i]) + 2048) % 4096) - 2048
     assert np.array_equal(apply_overflow(x, 12, Overflow.SATURATE), s)
     assert np.array_equal(apply_overflow(x, 12, Overflow.WRAP), w)
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@st.composite
+def int64_helper_cases(draw):
+    width = draw(st.integers(2, 63))
+    shift = draw(st.integers(0, 62))
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    edges = [lo - 1, lo, lo + 1, -1, 0, 1, hi - 1, hi, hi + 1, INT64_MIN, INT64_MAX]
+    values = st.one_of(st.sampled_from(edges), st.integers(INT64_MIN, INT64_MAX))
+    return width, shift, draw(st.lists(values, min_size=1, max_size=40))
+
+
+@settings(max_examples=400)
+@given(int64_helper_cases())
+def test_int64_helpers_equal_big_int_scalar_ops(case):
+    width, shift, values = case
+    x = np.array(values, dtype=np.int64)
+    trunc = shift_right(x, shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
+    assert trunc.tolist() == [
+        _shift_right_int(v, shift, Rounding.TRUNCATE_TOWARD_NEG_INF) for v in values
+    ]
+    # the helpers' contract: the rounding offset must not carry past int64
+    fits = [v for v in values if shift == 0 or v <= INT64_MAX - (1 << (shift - 1))]
+    half_up = shift_right(np.array(fits, dtype=np.int64), shift, Rounding.ROUND_HALF_UP)
+    assert half_up.tolist() == [_shift_right_int(v, shift, Rounding.ROUND_HALF_UP) for v in fits]
+    for policy, helper in ((Overflow.SATURATE, saturate), (Overflow.WRAP, wrap)):
+        want = [_apply_overflow_int(v, width, policy) for v in values]
+        assert helper(x, width).tolist() == want
+        assert apply_overflow(x, width, policy).tolist() == want
+
+
+def test_wrap_at_63_bits_is_exact():
+    # x - lo leaves int64 for the widest format; the wrap must stay exact
+    x = np.array([1 << 62, -(1 << 62) - 1, INT64_MAX, INT64_MIN], dtype=np.int64)
+    assert wrap(x, 63).tolist() == [-(1 << 62), (1 << 62) - 1, -1, 0]
 
 
 def test_wrap_width_limit():

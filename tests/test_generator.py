@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpFormat, FxpValue
+from combtwin.fxp import saturate
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
@@ -21,11 +22,13 @@ from combtwin.generator import (
     cordic_lookup,
     cordic_sincos,
     cordic_sincos_array,
+    cordic_tone,
     default_freq_words,
     design_windowed_sinc,
     down_shift,
     fir_apply,
     generate_comb,
+    lut_mix,
     make_lut,
     phase_acc_step,
     phase_words,
@@ -231,6 +234,29 @@ def test_cordic_lookup_equals_cordic_sincos_array(case):
     assert np.array_equal(tq, rq)
 
 
+@st.composite
+def cordic_tones(draw):
+    l_acc = 4 * draw(st.integers(2, 256))
+    divisors = [d for d in range(1, l_acc + 1) if l_acc % d == 0]
+    step = draw(st.sampled_from(divisors))  # words sharing factors with l_acc
+    word = step * draw(st.integers(0, l_acc // step - 1))
+    period = l_acc // math.gcd(l_acc, word)
+    n = draw(st.one_of(st.integers(0, period), st.integers(period, 3 * period + 7)))
+    cfg = CordicConfig(data_bits=draw(st.integers(4, 16)), iterations=draw(st.integers(1, 16)))
+    return l_acc, word, n, cfg
+
+
+@settings(max_examples=200)
+@given(cordic_tones())
+def test_cordic_tone_equals_lookup_of_every_phase_word(case):
+    l_acc, word, n, cfg = case
+    ti, tq = cordic_tone(l_acc, word, n, cfg)
+    ri, rq = cordic_lookup(phase_words(l_acc, word, n), l_acc, cfg)
+    assert ti.dtype == np.int64 and len(ti) == len(tq) == n
+    assert np.array_equal(ti, ri)
+    assert np.array_equal(tq, rq)
+
+
 def test_cordic_lookup_range_check_and_private_table():
     cfg = CordicConfig(data_bits=10, iterations=10)
     for bad in ([1024], [-1], [0, 5, 1024]):
@@ -375,6 +401,116 @@ def test_upsample_steady_state_period_scales_by_factor():
     steady = ui[n_taps - 1 :]
     up = p * 8
     assert np.array_equal(steady[:-up], steady[up:])
+
+
+def stream_pair(seed, width, n):
+    """Random width-bit I and Q streams, a fifth of the samples at the
+    format's edges so that saturation is exercised."""
+    rng = np.random.default_rng(seed)
+    lim = 1 << (width - 1)
+    out = []
+    for _ in range(2):
+        x = rng.integers(-lim, lim, n)
+        edge = rng.random(n) < 0.2
+        x[edge] = rng.choice([-lim, lim - 1], int(edge.sum()))
+        out.append(x.astype(np.int64))
+    return tuple(out)
+
+
+def zero_stuffed_interp(band, cfg):
+    """The interpolator before its polyphase split, kept as the oracle:
+    zero-stuff by U, then run fir_apply at the full rate."""
+    bi, bq = band
+    u = cfg.upsample_factor
+    ui = np.zeros(len(bi) * u, dtype=np.int64)
+    uq = np.zeros(len(bq) * u, dtype=np.int64)
+    ui[::u] = bi
+    uq[::u] = bq
+    return fir_apply(ui, uq, cfg.resolved_interp_filter(), cfg.resolved_sum_width)
+
+
+@st.composite
+def interpolators(draw):
+    u = draw(st.integers(1, 8))
+    frac = draw(st.integers(1, 17))
+    fmt = FxpFormat(frac + 2, frac)
+    half = draw(st.lists(st.integers(fmt.min_raw, fmt.max_raw), min_size=1, max_size=12))
+    taps = tuple(half + half[-2::-1])  # odd and symmetric, 1 to 23 taps
+    width = draw(st.integers(2, 24))
+    band = stream_pair(draw(st.integers(0, 2**32 - 1)), width, draw(st.integers(1, 40)))
+    cfg = GeneratorConfig(
+        n_bands=1,
+        tones_per_band=1,
+        L_acc=8,
+        upsample_factor=u,
+        shifter_lut_len=5 * u,
+        interp_filter=FilterSpec(taps, fmt, "random"),
+        sum_width_bits=width,
+    )
+    return band, cfg
+
+
+@settings(max_examples=300)
+@given(interpolators())
+def test_polyphase_interpolator_equals_zero_stuffed_fir(case):
+    band, cfg = case
+    pi, pq = upsample_interp(band, cfg)
+    ri, rq = zero_stuffed_interp(band, cfg)
+    assert pi.dtype == np.int64 and len(pi) == len(band[0]) * cfg.upsample_factor
+    assert np.array_equal(pi, ri)
+    assert np.array_equal(pq, rq)
+
+
+def test_polyphase_interpolator_with_fewer_taps_than_branches():
+    fmt = FxpFormat(18, 16)
+    cfg = GeneratorConfig(
+        n_bands=1, tones_per_band=1, L_acc=8, upsample_factor=8, shifter_lut_len=40,
+        interp_filter=FilterSpec((1 << 15, 1 << 16, 1 << 15), fmt, "3 taps"),
+        sum_width_bits=12,
+    )
+    x = np.array([100, -200, 2047], dtype=np.int64)
+    ui, uq = upsample_interp((x, -x), cfg)
+    # branches 3..7 have no taps; 2047 * 0.5 truncates to 1023
+    gap = [0] * 5
+    assert ui.tolist() == [50, 100, 50] + gap + [-100, -200, -100] + gap + [1023, 2047, 1023] + gap
+    assert np.array_equal(uq, zero_stuffed_interp((x, -x), cfg)[1])
+
+
+def modulo_lut_mix(x, length, cycles, width, sign, start=0):
+    """lut_mix before tiling, kept as the oracle: modulo-indexed LUT
+    gathers and the out-of-place complex multiply."""
+    xi, xq = x
+    li, lq = make_lut(length, cycles, width, sign)
+    idx = (start + np.arange(len(xi))) % length
+    li, lq = li[idx], lq[idx]
+    sh = np.int64(width - 1)
+    pi = (xi * li - xq * lq) >> sh
+    pq = (xi * lq + xq * li) >> sh
+    return saturate(pi, width), saturate(pq, width)
+
+
+@st.composite
+def lut_mixes(draw):
+    length = draw(st.integers(1, 64))
+    cycles = draw(st.integers(0, 3 * length))
+    sign = draw(st.sampled_from([+1, -1]))
+    width = draw(st.integers(2, 24))
+    start = draw(st.one_of(st.integers(0, length - 1), st.integers(length, 10 * length + 3)))
+    x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, draw(st.integers(0, 150)))
+    return x, length, cycles, width, sign, start
+
+
+@settings(max_examples=300)
+@given(lut_mixes())
+def test_tiled_lut_mix_equals_modulo_indexed(case):
+    x, length, cycles, width, sign, start = case
+    before = (x[0].copy(), x[1].copy())
+    mi, mq = lut_mix(x, length, cycles, width, sign, start)
+    ri, rq = modulo_lut_mix(x, length, cycles, width, sign, start)
+    assert mi.dtype == np.int64 and len(mi) == len(x[0])
+    assert np.array_equal(mi, ri)
+    assert np.array_equal(mq, rq)
+    assert np.array_equal(x[0], before[0]) and np.array_equal(x[1], before[1])
 
 
 def test_band_shift_lut_periodicity():

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpValue
-from combtwin.analyzer import DemodMode
+from combtwin.analyzer import DemodMode, IqTimeSeries
 from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
-from combtwin.generator import AMPLITUDE_FORMAT, ToneConfig
+from combtwin.generator import AMPLITUDE_FORMAT, ToneConfig, phase_words
 from combtwin.harness import (
     LONG_RUN_SCENARIOS,
     builtin_scenarios,
@@ -27,7 +27,12 @@ from combtwin.harness import (
     run_demod_compare,
     run_loopback,
     _band_transient_len,
+    _float_chan_taps,
+    _float_interp_taps,
+    _square_signs,
+    _tone_metrics,
 )
+from combtwin.metrics import predict_spurs
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +418,91 @@ def test_quantization_adds_fluctuation_power_over_float(desk_a_result):
     for tf, ti in zip(res.tones, desk_a_result.tones):
         assert ti.amp_spectrum.values[1:].sum() > tf.amp_spectrum.values[1:].sum()
         assert ti.phase_spectrum.values[1:].sum() > tf.phase_spectrum.values[1:].sum()
+
+
+def float_oracle_reference(cfg, quantize_interp=False):
+    """float_oracle before its polyphase and table rewrite, kept as the
+    oracle: np.exp over every sample, full-rate convolution of the
+    zero-stuffed band and of the mixed wideband, then every U-th output.
+    Returns the per-tone results in float_oracle's order."""
+    g, a = cfg.generator, cfg.analyzer
+    u = g.upsample_factor
+    n_band = (cfg.acquisition_len + cfg.warmup_windows) * a.L_avg
+    ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
+    h_interp = _float_interp_taps(cfg, quantize_interp)
+    h_chan = _float_chan_taps(cfg)
+    by_band = {}
+    for t in cfg.tones:
+        by_band.setdefault(t.band_index, []).append(t)
+    n_wide = n_band * u
+    wide = np.zeros(n_wide, dtype=np.complex128)
+    for b in sorted(by_band):
+        band = np.zeros(n_band, dtype=np.complex128)
+        for t in by_band[b]:
+            ph = phase_words(g.L_acc, t.freq_word, n_band)
+            band += ref_amp * t.amplitude_code.to_float() * np.exp(2j * np.pi * ph / g.L_acc)
+        n_idx = np.arange(n_band) % 5
+        band = band * np.exp(-2j * np.pi * n_idx / 5.0)
+        stuffed = np.zeros(n_wide, dtype=np.complex128)
+        stuffed[::u] = band
+        band_w = np.convolve(stuffed, h_interp)[:n_wide]
+        frac = g.band_center_fraction(b)
+        w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % frac.denominator
+        wide += band_w * np.exp(2j * np.pi * w_arg / frac.denominator)
+    predicted = tuple(
+        (f, "period-extension alias")
+        for f, _ in predict_spurs(g.L_acc, u, g.shifter_lut_len, a.L_avg, a.band_rate_hz)
+    )
+    results = []
+    for b in sorted(by_band):
+        frac = g.band_center_fraction(b)
+        w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % frac.denominator
+        mixed = wide * np.exp(-2j * np.pi * w_arg / frac.denominator)
+        sub = np.convolve(mixed, h_chan)[:n_wide][::u]
+        sub = sub * np.exp(2j * np.pi * (np.arange(len(sub)) % 5) / 5.0)
+        for tone in sorted(by_band[b], key=lambda t: t.tone_index):
+            ph = phase_words(g.L_acc, tone.freq_word, n_band)
+            if a.demod_mode is DemodMode.SINE_DDC:
+                y = sub * np.conj(ref_amp * np.exp(2j * np.pi * ph / g.L_acc))
+            else:
+                sc, ss = _square_signs(ph, g.L_acc)
+                y = sub * (sc - 1j * ss)
+            nw = len(y) // a.L_avg
+            sums = y[: nw * a.L_avg].reshape(nw, a.L_avg).sum(axis=1)[cfg.warmup_windows :]
+            series = IqTimeSeries(
+                band_index=tone.band_index,
+                tone_index=tone.tone_index,
+                freq_word=tone.freq_word,
+                i=sums.real.copy(),
+                q=sums.imag.copy(),
+                rate_hz=a.fs_hz,
+                l_avg=a.L_avg,
+                demod_mode=a.demod_mode,
+                n_discarded=len(y) - nw * a.L_avg,
+            )
+            results.append(_tone_metrics(series, predicted))
+    return results
+
+
+def spur_bins(tone):
+    return [l.bin for l in tone.amp_spurs.lines], [l.bin for l in tone.phase_spurs.lines]
+
+
+@pytest.mark.parametrize("quantize_interp", [False, True])
+@pytest.mark.parametrize("mode", list(DemodMode))
+@pytest.mark.parametrize("name", ["desk_a", "desk_b", "demod_two_tone"])
+def test_float_oracle_equals_full_rate_reference(name, mode, quantize_interp):
+    base = builtin_scenarios()[name]
+    cfg = replace(base, acquisition_len=40, analyzer=replace(base.analyzer, demod_mode=mode))
+    got = float_oracle(cfg, quantize_interp=quantize_interp).tones
+    want = float_oracle_reference(cfg, quantize_interp=quantize_interp)
+    assert len(got) == len(want) == len(cfg.tones)
+    for tg, tw in zip(got, want):
+        zg, zw = tg.series.complex_values(), tw.series.complex_values()
+        sg, sw = tg.series, tw.series
+        assert (sg.band_index, sg.tone_index, len(zg)) == (sw.band_index, sw.tone_index, len(zw))
+        assert np.abs(zg - zw).max() <= 1e-12 * np.abs(zw).max()
+        assert spur_bins(tg) == spur_bins(tw)
 
 
 def test_ideal_wave_beats_fixed_point_figures():
