@@ -111,7 +111,10 @@ def _cmd_run_loopback(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     result = run_loopback(cfg, engine=args.engine, threads=args.threads)
-    print(f"scenario {result.scenario_name}  engine {result.engine}  hash {result.config_hash[:12]}")
+    print(
+        f"scenario {result.scenario_name}  engine {result.engine}  "
+        f"hash {result.config_hash[:12]}  ({result.engine_reason})"
+    )
     print(
         f"wall {result.wall_time_s:.3f} s  "
         f"computed {result.computed_sps:.3e} full-rate samples/s  "

@@ -36,10 +36,12 @@ from .generator import (
     cordic_tone,
     default_freq_words,
     generate_comb,
+    periodic_extend,
     phase_words,
     polyphase_decimate,
     polyphase_interpolate,
     waveform_period,
+    windowed_sinc_taps,
 )
 from .metrics import (
     PsdMethod,
@@ -228,6 +230,7 @@ class RunResult:
     throughput_sps: float  # simulated (effective) full-rate complex samples per second
     computed_sps: float  # full-rate complex samples actually computed per second
     engine: str
+    engine_reason: str  # why _engine_plan chose the periodic or the direct path
 
     def tone(self, band_index: int, tone_index: int) -> ToneResult:
         for t in self.tones:
@@ -242,7 +245,7 @@ class RunResult:
 
 
 def _band_transient_len(cfg: ChainConfig) -> int:
-    """Upper bound, in band samples, on the chain's settling time."""
+    """Upper bound, in band samples, on the settling time of both chains."""
     u = cfg.generator.upsample_factor
     n_interp = len(cfg.generator.resolved_interp_filter().taps)
     n_chan = len(cfg.analyzer.resolved_channelizer_filter().taps)
@@ -262,6 +265,38 @@ def _channelize_bands(
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return dict(ex.map(one, band_indices))
     return dict(one(b) for b in band_indices)
+
+
+def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
+    """The engine rule of run_loopback and float_oracle: (periodic, band
+    samples to generate, k = ceil(transient/period) + 1, reason). Tiling is
+    exact once the warm-up covers the transient; "auto" also needs k periods
+    to be shorter than the run and a period of at most 2^23 full-rate samples."""
+    if engine not in ("auto", "periodic", "direct"):
+        raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
+    g, u = cfg.generator, cfg.generator.upsample_factor
+    n_band_total = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
+    p_band = waveform_period(g.L_acc, u, g.shifter_lut_len) // u
+    transient = _band_transient_len(cfg)
+    n_periods = -(-transient // p_band) + 1
+    warmup = cfg.warmup_windows * cfg.analyzer.L_avg
+    span = f"period {p_band} band samples x {n_periods}"
+    checks = (
+        (warmup >= transient, f"the {transient}-sample transient exceeds {warmup} warm-up samples"),
+        (n_periods * p_band < n_band_total, f"{span} >= {n_band_total}"),
+        (p_band * u <= 1 << 23, f"the period of {p_band * u} full-rate samples exceeds 2^23"),
+    )
+    failed = [why for ok, why in checks if not ok]
+    if engine == "periodic" and warmup < transient:
+        raise ConfigError(
+            "periodic engine needs warmup_windows*L_avg to cover the filter "
+            f"transient ({transient} band samples)"
+        )
+    if engine == "direct" or (engine == "auto" and failed):
+        why = "direct requested" if engine == "direct" else "; ".join(failed)
+        return False, n_band_total, n_periods, why
+    why = "periodic requested" if engine == "periodic" else f"{span} < {n_band_total}"
+    return True, n_periods * p_band, n_periods, f"{why} and the transient fits"
 
 
 def _periodic_window_sums(
@@ -289,33 +324,16 @@ def run_loopback(
     ceil(transient/period) + 1 exact waveform periods and assembles
     accumulator outputs by tiling the last one, which the filter transient
     has passed (bit-identical to direct for all retained windows); "auto"
-    picks periodic when it is both applicable and cheaper.
+    picks periodic when it is both applicable and cheaper. _engine_plan
+    holds the rule; the result's engine_reason says why.
     """
-    if engine not in ("auto", "periodic", "direct"):
-        raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
+    t0 = time.perf_counter()
+    use_periodic, n_gen, n_periods, reason = _engine_plan(cfg, engine)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, a = cfg.generator, cfg.analyzer
-    t0 = time.perf_counter()
     n_windows = cfg.acquisition_len + cfg.warmup_windows
-    n_band_total = n_windows * a.L_avg
-    p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
-    transient = _band_transient_len(cfg)
-    n_periods = -(-transient // p_band) + 1
-
-    transient_ok = cfg.warmup_windows * a.L_avg >= transient
-    if engine == "periodic" and not transient_ok:
-        raise ConfigError(
-            "periodic engine needs warmup_windows*L_avg to cover the filter "
-            f"transient ({transient} band samples)"
-        )
-    use_periodic = engine == "periodic" or (
-        engine == "auto"
-        and transient_ok
-        and n_periods * p_band < n_band_total
-        and p_band * g.upsample_factor <= 1 << 23
-    )
-    n_gen = n_periods * p_band if use_periodic else n_band_total
+    p_band = n_gen // n_periods
 
     wideband = generate_comb(g, cfg.tones, n_gen, threads)
     band_indices = sorted({t.band_index for t in cfg.tones})
@@ -377,6 +395,7 @@ def run_loopback(
         throughput_sps=cfg.acquisition_len * a.L_avg * g.upsample_factor / wall,
         computed_sps=n_gen * g.upsample_factor / wall,
         engine="periodic" if use_periodic else "direct",
+        engine_reason=reason,
     )
 
 
@@ -608,29 +627,23 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
 # float oracle
 
 
+# The ideal taps have the lengths of the quantized ones they are designed
+# as, so _band_transient_len bounds the float chain's transient as well.
 def _float_interp_taps(cfg: ChainConfig, quantize_interp: bool) -> np.ndarray:
     g = cfg.generator
-    if g.interp_filter is not None:
-        spec = g.interp_filter
-        return spec.taps_array() / float(1 << spec.shift)
-    if quantize_interp:
-        spec = g.resolved_interp_filter()
-        return spec.taps_array() / float(1 << spec.shift)
-    from .generator import windowed_sinc_taps
-
-    return windowed_sinc_taps(
-        63, 1.0 / (2 * g.upsample_factor), float(g.upsample_factor)
-    )
+    spec = g.resolved_interp_filter()
+    if g.interp_filter is None and not quantize_interp:
+        u = g.upsample_factor
+        return windowed_sinc_taps(len(spec.taps), 1.0 / (2 * u), float(u))
+    return spec.taps_array() / float(1 << spec.shift)
 
 
 def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
     a = cfg.analyzer
-    if a.channelizer_filter is not None:
-        spec = a.channelizer_filter
-        return spec.taps_array() / float(1 << spec.shift)
-    from .generator import windowed_sinc_taps
-
-    return windowed_sinc_taps(127, 1.0 / (5 * a.decim_to_band), 1.0)
+    spec = a.resolved_channelizer_filter()
+    if a.channelizer_filter is None:
+        return windowed_sinc_taps(len(spec.taps), 1.0 / (5 * a.decim_to_band), 1.0)
+    return spec.taps_array() / float(1 << spec.shift)
 
 
 def _square_signs(ph: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -651,18 +664,32 @@ def _mul_cyclic(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
     return x
 
 
-def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
+def float_oracle(
+    cfg: ChainConfig, quantize_interp: bool = False, engine: str = "auto"
+) -> RunResult:
     """The same chain topology in double precision with exact exponentials.
 
     Separates structural effects (periodicity, aliasing, filter-stopband
     leakage) from quantization effects. quantize_interp swaps in the
     quantized interpolator taps (as floats) while the rest stays ideal.
-    """
+
+    engine follows run_loopback's rule (_engine_plan; engine_reason says
+    why); result.engine is "float" either way. All phasors come from tables
+    indexed modulo their periods, so once the filters settle the chain is
+    exactly periodic: the periodic path runs k periods and tiles the last,
+    whose start (k-1)*p_band is 0 modulo p_band. It matches the direct path
+    up to the convolutions' rounding."""
     t0 = time.perf_counter()
+    periodic, n_gen, n_periods, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
     u = g.upsample_factor
     n_windows = cfg.acquisition_len + cfg.warmup_windows
-    n_band = n_windows * a.L_avg
+    # window sums over the last n_last samples tiled from absolute sample 0,
+    # each summed from its own samples as a direct boxcar does (the integer
+    # chain's running-sum differences would add rounding here)
+    n_last = n_gen // n_periods if periodic else n_gen
+    rows = min(n_last // math.gcd(a.L_avg, n_last), n_windows)
+    pick = np.arange(n_windows) % rows
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
     h_interp = _float_interp_taps(cfg, quantize_interp)
     h_chan = _float_chan_taps(cfg)
@@ -686,12 +713,12 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
         w_arg = (np.arange(den, dtype=np.int64) * frac.numerator) % den
         return np.exp(2j * np.pi * w_arg / den), np.exp(-2j * np.pi * w_arg / den)
 
-    n_wide = n_band * u
+    n_wide = n_gen * u
     wide = np.zeros(n_wide, dtype=np.complex128)
     for b in sorted(by_band):
-        band = np.zeros(n_band, dtype=np.complex128)
+        band = np.zeros(n_gen, dtype=np.complex128)
         for t in by_band[b]:
-            ph = phase_words(g.L_acc, t.freq_word, n_band)
+            ph = phase_words(g.L_acc, t.freq_word, n_gen)
             amp = ref_amp * t.amplitude_code.to_float()
             band += amp * tone_tab[ph]
         band_w = polyphase_interpolate(_mul_cyclic(band, down_tab), h_interp, u)
@@ -711,15 +738,14 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
         sub = _mul_cyclic(polyphase_decimate(mixed, h_chan, u), up_tab)
         del mixed  # one full-rate temporary at a time
         for tone in sorted(by_band[b], key=lambda t: t.tone_index):
-            ph = phase_words(g.L_acc, tone.freq_word, n_band)
+            ph = phase_words(g.L_acc, tone.freq_word, n_gen)
             if a.demod_mode is DemodMode.SINE_DDC:
                 y = sub * np.conj(ref_amp * tone_tab[ph])
             else:
                 sc, ss = _square_signs(ph, g.L_acc)
                 y = sub * (sc - 1j * ss)
-            nw = len(y) // a.L_avg
-            sums = y[: nw * a.L_avg].reshape(nw, a.L_avg).sum(axis=1)
-            sums = sums[cfg.warmup_windows :]
+            tiled = periodic_extend(y[-n_last:], rows * a.L_avg)
+            sums = tiled.reshape(rows, a.L_avg).sum(axis=1)[pick][cfg.warmup_windows :]
             series = IqTimeSeries(
                 band_index=tone.band_index,
                 tone_index=tone.tone_index,
@@ -729,7 +755,6 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
                 rate_hz=a.fs_hz,
                 l_avg=a.L_avg,
                 demod_mode=a.demod_mode,
-                n_discarded=len(y) - nw * a.L_avg,
             )
             tone_results.append(_tone_metrics(series, predicted))
 
@@ -743,6 +768,7 @@ def float_oracle(cfg: ChainConfig, quantize_interp: bool = False) -> RunResult:
         throughput_sps=cfg.acquisition_len * a.L_avg * u / wall,
         computed_sps=n_wide / wall,
         engine="float",
+        engine_reason=reason,
     )
 
 

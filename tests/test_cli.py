@@ -119,6 +119,7 @@ def test_run_loopback_stdout_and_artifacts(tmp_path, capsys):
     txt = capsys.readouterr().out
     assert rc == 0
     assert txt.startswith("scenario desk_a  engine periodic  hash ")
+    assert txt.splitlines()[0].endswith("  (periodic requested and the transient fits)")
     rates = txt.splitlines()[1]
     assert " computed " in rates and " simulated " in rates
     assert "amp spur bins: 512,1024  phase spur bins: 512,1024" in txt
@@ -129,13 +130,18 @@ def test_run_loopback_stdout_and_artifacts(tmp_path, capsys):
     assert len(list((out / "series").iterdir())) == 2 * 8
 
 
+def _printed_hash(out: str) -> str:
+    words = out.splitlines()[0].split()
+    return words[words.index("hash") + 1]
+
+
 def test_run_loopback_seed_override_changes_hash(tmp_path, capsys):
     cfg = _small_ini(tmp_path, "small.ini", acq=80)
     main(["run-loopback", "--config", cfg])
-    h1 = capsys.readouterr().out.splitlines()[0].split()[-1]
+    h1 = _printed_hash(capsys.readouterr().out)
     main(["run-loopback", "--config", cfg, "--seed", "99"])
-    h2 = capsys.readouterr().out.splitlines()[0].split()[-1]
-    assert h1 != h2
+    h2 = _printed_hash(capsys.readouterr().out)
+    assert len(h1) == len(h2) == 12 and h1 != h2
 
 
 # ---------------------------------------------------------------------------

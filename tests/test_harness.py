@@ -27,6 +27,7 @@ from combtwin.harness import (
     run_demod_compare,
     run_loopback,
     _band_transient_len,
+    _engine_plan,
     _float_chan_taps,
     _float_interp_taps,
     _square_signs,
@@ -184,6 +185,9 @@ def test_zero_amplitude_tones_give_silent_series():
 def test_run_result_metadata(desk_a_result):
     assert desk_a_result.scenario_name == "desk_a"
     assert desk_a_result.engine == "periodic"
+    assert desk_a_result.engine_reason == (
+        "period 5120 band samples x 2 < 2622464 and the transient fits"
+    )
     assert desk_a_result.config_hash == config_hash(desk_a_result.config)
     assert desk_a_result.wall_time_s > 0
     t = desk_a_result.tone(1, 2)
@@ -202,6 +206,15 @@ def test_computed_rate_counts_only_generated_samples(desk_a_result):
     assert r.computed_sps / r.throughput_sps == pytest.approx(2 * 5120 / (2560 * 1024))
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64)
     d = run_loopback(cfg, engine="direct")
+    assert d.computed_sps / d.throughput_sps == pytest.approx((64 + 1) / 64)
+
+
+def test_oracle_computed_rate_counts_only_generated_samples():
+    # periodic: 2 periods of 5120 band samples; direct: all 64 + 1 windows of 1024
+    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64)
+    p = float_oracle(cfg, engine="periodic")
+    assert p.computed_sps / p.throughput_sps == pytest.approx(2 * 5120 / (64 * 1024))
+    d = float_oracle(cfg, engine="direct")
     assert d.computed_sps / d.throughput_sps == pytest.approx((64 + 1) / 64)
 
 
@@ -274,6 +287,22 @@ def test_engine_auto_falls_back_to_direct_when_period_too_long():
     short = replace(cfg, acquisition_len=4)  # 2 periods exceed the run
     res = run_loopback(short, engine="auto")
     assert res.engine == "direct"
+    assert res.engine_reason == "period 5120 band samples x 2 >= 5120"
+    cold = run_loopback(replace(cfg, acquisition_len=64, warmup_windows=0), engine="auto")
+    assert cold.engine == "direct"
+    assert cold.engine_reason == "the 25-sample transient exceeds 0 warm-up samples"
+    # the float oracle follows the same rule
+    assert float_oracle(short).engine_reason == res.engine_reason
+    assert run_loopback(short, engine="direct").engine_reason == "direct requested"
+
+
+def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
+    cfg = make_chain_config(
+        "long", 1 << 21, 1024, 1, 1, 1 << 15, upsample_factor=1, shifter_lut_len=5
+    )
+    periodic, n_gen, n_periods, reason = _engine_plan(cfg, "auto")
+    assert (periodic, n_gen, n_periods) == (False, ((1 << 15) + 1) * 1024, 2)
+    assert reason == "the period of 10485760 full-rate samples exceeds 2^23"
 
 
 def test_thread_count_does_not_change_bits():
@@ -389,25 +418,38 @@ def test_float_oracle_single_tone_is_exact():
     assert np.abs(z - z.mean()).max() / np.abs(z.mean()) < 1e-9
 
 
+# Tests of the oracle's structure run both paths: with desk_b's one-window
+# pattern the periodic path's series is constant by construction, so only
+# the direct path can show that the chain itself is clean. Both loop over
+# the engines rather than parametrize, which keeps the test ids.
+ORACLE_ENGINES = ("periodic", "direct")
+
+
+def oracle_on(cfg, engine, **kw):
+    res = float_oracle(cfg, engine=engine, **kw)
+    assert res.engine == "float" and res.engine_reason.startswith(f"{engine} requested")
+    return res
+
+
 def test_float_oracle_shows_structural_lines_with_quantized_interp():
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=160)
-    res = float_oracle(cfg, quantize_interp=True)
     m = 160
-    for t in res.tones:
-        bins = {l.bin for l in t.amp_spurs.lines}
-        assert m // 5 in bins and 2 * m // 5 in bins
+    for engine in ORACLE_ENGINES:
+        for t in oracle_on(cfg, engine, quantize_interp=True).tones:
+            bins = {l.bin for l in t.amp_spurs.lines}
+            assert m // 5 in bins and 2 * m // 5 in bins
 
 
 def test_float_oracle_clean_when_modulus_divisible_by_five():
     # exactly periodic chain, window-commensurate period: the decimated
     # series is bitwise constant and every non-DC PSD value is zero
     cfg = replace(builtin_scenarios()["desk_b"], acquisition_len=160)
-    res = float_oracle(cfg)
-    for t in res.tones:
-        assert len(t.amp_spurs.lines) == 0
-        assert len(t.phase_spurs.lines) == 0
-        assert t.amp_spectrum.values[1:].max() == 0.0
-        assert t.phase_spectrum.values[1:].max() == 0.0
+    for engine in ORACLE_ENGINES:
+        for t in oracle_on(cfg, engine).tones:
+            assert len(t.amp_spurs.lines) == 0
+            assert len(t.phase_spurs.lines) == 0
+            assert t.amp_spectrum.values[1:].max() == 0.0
+            assert t.phase_spectrum.values[1:].max() == 0.0
 
 
 def test_quantization_adds_fluctuation_power_over_float(desk_a_result):
@@ -494,15 +536,66 @@ def spur_bins(tone):
 def test_float_oracle_equals_full_rate_reference(name, mode, quantize_interp):
     base = builtin_scenarios()[name]
     cfg = replace(base, acquisition_len=40, analyzer=replace(base.analyzer, demod_mode=mode))
-    got = float_oracle(cfg, quantize_interp=quantize_interp).tones
     want = float_oracle_reference(cfg, quantize_interp=quantize_interp)
-    assert len(got) == len(want) == len(cfg.tones)
-    for tg, tw in zip(got, want):
-        zg, zw = tg.series.complex_values(), tw.series.complex_values()
-        sg, sw = tg.series, tw.series
-        assert (sg.band_index, sg.tone_index, len(zg)) == (sw.band_index, sw.tone_index, len(zw))
-        assert np.abs(zg - zw).max() <= 1e-12 * np.abs(zw).max()
-        assert spur_bins(tg) == spur_bins(tw)
+    for engine in ORACLE_ENGINES:
+        got = oracle_on(cfg, engine, quantize_interp=quantize_interp).tones
+        assert len(got) == len(want) == len(cfg.tones)
+        for tg, tw in zip(got, want):
+            zg, zw = tg.series.complex_values(), tw.series.complex_values()
+            sg, sw = tg.series, tw.series
+            assert (sg.band_index, sg.tone_index, len(zg)) == (
+                sw.band_index, sw.tone_index, len(zw)
+            )
+            assert np.abs(zg - zw).max() <= 1e-12 * np.abs(zw).max()
+            assert spur_bins(tg) == spur_bins(tw)
+
+
+def test_transient_bound_covers_the_oracle_taps():
+    for cfg in builtin_scenarios().values():
+        u = cfg.generator.upsample_factor
+        for quantize_interp in (False, True):
+            n_taps = len(_float_interp_taps(cfg, quantize_interp)) + len(_float_chan_taps(cfg))
+            assert n_taps // u + 2 <= _band_transient_len(cfg)
+
+
+@settings(max_examples=40)
+@given(small_chains())
+def test_periodic_oracle_equals_direct_oracle_on_random_chains(cfg):
+    zp = float_oracle(cfg, engine="periodic").tones
+    zd = float_oracle(cfg, engine="direct").tones
+    for tp, td in zip(zp, zd, strict=True):
+        p, d = tp.series.complex_values(), td.series.complex_values()
+        assert len(p) == len(d) == cfg.acquisition_len
+        assert np.abs(p - d).max() <= 1e-12 * max(np.abs(d).max(), 1.0)
+
+
+def test_periodic_oracle_needs_the_warm_up_to_cover_the_transient():
+    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64, warmup_windows=0)
+    for run in (run_loopback, float_oracle):
+        with pytest.raises(ConfigError, match="transient"):
+            run(cfg, engine="periodic")
+        with pytest.raises(ConfigError, match="engine must be"):
+            run(cfg, engine="tiled")
+
+
+def full_scale_oracle(name):
+    cfg = builtin_scenarios()[name]
+    return float_oracle(replace(cfg, tones=cfg.tones[:4]), quantize_interp=True)
+
+
+def test_full_scale_oracle_separates_structural_lines():
+    # band 0, tones 0-3, all 655360 windows: the periodic path computes two
+    # periods instead of 4.3e10 band samples. full_b's chain is clean; full_a
+    # shows only the period-extension lines m/5 and 2m/5, though not on
+    # every tone: a line must clear the detector's 10 dB over its floor
+    clean = full_scale_oracle("full_b")
+    assert clean.engine_reason.endswith("and the transient fits")
+    assert all(spur_bins(t) == ([], []) for t in clean.tones)
+    res = full_scale_oracle("full_a")
+    m = res.config.acquisition_len
+    lines = [set(a) | set(p) for a, p in map(spur_bins, res.tones)]
+    assert all(bins <= {m // 5, 2 * m // 5} for bins in lines)
+    assert {m // 5, 2 * m // 5} in lines
 
 
 def test_ideal_wave_beats_fixed_point_figures():
