@@ -8,33 +8,18 @@ CORDIC behavior, and square-wave demodulation trade-offs at desk scale.
 
 __version__ = "0.1.0"
 
-from .fxp import (
-    ConfigError,
-    FxpFormat,
-    FxpValue,
-    IqSample,
-    Overflow,
-    Rounding,
-    fxp_add,
-    fxp_from_float,
-    fxp_mul,
-    fxp_rescale,
-    fxp_to_float,
-)
+from .fxp import ConfigError, FxpFormat, FxpValue, Rounding
 from .generator import (
     CordicConfig,
     FilterSpec,
     GeneratorConfig,
-    PhaseAccumulatorState,
     ToneConfig,
     band_shift,
     band_sum,
-    cordic_sincos,
     default_freq_words,
     design_windowed_sinc,
     down_shift,
     generate_comb,
-    phase_acc_step,
     tone_generate,
     upsample_interp,
     waveform_period,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,7 +21,6 @@ from .fxp import (
     ConfigError,
     FxpFormat,
     FxpValue,
-    IqSample,
     Rounding,
     saturate,
     shift_right,
@@ -55,6 +54,11 @@ class ToneConfig:
             raise ConfigError("tone_index must be >= 0")
         if self.freq_word < 0:
             raise ConfigError("freq_word must be >= 0")
+        if self.amplitude_code.fmt != AMPLITUDE_FORMAT:
+            raise ConfigError(
+                "amplitude_code must use AMPLITUDE_FORMAT (Q2.15): a config "
+                "stores only its raw code"
+            )
         if self.amplitude_code.raw < 0:
             raise ConfigError("amplitude_code must be >= 0")
         if self.amplitude_code.to_float() > 1.0:
@@ -64,39 +68,14 @@ class ToneConfig:
 AMPLITUDE_FORMAT = FxpFormat(total_bits=17, frac_bits=15)
 
 
-@dataclass(frozen=True)
-class PhaseAccumulatorState:
-    """Integer counter mod modulus; increment selects the tone frequency."""
-
-    modulus: int
-    increment: int
-    phase: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ConfigError("modulus must be >= 1")
-        if not (0 <= self.increment < self.modulus):
-            raise ConfigError("increment must satisfy 0 <= increment < modulus")
-        if not (0 <= self.phase < self.modulus):
-            raise ConfigError("phase must satisfy 0 <= phase < modulus")
-
-
-def phase_acc_step(state: PhaseAccumulatorState) -> tuple[PhaseAccumulatorState, int]:
-    """Advance one sample; returns (new state, pre-step phase).
-
-    The wrap is an explicit conditional subtraction, which is how a
-    non-power-of-two modulus (e.g. 65520) is realized in hardware; for a
-    power of two it degenerates to the same result as masking.
-    """
-    out = state.phase
-    nxt = state.phase + state.increment
-    if nxt >= state.modulus:
-        nxt -= state.modulus
-    return replace(state, phase=nxt), out
-
-
 def phase_words(modulus: int, increment: int, n: int, start: int = 0) -> np.ndarray:
-    """Vectorized phase sequence; bit-identical to stepping n times."""
+    """Phase accumulator outputs start + k*increment mod modulus, k < n.
+
+    Bit-identical to stepping a counter n times, reducing by a
+    conditional subtraction, which is how a non-power-of-two modulus
+    (e.g. 65520) is realized in hardware; for a power of two it is the
+    same as masking.
+    """
     return (start + increment * np.arange(n, dtype=np.int64)) % modulus
 
 
@@ -151,9 +130,10 @@ def cordic_sincos_array(
     """(cos, sin) of 2*pi*phase/L_acc for an int64 phase array.
 
     Quadrant-folds the phase word with output sign fix-up, runs n
-    rotation-mode iterations at angle_bits resolution, saturates to
-    data_bits. A folded remainder of exactly 0 forces sin to 0 before
-    reconstruction (the true value at a quadrant boundary).
+    rotation-mode iterations at angle_bits resolution, drops the guard
+    bits (round half up) and saturates to data_bits. A folded remainder
+    of exactly 0 forces sin to 0 before reconstruction (the true value at
+    a quadrant boundary).
     """
     if L_acc % 4 != 0:
         raise ConfigError("L_acc must be a multiple of 4 for quadrant folding")
@@ -178,12 +158,8 @@ def cordic_sincos_array(
         x, y = x - d * (y >> np.int64(i)), y + d * (x >> np.int64(i))
         z = z - d * tab[i]
     y = np.where(rem == 0, np.int64(0), y)
-    if g > 0:
-        half = np.int64(1) << np.int64(g - 1)
-        x = (x + half) >> np.int64(g)
-        y = (y + half) >> np.int64(g)
-    x = saturate(x, b)
-    y = saturate(y, b)
+    x = saturate(shift_right(x, g, Rounding.ROUND_HALF_UP), b)
+    y = saturate(shift_right(y, g, Rounding.ROUND_HALF_UP), b)
     i_out = np.select([quad == 0, quad == 1, quad == 2], [x, -y, -x], default=y)
     q_out = np.select([quad == 0, quad == 1, quad == 2], [y, x, -y], default=-x)
     return i_out, q_out
@@ -222,15 +198,6 @@ def cordic_tone(
     p = L_acc // math.gcd(L_acc, word)
     ci, cq = cordic_lookup(phase_words(L_acc, word, p), L_acc, cfg)
     return periodic_extend(ci, n), periodic_extend(cq, n)
-
-
-def cordic_sincos(phase: int, L_acc: int, cfg: CordicConfig) -> IqSample:
-    """Scalar wrapper around cordic_sincos_array."""
-    if not (0 <= phase < L_acc):
-        raise ValueError(f"phase {phase} out of range [0, {L_acc})")
-    i_arr, q_arr = cordic_sincos_array(np.array([phase], dtype=np.int64), L_acc, cfg)
-    fmt = FxpFormat(total_bits=cfg.data_bits, frac_bits=cfg.data_bits - 1)
-    return IqSample(FxpValue(int(i_arr[0]), fmt), FxpValue(int(q_arr[0]), fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +437,6 @@ class GeneratorConfig:
         )
 
     @property
-    def full_rate_hz(self) -> float:
-        return self.band_rate_hz * self.upsample_factor
-
-    @property
     def resolved_sum_width(self) -> int:
         if self.sum_width_bits is not None:
             return self.sum_width_bits
@@ -488,9 +451,6 @@ class GeneratorConfig:
         if not (0 <= band_index < self.n_bands):
             raise ConfigError(f"band_index {band_index} out of range")
         return Fraction(2 * band_index + 1, 5 * self.upsample_factor)
-
-    def band_center_hz(self, band_index: int) -> float:
-        return float(self.band_center_fraction(band_index) * Fraction(self.full_rate_hz))
 
     def resolved_interp_filter(self) -> FilterSpec:
         if self.interp_filter is not None:

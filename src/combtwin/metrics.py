@@ -164,9 +164,9 @@ def psd(
 ) -> Spectrum:
     """One-sided PSD density in 1/Hz.
 
-    Periodogram: single segment, Rect window unless specified. Welch:
-    Hann-windowed segments (default length N/8, 50% overlap), window
-    power compensated, segment periodograms averaged.
+    Periodogram: single segment (segment_len must be None), Rect window
+    unless specified. Welch: Hann-windowed segments (default length N/8,
+    50% overlap), window power compensated, segment periodograms averaged.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -175,6 +175,8 @@ def psd(
     if fs <= 0:
         raise ConfigError("fs must be > 0")
     if method is PsdMethod.PERIODOGRAM:
+        if segment_len is not None:
+            raise ConfigError("segment_len applies to the Welch method only")
         win = window if window is not None else SpectrumWindow.RECT
         win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
         # scipy.signal.periodogram(detrend=False, scaling="density") written

@@ -211,6 +211,18 @@ def test_psd_stdout_default(tmp_path, capsys):
     assert len([l for l in txt.splitlines() if not l.startswith("#")]) == 33 + 1
 
 
+def test_psd_periodogram_rejects_segment_len(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    src.write_text("\n".join(str(v) for v in range(10)) + "\n")
+    out = tmp_path / "spec.csv"
+    argv = ["psd", "--in", str(src), "--method", "periodogram", "--segment-len", "7"]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 1
+    assert "segment_len applies to the Welch method only" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["psd", "--in", str(src), "--method", "welch", "--segment-len", "7"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # dump-config
 

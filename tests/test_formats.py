@@ -240,6 +240,7 @@ def chain_configs(draw):
 def test_config_ini_round_trip_keeps_the_hash(cfg):
     ini = config_to_ini(cfg)
     cfg2 = config_from_ini(ini)
+    assert cfg2 == cfg  # every field survives, not only the hashed dictionary
     assert config_hash(cfg2) == config_hash(cfg)
     assert config_to_dict(cfg2) == config_to_dict(cfg)
     assert config_to_ini(cfg2) == ini

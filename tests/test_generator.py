@@ -14,13 +14,11 @@ from combtwin.generator import (
     CordicConfig,
     FilterSpec,
     GeneratorConfig,
-    PhaseAccumulatorState,
     ToneConfig,
     band_shift,
     band_sum,
     cordic_gain,
     cordic_lookup,
-    cordic_sincos,
     cordic_sincos_array,
     cordic_tone,
     default_freq_words,
@@ -30,7 +28,6 @@ from combtwin.generator import (
     generate_comb,
     lut_mix,
     make_lut,
-    phase_acc_step,
     phase_words,
     tone_generate,
     upsample_interp,
@@ -58,32 +55,32 @@ def amp(raw=32767):
 # phase accumulator
 
 
+def stepped_phases(modulus, increment, n, start=0):
+    """Oracle of phase_words: a counter stepped n times, wrapping by a
+    conditional subtraction as the hardware does."""
+    out, phase = [], start
+    for _ in range(n):
+        out.append(phase)
+        phase += increment
+        if phase >= modulus:
+            phase -= modulus
+    return out
+
+
 def test_phase_step_power_of_two_wrap():
-    st = PhaseAccumulatorState(modulus=65536, phase=65535, increment=1)
-    st2, out = phase_acc_step(st)
-    assert out == 65535
-    assert st2.phase == 0
+    assert phase_words(65536, 1, 2, start=65535).tolist() == [65535, 0]
 
 
 def test_phase_step_explicit_modulo():
-    st = PhaseAccumulatorState(modulus=65520, phase=65519, increment=2)
-    st2, out = phase_acc_step(st)
-    assert out == 65519
-    assert st2.phase == 1
+    assert phase_words(65520, 2, 2, start=65519).tolist() == [65519, 1]
 
 
 def test_phase_sequence_period_by_cycle_detection():
     # coprime increment walks the full modulus before repeating
-    st = PhaseAccumulatorState(modulus=65520, phase=0, increment=65519)
-    seen_start = st.phase
-    steps = 0
-    while True:
-        st, _ = phase_acc_step(st)
-        steps += 1
-        if st.phase == seen_start:
-            break
-        assert steps <= 65520
-    assert steps == 65520
+    ph = phase_words(65520, 65519, 65521)
+    assert ph[65520] == ph[0] == 0
+    assert np.flatnonzero(ph[1:] == ph[0]).tolist() == [65519]
+    assert len(np.unique(ph[:65520])) == 65520
 
 
 def test_phase_words_matches_stepped_accumulator():
@@ -94,15 +91,15 @@ def test_phase_words_matches_stepped_accumulator():
         start = int(rng.integers(0, mod))
         n = int(rng.integers(1, 400))
         ph = phase_words(mod, inc, n, start=start)
-        st = PhaseAccumulatorState(modulus=mod, phase=start, increment=inc)
-        for i in range(n):
-            st, out = phase_acc_step(st)
-            assert ph[i] == out
+        assert ph.tolist() == stepped_phases(mod, inc, n, start)
 
 
 def test_phase_acc_rejects_bad_increment():
+    # the tone's frequency word is the accumulator increment: it must be < L_acc
+    cfg = desk_cfg()
+    tone_generate(ToneConfig(0, 0, cfg.L_acc - 1, amp()), cfg, 4)
     with pytest.raises(ConfigError):
-        PhaseAccumulatorState(modulus=100, phase=0, increment=100)
+        tone_generate(ToneConfig(0, 0, cfg.L_acc, amp()), cfg, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +108,8 @@ def test_phase_acc_rejects_bad_increment():
 
 def test_cordic_cardinal_points():
     cfg = CordicConfig(data_bits=10, iterations=10)
-    s0 = cordic_sincos(0, 1024, cfg)
-    assert (s0.i.raw, s0.q.raw) == (511, 0)
-    s4 = cordic_sincos(1024 // 4, 1024, cfg)
-    assert (s4.i.raw, s4.q.raw) == (0, 511)
-    s2 = cordic_sincos(512, 1024, cfg)
-    assert (s2.i.raw, s2.q.raw) == (-511, 0)
+    ci, cq = cordic_sincos_array(np.array([0, 1024 // 4, 512, 3 * 1024 // 4]), 1024, cfg)
+    assert list(zip(ci.tolist(), cq.tolist())) == [(511, 0), (0, 511), (-511, 0), (0, -511)]
 
 
 def test_cordic_gain_bounds():
@@ -127,10 +120,9 @@ def test_cordic_gain_bounds():
 
 def test_cordic_rejects_out_of_range_phase():
     cfg = CordicConfig(data_bits=10, iterations=10)
-    with pytest.raises(ValueError):
-        cordic_sincos(1024, 1024, cfg)
-    with pytest.raises(ValueError):
-        cordic_sincos(-1, 1024, cfg)
+    for bad in ([1024], [-1], [0, 1023, 1024]):
+        with pytest.raises(ValueError):
+            cordic_sincos_array(np.array(bad), 1024, cfg)
 
 
 def test_cordic_config_validation():
@@ -208,6 +200,54 @@ def test_cordic_amplitude_error_shrinks_with_iterations():
     for prev, cur in zip(errs, errs[1:]):
         assert cur <= prev * 1.01 + 0.05
     assert errs[-1] < errs[0] / 10
+
+
+def cordic_oracle(phase, L_acc, cfg):
+    """Oracle of cordic_sincos_array: one phase in Python integers, each
+    rotation direction an if-branch, guard bits rounded half up."""
+    b, n, A, g = cfg.data_bits, cfg.iterations, cfg.resolved_angle_bits, cfg.guard_bits
+    unit = (1 << A) / (2 * math.pi)
+    tab = [max(1, math.floor(math.atan(2.0**-i) * unit + 0.5)) for i in range(n)]
+    quad, rem = divmod(phase, L_acc // 4)
+    z = (rem * (1 << (A + 1)) + L_acc) // (2 * L_acc)
+    x, y = math.floor((1 << (b - 1 + g)) * cordic_gain(n) + 0.5), 0
+    for i in range(n):
+        if z >= 0:
+            x, y, z = x - (y >> i), y + (x >> i), z - tab[i]
+        else:
+            x, y, z = x + (y >> i), y - (x >> i), z + tab[i]
+    if rem == 0:
+        y = 0
+    if g > 0:
+        x, y = (x + (1 << (g - 1))) >> g, (y + (1 << (g - 1))) >> g
+    lo, hi = -(1 << (b - 1)), (1 << (b - 1)) - 1
+    x, y = min(max(x, lo), hi), min(max(y, lo), hi)
+    return [(x, y), (-y, x), (-x, -y), (y, -x)][quad]
+
+
+@st.composite
+def cordic_cases(draw):
+    l_acc = 4 * draw(st.integers(2, 256))
+    cfg = CordicConfig(
+        data_bits=draw(st.integers(4, 24)),
+        iterations=draw(st.integers(1, 16)),
+        angle_bits=draw(st.one_of(st.none(), st.integers(4, 24))),
+        guard_bits=draw(st.integers(0, 8)),
+    )
+    q = l_acc // 4
+    edges = {(k * q + d) % l_acc for k in range(4) for d in (-1, 0, 1)}
+    more = draw(st.lists(st.integers(0, l_acc - 1), max_size=32))
+    return l_acc, cfg, np.array(sorted(edges) + more, dtype=np.int64)
+
+
+@settings(max_examples=300)
+@given(cordic_cases())
+def test_cordic_sincos_array_equals_big_int_oracle(case):
+    l_acc, cfg, phases = case
+    ci, cq = cordic_sincos_array(phases, l_acc, cfg)
+    assert ci.dtype == cq.dtype == np.int64
+    got = list(zip(ci.tolist(), cq.tolist()))
+    assert got == [cordic_oracle(int(p), l_acc, cfg) for p in phases]
 
 
 @st.composite
@@ -303,6 +343,10 @@ def test_tone_amplitude_validation():
         ToneConfig(0, 0, 3, FxpValue(-1, AMPLITUDE_FORMAT))
     with pytest.raises(ConfigError):
         ToneConfig(0, 0, 3, FxpValue(40000, AMPLITUDE_FORMAT))  # > 1.0
+    # a config stores only the raw code and reads it back as AMPLITUDE_FORMAT:
+    # raw 16384 at Q2.14 (1.0) would hash and read back as 0.5
+    with pytest.raises(ConfigError, match="AMPLITUDE_FORMAT"):
+        ToneConfig(0, 0, 3, FxpValue(16384, FxpFormat(16, 14)))
 
 
 def test_band_sum_dc_tones():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
+from combtwin import ConfigError
 from combtwin.metrics import (
     PsdMethod,
     Spectrum,
@@ -219,6 +220,14 @@ def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
 def test_psd_rejects_short_input():
     with pytest.raises(ValueError):
         psd(np.ones(4), 1.0, method=PsdMethod.WELCH, segment_len=512)
+
+
+def test_periodogram_rejects_segment_len():
+    # a periodogram has one segment, the whole input; Welch takes segment_len
+    x = np.ones(10)
+    with pytest.raises(ConfigError, match="Welch"):
+        psd(x, 1.0, method=PsdMethod.PERIODOGRAM, segment_len=5)
+    assert psd(x, 1.0, method=PsdMethod.WELCH, segment_len=5).n_points == 5
 
 
 def test_dbc_per_hz():
