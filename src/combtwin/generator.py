@@ -13,7 +13,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,6 +109,18 @@ class CordicConfig:
     def resolved_angle_bits(self) -> int:
         return self.data_bits - 1 if self.angle_bits is None else self.angle_bits
 
+    def check_int64_headroom(self, L_acc: int) -> None:
+        """Raise ConfigError unless the angle arithmetic fits int64: z0's
+        numerator rem * 2^(A+1) + L_acc, at the largest folded remainder
+        L_acc/4 - 1 (taken as at least 1, so 2^(A+1) itself fits), must stay
+        below 2^63. Every later z lies within 2^A of zero."""
+        A = self.resolved_angle_bits
+        if max(L_acc // 4 - 1, 1) * (1 << (A + 1)) + L_acc >= 1 << 63:
+            raise ConfigError(
+                f"angle_bits {A} with L_acc {L_acc} can overflow int64 in the "
+                "CORDIC angle (rem * 2^(angle_bits+1) + L_acc >= 2^63)"
+            )
+
 
 def cordic_gain(iterations: int) -> float:
     """K(n) = prod cos(arctan 2^-i); lies in (0.607, 1.0] for n >= 1."""
@@ -137,6 +149,7 @@ def cordic_sincos_array(
     """
     if L_acc % 4 != 0:
         raise ConfigError("L_acc must be a multiple of 4 for quadrant folding")
+    cfg.check_int64_headroom(L_acc)
     phases = np.asarray(phases, dtype=np.int64)
     if phases.size and (phases.min() < 0 or phases.max() >= L_acc):
         raise ValueError("phase out of range [0, L_acc)")
@@ -435,6 +448,7 @@ class GeneratorConfig:
         self.resolved_interp_filter().check_int64_headroom(
             self.resolved_sum_width, "interp_filter"
         )
+        self.cordic.check_int64_headroom(self.L_acc)
 
     @property
     def resolved_sum_width(self) -> int:
@@ -486,21 +500,28 @@ def tone_generate(
 
 
 def band_sum(
-    tone_streams: Sequence[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
+    tone_streams: Iterable[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact integer sum of streams, checked against sum_width_bits.
 
     Sums the tones of one band (band format) and the shifted bands of the
-    comb (wideband format).
+    comb (wideband format). Streams are consumed one at a time, so a
+    generator keeps only the running sum and one stream alive; the first
+    is copied, and no input array is modified.
     """
-    if not tone_streams:
+    streams = iter(tone_streams)
+    first = next(streams, None)
+    if first is None:
         raise ConfigError("band_sum needs at least one stream")
-    lengths = {len(s[0]) for s in tone_streams} | {len(s[1]) for s in tone_streams}
-    if len(lengths) != 1:
+    n = len(first[0])
+    # same_kind: a float stream raises, as adding it in place would
+    bi, bq = (np.asarray(s).astype(np.int64, casting="same_kind") for s in first)
+    del first
+    if len(bq) != n:
         raise ConfigError("all streams must have equal length")
-    bi = np.zeros(lengths.pop(), dtype=np.int64)
-    bq = np.zeros_like(bi)
-    for si, sq in tone_streams:
+    for si, sq in streams:
+        if len(si) != n or len(sq) != n:
+            raise ConfigError("all streams must have equal length")
         bi += si
         bq += sq
     hi = (1 << (sum_width_bits - 1)) - 1
@@ -560,7 +581,9 @@ def generate_comb(
     """Run the full excitation pipeline; returns the wideband I/Q stream.
 
     Bands with no configured tones contribute silence. threads > 1 runs
-    the bands in a thread pool; the result does not depend on it.
+    the bands in a thread pool; the result does not depend on it. Tones
+    stream into their band sum and bands into the wideband sum, so one
+    band holds its running sum and a single tone stream at a time.
     """
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
@@ -574,7 +597,7 @@ def generate_comb(
         return z, z.copy()
 
     def one_band(b: int) -> tuple[np.ndarray, np.ndarray]:
-        streams = [tone_generate(t, cfg, n_band_samples) for t in by_band[b]]
+        streams = (tone_generate(t, cfg, n_band_samples) for t in by_band[b])
         band = band_sum(streams, cfg.resolved_sum_width)
         band = down_shift(band, cfg)
         band = upsample_interp(band, cfg)
@@ -583,10 +606,8 @@ def generate_comb(
     bands = sorted(by_band)
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            shifted = list(ex.map(one_band, bands))
-    else:
-        shifted = [one_band(b) for b in bands]
-    return band_sum(shifted, cfg.wide_width)
+            return band_sum(ex.map(one_band, bands), cfg.wide_width)
+    return band_sum(map(one_band, bands), cfg.wide_width)
 
 
 def default_freq_words(L_acc: int, tones_per_band: int) -> list[int]:

@@ -319,6 +319,9 @@ def run_loopback(
 ) -> RunResult:
     """Generate the comb, loop it straight into the analyzer, demodulate
     every tone, and compute amplitude/phase PSDs and spur reports.
+    threads > 1 runs the bands (generation, channelizer) and then the
+    tones (DDC and every metric) in thread pools; the bits do not depend
+    on it.
 
     engine: "direct" streams every sample; "periodic" computes k =
     ceil(transient/period) + 1 exact waveform periods and assembles
@@ -338,12 +341,13 @@ def run_loopback(
     wideband = generate_comb(g, cfg.tones, n_gen, threads)
     band_indices = sorted({t.band_index for t in cfg.tones})
     subbands = _channelize_bands(cfg, wideband, band_indices, threads)
+    del wideband  # the full-rate stream is not needed past the channelizer
     w = cfg.warmup_windows
+    predicted = _predicted_spurs(cfg)
 
-    def one_tone(tone: ToneConfig) -> tuple[tuple[int, int], IqTimeSeries]:
+    def tone_series(tone: ToneConfig) -> IqTimeSeries:
         ref = cordic_tone(g.L_acc, tone.freq_word, n_gen, g.cordic)
         sub = subbands[tone.band_index]
-        key = (tone.band_index, tone.tone_index)
         if not use_periodic:
             s = ddc(
                 sub,
@@ -355,9 +359,9 @@ def run_loopback(
                 freq_word=tone.freq_word,
                 band_rate_hz=a.band_rate_hz,
             )
-            return key, replace(s, i=s.i[w:], q=s.q[w:])
+            return replace(s, i=s.i[w:], q=s.q[w:])
         yi, yq = ddc_products(sub, ref, a.demod_mode)
-        return key, IqTimeSeries(
+        return IqTimeSeries(
             band_index=tone.band_index,
             tone_index=tone.tone_index,
             freq_word=tone.freq_word,
@@ -368,23 +372,16 @@ def run_loopback(
             demod_mode=a.demod_mode,
         )
 
+    def one_tone(tone: ToneConfig) -> ToneResult:
+        # the DDC temporaries are freed before the metrics start
+        return _tone_metrics(tone_series(tone), predicted)
+
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            series_map = dict(ex.map(one_tone, ordered_tones))
+            tone_results = tuple(ex.map(one_tone, ordered_tones))
     else:
-        series_map = dict(one_tone(t) for t in ordered_tones)
-
-    predicted = tuple(
-        (f, "period-extension alias")
-        for f, _ in predict_spurs(
-            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, a.band_rate_hz
-        )
-    )
-    tone_results = tuple(
-        _tone_metrics(series_map[(t.band_index, t.tone_index)], predicted)
-        for t in ordered_tones
-    )
+        tone_results = tuple(map(one_tone, ordered_tones))
     wall = time.perf_counter() - t0
     return RunResult(
         scenario_name=cfg.scenario_name,
@@ -407,6 +404,16 @@ def _zero_spectrum(n: int, fs: float) -> Spectrum:
         units=SpectrumUnits.LINEAR_PER_HZ,
         window=SpectrumWindow.RECT,
         method=PsdMethod.PERIODOGRAM,
+    )
+
+
+def _predicted_spurs(cfg: ChainConfig) -> tuple[tuple[float, str], ...]:
+    g, a = cfg.generator, cfg.analyzer
+    return tuple(
+        (f, "period-extension alias")
+        for f, _ in predict_spurs(
+            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, a.band_rate_hz
+        )
     )
 
 
@@ -725,12 +732,7 @@ def float_oracle(
         wide += _mul_cyclic(band_w, center_tabs(b)[0])
         del band_w  # one full-rate temporary at a time
 
-    predicted = tuple(
-        (f, "period-extension alias")
-        for f, _ in predict_spurs(
-            g.L_acc, u, g.shifter_lut_len, a.L_avg, a.band_rate_hz
-        )
-    )
+    predicted = _predicted_spurs(cfg)
 
     tone_results = []
     for b in sorted(by_band):

@@ -322,6 +322,17 @@ def test_config_ini_optional_keys_keep_their_defaults(tmp_path, capsys):
     assert "_filter]" not in cap.out
 
 
+def test_config_ini_angle_bits_past_int64_exits_1(tmp_path, capsys):
+    # desk_a's L_acc 1024 allows angle_bits up to 54; 56 would wrap the
+    # CORDIC angle in int64
+    base = _desk_a_ini(capsys)
+    rc, cap = _dump(tmp_path, capsys, base.replace("guard_bits = 0", "guard_bits = 0\nangle_bits = 56"))
+    assert rc == 1
+    assert "angle_bits 56" in cap.err
+    rc, cap = _dump(tmp_path, capsys, base.replace("guard_bits = 0", "guard_bits = 0\nangle_bits = 54"))
+    assert rc == 0 and "angle_bits = 54\n" in cap.out
+
+
 @pytest.mark.parametrize("record", ["0,0,51", "0,0,51,8192,7"])
 def test_config_ini_tone_record_needs_four_fields(tmp_path, capsys, record):
     text = _edit_ini(_desk_a_ini(capsys), "tones", "tone_0", value=record)

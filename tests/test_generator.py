@@ -1,6 +1,8 @@
 """Excitation path: phase accumulator, CORDIC, band pipeline, comb assembly."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +252,34 @@ def test_cordic_sincos_array_equals_big_int_oracle(case):
     assert got == [cordic_oracle(int(p), l_acc, cfg) for p in phases]
 
 
+def test_cordic_angle_bits_past_int64_raise():
+    # z0 = rem * 2^(A+1) wraps int64 for L_acc 1024 once A >= 55; at 56 it
+    # gave 768 wrong phases of 1024 before the check
+    bad = CordicConfig(data_bits=10, iterations=10, angle_bits=56)
+    with pytest.raises(ConfigError, match="angle_bits 56"):
+        replace(desk_cfg(), cordic=bad)
+    with pytest.raises(ConfigError, match="angle_bits 56"):
+        cordic_sincos_array(np.arange(1024, dtype=np.int64), 1024, bad)
+
+
+@pytest.mark.parametrize("l_acc, a_max", [(8, 61), (1024, 54), (65520, 48)])
+def test_cordic_largest_legal_angle_bits_equals_oracle(l_acc, a_max):
+    """a_max is the largest A with (L_acc/4 - 1) * 2^(A+1) + L_acc < 2^63."""
+    cfg = CordicConfig(data_bits=10, iterations=10, angle_bits=a_max)
+    assert replace(desk_cfg(l_acc), cordic=cfg).cordic == cfg
+    q = l_acc // 4
+    edges = {(k * q + d) % l_acc for k in range(4) for d in (-1, 0, 1)}
+    phases = np.array(sorted(edges | set(range(0, l_acc, max(1, l_acc // 1024)))))
+    ci, cq = cordic_sincos_array(phases, l_acc, cfg)
+    got = list(zip(ci.tolist(), cq.tolist()))
+    assert got == [cordic_oracle(int(p), l_acc, cfg) for p in phases]
+    over = replace(cfg, angle_bits=a_max + 1)
+    with pytest.raises(ConfigError):
+        replace(desk_cfg(l_acc), cordic=over)
+    with pytest.raises(ConfigError):
+        cordic_sincos_array(phases, l_acc, over)
+
+
 @st.composite
 def cordic_lookups(draw):
     l_acc = 4 * draw(st.integers(2, 512))
@@ -389,6 +419,52 @@ def test_band_sum_overflow_detected():
     streams = [(np.full(4, 511, dtype=np.int64), np.zeros(4, dtype=np.int64))] * 40
     with pytest.raises(ConfigError):
         band_sum(streams, 10)
+
+
+def test_band_sum_of_a_generator_equals_list_and_leaves_inputs_alone():
+    rng = np.random.default_rng(27)
+    streams = [(rng.integers(-500, 500, 64), rng.integers(-500, 500, 64)) for _ in range(12)]
+    copies = [(si.copy(), sq.copy()) for si, sq in streams]
+    bi, bq = band_sum(streams, 14)
+    gi, gq = band_sum((s for s in streams), 14)
+    assert np.array_equal(bi, gi) and np.array_equal(bq, gq)
+    oi, oq = band_sum(streams[:1], 14)
+    oi += 1
+    oq += 1
+    for (si, sq), (ci, cq) in zip(streams, copies):
+        assert np.array_equal(si, ci) and np.array_equal(sq, cq)
+
+
+def test_band_sum_rejects_empty_and_unequal_streams():
+    for empty in ([], iter(())):
+        with pytest.raises(ConfigError, match="at least one stream"):
+            band_sum(empty, 16)
+    a, b = np.zeros(8, dtype=np.int64), np.zeros(9, dtype=np.int64)
+    for streams in ([(a, b)], [(a, a), (b, b)], [(a, a), (a, b)]):
+        with pytest.raises(ConfigError, match="equal length"):
+            band_sum(streams, 16)
+        with pytest.raises(ConfigError, match="equal length"):
+            band_sum(iter(streams), 16)
+
+
+def test_generate_comb_streams_tones_into_the_band_sum():
+    """A 40-tone band peaks below 8 tone streams' worth of traced memory:
+    the tones are summed as they are generated, never held together."""
+    cfg = GeneratorConfig(
+        n_bands=1, tones_per_band=40, L_acc=1024, upsample_factor=1, shifter_lut_len=5
+    )
+    words = default_freq_words(cfg.L_acc, 40)
+    tones = [ToneConfig(0, t, w, amp(819)) for t, w in enumerate(words)]
+    n = 1 << 15
+    generate_comb(cfg, tones, 64)  # fill the CORDIC table and filter caches
+    tracemalloc.start()
+    try:
+        generate_comb(cfg, tones, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stream_bytes = 2 * n * np.dtype(np.int64).itemsize  # I and Q of one tone
+    assert peak < 8 * stream_bytes
 
 
 def test_down_shift_dc_becomes_period_five_tone():

@@ -306,15 +306,24 @@ def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
 
 
 def test_thread_count_does_not_change_bits():
+    # the tone pool runs the DDC and every metric, so compare all of them
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=160)
-    runs = [run_loopback(cfg, threads=t) for t in (1, 2, 4)]
-    base = runs[0]
-    for other in runs[1:]:
-        assert other.config_hash == base.config_hash
-        for ta, tb in zip(base.tones, other.tones):
-            assert np.array_equal(ta.series.i, tb.series.i)
-            assert np.array_equal(ta.series.q, tb.series.q)
-            assert np.array_equal(ta.amp_spectrum.values, tb.amp_spectrum.values)
+    for engine, used in (("auto", "periodic"), ("direct", "direct")):
+        runs = [run_loopback(cfg, engine=engine, threads=t) for t in (1, 2, 4)]
+        base = runs[0]
+        assert base.engine == used
+        for other in runs[1:]:
+            assert other.config_hash == base.config_hash
+            assert other.engine == used
+            assert len(other.tones) == len(base.tones) == len(cfg.tones)
+            for ta, tb in zip(base.tones, other.tones):
+                assert np.array_equal(ta.series.i, tb.series.i)
+                assert np.array_equal(ta.series.q, tb.series.q)
+                assert np.array_equal(ta.amp_spectrum.values, tb.amp_spectrum.values)
+                assert np.array_equal(ta.phase_spectrum.values, tb.phase_spectrum.values)
+                assert ta.amp_spurs == tb.amp_spurs
+                assert ta.phase_spurs == tb.phase_spurs
+                assert ta.carrier_power == tb.carrier_power
 
 
 def test_rerun_is_bit_identical(desk_a_result):
