@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,19 +88,19 @@ class ChainConfig:
         if not self.tones:
             raise ConfigError("at least one tone must be configured")
         g, a = self.generator, self.analyzer
-        if a.decim_to_band != g.upsample_factor:
-            raise ConfigError("analyzer.decim_to_band must equal generator.upsample_factor")
-        if a.n_bands != g.n_bands:
-            raise ConfigError("analyzer.n_bands must equal generator.n_bands")
-        if a.wide_width_bits != g.wide_width:
-            raise ConfigError(
-                f"analyzer.wide_width_bits {a.wide_width_bits} must equal the "
-                f"generator wideband width {g.wide_width}"
-            )
-        if a.reference_bits != g.cordic.data_bits:
-            raise ConfigError("analyzer.reference_bits must equal cordic data_bits")
-        if a.band_rate_hz != g.band_rate_hz:
-            raise ConfigError("analyzer and generator band rates must match")
+        mirrored = (
+            ("decim_to_band", a.decim_to_band, "upsample_factor", g.upsample_factor),
+            ("n_bands", a.n_bands, "n_bands", g.n_bands),
+            ("wide_width_bits", a.wide_width_bits, "wide_width", g.wide_width),
+            ("reference_bits", a.reference_bits, "cordic.data_bits", g.cordic.data_bits),
+            ("band_rate_hz", a.band_rate_hz, "band_rate_hz", g.band_rate_hz),
+            ("shifter_lut_len", a.shifter_lut_len, "shifter_lut_len", g.shifter_lut_len),
+        )
+        for a_name, a_val, g_name, g_val in mirrored:
+            if a_val != g_val:
+                raise ConfigError(
+                    f"analyzer.{a_name} {a_val} must equal generator.{g_name} {g_val}"
+                )
         seen = set()
         for t in self.tones:
             if t.band_index >= g.n_bands:
@@ -252,26 +252,33 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     return (n_interp + n_chan) // u + 2
 
 
-def _channelize_bands(
-    cfg: ChainConfig,
-    wideband: tuple[np.ndarray, np.ndarray],
-    band_indices: Sequence[int],
-    threads: int,
+def _subbands(
+    cfg: ChainConfig, n_band: int, threads: int
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    def one(b: int):
-        return b, channelize(wideband, b, cfg.analyzer)
+    """Generate n_band band samples of the comb and channelize every band
+    that holds a tone (in a pool when threads > 1). The chain is causal from
+    sample 0, so a prefix of the result equals a shorter run."""
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    wideband = generate_comb(cfg.generator, cfg.tones, n_band, threads)
+    bands = sorted({t.band_index for t in cfg.tones})
 
-    if threads > 1 and len(band_indices) > 1:
+    def one(b: int):
+        return channelize(wideband, b, cfg.analyzer)
+
+    if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return dict(ex.map(one, band_indices))
-    return dict(one(b) for b in band_indices)
+            return dict(zip(bands, ex.map(one, bands)))
+    return {b: one(b) for b in bands}
 
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     """The engine rule of run_loopback and float_oracle: (periodic, band
-    samples to generate, k = ceil(transient/period) + 1, reason). Tiling is
-    exact once the warm-up covers the transient; "auto" also needs k periods
-    to be shorter than the run and a period of at most 2^23 full-rate samples."""
+    samples to generate, span, reason). Periodic generates k =
+    ceil(transient/period) + 1 periods and tiles the last, its span; tiling
+    is exact once the warm-up covers the transient. Direct spans the whole
+    run. "auto" also needs k periods to be shorter than the run and a
+    period of at most 2^23 full-rate samples."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
     g, u = cfg.generator, cfg.generator.upsample_factor
@@ -280,10 +287,10 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     transient = _band_transient_len(cfg)
     n_periods = -(-transient // p_band) + 1
     warmup = cfg.warmup_windows * cfg.analyzer.L_avg
-    span = f"period {p_band} band samples x {n_periods}"
+    tiling = f"period {p_band} band samples x {n_periods}"
     checks = (
         (warmup >= transient, f"the {transient}-sample transient exceeds {warmup} warm-up samples"),
-        (n_periods * p_band < n_band_total, f"{span} >= {n_band_total}"),
+        (n_periods * p_band < n_band_total, f"{tiling} >= {n_band_total}"),
         (p_band * u <= 1 << 23, f"the period of {p_band * u} full-rate samples exceeds 2^23"),
     )
     failed = [why for ok, why in checks if not ok]
@@ -294,9 +301,9 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
         )
     if engine == "direct" or (engine == "auto" and failed):
         why = "direct requested" if engine == "direct" else "; ".join(failed)
-        return False, n_band_total, n_periods, why
-    why = "periodic requested" if engine == "periodic" else f"{span} < {n_band_total}"
-    return True, n_periods * p_band, n_periods, f"{why} and the transient fits"
+        return False, n_band_total, n_band_total, why
+    why = "periodic requested" if engine == "periodic" else f"{tiling} < {n_band_total}"
+    return True, n_periods * p_band, p_band, f"{why} and the transient fits"
 
 
 def _periodic_window_sums(
@@ -312,6 +319,40 @@ def _periodic_window_sums(
     pattern = full * period_sum + (c[offsets + rem] - c[offsets])
     idx = np.arange(n_windows, dtype=np.int64) % n_pat
     return pattern[idx]
+
+
+def _tone_series(
+    cfg: ChainConfig,
+    plan: tuple[bool, int, int, str],
+    subband: tuple[np.ndarray, np.ndarray],
+    tone: ToneConfig,
+    mode: DemodMode,
+) -> IqTimeSeries:
+    """One tone's retained accumulator outputs from its band's subband (at
+    least n_gen samples) under an _engine_plan. The periodic plan's span
+    starts at a multiple of p_band, so of the reference period: it
+    demodulates that span alone and tiles its window sums."""
+    periodic, n_gen, span, _ = plan
+    g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
+    sub = tuple(s[n_gen - span : n_gen] for s in subband)
+    ref = cordic_tone(g.L_acc, tone.freq_word, span, g.cordic)
+    if periodic:
+        n_windows = cfg.acquisition_len + w
+        yi, yq = ddc_products(sub, ref, mode)
+        i, q = (_periodic_window_sums(y, span, a.L_avg, n_windows) for y in (yi, yq))
+    else:
+        s = ddc(sub, ref, a.L_avg, mode)
+        i, q = s.i, s.q
+    return IqTimeSeries(
+        band_index=tone.band_index,
+        tone_index=tone.tone_index,
+        freq_word=tone.freq_word,
+        i=i[w:],
+        q=q[w:],
+        rate_hz=a.fs_hz,
+        l_avg=a.L_avg,
+        demod_mode=mode,
+    )
 
 
 def run_loopback(
@@ -331,50 +372,16 @@ def run_loopback(
     holds the rule; the result's engine_reason says why.
     """
     t0 = time.perf_counter()
-    use_periodic, n_gen, n_periods, reason = _engine_plan(cfg, engine)
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    plan = _engine_plan(cfg, engine)
+    use_periodic, n_gen, _, reason = plan
     g, a = cfg.generator, cfg.analyzer
-    n_windows = cfg.acquisition_len + cfg.warmup_windows
-    p_band = n_gen // n_periods
-
-    wideband = generate_comb(g, cfg.tones, n_gen, threads)
-    band_indices = sorted({t.band_index for t in cfg.tones})
-    subbands = _channelize_bands(cfg, wideband, band_indices, threads)
-    del wideband  # the full-rate stream is not needed past the channelizer
-    w = cfg.warmup_windows
+    subbands = _subbands(cfg, n_gen, threads)
     predicted = _predicted_spurs(cfg)
-
-    def tone_series(tone: ToneConfig) -> IqTimeSeries:
-        ref = cordic_tone(g.L_acc, tone.freq_word, n_gen, g.cordic)
-        sub = subbands[tone.band_index]
-        if not use_periodic:
-            s = ddc(
-                sub,
-                ref,
-                a.L_avg,
-                a.demod_mode,
-                band_index=tone.band_index,
-                tone_index=tone.tone_index,
-                freq_word=tone.freq_word,
-                band_rate_hz=a.band_rate_hz,
-            )
-            return replace(s, i=s.i[w:], q=s.q[w:])
-        yi, yq = ddc_products(sub, ref, a.demod_mode)
-        return IqTimeSeries(
-            band_index=tone.band_index,
-            tone_index=tone.tone_index,
-            freq_word=tone.freq_word,
-            i=_periodic_window_sums(yi[-p_band:], p_band, a.L_avg, n_windows)[w:],
-            q=_periodic_window_sums(yq[-p_band:], p_band, a.L_avg, n_windows)[w:],
-            rate_hz=a.fs_hz,
-            l_avg=a.L_avg,
-            demod_mode=a.demod_mode,
-        )
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
-        return _tone_metrics(tone_series(tone), predicted)
+        series = _tone_series(cfg, plan, subbands[tone.band_index], tone, a.demod_mode)
+        return _tone_metrics(series, predicted)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
@@ -568,40 +575,25 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
     spectral line counts, and post-accumulation residual above the floor.
     """
     t0 = time.perf_counter()
-    g, a = cfg.generator, cfg.analyzer
-    cfg_sine = replace(
-        cfg, analyzer=replace(a, demod_mode=DemodMode.SINE_DDC)
-    )
-    cfg_square = replace(
-        cfg, analyzer=replace(a, demod_mode=DemodMode.SQUARE_WAVE)
-    )
-    res_sine = run_loopback(cfg_sine, threads=threads)
-    res_square = run_loopback(cfg_square, threads=threads)
-
-    # short direct re-run for the pre-accumulation product spectra
-    n_pre = max(4096, 4 * _band_transient_len(cfg))
-    wideband = generate_comb(g, cfg.tones, n_pre, threads)
-    band_indices = sorted({t.band_index for t in cfg.tones})
-    subbands = _channelize_bands(cfg, wideband, band_indices, threads)
+    g = cfg.generator
+    plan = _engine_plan(cfg, "auto")
     skip = _band_transient_len(cfg)
+    # the pre-accumulation spectra take the first n_pre samples of the run
+    n_pre = max(4096, 4 * skip)
+    subbands = _subbands(cfg, max(plan[1], n_pre), threads)
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
 
     rows = []
     for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
-        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
         sub = subbands[tone.band_index]
-        pi_s, pq_s = ddc_products(sub, ref, DemodMode.SINE_DDC)
-        pi_q, pq_q = ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
-        zs = (pi_s + 1j * pq_s)[skip:]
-        zq = (pi_q + 1j * pq_q)[skip:]
-        lines_sine = _spectral_line_count(zs, PRE_ACCUM_LINE_THRESHOLD_DB)
-        lines_square = _spectral_line_count(zq, PRE_ACCUM_LINE_THRESHOLD_DB)
-
-        key = (tone.band_index, tone.tone_index)
-        s_sine = res_sine.tone(*key).series
-        s_square = res_square.tone(*key).series
-        m_sine = complex(np.mean(s_sine.complex_values()))
-        m_square = complex(np.mean(s_square.complex_values()))
+        pre = tuple(s[:n_pre] for s in sub)
+        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
+        lines, series = [], []
+        for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
+            yi, yq = ddc_products(pre, ref, mode)
+            lines.append(_spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB))
+            series.append(_tone_series(cfg, plan, sub, tone, mode))
+        m_sine, m_square = (complex(np.mean(s.complex_values())) for s in series)
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
         dphi = math.remainder(
             math.atan2(m_square.imag, m_square.real)
@@ -616,10 +608,10 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
                 mag_ratio=mag_ratio,
                 ratio_error=mag_ratio / (4.0 / math.pi) - 1.0,
                 phase_diff_rad=abs(dphi),
-                pre_lines_sine=lines_sine,
-                pre_lines_square=lines_square,
-                post_residual_db_sine=_post_accum_residual_db(s_sine),
-                post_residual_db_square=_post_accum_residual_db(s_square),
+                pre_lines_sine=lines[0],
+                pre_lines_square=lines[1],
+                post_residual_db_sine=_post_accum_residual_db(series[0]),
+                post_residual_db_square=_post_accum_residual_db(series[1]),
             )
         )
     return DemodComparison(
@@ -687,14 +679,13 @@ def float_oracle(
     whose start (k-1)*p_band is 0 modulo p_band. It matches the direct path
     up to the convolutions' rounding."""
     t0 = time.perf_counter()
-    periodic, n_gen, n_periods, reason = _engine_plan(cfg, engine)
+    _, n_gen, n_last, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
     u = g.upsample_factor
     n_windows = cfg.acquisition_len + cfg.warmup_windows
     # window sums over the last n_last samples tiled from absolute sample 0,
     # each summed from its own samples as a direct boxcar does (the integer
     # chain's running-sum differences would add rounding here)
-    n_last = n_gen // n_periods if periodic else n_gen
     rows = min(n_last // math.gcd(a.L_avg, n_last), n_windows)
     pick = np.arange(n_windows) % rows
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
@@ -800,38 +791,42 @@ def persist(result: RunResult, out_dir) -> dict:
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out.parent))
     try:
-        files: dict[str, bytes] = {}
-        files["config.ini"] = formats.config_to_ini(result.config).encode("utf-8")
-        for tr in result.tones:
-            s = tr.series
-            stem = f"b{s.band_index:03d}_t{s.tone_index:03d}"
-            files[f"series/{stem}.csv"] = formats.series_to_csv(s).encode("utf-8")
-            files[f"series/{stem}.bin"] = formats.series_to_binary(s)
-            files[f"spectra/{stem}_amp.csv"] = formats.spectrum_to_csv(
-                tr.amp_spectrum, result.config_hash
-            ).encode("utf-8")
-            files[f"spectra/{stem}_phase.csv"] = formats.spectrum_to_csv(
-                tr.phase_spectrum, result.config_hash
-            ).encode("utf-8")
-            spurs = {
-                "amp": json.loads(formats.spur_report_to_json(tr.amp_spurs)),
-                "phase": json.loads(formats.spur_report_to_json(tr.phase_spurs)),
-                "carrier_power": tr.carrier_power,
-            }
-            files[f"spurs/{stem}.json"] = json.dumps(
-                spurs, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        for rel, data in files.items():
+        def artifacts():
+            yield "config.ini", formats.config_to_ini(result.config).encode("utf-8")
+            for tr in result.tones:
+                s = tr.series
+                stem = f"b{s.band_index:03d}_t{s.tone_index:03d}"
+                yield f"series/{stem}.csv", formats.series_to_csv(s).encode("utf-8")
+                yield f"series/{stem}.bin", formats.series_to_binary(s)
+                yield f"spectra/{stem}_amp.csv", formats.spectrum_to_csv(
+                    tr.amp_spectrum, result.config_hash
+                ).encode("utf-8")
+                yield f"spectra/{stem}_phase.csv", formats.spectrum_to_csv(
+                    tr.phase_spectrum, result.config_hash
+                ).encode("utf-8")
+                spurs = {
+                    "amp": json.loads(formats.spur_report_to_json(tr.amp_spurs)),
+                    "phase": json.loads(formats.spur_report_to_json(tr.phase_spurs)),
+                    "carrier_power": tr.carrier_power,
+                }
+                yield f"spurs/{stem}.json", json.dumps(
+                    spurs, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
+
+        # written and hashed one at a time: only one encoded artifact is held
+        digests: dict[str, str] = {}
+        for rel, data in artifacts():
             p = tmp / rel
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_bytes(data)
+            digests[rel] = formats.sha256_hex(data)
         manifest = {
             "package_version": __version__,
             "scenario_name": result.scenario_name,
             "engine": result.engine,
             "config_hash": result.config_hash,
             "config": formats.config_to_dict(result.config),
-            "files": {rel: formats.sha256_hex(data) for rel, data in sorted(files.items())},
+            "files": dict(sorted(digests.items())),
         }
         (tmp / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -333,6 +333,13 @@ def test_config_ini_angle_bits_past_int64_exits_1(tmp_path, capsys):
     assert rc == 0 and "angle_bits = 54\n" in cap.out
 
 
+def test_config_ini_analyzer_lut_unlike_generator_lut_exits_1(tmp_path, capsys):
+    text = _edit_ini(_desk_a_ini(capsys), "analyzer", "shifter_lut_len", value="80")
+    rc, cap = _dump(tmp_path, capsys, text)
+    assert rc == 1
+    assert "analyzer.shifter_lut_len 80 must equal generator.shifter_lut_len 40" in cap.err
+
+
 @pytest.mark.parametrize("record", ["0,0,51", "0,0,51,8192,7"])
 def test_config_ini_tone_record_needs_four_fields(tmp_path, capsys, record):
     text = _edit_ini(_desk_a_ini(capsys), "tones", "tone_0", value=record)

@@ -12,11 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpValue
-from combtwin.analyzer import DemodMode, IqTimeSeries
+from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
 from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
-from combtwin.generator import AMPLITUDE_FORMAT, ToneConfig, phase_words
+from combtwin.generator import (
+    AMPLITUDE_FORMAT,
+    ToneConfig,
+    cordic_tone,
+    generate_comb,
+    phase_words,
+    waveform_period,
+)
 from combtwin.harness import (
     LONG_RUN_SCENARIOS,
+    PRE_ACCUM_LINE_THRESHOLD_DB,
+    DemodToneComparison,
     builtin_scenarios,
     config_hash,
     default_sweep_config,
@@ -30,6 +39,8 @@ from combtwin.harness import (
     _engine_plan,
     _float_chan_taps,
     _float_interp_taps,
+    _post_accum_residual_db,
+    _spectral_line_count,
     _square_signs,
     _tone_metrics,
 )
@@ -106,6 +117,17 @@ def test_make_chain_config_validation():
     assert ok.analyzer.L_avg == 2048
     with pytest.raises(ConfigError):
         replace(cfg, analyzer=replace(cfg.analyzer, decim_to_band=4))
+
+
+@pytest.mark.parametrize("lut", [80, 120, 200])
+def test_chain_config_rejects_an_analyzer_lut_unlike_the_generator_lut(lut):
+    # every such LUT gives the same bits, but the config would hash apart
+    cfg = builtin_scenarios()["desk_a"]
+    with pytest.raises(
+        ConfigError,
+        match=f"analyzer.shifter_lut_len {lut} must equal generator.shifter_lut_len 40",
+    ):
+        replace(cfg, analyzer=replace(cfg.analyzer, shifter_lut_len=lut))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +322,33 @@ def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
     cfg = make_chain_config(
         "long", 1 << 21, 1024, 1, 1, 1 << 15, upsample_factor=1, shifter_lut_len=5
     )
-    periodic, n_gen, n_periods, reason = _engine_plan(cfg, "auto")
-    assert (periodic, n_gen, n_periods) == (False, ((1 << 15) + 1) * 1024, 2)
+    periodic, n_gen, span, reason = _engine_plan(cfg, "auto")
+    n = ((1 << 15) + 1) * 1024
+    assert (periodic, n_gen, span) == (False, n, n)
     assert reason == "the period of 10485760 full-rate samples exceeds 2^23"
+
+
+def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
+    cfg = builtin_scenarios()["desk_a"]
+    p_band = waveform_period(1024, 8, 40) // 8
+    n = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
+    assert _engine_plan(cfg, "auto")[:3] == (True, 2 * p_band, p_band)
+    assert _engine_plan(cfg, "periodic")[:3] == (True, 2 * p_band, p_band)
+    assert _engine_plan(cfg, "direct")[:3] == (False, n, n)
+    short = replace(cfg, acquisition_len=4)
+    assert _engine_plan(short, "auto")[:3] == (False, 5 * 1024, 5 * 1024)
+
+
+@settings(max_examples=40)
+@given(small_chains())
+def test_periodic_plan_span_is_one_period_ending_the_run(cfg):
+    g = cfg.generator
+    p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
+    periodic, n_gen, span, _ = _engine_plan(cfg, "periodic")
+    assert periodic and span == p_band and n_gen % p_band == 0 and n_gen > span
+    assert _engine_plan(cfg, "direct")[1:3] == (
+        (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg,
+    ) * 2
 
 
 def test_thread_count_does_not_change_bits():
@@ -388,6 +434,84 @@ def single_tone_compare():
 @pytest.fixture(scope="module")
 def two_tone_compare():
     return run_demod_compare(builtin_scenarios()["demod_two_tone"])
+
+
+def demod_compare_reference(cfg):
+    """run_demod_compare before it shared one comb, kept as the oracle: a
+    full run_loopback per demodulator mode, then a third, short comb for the
+    pre-accumulation product spectra. Returns DemodComparison.tones."""
+    g, a = cfg.generator, cfg.analyzer
+    cfg_sine = replace(cfg, analyzer=replace(a, demod_mode=DemodMode.SINE_DDC))
+    cfg_square = replace(cfg, analyzer=replace(a, demod_mode=DemodMode.SQUARE_WAVE))
+    res_sine = run_loopback(cfg_sine)
+    res_square = run_loopback(cfg_square)
+    n_pre = max(4096, 4 * _band_transient_len(cfg))
+    wideband = generate_comb(g, cfg.tones, n_pre)
+    subbands = {b: channelize(wideband, b, a) for b in {t.band_index for t in cfg.tones}}
+    skip = _band_transient_len(cfg)
+    ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
+    rows = []
+    for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
+        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
+        sub = subbands[tone.band_index]
+        pi_s, pq_s = ddc_products(sub, ref, DemodMode.SINE_DDC)
+        pi_q, pq_q = ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
+        zs = (pi_s + 1j * pq_s)[skip:]
+        zq = (pi_q + 1j * pq_q)[skip:]
+        key = (tone.band_index, tone.tone_index)
+        s_sine = res_sine.tone(*key).series
+        s_square = res_square.tone(*key).series
+        m_sine = complex(np.mean(s_sine.complex_values()))
+        m_square = complex(np.mean(s_square.complex_values()))
+        mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
+        dphi = math.remainder(
+            math.atan2(m_square.imag, m_square.real) - math.atan2(m_sine.imag, m_sine.real),
+            2.0 * math.pi,
+        )
+        rows.append(
+            DemodToneComparison(
+                band_index=tone.band_index,
+                tone_index=tone.tone_index,
+                freq_word=tone.freq_word,
+                mag_ratio=mag_ratio,
+                ratio_error=mag_ratio / (4.0 / math.pi) - 1.0,
+                phase_diff_rad=abs(dphi),
+                pre_lines_sine=_spectral_line_count(zs, PRE_ACCUM_LINE_THRESHOLD_DB),
+                pre_lines_square=_spectral_line_count(zq, PRE_ACCUM_LINE_THRESHOLD_DB),
+                post_residual_db_sine=_post_accum_residual_db(s_sine),
+                post_residual_db_square=_post_accum_residual_db(s_square),
+            )
+        )
+    return tuple(rows)
+
+
+# Each builtin's loopback run is longer than its 4096-sample pre-accumulation
+# run; desk_a at 4 windows makes "auto" fall back to the direct engine. The
+# random chains below have loopback runs shorter than the pre-accumulation run.
+@pytest.mark.parametrize(
+    "name, acq",
+    [("demod_single", None), ("demod_two_tone", None), ("desk_a", None),
+     ("desk_b", None), ("desk_a", 320), ("desk_b", 320), ("desk_a", 4)],
+)
+def test_demod_compare_equals_reference(name, acq):
+    cfg = builtin_scenarios()[name]
+    if acq is not None:
+        cfg = replace(cfg, acquisition_len=acq)
+    assert run_demod_compare(cfg).tones == demod_compare_reference(cfg)
+
+
+@settings(max_examples=30)
+@given(small_chains())
+def test_demod_compare_equals_reference_on_random_chains(cfg):
+    assert run_demod_compare(cfg).tones == demod_compare_reference(cfg)
+
+
+def test_demod_compare_thread_count_does_not_change_results():
+    for acq in (2560, 4):  # periodic, then direct
+        cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=acq)
+        base = run_demod_compare(cfg, threads=1)
+        assert run_demod_compare(cfg, threads=2).tones == base.tones
+        assert len(base.tones) == len(cfg.tones)
 
 
 def test_single_tone_square_ratio_and_phase(single_tone_compare):
