@@ -8,6 +8,7 @@ desk- and full-scale configurations and deterministic persistence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -179,7 +180,13 @@ def make_chain_config(
 
 def builtin_scenarios() -> dict[str, ChainConfig]:
     """Named configurations. desk_a/desk_b carry the acceptance runs;
-    full_a/full_b are the full-scale variants gated behind --long-run."""
+    full_a/full_b are the full-scale variants gated behind --long-run.
+    A fresh dict each call; the frozen configs are built once."""
+    return dict(_builtin_scenarios())
+
+
+@functools.cache
+def _builtin_scenarios() -> dict[str, ChainConfig]:
     return {
         "desk_a": make_chain_config("desk_a", 1024, 1024, 2, 4, 2560),
         "desk_b": make_chain_config("desk_b", 1020, 1020, 2, 4, 2560),
@@ -312,13 +319,17 @@ def _periodic_window_sums(
     """Boxcar sums over a stream that is y (one exact period) tiled from
     absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg)."""
     period_sum = int(y.sum())
-    c = np.concatenate(([0], np.cumsum(np.concatenate((y, y)))))
+    c = np.concatenate(([0], np.cumsum(y)))
     full, rem = divmod(l_avg, p_band)
     n_pat = p_band // math.gcd(l_avg, p_band)
     offsets = (np.arange(n_pat, dtype=np.int64) * l_avg) % p_band
-    pattern = full * period_sum + (c[offsets + rem] - c[offsets])
-    idx = np.arange(n_windows, dtype=np.int64) % n_pat
-    return pattern[idx]
+    # a window end past one period reads the next: period_sum + c[end - p_band]
+    ends = offsets + rem
+    wrap = ends > p_band
+    hi = c[ends - p_band * wrap]
+    hi[wrap] += period_sum
+    pattern = full * period_sum + (hi - c[offsets])
+    return periodic_extend(pattern, n_windows)
 
 
 def _tone_series(

@@ -9,13 +9,13 @@ deglitcher.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as _signal
 from scipy.fft import rfft as _rfft
 
 from .fxp import ConfigError
@@ -138,7 +138,7 @@ def amp_phase(series) -> AmpPhaseResult:
     if len(i) == 0:
         raise ConfigError("amp_phase needs a nonempty series")
     amp = np.hypot(i, q)
-    phase = np.unwrap(np.arctan2(q, i))
+    phase = _unwrap(np.arctan2(q, i))
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:
         raise ValueError("degenerate input: mean amplitude is zero")
@@ -150,8 +150,40 @@ def amp_phase(series) -> AmpPhaseResult:
     )
 
 
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p) for a 1-D float64 p, bit for bit. numpy forms its
+    correction at every step and zeroes it where abs(diff) < pi; this forms
+    it only at the other steps (NaN included), in numpy's own operations."""
+    dd = np.diff(p)
+    corr = np.zeros_like(dd)
+    jump = np.flatnonzero(~(np.abs(dd) < np.pi))
+    d = dd[jump]
+    dmod = np.mod(d + np.pi, 2 * np.pi) - np.pi
+    np.copyto(dmod, np.pi, where=(dmod == -np.pi) & (d > 0))
+    corr[jump] = dmod - d
+    up = p.copy()
+    up[1:] = p[1:] + corr.cumsum()
+    return up
+
+
 # ---------------------------------------------------------------------------
 # power spectral density
+
+
+@functools.lru_cache(maxsize=4)
+def _periodogram_scale(window: SpectrumWindow, n: int, fs: float) -> np.ndarray:
+    """The window times scipy.signal.periodogram's density factor, in its
+    exact operation order; read-only, since every caller shares it."""
+    if window is SpectrumWindow.RECT:
+        w = np.ones(n)  # what get_window("boxcar", n) returns
+    else:
+        from scipy.signal import get_window
+
+        w = get_window("hann", n)
+    fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
+    scale = w * fac
+    scale.flags.writeable = False
+    return scale
 
 
 def psd(
@@ -178,13 +210,10 @@ def psd(
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
         win = window if window is not None else SpectrumWindow.RECT
-        win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
         # scipy.signal.periodogram(detrend=False, scaling="density") written
         # out around one rfft, in its exact operation order: bit-identical
         # for both windows and every length, without ShortTimeFFT's overhead
-        w = _signal.get_window(win_name, n)
-        fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
-        spec = _rfft(x * (w * fac))
+        spec = _rfft(x * _periodogram_scale(win, n, fs))
         pxx = spec.real**2 + spec.imag**2
         pxx[1 : -1 if n % 2 == 0 else None] *= 2
         return Spectrum(
@@ -202,7 +231,9 @@ def psd(
         raise ConfigError(f"segment_len {seg} out of range 2..{n}")
     if not (0.0 <= overlap_frac < 1.0):
         raise ConfigError("overlap_frac must be in [0, 1)")
-    _, pxx = _signal.welch(
+    from scipy.signal import welch
+
+    _, pxx = welch(
         x,
         fs=fs,
         window=win_name,

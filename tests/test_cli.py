@@ -1,11 +1,16 @@
 """Command line interface: outputs, file side effects, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import combtwin
 from combtwin.cli import main
 from combtwin.formats import config_to_ini, read_samples
 from combtwin.harness import builtin_scenarios, config_hash
@@ -73,6 +78,21 @@ def test_deglitch_replaces_and_writes(tmp_path, capsys):
     keep = np.ones(len(x), bool)
     keep[[100, 2500, 4999]] = False
     assert np.array_equal(cleaned[keep], x[keep])
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about 0.4 s of import; only Welch and Hann load it
+    src = str(Path(combtwin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, combtwin.cli; sys.exit('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert proc.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from combtwin.harness import (
     _engine_plan,
     _float_chan_taps,
     _float_interp_taps,
+    _periodic_window_sums,
     _post_accum_residual_db,
     _spectral_line_count,
     _square_signs,
@@ -84,6 +85,17 @@ def test_builtin_scenario_catalog():
     assert fa.generator.tones_per_band == 40
     assert fa.acquisition_len == 655_360
     assert builtin_scenarios()["full_b"].generator.L_acc == 65520
+
+
+def test_builtin_scenarios_share_configs_in_fresh_dicts():
+    first, second = builtin_scenarios(), builtin_scenarios()
+    assert first == second and first is not second
+    assert all(first[name] is second[name] for name in first)
+    first["desk_a"] = first.pop("desk_b")
+    first["extra"] = first["full_a"]
+    third = builtin_scenarios()
+    assert third == second and "extra" not in third
+    assert third["desk_a"].scenario_name == "desk_a"
 
 
 def test_config_hash_is_stable_and_discriminating():
@@ -349,6 +361,47 @@ def test_periodic_plan_span_is_one_period_ending_the_run(cfg):
     assert _engine_plan(cfg, "direct")[1:3] == (
         (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg,
     ) * 2
+
+
+def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
+    """Prefix sums over two periods and a modulo gather: the window sums of
+    y tiled from sample 0, kept as the oracle for _periodic_window_sums."""
+    period_sum = int(y.sum())
+    c = np.concatenate(([0], np.cumsum(np.concatenate((y, y)))))
+    full, rem = divmod(l_avg, p_band)
+    n_pat = p_band // math.gcd(l_avg, p_band)
+    offsets = (np.arange(n_pat, dtype=np.int64) * l_avg) % p_band
+    pattern = full * period_sum + (c[offsets + rem] - c[offsets])
+    idx = np.arange(n_windows, dtype=np.int64) % n_pat
+    return pattern[idx]
+
+
+@st.composite
+def window_sum_cases(draw):
+    p_band = draw(st.integers(1, 120))
+    divisors = [d for d in range(1, p_band + 1) if p_band % d == 0]
+    l_avg = draw(
+        st.one_of(
+            st.sampled_from(divisors),  # divides p_band
+            st.integers(1, 4).map(lambda k: k * p_band),  # a multiple
+            st.integers(1, 4 * p_band + 7),  # below or above, coprime or not
+        )
+    )
+    bound = 1 << 31
+    y = np.array(
+        draw(st.lists(st.integers(-bound, bound), min_size=p_band, max_size=p_band)),
+        dtype=np.int64,
+    )
+    return y, p_band, l_avg, draw(st.integers(1, 400))
+
+
+@settings(max_examples=200)
+@given(window_sum_cases())
+def test_periodic_window_sums_equal_the_two_period_reference(case):
+    got = _periodic_window_sums(*case)
+    want = periodic_window_sums_reference(*case)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def test_thread_count_does_not_change_bits():

@@ -16,6 +16,8 @@ from combtwin.metrics import (
     SpectrumUnits,
     SpectrumWindow,
     SpurLine,
+    _periodogram_scale,
+    _unwrap,
     amp_phase,
     dbc_per_hz,
     deglitch,
@@ -120,6 +122,40 @@ def test_amp_phase_degenerate_input():
         amp_phase((np.zeros(8), np.zeros(8)))
 
 
+# phase values whose differences land on exactly +-pi, on signed zeros and
+# on non-finite values
+_UNWRAP_SPECIALS = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -3 * np.pi, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def phase_series(draw):
+    steps = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.floats(-25.0, 25.0), st.sampled_from(_UNWRAP_SPECIALS)),
+                min_size=1,
+                max_size=300,
+            )
+        )
+    )
+    kind = draw(st.sampled_from(["values", "turns", "wrapped turns"]))
+    if kind == "values":
+        return steps
+    with np.errstate(invalid="ignore"):
+        turns = np.cumsum(steps)  # multi-turn differences
+        return turns if kind == "turns" else np.arctan2(np.sin(turns), np.cos(turns))
+
+
+@settings(max_examples=300)
+@given(phase_series())
+@example(np.array([0.0, np.pi, 0.0, -np.pi, -0.0, np.pi, np.nan, 1.0, np.inf, -np.inf, 2.0]))
+@example(np.array([-0.0]))
+def test_unwrap_equals_numpy_bit_for_bit(p):
+    with np.errstate(invalid="ignore"):
+        got, want = _unwrap(p), np.unwrap(p)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # PSD estimation
 
@@ -215,6 +251,14 @@ def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
     got = psd(x, fs, method=PsdMethod.PERIODOGRAM, window=window).values
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_periodogram_scale_is_read_only():
+    scale = _periodogram_scale(SpectrumWindow.HANN, 16, 2.0)
+    assert not scale.flags.writeable
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+    assert _periodogram_scale(SpectrumWindow.HANN, 16, 2.0) is scale
 
 
 def test_psd_rejects_short_input():
