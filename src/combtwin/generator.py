@@ -583,7 +583,9 @@ def generate_comb(
     Bands with no configured tones contribute silence. threads > 1 runs
     the bands in a thread pool; the result does not depend on it. Tones
     stream into their band sum and bands into the wideband sum, so one
-    band holds its running sum and a single tone stream at a time.
+    band holds its running sum and a single tone stream at a time. A band's
+    tone sum is formed over one accumulator period and tiled; the
+    full-rate stages run over every sample.
     """
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
@@ -597,8 +599,13 @@ def generate_comb(
         return z, z.copy()
 
     def one_band(b: int) -> tuple[np.ndarray, np.ndarray]:
-        streams = (tone_generate(t, cfg, n_band_samples) for t in by_band[b])
-        band = band_sum(streams, cfg.resolved_sum_width)
+        # each tone repeats every L_acc / gcd(L_acc, word) samples from
+        # sample 0, so the band's tone sum repeats every L_acc: sum one
+        # accumulator period (the same values, so the same overflow check)
+        n_acc = min(cfg.L_acc, n_band_samples)
+        streams = (tone_generate(t, cfg, n_acc) for t in by_band[b])
+        bi, bq = band_sum(streams, cfg.resolved_sum_width)
+        band = periodic_extend(bi, n_band_samples), periodic_extend(bq, n_band_samples)
         band = down_shift(band, cfg)
         band = upsample_interp(band, cfg)
         return band_shift(band, b, cfg)

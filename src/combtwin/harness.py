@@ -50,7 +50,7 @@ from .metrics import (
     SpectrumUnits,
     SpectrumWindow,
     SpurReport,
-    amp_phase,
+    _amp_phase,
     detect_spurs,
     predict_spurs,
     psd,
@@ -281,23 +281,22 @@ def _subbands(
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     """The engine rule of run_loopback and float_oracle: (periodic, band
-    samples to generate, span, reason). Periodic generates k =
-    ceil(transient/period) + 1 periods and tiles the last, its span; tiling
+    samples to generate, span, reason). Periodic generates one period plus
+    the transient and tiles its last period, the span (see _span); tiling
     is exact once the warm-up covers the transient. Direct spans the whole
-    run. "auto" also needs k periods to be shorter than the run and a
-    period of at most 2^23 full-rate samples."""
+    run. "auto" also needs the period plus the transient to be shorter than
+    the run and a period of at most 2^23 full-rate samples."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
     g, u = cfg.generator, cfg.generator.upsample_factor
     n_band_total = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
     p_band = waveform_period(g.L_acc, u, g.shifter_lut_len) // u
     transient = _band_transient_len(cfg)
-    n_periods = -(-transient // p_band) + 1
     warmup = cfg.warmup_windows * cfg.analyzer.L_avg
-    tiling = f"period {p_band} band samples x {n_periods}"
+    tiling = f"period {p_band} + transient {transient} band samples"
     checks = (
         (warmup >= transient, f"the {transient}-sample transient exceeds {warmup} warm-up samples"),
-        (n_periods * p_band < n_band_total, f"{tiling} >= {n_band_total}"),
+        (p_band + transient < n_band_total, f"{tiling} >= {n_band_total}"),
         (p_band * u <= 1 << 23, f"the period of {p_band * u} full-rate samples exceeds 2^23"),
     )
     failed = [why for ok, why in checks if not ok]
@@ -310,7 +309,22 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
         why = "direct requested" if engine == "direct" else "; ".join(failed)
         return False, n_band_total, n_band_total, why
     why = "periodic requested" if engine == "periodic" else f"{tiling} < {n_band_total}"
-    return True, n_periods * p_band, p_band, f"{why} and the transient fits"
+    return True, p_band + transient, p_band, f"{why} and the transient fits"
+
+
+def _span(
+    plan: tuple[bool, int, int, str], subband: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
+    """The span of a subband (at least n_gen samples) that an _engine_plan
+    demodulates, starting at phase 0 of the reference period. On the
+    periodic plan, samples [n_gen - span, n_gen) are one steady-state
+    period, each n_gen % span samples ahead of its phase: rolled back by
+    that shift, they are the period from its start (overlap-save). The
+    direct plan's span is the first n_gen samples."""
+    _, n_gen, span, _ = plan
+    last = tuple(s[n_gen - span : n_gen] for s in subband)
+    shift = n_gen % span
+    return tuple(np.roll(s, shift) for s in last) if shift else last
 
 
 def _periodic_window_sums(
@@ -335,17 +349,16 @@ def _periodic_window_sums(
 def _tone_series(
     cfg: ChainConfig,
     plan: tuple[bool, int, int, str],
-    subband: tuple[np.ndarray, np.ndarray],
+    sub: tuple[np.ndarray, np.ndarray],
     tone: ToneConfig,
     mode: DemodMode,
 ) -> IqTimeSeries:
-    """One tone's retained accumulator outputs from its band's subband (at
-    least n_gen samples) under an _engine_plan. The periodic plan's span
-    starts at a multiple of p_band, so of the reference period: it
-    demodulates that span alone and tiles its window sums."""
-    periodic, n_gen, span, _ = plan
+    """One tone's retained accumulator outputs from its band's _span under
+    an _engine_plan. The span starts at phase 0 of the reference period;
+    the periodic plan demodulates its one period and tiles the window
+    sums."""
+    periodic, _, span, _ = plan
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
-    sub = tuple(s[n_gen - span : n_gen] for s in subband)
     ref = cordic_tone(g.L_acc, tone.freq_word, span, g.cordic)
     if periodic:
         n_windows = cfg.acquisition_len + w
@@ -375,24 +388,26 @@ def run_loopback(
     tones (DDC and every metric) in thread pools; the bits do not depend
     on it.
 
-    engine: "direct" streams every sample; "periodic" computes k =
-    ceil(transient/period) + 1 exact waveform periods and assembles
-    accumulator outputs by tiling the last one, which the filter transient
-    has passed (bit-identical to direct for all retained windows); "auto"
-    picks periodic when it is both applicable and cheaper. _engine_plan
-    holds the rule; the result's engine_reason says why.
+    engine: "direct" streams every sample; "periodic" computes one
+    waveform period plus the filter transient and assembles accumulator
+    outputs by tiling its last period, which the transient has passed
+    (bit-identical to direct for all retained windows); "auto" picks
+    periodic when it is both applicable and cheaper. _engine_plan holds
+    the rule; the result's engine_reason says why.
     """
     t0 = time.perf_counter()
     plan = _engine_plan(cfg, engine)
-    use_periodic, n_gen, _, reason = plan
+    use_periodic, n_gen, span, reason = plan
     g, a = cfg.generator, cfg.analyzer
-    subbands = _subbands(cfg, n_gen, threads)
+    spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads).items()}
     predicted = _predicted_spurs(cfg)
+    # every series tiles n_pat windows; on the direct plan that is all of them
+    n_pat = span // math.gcd(a.L_avg, span)
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
-        series = _tone_series(cfg, plan, subbands[tone.band_index], tone, a.demod_mode)
-        return _tone_metrics(series, predicted)
+        series = _tone_series(cfg, plan, spans[tone.band_index], tone, a.demod_mode)
+        return _tone_metrics(series, predicted, n_pat)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
@@ -436,8 +451,10 @@ def _predicted_spurs(cfg: ChainConfig) -> tuple[tuple[float, str], ...]:
 
 
 def _tone_metrics(
-    series: IqTimeSeries, predicted: tuple[tuple[float, str], ...]
+    series: IqTimeSeries, predicted: tuple[tuple[float, str], ...], n_pat: int
 ) -> ToneResult:
+    """Amplitude/phase, both PSDs and spur reports of a series that tiles
+    its first n_pat samples (n_pat >= len(series): no repetition)."""
     n = len(series)
     fs = series.rate_hz
     all_zero = not (np.any(series.i) or np.any(series.q))
@@ -452,7 +469,7 @@ def _tone_metrics(
             phase_spurs=empty,
             carrier_power=0.0,
         )
-    ap = amp_phase(series)
+    ap = _amp_phase(series.i[:n_pat], series.q[:n_pat], n)
     amp_spec = psd(ap.delta_amp, fs)
     phase_spec = psd(ap.delta_phase, fs)
     amp_rep = detect_spurs(
@@ -592,18 +609,18 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
     # the pre-accumulation spectra take the first n_pre samples of the run
     n_pre = max(4096, 4 * skip)
     subbands = _subbands(cfg, max(plan[1], n_pre), threads)
+    spans = {b: _span(plan, s) for b, s in subbands.items()}
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
 
     rows = []
     for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
-        sub = subbands[tone.band_index]
-        pre = tuple(s[:n_pre] for s in sub)
+        pre = tuple(s[:n_pre] for s in subbands[tone.band_index])
         ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
         lines, series = [], []
         for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
             yi, yq = ddc_products(pre, ref, mode)
             lines.append(_spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB))
-            series.append(_tone_series(cfg, plan, sub, tone, mode))
+            series.append(_tone_series(cfg, plan, spans[tone.band_index], tone, mode))
         m_sine, m_square = (complex(np.mean(s.complex_values())) for s in series)
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
         dphi = math.remainder(
@@ -686,15 +703,17 @@ def float_oracle(
     engine follows run_loopback's rule (_engine_plan; engine_reason says
     why); result.engine is "float" either way. All phasors come from tables
     indexed modulo their periods, so once the filters settle the chain is
-    exactly periodic: the periodic path runs k periods and tiles the last,
-    whose start (k-1)*p_band is 0 modulo p_band. It matches the direct path
-    up to the convolutions' rounding."""
+    exactly periodic: the periodic path runs one period plus the transient
+    and tiles the last period, rotated to start at phase 0 as
+    run_loopback's is (_span). It matches the direct path up to the
+    convolutions' rounding."""
     t0 = time.perf_counter()
-    _, n_gen, n_last, reason = _engine_plan(cfg, engine)
+    plan = _engine_plan(cfg, engine)
+    _, n_gen, n_last, reason = plan
     g, a = cfg.generator, cfg.analyzer
     u = g.upsample_factor
     n_windows = cfg.acquisition_len + cfg.warmup_windows
-    # window sums over the last n_last samples tiled from absolute sample 0,
+    # window sums over the n_last-sample span tiled from absolute sample 0,
     # each summed from its own samples as a direct boxcar does (the integer
     # chain's running-sum differences would add rounding here)
     rows = min(n_last // math.gcd(a.L_avg, n_last), n_windows)
@@ -739,16 +758,16 @@ def float_oracle(
     tone_results = []
     for b in sorted(by_band):
         mixed = _mul_cyclic(wide.copy(), center_tabs(b)[1])
-        sub = _mul_cyclic(polyphase_decimate(mixed, h_chan, u), up_tab)
+        (sub,) = _span(plan, (_mul_cyclic(polyphase_decimate(mixed, h_chan, u), up_tab),))
         del mixed  # one full-rate temporary at a time
         for tone in sorted(by_band[b], key=lambda t: t.tone_index):
-            ph = phase_words(g.L_acc, tone.freq_word, n_gen)
+            ph = phase_words(g.L_acc, tone.freq_word, n_last)
             if a.demod_mode is DemodMode.SINE_DDC:
                 y = sub * np.conj(ref_amp * tone_tab[ph])
             else:
                 sc, ss = _square_signs(ph, g.L_acc)
                 y = sub * (sc - 1j * ss)
-            tiled = periodic_extend(y[-n_last:], rows * a.L_avg)
+            tiled = periodic_extend(y, rows * a.L_avg)
             sums = tiled.reshape(rows, a.L_avg).sum(axis=1)[pick][cfg.warmup_windows :]
             series = IqTimeSeries(
                 band_index=tone.band_index,
@@ -760,7 +779,7 @@ def float_oracle(
                 l_avg=a.L_avg,
                 demod_mode=a.demod_mode,
             )
-            tone_results.append(_tone_metrics(series, predicted))
+            tone_results.append(_tone_metrics(series, predicted, rows))
 
     wall = time.perf_counter() - t0
     return RunResult(

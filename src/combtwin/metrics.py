@@ -19,6 +19,7 @@ import numpy as np
 from scipy.fft import rfft as _rfft
 
 from .fxp import ConfigError
+from .generator import periodic_extend
 
 
 class SpectrumUnits(Enum):
@@ -133,19 +134,34 @@ def amp_phase(series) -> AmpPhaseResult:
         i, q = series
     else:
         i, q = series.i, series.q
+    return _amp_phase(i, q, len(i))
+
+
+def _amp_phase(i, q, n: int) -> AmpPhaseResult:
+    """amp_phase of the series that tiles (i, q) to n samples, bit for bit:
+    the elementwise work runs on the given samples only, the means over the
+    tiled arrays. Unless some cyclic step of the pattern's phase (the wrap
+    step included) is a jump, np.unwrap of the tiled phase adds 0.0 to
+    every sample after the first and nothing else."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if len(i) == 0:
         raise ConfigError("amp_phase needs a nonempty series")
-    amp = np.hypot(i, q)
-    phase = _unwrap(np.arctan2(q, i))
+    amp_pat = np.hypot(i, q)
+    amp = periodic_extend(amp_pat, n)
+    p = np.arctan2(q, i)
+    if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):
+        phase = periodic_extend(p + 0.0, n)
+        phase[0] = p[0]
+    else:
+        phase = _unwrap(periodic_extend(p, n))
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:
         raise ValueError("degenerate input: mean amplitude is zero")
     return AmpPhaseResult(
         amp=amp,
         phase=phase,
-        delta_amp=amp / mean_amp - 1.0,
+        delta_amp=periodic_extend(amp_pat / mean_amp - 1.0, n),
         delta_phase=phase - float(np.mean(phase)),
     )
 
@@ -399,6 +415,5 @@ def deglitch(x: np.ndarray, rng_seed: int) -> tuple[np.ndarray, int]:
     mask = np.abs(x - mu) > 5.0 * sigma
     idx = np.nonzero(mask)[0]
     rng = np.random.default_rng(rng_seed)
-    for k in idx:
-        out[k] = rng.uniform(mu - sigma, mu + sigma)
+    out[idx] = rng.uniform(mu - sigma, mu + sigma, size=idx.size)
     return out, int(idx.size)

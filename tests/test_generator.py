@@ -449,13 +449,14 @@ def test_band_sum_rejects_empty_and_unequal_streams():
 
 def test_generate_comb_streams_tones_into_the_band_sum():
     """A 40-tone band peaks below 8 tone streams' worth of traced memory:
-    the tones are summed as they are generated, never held together."""
+    the tones are summed as they are generated, never held together. The run
+    is one accumulator period, so each tone stream spans all of it."""
+    n = 1 << 15
     cfg = GeneratorConfig(
-        n_bands=1, tones_per_band=40, L_acc=1024, upsample_factor=1, shifter_lut_len=5
+        n_bands=1, tones_per_band=40, L_acc=n, upsample_factor=1, shifter_lut_len=5
     )
     words = default_freq_words(cfg.L_acc, 40)
     tones = [ToneConfig(0, t, w, amp(819)) for t, w in enumerate(words)]
-    n = 1 << 15
     generate_comb(cfg, tones, 64)  # fill the CORDIC table and filter caches
     tracemalloc.start()
     try:
@@ -750,6 +751,62 @@ def test_generate_comb_empty_band_is_silent():
         cfg,
     )
     assert np.array_equal(wi, only[0]) and np.array_equal(wq, only[1])
+
+
+def generate_comb_reference(cfg, tones, n):
+    """generate_comb before it summed one accumulator period: every tone
+    generated over all n band samples, kept as the oracle."""
+    bands = []
+    for b in sorted({t.band_index for t in tones}):
+        streams = [tone_generate(t, cfg, n) for t in tones if t.band_index == b]
+        band = band_sum(streams, cfg.resolved_sum_width)
+        bands.append(band_shift(upsample_interp(down_shift(band, cfg), cfg), b, cfg))
+    return band_sum(bands, cfg.wide_width)
+
+
+@st.composite
+def comb_cases(draw):
+    l_acc = 4 * draw(st.integers(2, 16))
+    u = draw(st.sampled_from([1, 2, 4]))
+    cfg = GeneratorConfig(
+        n_bands=draw(st.integers(1, 2)),
+        tones_per_band=3,
+        L_acc=l_acc,
+        upsample_factor=u,
+        shifter_lut_len=5 * u * draw(st.integers(1, 2)),
+        sum_width_bits=draw(st.sampled_from([None, 10, 11])),  # 10 and 11 may overflow
+    )
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, cfg.n_bands - 1),
+                st.integers(0, l_acc - 1),
+                st.integers(0, 1 << AMPLITUDE_FORMAT.frac_bits),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    tones = [ToneConfig(b, t, w, amp(a)) for t, (b, w, a) in enumerate(specs)]
+    n = draw(st.one_of(st.integers(1, l_acc - 1), st.integers(l_acc, 3 * l_acc + 5)))
+    return cfg, tones, n, draw(st.integers(1, 2))
+
+
+@settings(max_examples=150)
+@given(comb_cases())
+def test_generate_comb_sums_one_accumulator_period(case):
+    # n below, at and above L_acc; both raise on the same overflow
+    cfg, tones, n, threads = case
+    try:
+        want = generate_comb_reference(cfg, tones, n)
+    except ConfigError as e:
+        with pytest.raises(ConfigError, match=str(e)):
+            generate_comb(cfg, tones, n, threads)
+        return
+    got = generate_comb(cfg, tones, n, threads)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,11 +42,14 @@ from combtwin.harness import (
     _float_interp_taps,
     _periodic_window_sums,
     _post_accum_residual_db,
+    _span,
     _spectral_line_count,
     _square_signs,
+    _subbands,
     _tone_metrics,
 )
-from combtwin.metrics import predict_spurs
+from combtwin.metrics import AmpPhaseResult, predict_spurs
+from test_metrics import amp_phase_reference, assert_same_bits
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +224,7 @@ def test_run_result_metadata(desk_a_result):
     assert desk_a_result.scenario_name == "desk_a"
     assert desk_a_result.engine == "periodic"
     assert desk_a_result.engine_reason == (
-        "period 5120 band samples x 2 < 2622464 and the transient fits"
+        "period 5120 + transient 25 band samples < 2622464 and the transient fits"
     )
     assert desk_a_result.config_hash == config_hash(desk_a_result.config)
     assert desk_a_result.wall_time_s > 0
@@ -235,19 +239,21 @@ def test_throughput_counter(desk_a_result):
 
 
 def test_computed_rate_counts_only_generated_samples(desk_a_result):
-    # periodic: 2 periods of 5120 band samples computed for 2560 windows of 1024
+    # periodic: one period of 5120 band samples plus the 25-sample transient
+    # computed for 2560 windows of 1024
     r = desk_a_result
-    assert r.computed_sps / r.throughput_sps == pytest.approx(2 * 5120 / (2560 * 1024))
+    assert r.computed_sps / r.throughput_sps == pytest.approx((5120 + 25) / (2560 * 1024))
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64)
     d = run_loopback(cfg, engine="direct")
     assert d.computed_sps / d.throughput_sps == pytest.approx((64 + 1) / 64)
 
 
 def test_oracle_computed_rate_counts_only_generated_samples():
-    # periodic: 2 periods of 5120 band samples; direct: all 64 + 1 windows of 1024
+    # periodic: one period of 5120 band samples plus the 25-sample transient;
+    # direct: all 64 + 1 windows of 1024
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=64)
     p = float_oracle(cfg, engine="periodic")
-    assert p.computed_sps / p.throughput_sps == pytest.approx(2 * 5120 / (64 * 1024))
+    assert p.computed_sps / p.throughput_sps == pytest.approx((5120 + 25) / (64 * 1024))
     d = float_oracle(cfg, engine="direct")
     assert d.computed_sps / d.throughput_sps == pytest.approx((64 + 1) / 64)
 
@@ -267,12 +273,16 @@ def test_periodic_engine_matches_direct():
             assert np.array_equal(tp.series.q, td.series.q)
 
 
-def test_periodic_engine_tiles_a_period_past_the_transient():
-    # period 40 band samples, filter transient 192: only the 6th period is steady
+def tiny_chain():
+    # period 40 band samples, filter transient 192: longer than the period
     cfg = make_chain_config(
         "tiny", 8, 8, 1, 1, 64, upsample_factor=1, shifter_lut_len=5, freq_words=[1]
     )
-    cfg = replace(cfg, warmup_windows=30)
+    return replace(cfg, warmup_windows=30)
+
+
+def test_periodic_engine_tiles_a_period_past_the_transient():
+    cfg = tiny_chain()
     auto = run_loopback(cfg, engine="auto")
     direct = run_loopback(cfg, engine="direct")
     assert auto.engine == "periodic"
@@ -318,10 +328,10 @@ def test_periodic_engine_equals_direct_on_random_chains(cfg):
 
 def test_engine_auto_falls_back_to_direct_when_period_too_long():
     cfg = builtin_scenarios()["desk_a"]
-    short = replace(cfg, acquisition_len=4)  # 2 periods exceed the run
+    short = replace(cfg, acquisition_len=4)  # a period plus the transient exceeds the run
     res = run_loopback(short, engine="auto")
     assert res.engine == "direct"
-    assert res.engine_reason == "period 5120 band samples x 2 >= 5120"
+    assert res.engine_reason == "period 5120 + transient 25 band samples >= 5120"
     cold = run_loopback(replace(cfg, acquisition_len=64, warmup_windows=0), engine="auto")
     assert cold.engine == "direct"
     assert cold.engine_reason == "the 25-sample transient exceeds 0 warm-up samples"
@@ -344,8 +354,8 @@ def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
     cfg = builtin_scenarios()["desk_a"]
     p_band = waveform_period(1024, 8, 40) // 8
     n = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
-    assert _engine_plan(cfg, "auto")[:3] == (True, 2 * p_band, p_band)
-    assert _engine_plan(cfg, "periodic")[:3] == (True, 2 * p_band, p_band)
+    assert _engine_plan(cfg, "auto")[:3] == (True, p_band + 25, p_band)
+    assert _engine_plan(cfg, "periodic")[:3] == (True, p_band + 25, p_band)
     assert _engine_plan(cfg, "direct")[:3] == (False, n, n)
     short = replace(cfg, acquisition_len=4)
     assert _engine_plan(short, "auto")[:3] == (False, 5 * 1024, 5 * 1024)
@@ -357,10 +367,94 @@ def test_periodic_plan_span_is_one_period_ending_the_run(cfg):
     g = cfg.generator
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
     periodic, n_gen, span, _ = _engine_plan(cfg, "periodic")
-    assert periodic and span == p_band and n_gen % p_band == 0 and n_gen > span
+    # the span starts where the transient ends
+    assert periodic and span == p_band and n_gen == p_band + _band_transient_len(cfg)
     assert _engine_plan(cfg, "direct")[1:3] == (
         (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg,
     ) * 2
+
+
+@pytest.mark.parametrize("name", [*sorted(builtin_scenarios()), "tiny"])
+def test_rotated_span_equals_the_last_period_of_a_whole_period_run(name):
+    # oracle: the last of k whole periods, which starts at a multiple of
+    # p_band past the transient
+    cfg = tiny_chain() if name == "tiny" else builtin_scenarios()[name]
+    if name in LONG_RUN_SCENARIOS:  # one band of 40 tones
+        cfg = replace(cfg, tones=tuple(t for t in cfg.tones if t.band_index == 0))
+    plan = _engine_plan(cfg, "periodic")
+    _, n_gen, p_band, _ = plan
+    transient = _band_transient_len(cfg)
+    k = -(-transient // p_band) + 1
+    if name == "tiny":
+        assert (p_band, transient, k, n_gen % p_band) == (40, 192, 6, 32)
+    # a prefix of a run equals the shorter run
+    for sub in _subbands(cfg, k * p_band, threads=1).values():
+        got = _span(plan, tuple(s[:n_gen] for s in sub))
+        for g, s in zip(got, sub, strict=True):
+            assert g.dtype == s.dtype == np.int64
+            assert np.array_equal(g, s[(k - 1) * p_band :])
+
+
+def tone_metrics_reference(series, predicted):
+    """_tone_metrics before it ran amplitude/phase on the pattern: the old
+    amp_phase body over the whole series."""
+
+    def whole_series(i, q, n):
+        assert len(i) == n
+        return AmpPhaseResult(*amp_phase_reference(i, q))
+
+    with mock.patch("combtwin.harness._amp_phase", whole_series):
+        return _tone_metrics(series, predicted, len(series))
+
+
+def assert_same_tone(got, want):
+    """Series, both spectra, both spur reports and carrier power, bit for bit."""
+    arrays = [
+        (t.series.i, t.series.q, t.amp_spectrum.values, t.phase_spectrum.values)
+        for t in (got, want)
+    ]
+    assert_same_bits(*arrays)
+    assert repr((got.amp_spurs, got.phase_spurs)) == repr((want.amp_spurs, want.phase_spurs))
+    assert float(got.carrier_power).hex() == float(want.carrier_power).hex()
+
+
+@settings(max_examples=40)
+@given(small_chains())
+def test_tone_metrics_on_the_pattern_equal_the_whole_series_path(cfg):
+    rp = run_loopback(cfg, engine="periodic")
+    rd = run_loopback(cfg, engine="direct")
+    for tp, td in zip(rp.tones, rd.tones, strict=True):
+        assert_same_tone(tp, tone_metrics_reference(td.series, td.amp_spurs.predicted))
+
+
+def test_tone_metrics_on_a_winding_pattern_equal_the_whole_series_path():
+    # the demodulated phasor winds two whole turns per 5-window pattern
+    cfg = make_chain_config(
+        "winding", 20, 4, 1, 1, 15, upsample_factor=2, shifter_lut_len=10, freq_words=[12]
+    )
+    cfg = replace(cfg, warmup_windows=25)
+    (tp,) = run_loopback(cfg, engine="periodic").tones
+    (td,) = run_loopback(cfg, engine="direct").tones
+    p = np.arctan2(tp.series.q[:5], tp.series.i[:5])
+    assert not np.all(np.abs(np.diff(p, append=p[:1])) < np.pi)  # the tiled unwrap runs
+    assert_same_tone(tp, tone_metrics_reference(td.series, td.amp_spurs.predicted))
+
+
+@pytest.mark.parametrize(
+    "i, q, n",
+    [
+        (np.array([700]), np.array([-300]), 40),  # constant, n_pat = 1
+        (np.array([1000.0]), np.array([-0.0]), 41),  # constant on a signed zero
+        (np.array([-500, -500, -500, -500]), np.array([3, -3, 2, -1]), 43),  # crosses +-pi
+    ],
+)
+def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
+    k = np.arange(n) % len(i)
+    series = IqTimeSeries(0, 0, 1, i[k], q[k], 1e5, 4, DemodMode.SINE_DDC)
+    predicted = ((2e4, "period-extension alias"),)
+    assert_same_tone(
+        _tone_metrics(series, predicted, len(i)), tone_metrics_reference(series, predicted)
+    )
 
 
 def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
@@ -708,7 +802,7 @@ def float_oracle_reference(cfg, quantize_interp=False):
                 demod_mode=a.demod_mode,
                 n_discarded=len(y) - nw * a.L_avg,
             )
-            results.append(_tone_metrics(series, predicted))
+            results.append(_tone_metrics(series, predicted, len(series)))
     return results
 
 

@@ -16,6 +16,7 @@ from combtwin.metrics import (
     SpectrumUnits,
     SpectrumWindow,
     SpurLine,
+    _amp_phase,
     _periodogram_scale,
     _unwrap,
     amp_phase,
@@ -120,6 +121,62 @@ def test_amp_phase_unwraps():
 def test_amp_phase_degenerate_input():
     with pytest.raises(ValueError, match="degenerate"):
         amp_phase((np.zeros(8), np.zeros(8)))
+
+
+def amp_phase_reference(i, q):
+    """amp_phase before it ran on a pattern, kept as the oracle: every step
+    over the whole series."""
+    i = np.asarray(i, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if len(i) == 0:
+        raise ConfigError("amp_phase needs a nonempty series")
+    amp = np.hypot(i, q)
+    phase = _unwrap(np.arctan2(q, i))
+    mean_amp = float(np.mean(amp))
+    if mean_amp == 0.0:
+        raise ValueError("degenerate input: mean amplitude is zero")
+    return (amp, phase, amp / mean_amp - 1.0, phase - float(np.mean(phase)))
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# pattern values: small integers, signed zeros, and points either side of
+# the negative real axis, where the phase crosses +-pi
+_PATTERN_POINTS = st.one_of(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    st.sampled_from([(0.0, -0.0), (-0.0, 0.0), (-5.0, 1e-3), (-5.0, -1e-3), (-5.0, -0.0), (-5.0, 0.0)]),
+)
+
+
+@st.composite
+def tiled_patterns(draw):
+    points = draw(st.lists(_PATTERN_POINTS, min_size=1, max_size=12))
+    i, q = (np.array(v, dtype=np.float64) for v in zip(*points))
+    return i, q, draw(st.integers(len(i), 5 * len(i) + 7))
+
+
+@settings(max_examples=300)
+@given(tiled_patterns())
+@example((np.full(1, 1000.0), np.full(1, -0.0), 9))  # constant series, n_pat = 1
+@example((np.array([-5.0, -5.0, -5.0]), np.array([1e-3, -1e-3, 0.0]), 50))  # crosses +-pi
+@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 31))  # winds once per pattern
+def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
+    i, q, n = case
+    k = np.arange(n) % len(i)
+    try:
+        want = amp_phase_reference(i[k], q[k])
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate"):
+            _amp_phase(i, q, n)
+        return
+    got = _amp_phase(i, q, n)
+    assert_same_bits((got.amp, got.phase, got.delta_amp, got.delta_phase), want)
+    r = amp_phase((i[k], q[k]))
+    assert_same_bits((r.amp, r.phase, r.delta_amp, r.delta_phase), want)
 
 
 # phase values whose differences land on exactly +-pi, on signed zeros and
@@ -515,6 +572,40 @@ def test_deglitch_deterministic_and_idempotent():
     c, nc = deglitch(a, rng_seed=9)
     assert nc == 0
     assert np.array_equal(c, a)
+
+
+def deglitch_reference(x, rng_seed):
+    """deglitch with one scalar draw per glitch, in index order, kept as the
+    oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    mu = float(np.mean(x))
+    sigma = float(np.std(x))
+    out = x.copy()
+    if sigma == 0.0:
+        return out, 0
+    idx = np.nonzero(np.abs(x - mu) > 5.0 * sigma)[0]
+    rng = np.random.default_rng(rng_seed)
+    for k in idx:
+        out[k] = rng.uniform(mu - sigma, mu + sigma)
+    return out, int(idx.size)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1000, 4000),
+    st.one_of(st.just(0), st.just(1), st.integers(2, 30)),
+    st.integers(0, 2**32 - 1),
+)
+def test_deglitch_equals_one_draw_per_glitch(data_seed, n, n_glitches, rng_seed):
+    rng = np.random.default_rng(data_seed)
+    x = rng.standard_normal(n)
+    idx = rng.choice(n, size=n_glitches, replace=False)
+    x[idx] = 1e4 * np.where(rng.random(n_glitches) > 0.5, 1.0, -1.0)
+    got, n_got = deglitch(x, rng_seed)
+    want, n_want = deglitch_reference(x, rng_seed)
+    assert n_got == n_want == n_glitches
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_deglitch_requires_two_samples():
