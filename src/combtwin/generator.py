@@ -340,10 +340,27 @@ def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     return y
 
 
-def periodic_extend(a: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    """a[(start + k) % len(a)] for k < n, by tiling a once."""
+def periodic_extend(
+    a: np.ndarray, n: int, start: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a[(start + k) % len(a)] for k < n, into out (length n) if given.
+
+    One rotated copy of a, then each copy doubles the filled prefix: about
+    log2(n / len(a)) contiguous copies, and no array beyond the result."""
+    a = np.asarray(a)
     s = start % len(a)
-    return np.tile(a, -(-(s + n) // len(a)))[s : s + n]
+    if out is None:
+        out = np.empty(n, dtype=a.dtype)
+    k = min(n, len(a) - s)
+    out[:k] = a[s : s + k]
+    j = min(n - k, s)
+    out[k : k + j] = a[:j]
+    k += j
+    while k < n:
+        j = min(k, n - k)
+        out[k : k + j] = out[:j]
+        k += j
+    return out
 
 
 def make_lut(

@@ -51,9 +51,10 @@ from .metrics import (
     SpectrumWindow,
     SpurReport,
     _amp_phase,
+    _periodogram,
+    _periodogram_fac,
     detect_spurs,
     predict_spurs,
-    psd,
 )
 
 SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
@@ -454,11 +455,14 @@ def _tone_metrics(
     series: IqTimeSeries, predicted: tuple[tuple[float, str], ...], n_pat: int
 ) -> ToneResult:
     """Amplitude/phase, both PSDs and spur reports of a series that tiles
-    its first n_pat samples (n_pat >= len(series): no repetition)."""
+    its first n_pat samples (n_pat >= len(series): no repetition). Each
+    periodogram input is its fluctuation pattern times the Rect window's
+    constant scale, tiled: the same products as the whole series times the
+    scale, built at pattern cost."""
     n = len(series)
     fs = series.rate_hz
-    all_zero = not (np.any(series.i) or np.any(series.q))
-    if all_zero:
+    i, q = series.i[:n_pat], series.q[:n_pat]
+    if not (np.any(i) or np.any(q)):
         zs = _zero_spectrum(n, fs)
         empty = SpurReport(lines=(), floor=0.0, predicted=predicted)
         return ToneResult(
@@ -469,9 +473,10 @@ def _tone_metrics(
             phase_spurs=empty,
             carrier_power=0.0,
         )
-    ap = _amp_phase(series.i[:n_pat], series.q[:n_pat], n)
-    amp_spec = psd(ap.delta_amp, fs)
-    phase_spec = psd(ap.delta_phase, fs)
+    fac = _periodogram_fac(SpectrumWindow.RECT, n, fs)
+    _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
+    amp_spec = _periodogram(xa, fs, SpectrumWindow.RECT)
+    phase_spec = _periodogram(xp, fs, SpectrumWindow.RECT)
     amp_rep = detect_spurs(
         amp_spec,
         threshold_db=10.0,
@@ -482,14 +487,13 @@ def _tone_metrics(
         threshold_db=10.0,
         floor_min=float(np.max(phase_spec.values)) * SPUR_FLOOR_GUARD_REL,
     )
-    carrier = float(np.mean(ap.amp)) ** 2
     return ToneResult(
         series=series,
         amp_spectrum=amp_spec,
         phase_spectrum=phase_spec,
         amp_spurs=SpurReport(amp_rep.lines, amp_rep.floor, predicted),
         phase_spurs=SpurReport(phase_rep.lines, phase_rep.floor, predicted),
-        carrier_power=carrier,
+        carrier_power=mean_amp**2,
     )
 
 

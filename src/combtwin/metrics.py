@@ -134,36 +134,48 @@ def amp_phase(series) -> AmpPhaseResult:
         i, q = series
     else:
         i, q = series.i, series.q
-    return _amp_phase(i, q, len(i))
+    amp, phase, _, delta_amp, delta_phase = _amp_phase(i, q, len(i))
+    return AmpPhaseResult(amp, phase, delta_amp, delta_phase)
 
 
-def _amp_phase(i, q, n: int) -> AmpPhaseResult:
-    """amp_phase of the series that tiles (i, q) to n samples, bit for bit:
-    the elementwise work runs on the given samples only, the means over the
-    tiled arrays. Unless some cyclic step of the pattern's phase (the wrap
-    step included) is a jump, np.unwrap of the tiled phase adds 0.0 to
-    every sample after the first and nothing else."""
+def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
+    """amp_phase of the series that tiles (i, q) to n samples, bit for bit,
+    with both fluctuation series multiplied by fac: (amp, phase, mean
+    amplitude, delta_amp * fac, delta_phase * fac). The elementwise work
+    runs on the given samples only, the means over the tiled arrays; with
+    overwrite, the fluctuation series are written over those two arrays,
+    for callers that need only the means of them. Unless some cyclic step
+    of the pattern's phase (the wrap step included) is a jump, np.unwrap of
+    the tiled phase adds 0.0 to every sample after the first and nothing
+    else, so delta_phase tiles the pattern too."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if len(i) == 0:
         raise ConfigError("amp_phase needs a nonempty series")
     amp_pat = np.hypot(i, q)
     amp = periodic_extend(amp_pat, n)
-    p = np.arctan2(q, i)
-    if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):
-        phase = periodic_extend(p + 0.0, n)
-        phase[0] = p[0]
-    else:
-        phase = _unwrap(periodic_extend(p, n))
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:
         raise ValueError("degenerate input: mean amplitude is zero")
-    return AmpPhaseResult(
-        amp=amp,
-        phase=phase,
-        delta_amp=periodic_extend(amp_pat / mean_amp - 1.0, n),
-        delta_phase=phase - float(np.mean(phase)),
+    delta_amp = periodic_extend(
+        (amp_pat / mean_amp - 1.0) * fac, n, out=amp if overwrite else None
     )
+    p = np.arctan2(q, i)
+    if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):
+        p_up = p + 0.0
+        phase = periodic_extend(p_up, n)
+        phase[0] = p[0]
+        mean_phase = float(np.mean(phase))
+        delta_phase = periodic_extend(
+            (p_up - mean_phase) * fac, n, out=phase if overwrite else None
+        )
+        delta_phase[0] = (p[0] - mean_phase) * fac
+    else:
+        phase = _unwrap(periodic_extend(p, n))
+        mean_phase = float(np.mean(phase))
+        delta_phase = np.subtract(phase, mean_phase, out=phase if overwrite else None)
+        delta_phase *= fac
+    return amp, phase, mean_amp, delta_amp, delta_phase
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:
@@ -186,20 +198,62 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
 # power spectral density
 
 
+def _periodogram_window(window: SpectrumWindow, n: int) -> np.ndarray:
+    if window is SpectrumWindow.RECT:
+        return np.ones(n)  # what get_window("boxcar", n) returns
+    from scipy.signal import get_window
+
+    return get_window("hann", n)
+
+
+def _periodogram_fac(window: SpectrumWindow, n: int, fs: float) -> float:
+    """scipy.signal.periodogram's density factor for the window, in its
+    exact operation order. The Rect window's sum of squares is n exactly,
+    so it needs no window array."""
+    if window is SpectrumWindow.RECT:
+        w2 = np.float64(n)
+    else:
+        w = _periodogram_window(window, n)
+        w2 = np.add.accumulate(w * w)[-1]
+    return float(1 / np.sqrt(w2 / (1 / fs)))
+
+
 @functools.lru_cache(maxsize=4)
 def _periodogram_scale(window: SpectrumWindow, n: int, fs: float) -> np.ndarray:
-    """The window times scipy.signal.periodogram's density factor, in its
-    exact operation order; read-only, since every caller shares it."""
-    if window is SpectrumWindow.RECT:
-        w = np.ones(n)  # what get_window("boxcar", n) returns
-    else:
-        from scipy.signal import get_window
-
-        w = get_window("hann", n)
-    fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
-    scale = w * fac
+    """The window times its density factor; read-only, since every caller
+    shares it."""
+    scale = _periodogram_window(window, n) * _periodogram_fac(window, n, fs)
     scale.flags.writeable = False
     return scale
+
+
+def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
+    """The periodogram of xw, the input already multiplied by
+    _periodogram_scale(window, len(xw), fs): scipy.signal.periodogram(
+    detrend=False, scaling="density") written out around one rfft, in its
+    exact operation order, bit-identical for both windows and every length
+    without ShortTimeFFT's overhead. Squaring the rfft output in place
+    through its float64 view forms scipy's re**2 and im**2, which numpy
+    computes as re*re and im*im. The rfft of +-0 is +-0, so an all-zero
+    input skips it."""
+    n = len(xw)
+    if n < 2:
+        raise ConfigError("psd needs at least 2 samples")
+    if not (xw[0] or xw.any()):
+        pxx = np.zeros(n // 2 + 1)
+    else:
+        ri = _rfft(xw).view(np.float64)
+        np.multiply(ri, ri, out=ri)
+        pxx = ri[0::2] + ri[1::2]
+        pxx[1 : -1 if n % 2 == 0 else None] *= 2
+    return Spectrum(
+        n_points=n,
+        bin_hz=fs / n,
+        values=pxx,
+        units=SpectrumUnits.LINEAR_PER_HZ,
+        window=window,
+        method=PsdMethod.PERIODOGRAM,
+    )
 
 
 def psd(
@@ -226,20 +280,7 @@ def psd(
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
         win = window if window is not None else SpectrumWindow.RECT
-        # scipy.signal.periodogram(detrend=False, scaling="density") written
-        # out around one rfft, in its exact operation order: bit-identical
-        # for both windows and every length, without ShortTimeFFT's overhead
-        spec = _rfft(x * _periodogram_scale(win, n, fs))
-        pxx = spec.real**2 + spec.imag**2
-        pxx[1 : -1 if n % 2 == 0 else None] *= 2
-        return Spectrum(
-            n_points=n,
-            bin_hz=fs / n,
-            values=pxx,
-            units=SpectrumUnits.LINEAR_PER_HZ,
-            window=win,
-            method=method,
-        )
+        return _periodogram(x * _periodogram_scale(win, n, fs), fs, win)
     win = window if window is not None else SpectrumWindow.HANN
     win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
     seg = segment_len if segment_len is not None else max(2, n // 8)
@@ -361,6 +402,25 @@ def predict_spurs(
     return out
 
 
+def _spur_floor(vals: np.ndarray, floor_min: float) -> float:
+    """max(float(np.median(vals)), floor_min), without the median when more
+    than half the bins are <= floor_min and none is NaN. The two middle
+    bins are then <= floor_min, and so is their mean, since floor_min <
+    2**1023 keeps their sum finite: max returns floor_min, or at a tie the
+    median, whose bits equal floor_min's unless both are zero. A zero
+    floor_min ties with a +0.0 median when no bin has its sign bit set."""
+    if (
+        floor_min < 2.0**1023
+        and 2 * np.count_nonzero(vals <= floor_min) > len(vals)
+        and not np.isnan(vals).any()
+    ):
+        if floor_min != 0.0:
+            return floor_min
+        if not np.signbit(vals).any():
+            return 0.0
+    return max(float(np.median(vals)), floor_min)
+
+
 def detect_spurs(
     spec: Spectrum, threshold_db: float = 10.0, floor_min: float = 0.0
 ) -> SpurReport:
@@ -374,14 +434,17 @@ def detect_spurs(
     if threshold_db <= 0:
         raise ConfigError("threshold_db must be > 0")
     vals = spec.linear_values()
-    floor_lin = max(float(np.median(vals)), floor_min)
+    floor_lin = _spur_floor(vals, floor_min)
     thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
-    # bins 1.. against both neighbours; the last bin's right neighbour is -inf
-    padded = np.append(vals, -np.inf)
-    v = padded[1:-1]
-    peak = (v > thresh) & (v > padded[:-2]) & (v > padded[2:])
+    # bins 1.. over the threshold against both neighbours; the last bin's
+    # right neighbour is -inf, which every bin over the threshold exceeds
+    cand = np.flatnonzero(vals[1:] > thresh) + 1
+    v = vals[cand]
+    last = len(vals) - 1
+    right = vals[np.minimum(cand + 1, last)]
+    peak = (v > vals[cand - 1]) & ((cand == last) | (v > right))
     lines = []
-    for b in (np.flatnonzero(peak) + 1).tolist():
+    for b in cand[peak].tolist():
         level_db = (
             math.inf if floor_lin == 0.0 else 10.0 * math.log10(vals[b] / floor_lin)
         )

@@ -30,6 +30,7 @@ from combtwin.generator import (
     generate_comb,
     lut_mix,
     make_lut,
+    periodic_extend,
     phase_words,
     tone_generate,
     upsample_interp,
@@ -632,6 +633,30 @@ def test_tiled_lut_mix_equals_modulo_indexed(case):
     assert np.array_equal(mi, ri)
     assert np.array_equal(mq, rq)
     assert np.array_equal(x[0], before[0]) and np.array_equal(x[1], before[1])
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(-(2**40), 2**40), min_size=m, max_size=m),
+            st.integers(0, 8 * m + 9),
+            st.integers(-3 * m, 3 * m),
+            st.sampled_from([np.int64, np.float64]),
+            st.booleans(),
+        )
+    )
+)
+def test_periodic_extend_equals_modulo_indexed(case):
+    values, n, start, dtype, into = case
+    a = np.array(values, dtype=dtype)
+    want = a[(start + np.arange(n)) % len(a)]
+    out = np.full(n, -1, dtype=dtype) if into else None
+    got = periodic_extend(a, n, start, out=out)
+    assert got.dtype == a.dtype and got.flags.writeable
+    assert np.array_equal(got, want)
+    if into:
+        assert got is out
 
 
 def test_band_shift_lut_periodicity():

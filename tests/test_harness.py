@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from combtwin import ConfigError, FxpValue
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
@@ -26,7 +27,9 @@ from combtwin.generator import (
 from combtwin.harness import (
     LONG_RUN_SCENARIOS,
     PRE_ACCUM_LINE_THRESHOLD_DB,
+    SPUR_FLOOR_GUARD_REL,
     DemodToneComparison,
+    ToneResult,
     builtin_scenarios,
     config_hash,
     default_sweep_config,
@@ -48,8 +51,16 @@ from combtwin.harness import (
     _subbands,
     _tone_metrics,
 )
-from combtwin.metrics import AmpPhaseResult, predict_spurs
-from test_metrics import amp_phase_reference, assert_same_bits
+from combtwin.metrics import (
+    PsdMethod,
+    Spectrum,
+    SpectrumUnits,
+    SpectrumWindow,
+    SpurReport,
+    _rfft,
+    predict_spurs,
+)
+from test_metrics import _detect_spurs_loop, amp_phase_reference, assert_same_bits
 
 
 @pytest.fixture(scope="module")
@@ -396,15 +407,38 @@ def test_rotated_span_equals_the_last_period_of_a_whole_period_run(name):
 
 
 def tone_metrics_reference(series, predicted):
-    """_tone_metrics before it ran amplitude/phase on the pattern: the old
-    amp_phase body over the whole series."""
+    """_tone_metrics before it ran on the pattern, spelled out: amplitude
+    and phase over the whole series, scipy's periodogram of each
+    fluctuation series, the bin-loop spur detector and the carrier from the
+    mean amplitude of the whole series."""
+    n, fs = len(series), series.rate_hz
 
-    def whole_series(i, q, n):
-        assert len(i) == n
-        return AmpPhaseResult(*amp_phase_reference(i, q))
+    def spectrum(values):
+        return Spectrum(
+            n_points=n,
+            bin_hz=fs / n,
+            values=values,
+            units=SpectrumUnits.LINEAR_PER_HZ,
+            window=SpectrumWindow.RECT,
+            method=PsdMethod.PERIODOGRAM,
+        )
 
-    with mock.patch("combtwin.harness._amp_phase", whole_series):
-        return _tone_metrics(series, predicted, len(series))
+    if not (np.any(series.i) or np.any(series.q)):
+        zeros = spectrum(np.zeros(n // 2 + 1))
+        empty = SpurReport(lines=(), floor=0.0, predicted=predicted)
+        return ToneResult(series, zeros, zeros, empty, empty, 0.0)
+    amp, _, delta_amp, delta_phase = amp_phase_reference(series.i, series.q)
+    spectra, reports = [], []
+    for delta in (delta_amp, delta_phase):
+        _, pxx = signal.periodogram(
+            delta, fs=fs, window="boxcar", detrend=False, scaling="density"
+        )
+        spec = spectrum(pxx)
+        floor_min = float(np.max(pxx)) * SPUR_FLOOR_GUARD_REL
+        lines, floor = _detect_spurs_loop(spec, 10.0, floor_min)
+        spectra.append(spec)
+        reports.append(SpurReport(lines, floor, predicted))
+    return ToneResult(series, *spectra, *reports, float(np.mean(amp)) ** 2)
 
 
 def assert_same_tone(got, want):
@@ -414,6 +448,12 @@ def assert_same_tone(got, want):
         for t in (got, want)
     ]
     assert_same_bits(*arrays)
+    # the spectra's other fields
+    meta = [
+        [{k: v for k, v in vars(s).items() if k != "values"} for s in spectra]
+        for spectra in ((t.amp_spectrum, t.phase_spectrum) for t in (got, want))
+    ]
+    assert meta[0] == meta[1]
     assert repr((got.amp_spurs, got.phase_spurs)) == repr((want.amp_spurs, want.phase_spurs))
     assert float(got.carrier_power).hex() == float(want.carrier_power).hex()
 
@@ -446,15 +486,23 @@ def test_tone_metrics_on_a_winding_pattern_equal_the_whole_series_path():
         (np.array([700]), np.array([-300]), 40),  # constant, n_pat = 1
         (np.array([1000.0]), np.array([-0.0]), 41),  # constant on a signed zero
         (np.array([-500, -500, -500, -500]), np.array([3, -3, 2, -1]), 43),  # crosses +-pi
+        # fluctuations that are exactly zero: amplitude and phase, amplitude
+        # only, phase only (as on full_b), and a silent series
+        (np.array([700]), np.array([0]), 40),
+        (np.array([-3, 4, 0]), np.array([4, 3, -5]), 42),
+        (np.array([1, 2, 3, 4, 5]), np.array([0, 0, 0, 0, 0]), 45),
+        (np.array([0, 0]), np.array([0, 0]), 40),
     ],
 )
 def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
     k = np.arange(n) % len(i)
     series = IqTimeSeries(0, 0, 1, i[k], q[k], 1e5, 4, DemodMode.SINE_DDC)
     predicted = ((2e4, "period-extension alias"),)
-    assert_same_tone(
-        _tone_metrics(series, predicted, len(i)), tone_metrics_reference(series, predicted)
-    )
+    with mock.patch("combtwin.metrics._rfft", wraps=_rfft) as rfft:
+        got = _tone_metrics(series, predicted, len(i))
+    # an FFT of zeros is never taken
+    assert rfft.call_count == sum(np.any(s.values) for s in (got.amp_spectrum, got.phase_spectrum))
+    assert_same_tone(got, tone_metrics_reference(series, predicted))
 
 
 def periodic_window_sums_reference(y, p_band, l_avg, n_windows):

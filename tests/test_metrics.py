@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from combtwin.metrics import (
     SpectrumWindow,
     SpurLine,
     _amp_phase,
+    _periodogram_fac,
     _periodogram_scale,
+    _rfft,
     _unwrap,
     amp_phase,
     dbc_per_hz,
@@ -156,27 +159,40 @@ _PATTERN_POINTS = st.one_of(
 def tiled_patterns(draw):
     points = draw(st.lists(_PATTERN_POINTS, min_size=1, max_size=12))
     i, q = (np.array(v, dtype=np.float64) for v in zip(*points))
-    return i, q, draw(st.integers(len(i), 5 * len(i) + 7))
+    # lengths past 4096 tile each pattern many times over
+    n = draw(st.integers(len(i), 5 * len(i) + 7) | st.integers(4090, 9000))
+    # 1.0 is amp_phase's; the others are Rect periodogram scales 1/sqrt(n*fs)
+    fac = draw(st.sampled_from([1.0, 1 / math.sqrt(41 * 3.0), 2.0**-9]))
+    return i, q, n, fac, draw(st.booleans())
 
 
 @settings(max_examples=300)
 @given(tiled_patterns())
-@example((np.full(1, 1000.0), np.full(1, -0.0), 9))  # constant series, n_pat = 1
-@example((np.array([-5.0, -5.0, -5.0]), np.array([1e-3, -1e-3, 0.0]), 50))  # crosses +-pi
-@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 31))  # winds once per pattern
+@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 1.0, False))  # constant series, n_pat = 1
+@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 2.0**-9, True))  # zero fluctuations
+@example((np.array([-5.0, -5.0, -5.0]), np.array([1e-3, -1e-3, 0.0]), 50, 1.0, True))  # crosses +-pi
+@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 31, 2.0**-9, True))  # winds once per pattern
+@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 4097, 1.0, False))
 def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
-    i, q, n = case
+    i, q, n, fac, overwrite = case
     k = np.arange(n) % len(i)
     try:
-        want = amp_phase_reference(i[k], q[k])
+        amp, phase, delta_amp, delta_phase = amp_phase_reference(i[k], q[k])
     except ValueError:
         with pytest.raises(ValueError, match="degenerate"):
-            _amp_phase(i, q, n)
+            _amp_phase(i, q, n, fac, overwrite)
         return
-    got = _amp_phase(i, q, n)
-    assert_same_bits((got.amp, got.phase, got.delta_amp, got.delta_phase), want)
+    got_amp, got_phase, mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac, overwrite)
+    assert_same_bits((got_da, got_dp), (delta_amp * fac, delta_phase * fac))
+    if overwrite:  # the fluctuation series took the place of the tiled arrays
+        assert got_amp is got_da and got_phase is got_dp
+    else:
+        assert_same_bits((got_amp, got_phase), (amp, phase))
+    assert mean_amp.hex() == float(np.mean(amp)).hex()
     r = amp_phase((i[k], q[k]))
-    assert_same_bits((r.amp, r.phase, r.delta_amp, r.delta_phase), want)
+    assert_same_bits(
+        (r.amp, r.phase, r.delta_amp, r.delta_phase), (amp, phase, delta_amp, delta_phase)
+    )
 
 
 # phase values whose differences land on exactly +-pi, on signed zeros and
@@ -308,6 +324,44 @@ def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
     got = psd(x, fs, method=PsdMethod.PERIODOGRAM, window=window).values
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("window", list(SpectrumWindow))
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.zeros(2),
+        np.zeros(7),
+        np.array([0.0, -0.0] * 4),
+        np.full(9, -0.0),
+        np.array([0.0, 0.0, 5e-324, 0.0, -0.0, 0.0]),  # underflows to +-0 once scaled
+        np.full(10, 5e-324),
+        np.array([0.0, 1e-300, 0.0, 0.0, -3e-310]),
+    ],
+)
+def test_periodogram_of_zero_and_near_zero_inputs_equals_scipy(x, window):
+    name = "boxcar" if window is SpectrumWindow.RECT else "hann"
+    _, want = signal.periodogram(x, fs=3.0, window=name, detrend=False, scaling="density")
+    with mock.patch("combtwin.metrics._rfft", wraps=_rfft) as rfft:
+        got = psd(x, 3.0, method=PsdMethod.PERIODOGRAM, window=window).values
+    assert got.dtype == want.dtype
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    xw = x * _periodogram_scale(window, len(x), 3.0)
+    assert rfft.call_count == (1 if xw.any() else 0)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(list(SpectrumWindow)),
+    st.integers(1, 70000),
+    st.sampled_from([1.0, 3.0, 250e6 / 1024, 1e-3, 0.1]),
+)
+def test_periodogram_fac_and_scale_equal_scipy_order(window, n, fs):
+    # scipy.signal.periodogram's density factor over the whole window
+    w = np.ones(n) if window is SpectrumWindow.RECT else signal.get_window("hann", n)
+    fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
+    assert _periodogram_fac(window, n, fs).hex() == float(fac).hex()
+    assert_same_bits((_periodogram_scale(window, n, fs),), (w * fac,))
 
 
 def test_periodogram_scale_is_read_only():
@@ -474,7 +528,7 @@ def _detect_spurs_loop(spec, threshold_db, floor_min):
     lines = []
     for b in range(1, len(vals)):
         v = vals[b]
-        if v <= thresh:
+        if not v > thresh:  # a NaN bin or a NaN floor is never a line
             continue
         left = vals[b - 1] if b - 1 >= 0 else -np.inf
         right = vals[b + 1] if b + 1 < len(vals) else -np.inf
@@ -486,25 +540,19 @@ def _detect_spurs_loop(spec, threshold_db, floor_min):
     return tuple(lines), floor_lin
 
 
-@st.composite
-def spur_spectra(draw):
-    m = draw(st.integers(1, 200))
-    kind = draw(st.sampled_from(["plateau", "float", "zero", "edge"]))
-    if kind == "zero":
-        vals = [0.0] * m
-    elif kind == "float":
-        vals = draw(st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m))
-    else:  # few distinct levels, so equal neighbours are common
-        vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 1e3]), min_size=m, max_size=m))
-        if kind == "edge":
-            vals[-1] = 1e6  # a line in the last bin, which has no right neighbour
-    units = draw(st.sampled_from([SpectrumUnits.LINEAR_PER_HZ, SpectrumUnits.DBC_PER_HZ]))
-    values = np.array(vals)
+# linear levels that tie with every floor_min below, sit one subnormal
+# below zero, carry a sign bit, or make the two middle bins sum past the
+# largest double
+_TIE_LEVELS = [-0.0, 0.0, -5e-324, 1e-24, 1.0, 2.0, 1e3, 9e307]
+
+
+def _spur_spectrum(values, units=SpectrumUnits.LINEAR_PER_HZ, bin_hz=1.0):
+    values = np.array(values, dtype=np.float64)
     if units is SpectrumUnits.DBC_PER_HZ:
         values = values * 1e-4 - 50.0  # -50..+50 dB
     return Spectrum(
-        n_points=2 * m - 1,
-        bin_hz=draw(st.sampled_from([1.0, 0.1, 3.814697265625])),
+        n_points=2 * len(values) - 1,
+        bin_hz=bin_hz,
         values=values,
         units=units,
         window=SpectrumWindow.RECT,
@@ -512,19 +560,62 @@ def spur_spectra(draw):
     )
 
 
-@settings(max_examples=300)
+@st.composite
+def spur_spectra(draw):
+    m = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["plateau", "float", "zero", "edge", "nan", "half", "tie"]))
+    if kind == "zero":
+        vals = [0.0] * m
+    elif kind == "float":
+        vals = draw(st.lists(st.floats(0.0, 1e6), min_size=m, max_size=m))
+    elif kind == "nan":  # mostly zeros, so only a NaN keeps the median from the floor
+        vals = draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, math.nan, 30.0]), min_size=m, max_size=m))
+    elif kind == "half":  # a zero in just under, exactly or just over half the bins
+        low = draw(st.sampled_from([m // 2, (m + 1) // 2, m // 2 + 1]))
+        vals = [0.0] * low + [30.0] * (m - low)
+        vals = draw(st.permutations(vals))
+    elif kind == "tie":
+        vals = draw(st.lists(st.sampled_from(_TIE_LEVELS), min_size=m, max_size=m))
+    else:  # few distinct levels, so equal neighbours are common
+        vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 1e3]), min_size=m, max_size=m))
+        if kind == "edge":
+            vals[-1] = 1e6  # a line in the last bin, which has no right neighbour
+    units = draw(st.sampled_from([SpectrumUnits.LINEAR_PER_HZ, SpectrumUnits.DBC_PER_HZ]))
+    if kind == "tie":  # dBc levels map to positive linear ones: no ties
+        units = SpectrumUnits.LINEAR_PER_HZ
+    return _spur_spectrum(vals, units, draw(st.sampled_from([1.0, 0.1, 3.814697265625])))
+
+
+@settings(max_examples=500)
 @given(
     spec=spur_spectra(),
     threshold_db=st.floats(0.1, 40.0),
-    floor_min=st.sampled_from([0.0, 1e-24, 1.0]),
+    floor_min=st.sampled_from([0.0, -0.0, 1e-24, 1.0, 1e308]),
 )
+# more than half zeros and a NaN: the median, and so the floor, is NaN
+@example(spec=_spur_spectrum([0.0, 0.0, 0.0, math.nan, 5.0]), threshold_db=10.0, floor_min=0.0)
+@example(spec=_spur_spectrum([0.0, math.nan, 0.0, 0.0]), threshold_db=10.0, floor_min=0.0)
+# median == floor_min on a signed zero, odd and even
+@example(spec=_spur_spectrum([-0.0, -0.0, 1.0]), threshold_db=10.0, floor_min=0.0)
+@example(spec=_spur_spectrum([-0.0, 5.0, -0.0, -0.0]), threshold_db=10.0, floor_min=0.0)
+@example(spec=_spur_spectrum([0.0, 7.0, 0.0]), threshold_db=10.0, floor_min=-0.0)
+# (-5e-324 + 0.0) / 2 rounds to -0.0
+@example(spec=_spur_spectrum([0.0, -5e-324, 2.0, -5e-324]), threshold_db=10.0, floor_min=0.0)
+# median == floor_min away from zero
+@example(spec=_spur_spectrum([1.0, 1.0, 30.0, 0.0]), threshold_db=10.0, floor_min=1.0)
+# exactly half at or below floor_min: the median is the mean of 0.0 and 30.0
+@example(spec=_spur_spectrum([0.0, 30.0, 30.0, 0.0]), threshold_db=10.0, floor_min=0.0)
+# the two middle bins sum to inf
+@example(spec=_spur_spectrum([9e307, 9e307, 0.0, 9e307]), threshold_db=10.0, floor_min=1e308)
 def test_detect_spurs_equals_bin_loop(spec, threshold_db, floor_min):
-    lines, floor_lin = _detect_spurs_loop(spec, threshold_db, floor_min)
-    rep = detect_spurs(spec, threshold_db=threshold_db, floor_min=floor_min)
+    with np.errstate(over="ignore"):  # the median of two bins near the largest double
+        lines, floor_lin = _detect_spurs_loop(spec, threshold_db, floor_min)
+        rep = detect_spurs(spec, threshold_db=threshold_db, floor_min=floor_min)
     assert rep.lines == lines
     assert all(type(line.bin) is int for line in rep.lines)
     if spec.units is SpectrumUnits.LINEAR_PER_HZ:
-        assert rep.floor == floor_lin
+        assert type(rep.floor) is float
+        assert rep.floor.hex() == float(floor_lin).hex()
 
 
 # ---------------------------------------------------------------------------
