@@ -14,11 +14,9 @@ from .generator import (
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
-    band_shift,
     band_sum,
     default_freq_words,
     design_windowed_sinc,
-    down_shift,
     generate_comb,
     tone_generate,
     upsample_interp,

@@ -17,11 +17,12 @@ import numpy as np
 
 from .fxp import ConfigError
 from .generator import (
+    FIXED_POINT,
+    DoublePrecision,
     FilterSpec,
+    FixedPoint,
     design_windowed_sinc,
     fir_apply,
-    lut_mix,
-    polyphase_decimate,
 )
 
 
@@ -140,12 +141,15 @@ def channelize(
     band_index: int,
     cfg: AnalyzerConfig,
     method: str = "polyphase",
+    *,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract one band back onto the exciter's tone grid at band rate.
 
     Mix by the conjugate band-center exponential, lowpass, decimate by D,
-    then shift up by band_rate/5 to undo the exciter's down-shift. The
-    polyphase method is the default and is bit-identical to "direct".
+    then shift up by band_rate/5 to undo the exciter's down-shift, all in
+    arith. The polyphase method is the default and is bit-identical to
+    "direct", a fixed-point reference.
     """
     if not (0 <= band_index < cfg.n_bands):
         raise ConfigError(f"band_index {band_index} out of range 0..{cfg.n_bands - 1}")
@@ -154,15 +158,14 @@ def channelize(
     w = cfg.wide_width_bits
     d = cfg.decim_to_band
     cycles = cfg.shifter_lut_len * (2 * band_index + 1) // (5 * d)
-    mi, mq = lut_mix(wideband, cfg.shifter_lut_len, cycles, w, -1)
+    mi, mq = arith.mix(wideband, cfg.shifter_lut_len, cycles, w, -1)
     spec = cfg.resolved_channelizer_filter()
     if method == "direct":
         bi, bq = fir_apply(mi, mq, spec, w)
         bi, bq = bi[::d], bq[::d]
     else:
-        h = spec.taps_array()
-        bi, bq = (spec.requantize(polyphase_decimate(s, h, d), w) for s in (mi, mq))
-    return lut_mix((bi, bq), 5, 1, w, +1)
+        bi, bq = arith.decimate((mi, mq), spec, d, w)
+    return arith.mix((bi, bq), 5, 1, w, +1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Per-tone phase accumulator and CORDIC, per-band tone summation, -f_b/5
 down-shift, xU polyphase interpolation, band shift via a sine/cosine
-lookup table, and band summation into one wideband I/Q stream. All stages
-run on raw integer codes (int64 arrays); stream formats are Q1.(w-1).
+lookup table, and band summation into one wideband I/Q stream. The stages
+run on raw integer codes (int64 arrays; stream formats are Q1.(w-1)), or,
+for the float oracle, through the DoublePrecision arithmetic.
 """
 
 from __future__ import annotations
@@ -547,13 +548,6 @@ def band_sum(
     return bi, bq
 
 
-def down_shift(
-    band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply by e^(-j*2pi*n/5): shift the band down by band_rate/5."""
-    return lut_mix(band, 5, 1, cfg.resolved_sum_width, -1, start)
-
-
 def upsample_interp(
     band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -570,18 +564,6 @@ def upsample_interp(
     return tuple(spec.requantize(polyphase_interpolate(s, h, u), w) for s in band)
 
 
-def band_shift(
-    band: tuple[np.ndarray, np.ndarray],
-    band_index: int,
-    cfg: GeneratorConfig,
-    start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply by the band-center exponential from the shifter LUT."""
-    frac = cfg.band_center_fraction(band_index)  # validates band_index
-    cycles = int(frac * cfg.shifter_lut_len)
-    return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1, start)
-
-
 def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
     """Analytic steady-state period of the wideband comb: lcm(L_acc*U, lut_len)."""
     if L_acc < 1 or U < 1 or lut_len < 1:
@@ -589,13 +571,129 @@ def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
     return math.lcm(L_acc * U, lut_len)
 
 
+# ---------------------------------------------------------------------------
+# arithmetics: the chain's stages in exact integers or in double precision
+
+
+def _periodic_window_sums(
+    y: np.ndarray, p_band: int, l_avg: int, n_windows: int
+) -> np.ndarray:
+    """Boxcar sums over a stream that is y (one exact period) tiled from
+    absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg)."""
+    period_sum = int(y.sum())
+    c = np.concatenate(([0], np.cumsum(y)))
+    full, rem = divmod(l_avg, p_band)
+    n_pat = p_band // math.gcd(l_avg, p_band)
+    offsets = (np.arange(n_pat, dtype=np.int64) * l_avg) % p_band
+    # a window end past one period reads the next: period_sum + c[end - p_band]
+    ends = offsets + rem
+    wrap = ends > p_band
+    hi = c[ends - p_band * wrap]
+    hi[wrap] += period_sum
+    pattern = full * period_sum + (hi - c[offsets])
+    return periodic_extend(pattern, n_windows)
+
+
+@functools.lru_cache(maxsize=8)
+def _phasor_table(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k / length, k < length, with the exact zeros at
+    quarter turns that np.cos/np.sin miss by ~1e-16: the square-wave
+    demodulator takes the sign of the reference, and sign(0) is +1."""
+    k = np.arange(length)
+    c, s = np.cos(2.0 * np.pi * k / length), np.sin(2.0 * np.pi * k / length)
+    c[4 * k % (2 * length) == length] = 0.0
+    s[2 * k % length == 0] = 0.0
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
+class FixedPoint:
+    """The chain's int64 arithmetic: quantized CORDIC and LUT tables,
+    requantization, saturation and exact window sums. Each operation is
+    the stage function itself. Streams are (i, q) pairs in both
+    arithmetics, so periodic_extend and ddc_products serve both."""
+
+    def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
+        return tone_generate(tone, cfg, n)
+
+    def reference(self, L_acc: int, word: int, n: int, cordic: CordicConfig):
+        return cordic_tone(L_acc, word, n, cordic)
+
+    def sum(self, streams, width: int):
+        return band_sum(streams, width)
+
+    def mix(self, x, length: int, cycles: int, width: int, sign: int):
+        return lut_mix(x, length, cycles, width, sign)
+
+    def interp(self, band, cfg: GeneratorConfig):
+        return upsample_interp(band, cfg)
+
+    def decimate(self, x, spec: FilterSpec, d: int, width: int):
+        h = spec.taps_array()
+        return tuple(spec.requantize(polyphase_decimate(s, h, d), width) for s in x)
+
+    def window_sums(self, y: np.ndarray, p: int, l_avg: int, n_windows: int):
+        return _periodic_window_sums(y, p, l_avg, n_windows)
+
+
+FIXED_POINT = FixedPoint()
+
+
+class DoublePrecision:
+    """The same stages in float64: exact phasor tables indexed modulo their
+    periods (so the chain is exactly periodic), the given ideal
+    interpolator and channelizer taps, no requantization or saturation,
+    and every window summed from its own samples."""
+
+    def __init__(self, h_interp: np.ndarray, h_chan: np.ndarray) -> None:
+        self.h_interp, self.h_chan = h_interp, h_chan
+
+    def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
+        amp = tone.amplitude_code.to_float()
+        return tuple(amp * s for s in self.reference(cfg.L_acc, tone.freq_word, n, cfg.cordic))
+
+    def reference(self, L_acc: int, word: int, n: int, cordic: CordicConfig):
+        # the CORDIC's ideal, at its full scale 2^(data_bits-1) - 1
+        amp = float((1 << (cordic.data_bits - 1)) - 1)
+        ph = phase_words(L_acc, word, L_acc // math.gcd(L_acc, word))
+        return tuple(periodic_extend(amp * t[ph], n) for t in _phasor_table(L_acc))
+
+    def sum(self, streams, width: int):
+        streams = iter(streams)
+        bi, bq = (s.copy() for s in next(streams))
+        for si, sq in streams:
+            bi += si
+            bq += sq
+        return bi, bq
+
+    def mix(self, x, length: int, cycles: int, width: int, sign: int):
+        k = phase_words(length, cycles, length)
+        c, s = _phasor_table(length)
+        li, lq = (periodic_extend(t, len(x[0])) for t in (c[k], sign * s[k]))
+        return x[0] * li - x[1] * lq, x[0] * lq + x[1] * li
+
+    def interp(self, band, cfg: GeneratorConfig):
+        return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)
+
+    def decimate(self, x, spec: FilterSpec, d: int, width: int):
+        return tuple(polyphase_decimate(s, self.h_chan, d) for s in x)
+
+    def window_sums(self, y: np.ndarray, p: int, l_avg: int, n_windows: int):
+        rows = min(p // math.gcd(l_avg, p), n_windows)
+        sums = periodic_extend(y, rows * l_avg).reshape(rows, l_avg).sum(axis=1)
+        return periodic_extend(sums, n_windows)
+
+
 def generate_comb(
     cfg: GeneratorConfig,
     tones: Sequence[ToneConfig],
     n_band_samples: int,
     threads: int = 1,
+    *,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full excitation pipeline; returns the wideband I/Q stream.
+    """Run the full excitation pipeline in arith; returns the wideband I/Q
+    stream.
 
     Bands with no configured tones contribute silence. threads > 1 runs
     the bands in a thread pool; the result does not depend on it. Tones
@@ -620,18 +718,20 @@ def generate_comb(
         # sample 0, so the band's tone sum repeats every L_acc: sum one
         # accumulator period (the same values, so the same overflow check)
         n_acc = min(cfg.L_acc, n_band_samples)
-        streams = (tone_generate(t, cfg, n_acc) for t in by_band[b])
-        bi, bq = band_sum(streams, cfg.resolved_sum_width)
+        w = cfg.resolved_sum_width
+        bi, bq = arith.sum((arith.tone(t, cfg, n_acc) for t in by_band[b]), w)
         band = periodic_extend(bi, n_band_samples), periodic_extend(bq, n_band_samples)
-        band = down_shift(band, cfg)
-        band = upsample_interp(band, cfg)
-        return band_shift(band, b, cfg)
+        band = arith.mix(band, 5, 1, w, -1)  # down by band_rate/5
+        band = arith.interp(band, cfg)
+        # up to the band center, an integer number of shifter LUT cycles
+        cycles = int(cfg.band_center_fraction(b) * cfg.shifter_lut_len)
+        return arith.mix(band, cfg.shifter_lut_len, cycles, w, +1)
 
     bands = sorted(by_band)
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return band_sum(ex.map(one_band, bands), cfg.wide_width)
-    return band_sum(map(one_band, bands), cfg.wide_width)
+            return arith.sum(ex.map(one_band, bands), cfg.wide_width)
+    return arith.sum(map(one_band, bands), cfg.wide_width)
 
 
 def default_freq_words(L_acc: int, tones_per_band: int) -> list[int]:

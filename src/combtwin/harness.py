@@ -2,7 +2,7 @@
 
 Digital loopback (generator output fed straight into the analyzer),
 CORDIC bit/iteration sweeps, sine-vs-square demodulator comparison, and a
-double-precision oracle sharing the chain topology. Includes the named
+float oracle: the same chain run in double precision. Includes the named
 desk- and full-scale configurations and deterministic persistence.
 """
 
@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,17 +30,17 @@ from .analyzer import (
 from .fxp import ConfigError, FxpValue
 from .generator import (
     AMPLITUDE_FORMAT,
+    FIXED_POINT,
     CordicConfig,
+    DoublePrecision,
+    FixedPoint,
     GeneratorConfig,
     ToneConfig,
     cordic_sincos_array,
     cordic_tone,
     default_freq_words,
     generate_comb,
-    periodic_extend,
     phase_words,
-    polyphase_decimate,
-    polyphase_interpolate,
     waveform_period,
     windowed_sinc_taps,
 )
@@ -261,18 +261,21 @@ def _band_transient_len(cfg: ChainConfig) -> int:
 
 
 def _subbands(
-    cfg: ChainConfig, n_band: int, threads: int
+    cfg: ChainConfig,
+    n_band: int,
+    threads: int,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Generate n_band band samples of the comb and channelize every band
-    that holds a tone (in a pool when threads > 1). The chain is causal from
-    sample 0, so a prefix of the result equals a shorter run."""
+    that holds a tone, in arith (in a pool when threads > 1). The chain is
+    causal from sample 0, so a prefix of the result equals a shorter run."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    wideband = generate_comb(cfg.generator, cfg.tones, n_band, threads)
+    wideband = generate_comb(cfg.generator, cfg.tones, n_band, threads, arith=arith)
     bands = sorted({t.band_index for t in cfg.tones})
 
     def one(b: int):
-        return channelize(wideband, b, cfg.analyzer)
+        return channelize(wideband, b, cfg.analyzer, arith=arith)
 
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -281,14 +284,20 @@ def _subbands(
 
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
-    """The engine rule of run_loopback and float_oracle: (periodic, band
-    samples to generate, span, reason). Periodic generates one period plus
-    the transient and tiles its last period, the span (see _span); tiling
-    is exact once the warm-up covers the transient. Direct spans the whole
+    """The engine rule of every loopback run: (periodic, band samples to
+    generate, span, reason). Periodic generates one period plus the
+    transient and tiles its last period, the span (see _span); tiling is
+    exact once the warm-up covers the transient. Direct spans the whole
     run. "auto" also needs the period plus the transient to be shorter than
-    the run and a period of at most 2^23 full-rate samples."""
+    the run and a period of at most 2^23 full-rate samples. A capture of
+    one window has no spectrum, so it is refused before any work."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
+    if cfg.acquisition_len < 2:
+        raise ConfigError(
+            f"acquisition_len {cfg.acquisition_len} is too short to measure: "
+            "the spectra need at least 2 retained windows"
+        )
     g, u = cfg.generator, cfg.generator.upsample_factor
     n_band_total = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
     p_band = waveform_period(g.L_acc, u, g.shifter_lut_len) // u
@@ -328,43 +337,25 @@ def _span(
     return tuple(np.roll(s, shift) for s in last) if shift else last
 
 
-def _periodic_window_sums(
-    y: np.ndarray, p_band: int, l_avg: int, n_windows: int
-) -> np.ndarray:
-    """Boxcar sums over a stream that is y (one exact period) tiled from
-    absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg)."""
-    period_sum = int(y.sum())
-    c = np.concatenate(([0], np.cumsum(y)))
-    full, rem = divmod(l_avg, p_band)
-    n_pat = p_band // math.gcd(l_avg, p_band)
-    offsets = (np.arange(n_pat, dtype=np.int64) * l_avg) % p_band
-    # a window end past one period reads the next: period_sum + c[end - p_band]
-    ends = offsets + rem
-    wrap = ends > p_band
-    hi = c[ends - p_band * wrap]
-    hi[wrap] += period_sum
-    pattern = full * period_sum + (hi - c[offsets])
-    return periodic_extend(pattern, n_windows)
-
-
 def _tone_series(
     cfg: ChainConfig,
     plan: tuple[bool, int, int, str],
     sub: tuple[np.ndarray, np.ndarray],
     tone: ToneConfig,
     mode: DemodMode,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> IqTimeSeries:
     """One tone's retained accumulator outputs from its band's _span under
-    an _engine_plan. The span starts at phase 0 of the reference period;
-    the periodic plan demodulates its one period and tiles the window
-    sums."""
+    an _engine_plan, in arith. The span starts at phase 0 of the reference
+    period; the periodic plan demodulates its one period and tiles the
+    window sums."""
     periodic, _, span, _ = plan
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
-    ref = cordic_tone(g.L_acc, tone.freq_word, span, g.cordic)
+    ref = arith.reference(g.L_acc, tone.freq_word, span, g.cordic)
     if periodic:
         n_windows = cfg.acquisition_len + w
         yi, yq = ddc_products(sub, ref, mode)
-        i, q = (_periodic_window_sums(y, span, a.L_avg, n_windows) for y in (yi, yq))
+        i, q = (arith.window_sums(y, span, a.L_avg, n_windows) for y in (yi, yq))
     else:
         s = ddc(sub, ref, a.L_avg, mode)
         i, q = s.i, s.q
@@ -396,18 +387,26 @@ def run_loopback(
     periodic when it is both applicable and cheaper. _engine_plan holds
     the rule; the result's engine_reason says why.
     """
+    return _loopback(cfg, engine, threads, FIXED_POINT)
+
+
+def _loopback(
+    cfg: ChainConfig, engine: str, threads: int, arith: FixedPoint | DoublePrecision
+) -> RunResult:
+    """The one driver of run_loopback and float_oracle: the engine plan,
+    comb, channelizer, tone series and metrics, run in arith."""
     t0 = time.perf_counter()
     plan = _engine_plan(cfg, engine)
     use_periodic, n_gen, span, reason = plan
     g, a = cfg.generator, cfg.analyzer
-    spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads).items()}
+    spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads, arith).items()}
     predicted = _predicted_spurs(cfg)
     # every series tiles n_pat windows; on the direct plan that is all of them
     n_pat = span // math.gcd(a.L_avg, span)
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
-        series = _tone_series(cfg, plan, spans[tone.band_index], tone, a.demod_mode)
+        series = _tone_series(cfg, plan, spans[tone.band_index], tone, a.demod_mode, arith)
         return _tone_metrics(series, predicted, n_pat)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
@@ -677,126 +676,22 @@ def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
     return spec.taps_array() / float(1 << spec.shift)
 
 
-def _square_signs(ph: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact MSB signs of cos/sin(2 pi ph/L) from integer phase words
-    (sign of an exact zero is +1)."""
-    q = L // 4
-    sc = np.where((ph <= q) | (ph >= 3 * q), 1.0, -1.0)
-    ss = np.where(ph <= 2 * q, 1.0, -1.0)
-    return sc, ss
-
-
-def _mul_cyclic(x: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """x[k] *= tab[k % len(tab)] in place, without building the tiled table."""
-    m = len(x) - len(x) % len(tab)
-    rows = x[:m].reshape(-1, len(tab))
-    rows *= tab
-    x[m:] *= tab[: len(x) - m]
-    return x
-
-
 def float_oracle(
     cfg: ChainConfig, quantize_interp: bool = False, engine: str = "auto"
 ) -> RunResult:
-    """The same chain topology in double precision with exact exponentials.
+    """run_loopback in double precision: the same chain, engine rule and
+    tone path in the DoublePrecision arithmetic, with exact exponentials
+    and ideal filter taps.
 
     Separates structural effects (periodicity, aliasing, filter-stopband
     leakage) from quantization effects. quantize_interp swaps in the
     quantized interpolator taps (as floats) while the rest stays ideal.
-
-    engine follows run_loopback's rule (_engine_plan; engine_reason says
-    why); result.engine is "float" either way. All phasors come from tables
-    indexed modulo their periods, so once the filters settle the chain is
-    exactly periodic: the periodic path runs one period plus the transient
-    and tiles the last period, rotated to start at phase 0 as
-    run_loopback's is (_span). It matches the direct path up to the
-    convolutions' rounding."""
-    t0 = time.perf_counter()
-    plan = _engine_plan(cfg, engine)
-    _, n_gen, n_last, reason = plan
-    g, a = cfg.generator, cfg.analyzer
-    u = g.upsample_factor
-    n_windows = cfg.acquisition_len + cfg.warmup_windows
-    # window sums over the n_last-sample span tiled from absolute sample 0,
-    # each summed from its own samples as a direct boxcar does (the integer
-    # chain's running-sum differences would add rounding here)
-    rows = min(n_last // math.gcd(a.L_avg, n_last), n_windows)
-    pick = np.arange(n_windows) % rows
-    ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
-    h_interp = _float_interp_taps(cfg, quantize_interp)
-    h_chan = _float_chan_taps(cfg)
-
-    by_band: dict[int, list[ToneConfig]] = {}
-    for t in cfg.tones:
-        by_band.setdefault(t.band_index, []).append(t)
-
-    # every exponential is evaluated once per distinct argument, reduced
-    # modulo its period, and gathered or applied cyclically from that table,
-    # so the float chain is exactly periodic (no ulp drift across the
-    # acquisition)
-    tone_tab = np.exp(2j * np.pi * np.arange(g.L_acc) / g.L_acc)
-    fifth = np.arange(5)
-    down_tab = np.exp(-2j * np.pi * fifth / 5.0)
-    up_tab = np.exp(2j * np.pi * fifth / 5.0)
-
-    def center_tabs(b: int) -> tuple[np.ndarray, np.ndarray]:
-        frac = g.band_center_fraction(b)
-        den = frac.denominator
-        w_arg = (np.arange(den, dtype=np.int64) * frac.numerator) % den
-        return np.exp(2j * np.pi * w_arg / den), np.exp(-2j * np.pi * w_arg / den)
-
-    n_wide = n_gen * u
-    wide = np.zeros(n_wide, dtype=np.complex128)
-    for b in sorted(by_band):
-        band = np.zeros(n_gen, dtype=np.complex128)
-        for t in by_band[b]:
-            ph = phase_words(g.L_acc, t.freq_word, n_gen)
-            amp = ref_amp * t.amplitude_code.to_float()
-            band += amp * tone_tab[ph]
-        band_w = polyphase_interpolate(_mul_cyclic(band, down_tab), h_interp, u)
-        wide += _mul_cyclic(band_w, center_tabs(b)[0])
-        del band_w  # one full-rate temporary at a time
-
-    predicted = _predicted_spurs(cfg)
-
-    tone_results = []
-    for b in sorted(by_band):
-        mixed = _mul_cyclic(wide.copy(), center_tabs(b)[1])
-        (sub,) = _span(plan, (_mul_cyclic(polyphase_decimate(mixed, h_chan, u), up_tab),))
-        del mixed  # one full-rate temporary at a time
-        for tone in sorted(by_band[b], key=lambda t: t.tone_index):
-            ph = phase_words(g.L_acc, tone.freq_word, n_last)
-            if a.demod_mode is DemodMode.SINE_DDC:
-                y = sub * np.conj(ref_amp * tone_tab[ph])
-            else:
-                sc, ss = _square_signs(ph, g.L_acc)
-                y = sub * (sc - 1j * ss)
-            tiled = periodic_extend(y, rows * a.L_avg)
-            sums = tiled.reshape(rows, a.L_avg).sum(axis=1)[pick][cfg.warmup_windows :]
-            series = IqTimeSeries(
-                band_index=tone.band_index,
-                tone_index=tone.tone_index,
-                freq_word=tone.freq_word,
-                i=sums.real.copy(),
-                q=sums.imag.copy(),
-                rate_hz=a.fs_hz,
-                l_avg=a.L_avg,
-                demod_mode=a.demod_mode,
-            )
-            tone_results.append(_tone_metrics(series, predicted, rows))
-
-    wall = time.perf_counter() - t0
-    return RunResult(
-        scenario_name=cfg.scenario_name + "_float",
-        config_hash=config_hash(cfg),
-        config=cfg,
-        tones=tuple(tone_results),
-        wall_time_s=wall,
-        throughput_sps=cfg.acquisition_len * a.L_avg * u / wall,
-        computed_sps=n_wide / wall,
-        engine="float",
-        engine_reason=reason,
-    )
+    result.engine is "float"; engine_reason says which path ran. The
+    phasor tables make the float chain exactly periodic, so the periodic
+    path matches the direct one up to the convolutions' rounding."""
+    arith = DoublePrecision(_float_interp_taps(cfg, quantize_interp), _float_chan_taps(cfg))
+    res = _loopback(cfg, engine, 1, arith)
+    return replace(res, scenario_name=cfg.scenario_name + "_float", engine="float")
 
 
 # ---------------------------------------------------------------------------

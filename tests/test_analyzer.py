@@ -21,7 +21,6 @@ from combtwin.generator import (
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
-    band_shift,
     cordic_sincos_array,
     generate_comb,
     phase_words,
@@ -200,7 +199,8 @@ def test_channelize_recovers_single_tone_band():
 def test_channelize_undoes_band_shift_on_tone_grid():
     # exciter cascade up, analyzer cascade down: the tone returns at its
     # own grid frequency (the down-shift and re-shift cancel exactly)
-    from combtwin.generator import down_shift, upsample_interp
+    from combtwin.generator import upsample_interp
+    from test_generator import band_shift, down_shift
 
     gcfg = desk_generator()
     acfg = desk_analyzer()

@@ -150,6 +150,12 @@ def test_run_loopback_stdout_and_artifacts(tmp_path, capsys):
     assert len(list((out / "series").iterdir())) == 2 * 8
 
 
+def test_run_loopback_on_a_one_window_capture_exits_1(tmp_path, capsys):
+    cfg = _small_ini(tmp_path, "one.ini", acq=1)
+    assert main(["run-loopback", "--config", cfg]) == 1
+    assert "acquisition_len 1 is too short" in capsys.readouterr().err
+
+
 def _printed_hash(out: str) -> str:
     words = out.splitlines()[0].split()
     return words[words.index("hash") + 1]

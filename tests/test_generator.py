@@ -17,7 +17,6 @@ from combtwin.generator import (
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
-    band_shift,
     band_sum,
     cordic_gain,
     cordic_lookup,
@@ -25,7 +24,6 @@ from combtwin.generator import (
     cordic_tone,
     default_freq_words,
     design_windowed_sinc,
-    down_shift,
     fir_apply,
     generate_comb,
     lut_mix,
@@ -52,6 +50,22 @@ def desk_cfg(l_acc=1024, n_bands=2, tones=4):
 
 def amp(raw=32767):
     return FxpValue(raw, AMPLITUDE_FORMAT)
+
+
+# The exciter's two LUT mixes as stages of their own, kept as references:
+# generate_comb applies them through its arithmetic's mix.
+
+
+def down_shift(band, cfg):
+    """Multiply by e^(-j*2pi*n/5): shift the band down by band_rate/5."""
+    return lut_mix(band, 5, 1, cfg.resolved_sum_width, -1)
+
+
+def band_shift(band, band_index, cfg):
+    """Multiply by the band-center exponential from the shifter LUT."""
+    frac = cfg.band_center_fraction(band_index)  # validates band_index
+    cycles = int(frac * cfg.shifter_lut_len)
+    return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1)
 
 
 # ---------------------------------------------------------------------------

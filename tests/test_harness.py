@@ -18,6 +18,9 @@ from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
 from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
+    CordicConfig,
+    DoublePrecision,
+    _periodic_window_sums,
     ToneConfig,
     cordic_tone,
     generate_comb,
@@ -43,11 +46,9 @@ from combtwin.harness import (
     _engine_plan,
     _float_chan_taps,
     _float_interp_taps,
-    _periodic_window_sums,
     _post_accum_residual_db,
     _span,
     _spectral_line_count,
-    _square_signs,
     _subbands,
     _tone_metrics,
 )
@@ -359,6 +360,16 @@ def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
     n = ((1 << 15) + 1) * 1024
     assert (periodic, n_gen, span) == (False, n, n)
     assert reason == "the period of 10485760 full-rate samples exceeds 2^23"
+
+
+@pytest.mark.parametrize("run", [run_loopback, float_oracle, run_demod_compare])
+def test_one_window_capture_is_refused_before_any_work(run):
+    # ChainConfig keeps accepting it (the CORDIC sweep config uses 1)
+    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=1)
+    with mock.patch("combtwin.harness.generate_comb") as comb:
+        with pytest.raises(ConfigError, match="acquisition_len 1 is too short"):
+            run(cfg)
+    comb.assert_not_called()
 
 
 def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
@@ -790,6 +801,15 @@ def test_quantization_adds_fluctuation_power_over_float(desk_a_result):
         assert ti.phase_spectrum.values[1:].sum() > tf.phase_spectrum.values[1:].sum()
 
 
+def _square_signs(ph, L):
+    """Exact MSB signs of cos/sin(2 pi ph/L) from integer phase words
+    (sign of an exact zero is +1)."""
+    q = L // 4
+    sc = np.where((ph <= q) | (ph >= 3 * q), 1.0, -1.0)
+    ss = np.where(ph <= 2 * q, 1.0, -1.0)
+    return sc, ss
+
+
 def float_oracle_reference(cfg, quantize_interp=False):
     """float_oracle before its polyphase and table rewrite, kept as the
     oracle: np.exp over every sample, full-rate convolution of the
@@ -876,6 +896,41 @@ def test_float_oracle_equals_full_rate_reference(name, mode, quantize_interp):
             )
             assert np.abs(zg - zw).max() <= 1e-12 * np.abs(zw).max()
             assert spur_bins(tg) == spur_bins(tw)
+
+
+@settings(max_examples=60)
+@given(small_chains())
+def test_float_oracle_equals_full_rate_reference_on_random_chains(cfg):
+    # Both chains round at the chain's full scale, ref_amp^2 * L_avg for a
+    # window sum of a full-amplitude tone. A tone in the channelizer's
+    # stopband ends far below it (L_acc 8, U 1, word 5: a series peak of
+    # 12.9 against 1.0e6), where the oracle's real-pair products and the
+    # reference's complex ones, rounded differently, differ by 4e-12 of
+    # the series; so errors are measured against the larger of the series
+    # and that scale. No spur bins: on clean chains the PSD is rounding noise.
+    ref_amp = float((1 << (cfg.generator.cordic.data_bits - 1)) - 1)
+    full_scale = ref_amp**2 * cfg.analyzer.L_avg
+    want = float_oracle_reference(cfg)
+    for engine in ORACLE_ENGINES:
+        for tg, tw in zip(oracle_on(cfg, engine).tones, want, strict=True):
+            zg, zw = tg.series.complex_values(), tw.series.complex_values()
+            assert (tg.series.band_index, tg.series.tone_index, len(zg)) == (
+                tw.series.band_index, tw.series.tone_index, len(zw)
+            )
+            assert np.abs(zg - zw).max() <= 1e-12 * max(np.abs(zw).max(), full_scale)
+
+
+@pytest.mark.parametrize("l_acc", range(4, 65, 4))
+def test_float_reference_signs_are_the_exact_square_waves(l_acc):
+    # the square-wave DDC takes the reference's sign (>= 0 is +1), so the
+    # phasor table must hold exact zeros at quarter turns
+    arith = DoublePrecision(np.ones(1), np.ones(1))
+    for word in range(l_acc):
+        ph = phase_words(l_acc, word, l_acc)
+        ci, cq = arith.reference(l_acc, word, l_acc, CordicConfig(10, 10))
+        sc, ss = _square_signs(ph, l_acc)
+        assert np.array_equal(np.where(ci >= 0, 1.0, -1.0), sc)
+        assert np.array_equal(np.where(cq >= 0, 1.0, -1.0), ss)
 
 
 def test_transient_bound_covers_the_oracle_taps():
