@@ -40,14 +40,61 @@ def _fmt_float(v: float) -> str:
 # I/Q series
 
 
+def _csv_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
+    """The `# key=value` metadata and the comma-split data rows of a CSV
+    artifact. Blank lines and the column-header line (index, freq_hz or
+    value) are skipped."""
+    meta: dict[str, str] = {}
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            meta.update(part.split("=", 1) for part in line[1:].split() if "=" in part)
+        elif not line.startswith(("index", "freq_hz", "value")):
+            rows.append(line.split(","))
+    return meta, rows
+
+
+def _series_header(series: IqTimeSeries) -> dict:
+    """The tone metadata both series formats store, in the CSV's key order."""
+    return {
+        "band_index": series.band_index,
+        "tone_index": series.tone_index,
+        "freq_word": series.freq_word,
+        "fs_hz": float(series.rate_hz),
+        "l_avg": series.l_avg,
+        "demod_mode": series.demod_mode.value,
+        "n_discarded": series.n_discarded,
+    }
+
+
+def _series_from_header(header: dict, i: np.ndarray, q: np.ndarray) -> IqTimeSeries:
+    """Inverse of _series_header; the values may be the strings a CSV holds."""
+    try:
+        return IqTimeSeries(
+            band_index=int(header["band_index"]),
+            tone_index=int(header["tone_index"]),
+            freq_word=int(header["freq_word"]),
+            i=i,
+            q=q,
+            rate_hz=float(header["fs_hz"]),
+            l_avg=int(header["l_avg"]),
+            demod_mode=DemodMode(header["demod_mode"]),
+            n_discarded=int(header["n_discarded"]),
+        )
+    except KeyError as e:
+        raise ConfigError(f"I/Q series header lacks key {e}") from e
+
+
+# what a series CSV reads where its metadata line lacks a key
+_SERIES_CSV_DEFAULTS = _series_header(IqTimeSeries(0, 0, 0, (), (), 0.0, 1, DemodMode.SINE_DDC))
+
+
 def series_to_csv(series: IqTimeSeries) -> str:
     """Header line with tone metadata, column line, then index,i,q rows."""
-    meta = (
-        f"# band_index={series.band_index} tone_index={series.tone_index} "
-        f"freq_word={series.freq_word} fs_hz={_fmt_float(series.rate_hz)} "
-        f"l_avg={series.l_avg} demod_mode={series.demod_mode.value} "
-        f"n_discarded={series.n_discarded}"
-    )
+    meta = "# " + " ".join(f"{k}={v}" for k, v in _series_header(series).items())
     out = [meta, "index,i,q"]
     is_int = np.issubdtype(np.asarray(series.i).dtype, np.integer)
     for n, (i, q) in enumerate(zip(series.i, series.q)):
@@ -59,40 +106,20 @@ def series_to_csv(series: IqTimeSeries) -> str:
 
 
 def series_from_csv(text: str) -> IqTimeSeries:
-    meta: dict[str, str] = {}
+    meta, rows = _csv_rows(text)
     i_vals: list = []
     q_vals: list = []
     is_float = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for part in line[1:].split():
-                if "=" in part:
-                    k, v = part.split("=", 1)
-                    meta[k] = v
-            continue
-        if line.startswith("index"):
-            continue
-        _, si, sq = line.split(",")
+    for _, si, sq in rows:
         if "." in si or "e" in si or "." in sq or "e" in sq:
             is_float = True
         i_vals.append(si)
         q_vals.append(sq)
     conv = float if is_float else int
     dtype = np.float64 if is_float else np.int64
-    return IqTimeSeries(
-        band_index=int(meta.get("band_index", 0)),
-        tone_index=int(meta.get("tone_index", 0)),
-        freq_word=int(meta.get("freq_word", 0)),
-        i=np.array([conv(v) for v in i_vals], dtype=dtype),
-        q=np.array([conv(v) for v in q_vals], dtype=dtype),
-        rate_hz=float(meta.get("fs_hz", 0.0)),
-        l_avg=int(meta.get("l_avg", 1)),
-        demod_mode=DemodMode(meta.get("demod_mode", "sine")),
-        n_discarded=int(meta.get("n_discarded", 0)),
-    )
+    i = np.array([conv(v) for v in i_vals], dtype=dtype)
+    q = np.array([conv(v) for v in q_vals], dtype=dtype)
+    return _series_from_header({**_SERIES_CSV_DEFAULTS, **meta}, i, q)
 
 
 def series_to_binary(series: IqTimeSeries) -> bytes:
@@ -104,20 +131,8 @@ def series_to_binary(series: IqTimeSeries) -> bytes:
     """
     is_int = np.issubdtype(np.asarray(series.i).dtype, np.integer)
     dtype = "<i8" if is_int else "<f8"
-    header = json.dumps(
-        {
-            "band_index": series.band_index,
-            "tone_index": series.tone_index,
-            "freq_word": series.freq_word,
-            "fs_hz": series.rate_hz,
-            "l_avg": series.l_avg,
-            "demod_mode": series.demod_mode.value,
-            "n_discarded": series.n_discarded,
-            "dtype": dtype,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    header = {**_series_header(series), "dtype": dtype}
+    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = io.BytesIO()
     buf.write(_BIN_MAGIC)
     buf.write(struct.pack("<I", len(header)))
@@ -129,28 +144,26 @@ def series_to_binary(series: IqTimeSeries) -> bytes:
 
 
 def series_from_binary(data: bytes) -> IqTimeSeries:
+    """Inverse of series_to_binary; raises ConfigError on a bad magic, a
+    truncated file or a header that lacks a key."""
     if data[:4] != _BIN_MAGIC:
         raise ConfigError("not an I/Q binary file (bad magic)")
-    (hlen,) = struct.unpack_from("<I", data, 4)
+    hlen = int.from_bytes(data[4:8], "little")  # the u32, or less when cut short
+    off = 8 + hlen + 8
+    if len(data) < off:
+        raise ConfigError("truncated I/Q binary file: header or sample count cut short")
     header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
     (count,) = struct.unpack_from("<Q", data, 8 + hlen)
+    if not isinstance(header, dict) or header.get("dtype") not in ("<i8", "<f8"):
+        raise ConfigError("I/Q binary header is not an object with a valid dtype")
     dtype = np.dtype(header["dtype"])
-    off = 8 + hlen + 8
+    if len(data) < off + 2 * count * dtype.itemsize:
+        raise ConfigError(f"truncated I/Q binary file: fewer than {count} I and Q samples")
     i = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
     q = np.frombuffer(
         data, dtype=dtype, count=count, offset=off + count * dtype.itemsize
     ).copy()
-    return IqTimeSeries(
-        band_index=header["band_index"],
-        tone_index=header["tone_index"],
-        freq_word=header["freq_word"],
-        i=i,
-        q=q,
-        rate_hz=header["fs_hz"],
-        l_avg=header["l_avg"],
-        demod_mode=DemodMode(header["demod_mode"]),
-        n_discarded=header["n_discarded"],
-    )
+    return _series_from_header(header, i, q)
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +188,13 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
-    meta: dict[str, str] = {}
-    vals = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for part in line[1:].split():
-                if "=" in part:
-                    k, v = part.split("=", 1)
-                    meta[k] = v
-            continue
-        if line.startswith("freq_hz"):
-            continue
-        vals.append(float(line.split(",")[1]))
+    meta, rows = _csv_rows(text)
     seg = meta.get("segment_len")
     ov = meta.get("overlap_frac")
     return Spectrum(
         n_points=int(meta["n_points"]),
         bin_hz=float(meta["bin_hz"]),
-        values=np.array(vals),
+        values=np.array([float(row[1]) for row in rows]),
         units=SpectrumUnits(meta["units"]),
         window=SpectrumWindow(meta["window"]),
         method=PsdMethod(meta["method"]),
@@ -204,19 +203,21 @@ def spectrum_from_csv(text: str) -> Spectrum:
     )
 
 
+def spur_report_dict(report: SpurReport) -> dict:
+    """The JSON object of a spur report: its floor, detected lines and
+    predicted (frequency, tag) pairs."""
+    return {
+        "floor": report.floor,
+        "lines": [
+            {"freq_hz": l.freq_hz, "level_db": l.level_db, "bin": l.bin}
+            for l in report.lines
+        ],
+        "predicted": [[f, tag] for f, tag in report.predicted],
+    }
+
+
 def spur_report_to_json(report: SpurReport) -> str:
-    return json.dumps(
-        {
-            "floor": report.floor,
-            "lines": [
-                {"freq_hz": l.freq_hz, "level_db": l.level_db, "bin": l.bin}
-                for l in report.lines
-            ],
-            "predicted": [[f, tag] for f, tag in report.predicted],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return json.dumps(spur_report_dict(report), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +431,13 @@ def read_samples(path: str) -> np.ndarray:
     """Read one real-valued series from an I/Q CSV/binary file (the I
     column) or a bare one-column CSV."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == _BIN_MAGIC:
-        with open(path, "rb") as fh:
-            series = series_from_binary(fh.read())
-        return np.asarray(series.i, dtype=np.float64)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    rows = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if rows and rows[0].startswith(("index", "freq_hz", "value")):
-        rows = rows[1:]
-    vals = []
-    for ln in rows:
-        parts = ln.split(",")
-        vals.append(float(parts[1]) if len(parts) > 1 else float(parts[0]))
-    if not vals:
+        data = fh.read()
+    if data[:4] == _BIN_MAGIC:
+        return np.asarray(series_from_binary(data).i, dtype=np.float64)
+    _, rows = _csv_rows(data.decode("utf-8"))
+    if not rows:
         raise ConfigError(f"no samples found in {path}")
-    return np.array(vals, dtype=np.float64)
+    return np.array([float(row[1] if len(row) > 1 else row[0]) for row in rows], dtype=np.float64)
 
 
 def write_samples_csv(x: Iterable[float]) -> str:

@@ -181,37 +181,23 @@ def cordic_sincos_array(
 
 @functools.lru_cache(maxsize=8)
 def _cordic_table(L_acc: int, cfg: CordicConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cordic_sincos_array of every phase word, read-only: the tables of the
+    8 most recent (L_acc, cfg) are shared by all callers."""
     ci, cq = cordic_sincos_array(np.arange(L_acc, dtype=np.int64), L_acc, cfg)
     ci.flags.writeable = False
     cq.flags.writeable = False
     return ci, cq
 
 
-def cordic_lookup(
-    phases: np.ndarray, L_acc: int, cfg: CordicConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """cordic_sincos_array(phases, L_acc, cfg), gathered from a memoised
-    table of all L_acc phase words.
-
-    CORDIC output depends only on the phase word, so the iterations run
-    once per table entry instead of once per sample; the result is
-    bit-identical. Tables are kept for the 8 most recent (L_acc, cfg).
-    """
-    ti, tq = _cordic_table(L_acc, cfg)
-    phases = np.asarray(phases, dtype=np.int64)
-    if phases.size and (phases.min() < 0 or phases.max() >= L_acc):
-        raise ValueError("phase out of range [0, L_acc)")
-    return ti[phases], tq[phases]
-
-
 def cordic_tone(
     L_acc: int, word: int, n: int, cfg: CordicConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled CORDIC tone, cordic_lookup(phase_words(L_acc, word, n)):
-    one period of L_acc / gcd(L_acc, word) samples gathered, then tiled."""
-    p = L_acc // math.gcd(L_acc, word)
-    ci, cq = cordic_lookup(phase_words(L_acc, word, p), L_acc, cfg)
-    return periodic_extend(ci, n), periodic_extend(cq, n)
+    """Unscaled CORDIC tone, cordic_sincos_array(phase_words(L_acc, word,
+    n)): one period of L_acc / gcd(L_acc, word) samples gathered from the
+    table of all L_acc phase words, then tiled. CORDIC output depends only
+    on the phase word, so the iterations run once per table entry."""
+    ph = phase_words(L_acc, word, L_acc // math.gcd(L_acc, word))
+    return tuple(periodic_extend(t[ph], n) for t in _cordic_table(L_acc, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +327,16 @@ def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     return y
 
 
-def periodic_extend(
-    a: np.ndarray, n: int, start: int = 0, out: np.ndarray | None = None
-) -> np.ndarray:
-    """a[(start + k) % len(a)] for k < n, into out (length n) if given.
+def periodic_extend(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a[k % len(a)] for k < n, into out (length n) if given.
 
-    One rotated copy of a, then each copy doubles the filled prefix: about
+    One copy of a, then each copy doubles the filled prefix: about
     log2(n / len(a)) contiguous copies, and no array beyond the result."""
     a = np.asarray(a)
-    s = start % len(a)
     if out is None:
         out = np.empty(n, dtype=a.dtype)
-    k = min(n, len(a) - s)
-    out[:k] = a[s : s + k]
-    j = min(n - k, s)
-    out[k : k + j] = a[:j]
-    k += j
+    k = min(n, len(a))
+    out[:k] = a[:k]
     while k < n:
         j = min(k, n - k)
         out[k : k + j] = out[:j]
@@ -410,13 +390,11 @@ def lut_mix(
     cycles: int,
     width: int,
     sign: int,
-    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply a width-bit stream by the make_lut exponential, sample n
-    taking LUT entry (start + n) mod length; output stays width bits."""
+    taking LUT entry n mod length; output stays width bits."""
     xi, xq = x
-    li, lq = make_lut(length, cycles, width, sign)
-    li, lq = periodic_extend(li, len(xi), start), periodic_extend(lq, len(xi), start)
+    li, lq = (periodic_extend(t, len(xi)) for t in make_lut(length, cycles, width, sign))
     return cmul_lut(xi, xq, li, lq, width, width)
 
 
@@ -456,13 +434,13 @@ class GeneratorConfig:
             raise ConfigError("upsample_factor must be >= 1")
         if self.band_rate_hz <= 0:
             raise ConfigError("band_rate_hz must be > 0")
-        for band in range(self.n_bands):
-            cyc = self.shifter_lut_len * (2 * band + 1)
-            if cyc % (5 * self.upsample_factor) != 0:
-                raise ConfigError(
-                    f"shifter LUT length {self.shifter_lut_len} does not hold an "
-                    f"integer number of cycles for band {band}"
-                )
+        # band b's shift needs shifter_lut_len * (2b + 1) / (5U) whole cycles,
+        # and 2b + 1 is odd: when band 0 holds whole cycles, every band does
+        if self.shifter_lut_len % (5 * self.upsample_factor) != 0:
+            raise ConfigError(
+                f"shifter LUT length {self.shifter_lut_len} does not hold an "
+                "integer number of cycles for band 0"
+            )
         self.resolved_interp_filter().check_int64_headroom(
             self.resolved_sum_width, "interp_filter"
         )
@@ -575,11 +553,10 @@ def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
 # arithmetics: the chain's stages in exact integers or in double precision
 
 
-def _periodic_window_sums(
-    y: np.ndarray, p_band: int, l_avg: int, n_windows: int
-) -> np.ndarray:
+def _periodic_window_sums(y: np.ndarray, l_avg: int, n_windows: int) -> np.ndarray:
     """Boxcar sums over a stream that is y (one exact period) tiled from
     absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg)."""
+    p_band = len(y)
     period_sum = int(y.sum())
     c = np.concatenate(([0], np.cumsum(y)))
     full, rem = divmod(l_avg, p_band)
@@ -632,8 +609,8 @@ class FixedPoint:
         h = spec.taps_array()
         return tuple(spec.requantize(polyphase_decimate(s, h, d), width) for s in x)
 
-    def window_sums(self, y: np.ndarray, p: int, l_avg: int, n_windows: int):
-        return _periodic_window_sums(y, p, l_avg, n_windows)
+    def window_sums(self, y: np.ndarray, l_avg: int, n_windows: int):
+        return _periodic_window_sums(y, l_avg, n_windows)
 
 
 FIXED_POINT = FixedPoint()
@@ -678,8 +655,8 @@ class DoublePrecision:
     def decimate(self, x, spec: FilterSpec, d: int, width: int):
         return tuple(polyphase_decimate(s, self.h_chan, d) for s in x)
 
-    def window_sums(self, y: np.ndarray, p: int, l_avg: int, n_windows: int):
-        rows = min(p // math.gcd(l_avg, p), n_windows)
+    def window_sums(self, y: np.ndarray, l_avg: int, n_windows: int):
+        rows = min(len(y) // math.gcd(l_avg, len(y)), n_windows)
         sums = periodic_extend(y, rows * l_avg).reshape(rows, l_avg).sum(axis=1)
         return periodic_extend(sums, n_windows)
 

@@ -45,9 +45,7 @@ from .generator import (
     windowed_sinc_taps,
 )
 from .metrics import (
-    PsdMethod,
     Spectrum,
-    SpectrumUnits,
     SpectrumWindow,
     SpurReport,
     _amp_phase,
@@ -355,7 +353,7 @@ def _tone_series(
     if periodic:
         n_windows = cfg.acquisition_len + w
         yi, yq = ddc_products(sub, ref, mode)
-        i, q = (arith.window_sums(y, span, a.L_avg, n_windows) for y in (yi, yq))
+        i, q = (arith.window_sums(y, a.L_avg, n_windows) for y in (yi, yq))
     else:
         s = ddc(sub, ref, a.L_avg, mode)
         i, q = s.i, s.q
@@ -429,17 +427,6 @@ def _loopback(
     )
 
 
-def _zero_spectrum(n: int, fs: float) -> Spectrum:
-    return Spectrum(
-        n_points=n,
-        bin_hz=fs / n,
-        values=np.zeros(n // 2 + 1),
-        units=SpectrumUnits.LINEAR_PER_HZ,
-        window=SpectrumWindow.RECT,
-        method=PsdMethod.PERIODOGRAM,
-    )
-
-
 def _predicted_spurs(cfg: ChainConfig) -> tuple[tuple[float, str], ...]:
     g, a = cfg.generator, cfg.analyzer
     return tuple(
@@ -461,19 +448,11 @@ def _tone_metrics(
     n = len(series)
     fs = series.rate_hz
     i, q = series.i[:n_pat], series.q[:n_pat]
-    if not (np.any(i) or np.any(q)):
-        zs = _zero_spectrum(n, fs)
-        empty = SpurReport(lines=(), floor=0.0, predicted=predicted)
-        return ToneResult(
-            series=series,
-            amp_spectrum=zs,
-            phase_spectrum=zs,
-            amp_spurs=empty,
-            phase_spurs=empty,
-            carrier_power=0.0,
-        )
-    fac = _periodogram_fac(SpectrumWindow.RECT, n, fs)
-    _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
+    if np.any(i) or np.any(q):
+        fac = _periodogram_fac(SpectrumWindow.RECT, n, fs)
+        _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
+    else:  # a silent tone: no fluctuation, and its spectra are exact zeros
+        mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
     amp_spec = _periodogram(xa, fs, SpectrumWindow.RECT)
     phase_spec = _periodogram(xp, fs, SpectrumWindow.RECT)
     amp_rep = detect_spurs(
@@ -734,8 +713,8 @@ def persist(result: RunResult, out_dir) -> dict:
                     tr.phase_spectrum, result.config_hash
                 ).encode("utf-8")
                 spurs = {
-                    "amp": json.loads(formats.spur_report_to_json(tr.amp_spurs)),
-                    "phase": json.loads(formats.spur_report_to_json(tr.phase_spurs)),
+                    "amp": formats.spur_report_dict(tr.amp_spurs),
+                    "phase": formats.spur_report_dict(tr.phase_spurs),
                     "carrier_power": tr.carrier_power,
                 }
                 yield f"spurs/{stem}.json", json.dumps(

@@ -9,7 +9,6 @@ deglitcher.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,13 +18,12 @@ import numpy as np
 from scipy.fft import rfft as _rfft
 
 from .fxp import ConfigError
-from .generator import periodic_extend
+from .generator import periodic_extend, waveform_period
 
 
 class SpectrumUnits(Enum):
     LINEAR_PER_HZ = "linear_per_hz"
     DBC_PER_HZ = "dbc_per_hz"
-    DB_FS = "db_fs"
 
 
 class SpectrumWindow(Enum):
@@ -218,18 +216,9 @@ def _periodogram_fac(window: SpectrumWindow, n: int, fs: float) -> float:
     return float(1 / np.sqrt(w2 / (1 / fs)))
 
 
-@functools.lru_cache(maxsize=4)
-def _periodogram_scale(window: SpectrumWindow, n: int, fs: float) -> np.ndarray:
-    """The window times its density factor; read-only, since every caller
-    shares it."""
-    scale = _periodogram_window(window, n) * _periodogram_fac(window, n, fs)
-    scale.flags.writeable = False
-    return scale
-
-
 def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
-    """The periodogram of xw, the input already multiplied by
-    _periodogram_scale(window, len(xw), fs): scipy.signal.periodogram(
+    """The periodogram of xw, the input already multiplied by the window
+    and _periodogram_fac(window, len(xw), fs): scipy.signal.periodogram(
     detrend=False, scaling="density") written out around one rfft, in its
     exact operation order, bit-identical for both windows and every length
     without ShortTimeFFT's overhead. Squaring the rfft output in place
@@ -280,7 +269,8 @@ def psd(
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
         win = window if window is not None else SpectrumWindow.RECT
-        return _periodogram(x * _periodogram_scale(win, n, fs), fs, win)
+        scale = _periodogram_window(win, n) * _periodogram_fac(win, n, fs)
+        return _periodogram(x * scale, fs, win)
     win = window if window is not None else SpectrumWindow.HANN
     win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
     seg = segment_len if segment_len is not None else max(2, n // 8)
@@ -380,7 +370,7 @@ def predict_spurs(
         raise ConfigError("all integer arguments must be >= 1")
     if band_rate <= 0:
         raise ConfigError("band_rate must be > 0")
-    R = math.lcm(L_acc * U, lut_len) // U
+    R = waveform_period(L_acc, U, lut_len) // U
     j = np.arange(1, R, dtype=np.int64)
     am = (j * np.int64(L_avg)) % np.int64(R)
     keep = am != 0

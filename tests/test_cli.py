@@ -237,6 +237,16 @@ def test_psd_stdout_default(tmp_path, capsys):
     assert len([l for l in txt.splitlines() if not l.startswith("#")]) == 33 + 1
 
 
+@pytest.mark.parametrize(
+    "blob", [b"CTIQ\x10", b"CTIQ\x02\x00\x00\x00{}" + bytes(8), b"CTIQ\x02\x00\x00\x00[]" + bytes(8)]
+)
+def test_psd_on_a_truncated_or_headerless_binary_exits_1(tmp_path, capsys, blob):
+    src = tmp_path / "x.bin"
+    src.write_bytes(blob)
+    assert main(["psd", "--in", str(src), "--fs", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_psd_periodogram_rejects_segment_len(tmp_path, capsys):
     src = tmp_path / "x.csv"
     src.write_text("\n".join(str(v) for v in range(10)) + "\n")

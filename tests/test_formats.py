@@ -1,5 +1,6 @@
 """Serialization: series CSV/binary, spectrum CSV, INI config round-trips."""
 
+import json
 import re
 
 import numpy as np
@@ -22,7 +23,7 @@ from combtwin.formats import (
     spur_report_to_json,
     write_samples_csv,
 )
-from combtwin.fxp import FxpFormat, FxpValue
+from combtwin.fxp import ConfigError, FxpFormat, FxpValue
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
@@ -30,7 +31,14 @@ from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
 )
-from combtwin.harness import ChainConfig, builtin_scenarios, config_hash, make_chain_config
+from combtwin.harness import (
+    ChainConfig,
+    builtin_scenarios,
+    config_hash,
+    make_chain_config,
+    persist,
+    run_loopback,
+)
 from combtwin.metrics import PsdMethod, SpectrumWindow, psd
 
 
@@ -97,6 +105,26 @@ def test_series_binary_rejects_garbage():
     blob = series_to_binary(make_series())
     with pytest.raises(ValueError):
         series_from_binary(blob[:20])  # truncated
+
+
+@pytest.mark.parametrize("float_data", [False, True])
+def test_series_binary_rejects_every_truncation(float_data):
+    blob = series_to_binary(make_series(float_data=float_data, n=3))
+    for cut in range(4, len(blob)):
+        with pytest.raises(ConfigError, match="truncated"):
+            series_from_binary(blob[:cut])
+
+
+@pytest.mark.parametrize("key", ["band_index", "fs_hz", "demod_mode", "n_discarded", "dtype"])
+def test_series_binary_header_without_a_key_is_named(key):
+    blob = series_to_binary(make_series(n=2))
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8 : 8 + hlen])
+    del header[key]
+    h = json.dumps(header).encode("utf-8")
+    cut = b"CTIQ" + len(h).to_bytes(4, "little") + h + blob[8 + hlen :]
+    with pytest.raises(ConfigError, match=key):
+        series_from_binary(cut)
 
 
 def test_series_binary_is_little_endian_blocks():
@@ -283,3 +311,68 @@ def test_read_samples_csv_and_binary(tmp_path):
     pc = tmp_path / "two.csv"
     pc.write_text("0,10.5\n1,11.5\n2,12.5\n")
     assert np.array_equal(read_samples(str(pc)), [10.5, 11.5, 12.5])
+
+
+@pytest.fixture(scope="module")
+def persisted(tmp_path_factory):
+    """desk_a and demod_two_tone, run and persisted once."""
+    root = tmp_path_factory.mktemp("persisted")
+    runs = {}
+    for name in ("desk_a", "demod_two_tone"):
+        res = run_loopback(builtin_scenarios()[name])
+        persist(res, str(root / name))
+        runs[name] = (res, root / name)
+    return runs
+
+
+def _spectra_equal(a, b):
+    assert (a.n_points, a.bin_hz, a.units, a.window, a.method) == (
+        b.n_points, b.bin_hz, b.units, b.window, b.method
+    )
+    assert (a.segment_len, a.overlap_frac) == (b.segment_len, b.overlap_frac)
+    assert a.values.dtype == b.values.dtype
+    assert a.values.view(np.int64).tolist() == b.values.view(np.int64).tolist()
+
+
+def _report_doc(rep):
+    return {
+        "floor": rep.floor,
+        "lines": [{"freq_hz": l.freq_hz, "level_db": l.level_db, "bin": l.bin} for l in rep.lines],
+        "predicted": [[f, tag] for f, tag in rep.predicted],
+    }
+
+
+@pytest.mark.parametrize("name", ["desk_a", "demod_two_tone"])
+def test_persisted_artifacts_read_back_bit_for_bit(persisted, name):
+    res, run_dir = persisted[name]
+    for tr in res.tones:
+        s = tr.series
+        stem = f"b{s.band_index:03d}_t{s.tone_index:03d}"
+        for back in (
+            series_from_csv((run_dir / "series" / f"{stem}.csv").read_text(encoding="utf-8")),
+            series_from_binary((run_dir / "series" / f"{stem}.bin").read_bytes()),
+        ):
+            _series_equal(back, s)
+            assert back.i.dtype == back.q.dtype == s.i.dtype
+        for kind, spec in (("amp", tr.amp_spectrum), ("phase", tr.phase_spectrum)):
+            text = (run_dir / "spectra" / f"{stem}_{kind}.csv").read_text(encoding="utf-8")
+            _spectra_equal(spectrum_from_csv(text), spec)
+        doc = json.loads((run_dir / "spurs" / f"{stem}.json").read_text(encoding="utf-8"))
+        assert doc == {
+            "amp": _report_doc(tr.amp_spurs),
+            "phase": _report_doc(tr.phase_spurs),
+            "carrier_power": tr.carrier_power,
+        }
+
+
+def test_read_samples_on_persisted_artifacts(persisted, tmp_path):
+    res, run_dir = persisted["desk_a"]
+    tr = res.tones[0]
+    want = tr.series.i.astype(np.float64)
+    assert np.array_equal(read_samples(str(run_dir / "series" / "b000_t000.csv")), want)
+    assert np.array_equal(read_samples(str(run_dir / "series" / "b000_t000.bin")), want)
+    spec = read_samples(str(run_dir / "spectra" / "b000_t000_amp.csv"))
+    assert spec.view(np.int64).tolist() == tr.amp_spectrum.values.view(np.int64).tolist()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(write_samples_csv([1.5, -2.0, 3e-9]).replace("\n", "\r\n").encode("utf-8"))
+    assert read_samples(str(crlf)).tolist() == [1.5, -2.0, 3e-9]

@@ -18,8 +18,8 @@ from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
     band_sum,
+    _cordic_table,
     cordic_gain,
-    cordic_lookup,
     cordic_sincos_array,
     cordic_tone,
     default_freq_words,
@@ -296,7 +296,7 @@ def test_cordic_largest_legal_angle_bits_equals_oracle(l_acc, a_max):
 
 
 @st.composite
-def cordic_lookups(draw):
+def cordic_tables(draw):
     l_acc = 4 * draw(st.integers(2, 512))
     cfg = CordicConfig(
         data_bits=draw(st.integers(4, 24)),
@@ -304,16 +304,15 @@ def cordic_lookups(draw):
         angle_bits=draw(st.one_of(st.none(), st.integers(4, 24))),
         guard_bits=draw(st.integers(0, 8)),
     )
-    phases = draw(st.lists(st.integers(0, l_acc - 1), max_size=64))
-    return l_acc, cfg, np.array(phases, dtype=np.int64)
+    return l_acc, cfg
 
 
 @settings(max_examples=200)
-@given(cordic_lookups())
-def test_cordic_lookup_equals_cordic_sincos_array(case):
-    l_acc, cfg, phases = case
-    ti, tq = cordic_lookup(phases, l_acc, cfg)
-    ri, rq = cordic_sincos_array(phases, l_acc, cfg)
+@given(cordic_tables())
+def test_cordic_table_equals_cordic_sincos_array(case):
+    l_acc, cfg = case
+    ti, tq = _cordic_table(l_acc, cfg)
+    ri, rq = cordic_sincos_array(np.arange(l_acc), l_acc, cfg)
     assert ti.dtype == ri.dtype == np.int64
     assert np.array_equal(ti, ri)
     assert np.array_equal(tq, rq)
@@ -336,24 +335,21 @@ def cordic_tones(draw):
 def test_cordic_tone_equals_lookup_of_every_phase_word(case):
     l_acc, word, n, cfg = case
     ti, tq = cordic_tone(l_acc, word, n, cfg)
-    ri, rq = cordic_lookup(phase_words(l_acc, word, n), l_acc, cfg)
+    ri, rq = cordic_sincos_array(phase_words(l_acc, word, n), l_acc, cfg)
     assert ti.dtype == np.int64 and len(ti) == len(tq) == n
     assert np.array_equal(ti, ri)
     assert np.array_equal(tq, rq)
 
 
-def test_cordic_lookup_range_check_and_private_table():
+def test_cordic_tone_owns_its_arrays_and_checks_l_acc():
     cfg = CordicConfig(data_bits=10, iterations=10)
-    for bad in ([1024], [-1], [0, 5, 1024]):
-        with pytest.raises(ValueError):
-            cordic_lookup(np.array(bad), 1024, cfg)
     with pytest.raises(ConfigError):
-        cordic_lookup(np.array([0]), 1022, cfg)  # not a multiple of 4
-    ph = np.arange(1024)
-    ci, cq = cordic_lookup(ph, 1024, cfg)
+        cordic_tone(1022, 1, 8, cfg)  # not a multiple of 4
+    ci, cq = cordic_tone(1024, 1, 1024, cfg)
     ci[:] = 0  # callers own their arrays; the shared table is untouched
-    again, _ = cordic_lookup(ph, 1024, cfg)
-    assert np.array_equal(again, cordic_sincos_array(ph, 1024, cfg)[0])
+    cq[:] = 0
+    again = cordic_tone(1024, 1, 1024, cfg)
+    assert np.array_equal(again, cordic_sincos_array(np.arange(1024), 1024, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +608,12 @@ def test_polyphase_interpolator_with_fewer_taps_than_branches():
     assert np.array_equal(uq, zero_stuffed_interp((x, -x), cfg)[1])
 
 
-def modulo_lut_mix(x, length, cycles, width, sign, start=0):
+def modulo_lut_mix(x, length, cycles, width, sign):
     """lut_mix before tiling, kept as the oracle: modulo-indexed LUT
     gathers and the out-of-place complex multiply."""
     xi, xq = x
     li, lq = make_lut(length, cycles, width, sign)
-    idx = (start + np.arange(len(xi))) % length
+    idx = np.arange(len(xi)) % length
     li, lq = li[idx], lq[idx]
     sh = np.int64(width - 1)
     pi = (xi * li - xq * lq) >> sh
@@ -631,18 +627,17 @@ def lut_mixes(draw):
     cycles = draw(st.integers(0, 3 * length))
     sign = draw(st.sampled_from([+1, -1]))
     width = draw(st.integers(2, 24))
-    start = draw(st.one_of(st.integers(0, length - 1), st.integers(length, 10 * length + 3)))
     x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, draw(st.integers(0, 150)))
-    return x, length, cycles, width, sign, start
+    return x, length, cycles, width, sign
 
 
 @settings(max_examples=300)
 @given(lut_mixes())
 def test_tiled_lut_mix_equals_modulo_indexed(case):
-    x, length, cycles, width, sign, start = case
+    x, length, cycles, width, sign = case
     before = (x[0].copy(), x[1].copy())
-    mi, mq = lut_mix(x, length, cycles, width, sign, start)
-    ri, rq = modulo_lut_mix(x, length, cycles, width, sign, start)
+    mi, mq = lut_mix(x, length, cycles, width, sign)
+    ri, rq = modulo_lut_mix(x, length, cycles, width, sign)
     assert mi.dtype == np.int64 and len(mi) == len(x[0])
     assert np.array_equal(mi, ri)
     assert np.array_equal(mq, rq)
@@ -655,18 +650,17 @@ def test_tiled_lut_mix_equals_modulo_indexed(case):
         lambda m: st.tuples(
             st.lists(st.integers(-(2**40), 2**40), min_size=m, max_size=m),
             st.integers(0, 8 * m + 9),
-            st.integers(-3 * m, 3 * m),
             st.sampled_from([np.int64, np.float64]),
             st.booleans(),
         )
     )
 )
 def test_periodic_extend_equals_modulo_indexed(case):
-    values, n, start, dtype, into = case
+    values, n, dtype, into = case
     a = np.array(values, dtype=dtype)
-    want = a[(start + np.arange(n)) % len(a)]
+    want = a[np.arange(n) % len(a)]
     out = np.full(n, -1, dtype=dtype) if into else None
-    got = periodic_extend(a, n, start, out=out)
+    got = periodic_extend(a, n, out=out)
     assert got.dtype == a.dtype and got.flags.writeable
     assert np.array_equal(got, want)
     if into:

@@ -19,7 +19,7 @@ from combtwin.metrics import (
     SpurLine,
     _amp_phase,
     _periodogram_fac,
-    _periodogram_scale,
+    _periodogram_window,
     _rfft,
     _unwrap,
     amp_phase,
@@ -346,7 +346,7 @@ def test_periodogram_of_zero_and_near_zero_inputs_equals_scipy(x, window):
         got = psd(x, 3.0, method=PsdMethod.PERIODOGRAM, window=window).values
     assert got.dtype == want.dtype
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    xw = x * _periodogram_scale(window, len(x), 3.0)
+    xw = x * (_periodogram_window(window, len(x)) * _periodogram_fac(window, len(x), 3.0))
     assert rfft.call_count == (1 if xw.any() else 0)
 
 
@@ -361,15 +361,8 @@ def test_periodogram_fac_and_scale_equal_scipy_order(window, n, fs):
     w = np.ones(n) if window is SpectrumWindow.RECT else signal.get_window("hann", n)
     fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
     assert _periodogram_fac(window, n, fs).hex() == float(fac).hex()
-    assert_same_bits((_periodogram_scale(window, n, fs),), (w * fac,))
-
-
-def test_periodogram_scale_is_read_only():
-    scale = _periodogram_scale(SpectrumWindow.HANN, 16, 2.0)
-    assert not scale.flags.writeable
-    with pytest.raises(ValueError):
-        scale[0] = 1.0
-    assert _periodogram_scale(SpectrumWindow.HANN, 16, 2.0) is scale
+    scale = _periodogram_window(window, n) * _periodogram_fac(window, n, fs)
+    assert_same_bits((scale,), (w * fac,))
 
 
 def test_psd_rejects_short_input():
