@@ -145,7 +145,7 @@ def series_to_binary(series: IqTimeSeries) -> bytes:
 
 def series_from_binary(data: bytes) -> IqTimeSeries:
     """Inverse of series_to_binary; raises ConfigError on a bad magic, a
-    truncated file or a header that lacks a key."""
+    truncated file, or a header that lacks a key or is not a JSON object."""
     if data[:4] != _BIN_MAGIC:
         raise ConfigError("not an I/Q binary file (bad magic)")
     hlen = int.from_bytes(data[4:8], "little")  # the u32, or less when cut short
