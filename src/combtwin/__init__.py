@@ -28,7 +28,6 @@ from .analyzer import (
     IqTimeSeries,
     boxcar_response,
     channelize,
-    ddc,
     ddc_products,
 )
 from .metrics import (

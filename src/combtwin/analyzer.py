@@ -1,10 +1,12 @@
 """Loopback analysis path.
 
 Channelizes the wideband stream back into band-rate subbands (mix, FIR,
-decimate, re-shift), demodulates each tone against its regenerated
-reference (full-precision sine DDC or sign-only square wave), and
-boxcar-accumulates L_avg products per output sample. Accumulator outputs
-are undivided integer sums; normalization happens in the metrics layer.
+decimate, re-shift) and forms each tone's products with its regenerated
+reference (full-precision sine DDC or sign-only square wave). The boxcar
+that accumulates L_avg products per output sample is the arithmetic's
+window_sums, which harness._tone_series applies on both engine plans.
+Accumulator outputs are undivided integer sums; normalization happens in
+the metrics layer.
 """
 
 from __future__ import annotations
@@ -172,16 +174,6 @@ def channelize(
 # demodulation
 
 
-def _boxcar_sums(
-    yi: np.ndarray, yq: np.ndarray, l_avg: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    n_win = len(yi) // l_avg
-    n_disc = len(yi) - n_win * l_avg
-    ii = yi[: n_win * l_avg].reshape(n_win, l_avg).sum(axis=1)
-    qq = yq[: n_win * l_avg].reshape(n_win, l_avg).sum(axis=1)
-    return ii, qq, n_disc
-
-
 def ddc_products(
     subband: tuple[np.ndarray, np.ndarray],
     reference: tuple[np.ndarray, np.ndarray],
@@ -202,35 +194,6 @@ def ddc_products(
     sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
     ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
     return sc * fi + ss * fq, sc * fq - ss * fi
-
-
-def ddc(
-    subband: tuple[np.ndarray, np.ndarray],
-    reference: tuple[np.ndarray, np.ndarray],
-    l_avg: int,
-    mode: DemodMode = DemodMode.SINE_DDC,
-    *,
-    band_index: int = 0,
-    tone_index: int = 0,
-    freq_word: int = 0,
-    band_rate_hz: float = 250e6,
-) -> IqTimeSeries:
-    """Demodulate against the reference (ddc_products), then
-    boxcar-accumulate: one output per l_avg inputs, trailing partial
-    window discarded and counted."""
-    yi, yq = ddc_products(subband, reference, mode)
-    ii, qq, n_disc = _boxcar_sums(yi, yq, l_avg)
-    return IqTimeSeries(
-        band_index=band_index,
-        tone_index=tone_index,
-        freq_word=freq_word,
-        i=ii,
-        q=qq,
-        rate_hz=band_rate_hz / l_avg,
-        l_avg=l_avg,
-        demod_mode=mode,
-        n_discarded=n_disc,
-    )
 
 
 def boxcar_response(L: int, f_norm: float) -> float:

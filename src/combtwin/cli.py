@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .formats import config_from_ini, config_to_ini
@@ -63,7 +62,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="builtin scenario name or INI file path")
         p.add_argument("--long-run", action="store_true", help="unlock full-scale configs")
         if run:
-            p.add_argument("--seed", type=int, default=None, help="override scenario seed")
             p.add_argument("--threads", type=int, default=1, help="worker thread cap (results unchanged)")
 
     p = sub.add_parser("run-loopback", help="generate the comb and analyze it in loopback")
@@ -108,8 +106,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_run_loopback(args) -> int:
     cfg = _load_config(args.config or "desk_a", args.long_run)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     result = run_loopback(cfg, engine=args.engine, threads=args.threads)
     print(
         f"scenario {result.scenario_name}  engine {result.engine}  "
@@ -151,8 +147,6 @@ def _cmd_sweep_cordic(args) -> int:
 
 def _cmd_compare_demod(args) -> int:
     cfg = _load_config(args.config or "demod_single", args.long_run)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     comp = run_demod_compare(cfg, threads=args.threads)
     print(f"scenario {comp.scenario_name}  hash {comp.config_hash[:12]}")
     for t in comp.tones:

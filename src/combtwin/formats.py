@@ -109,14 +109,13 @@ def series_from_csv(text: str) -> IqTimeSeries:
     meta, rows = _csv_rows(text)
     i_vals: list = []
     q_vals: list = []
-    is_float = False
     for _, si, sq in rows:
-        if "." in si or "e" in si or "." in sq or "e" in sq:
-            is_float = True
         i_vals.append(si)
         q_vals.append(sq)
-    conv = float if is_float else int
-    dtype = np.float64 if is_float else np.int64
+    # int only when every value is an integer literal: inf and nan are floats
+    is_int = all(v.strip().lstrip("+-").isdecimal() for v in i_vals + q_vals)
+    conv = int if is_int else float
+    dtype = np.int64 if is_int else np.float64
     i = np.array([conv(v) for v in i_vals], dtype=dtype)
     q = np.array([conv(v) for v in q_vals], dtype=dtype)
     return _series_from_header({**_SERIES_CSV_DEFAULTS, **meta}, i, q)

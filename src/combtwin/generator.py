@@ -69,15 +69,15 @@ class ToneConfig:
 AMPLITUDE_FORMAT = FxpFormat(total_bits=17, frac_bits=15)
 
 
-def phase_words(modulus: int, increment: int, n: int, start: int = 0) -> np.ndarray:
-    """Phase accumulator outputs start + k*increment mod modulus, k < n.
+def phase_words(modulus: int, increment: int, n: int) -> np.ndarray:
+    """Phase accumulator outputs k*increment mod modulus, k < n.
 
     Bit-identical to stepping a counter n times, reducing by a
     conditional subtraction, which is how a non-power-of-two modulus
     (e.g. 65520) is realized in hardware; for a power of two it is the
     same as masking.
     """
-    return (start + increment * np.arange(n, dtype=np.int64)) % modulus
+    return (increment * np.arange(n, dtype=np.int64)) % modulus
 
 
 @dataclass(frozen=True)
@@ -553,22 +553,18 @@ def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
 # arithmetics: the chain's stages in exact integers or in double precision
 
 
-def _periodic_window_sums(y: np.ndarray, l_avg: int, n_windows: int) -> np.ndarray:
-    """Boxcar sums over a stream that is y (one exact period) tiled from
-    absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg)."""
-    p_band = len(y)
-    period_sum = int(y.sum())
-    c = np.concatenate(([0], np.cumsum(y)))
-    full, rem = divmod(l_avg, p_band)
-    n_pat = p_band // math.gcd(l_avg, p_band)
-    offsets = (np.arange(n_pat, dtype=np.int64) * l_avg) % p_band
-    # a window end past one period reads the next: period_sum + c[end - p_band]
-    ends = offsets + rem
-    wrap = ends > p_band
-    hi = c[ends - p_band * wrap]
-    hi[wrap] += period_sum
-    pattern = full * period_sum + (hi - c[offsets])
-    return periodic_extend(pattern, n_windows)
+def _window_sums(y: np.ndarray, l_avg: int, n_windows: int) -> np.ndarray:
+    """Boxcar sums over a stream that is y (p samples) tiled from absolute
+    sample 0: window m covers [m*l_avg, (m+1)*l_avg). The stream's prefix
+    sum at x is (x // p) * c[p] + c[x % p], c the prefix sums of y; int64
+    wraparound in them cancels in the differences (a CIC integrator and
+    comb), so every sum that fits int64 is exact. The sums repeat every
+    n_pat = p / gcd(l_avg, p) windows: the first are formed, then tiled."""
+    p = len(y)
+    c = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(y, out=c[1:])
+    x = np.arange(min(p // math.gcd(l_avg, p), n_windows) + 1, dtype=np.int64) * l_avg
+    return periodic_extend(np.diff((x // p) * c[p] + c[x % p]), n_windows)
 
 
 @functools.lru_cache(maxsize=8)
@@ -610,7 +606,7 @@ class FixedPoint:
         return tuple(spec.requantize(polyphase_decimate(s, h, d), width) for s in x)
 
     def window_sums(self, y: np.ndarray, l_avg: int, n_windows: int):
-        return _periodic_window_sums(y, l_avg, n_windows)
+        return _window_sums(y, l_avg, n_windows)
 
 
 FIXED_POINT = FixedPoint()

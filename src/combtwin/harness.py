@@ -24,7 +24,6 @@ from .analyzer import (
     DemodMode,
     IqTimeSeries,
     channelize,
-    ddc,
     ddc_products,
 )
 from .fxp import ConfigError, FxpValue
@@ -286,7 +285,8 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     generate, span, reason). Periodic generates one period plus the
     transient and tiles its last period, the span (see _span); tiling is
     exact once the warm-up covers the transient. Direct spans the whole
-    run. "auto" also needs the period plus the transient to be shorter than
+    run, a span that tiles the run once, so _tone_series treats both plans
+    alike. "auto" also needs the period plus the transient to be shorter than
     the run and a period of at most 2^23 full-rate samples. A capture of
     one window has no spectrum, so it is refused before any work."""
     if engine not in ("auto", "periodic", "direct"):
@@ -344,19 +344,15 @@ def _tone_series(
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> IqTimeSeries:
     """One tone's retained accumulator outputs from its band's _span under
-    an _engine_plan, in arith. The span starts at phase 0 of the reference
-    period; the periodic plan demodulates its one period and tiles the
-    window sums."""
-    periodic, _, span, _ = plan
+    an _engine_plan, in arith: the span, starting at phase 0 of the
+    reference period, is demodulated and its window sums taken as a stream
+    that tiles it. On the direct plan the span is the whole run, so the
+    tiled stream is the run itself."""
+    _, _, span, _ = plan
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
     ref = arith.reference(g.L_acc, tone.freq_word, span, g.cordic)
-    if periodic:
-        n_windows = cfg.acquisition_len + w
-        yi, yq = ddc_products(sub, ref, mode)
-        i, q = (arith.window_sums(y, a.L_avg, n_windows) for y in (yi, yq))
-    else:
-        s = ddc(sub, ref, a.L_avg, mode)
-        i, q = s.i, s.q
+    yi, yq = ddc_products(sub, ref, mode)
+    i, q = (arith.window_sums(y, a.L_avg, cfg.acquisition_len + w) for y in (yi, yq))
     return IqTimeSeries(
         band_index=tone.band_index,
         tone_index=tone.tone_index,

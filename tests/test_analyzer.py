@@ -11,12 +11,14 @@ from combtwin import ConfigError, FxpFormat, FxpValue
 from combtwin.analyzer import (
     AnalyzerConfig,
     DemodMode,
+    IqTimeSeries,
     boxcar_response,
     channelize,
-    ddc,
+    ddc_products,
 )
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
+    FIXED_POINT,
     CordicConfig,
     FilterSpec,
     GeneratorConfig,
@@ -222,17 +224,26 @@ def test_channelize_undoes_band_shift_on_tone_grid():
 # demodulators
 
 
+def demod(subband, reference, l_avg, mode=DemodMode.SINE_DDC):
+    """The chain's demodulator: ddc_products, then the fixed-point window
+    sums of every whole window."""
+    n_windows = len(subband[0]) // l_avg
+    return tuple(
+        FIXED_POINT.window_sums(y, l_avg, n_windows)
+        for y in ddc_products(subband, reference, mode)
+    )
+
+
 def test_ddc_sine_self_demodulation():
     word, l_acc, l_avg = 205, 1024, 1024
     n = 4 * l_avg
     ref = reference_wave(word, l_acc, n)
-    out = ddc(ref, ref, l_avg, freq_word=word)
-    assert len(out) == 4
-    assert out.n_discarded == 0
+    i, q = demod(ref, ref, l_avg)
+    assert len(i) == len(q) == 4
     # each window accumulates |ref|^2 exactly
     want = int((ref[0].astype(object) ** 2 + ref[1].astype(object) ** 2)[:l_avg].sum())
-    assert np.all(out.i == want)
-    assert np.all(out.q == 0)
+    assert np.all(i == want)
+    assert np.all(q == 0)
     assert want > 0.9 * l_avg * 511**2
 
 
@@ -241,12 +252,12 @@ def test_ddc_sine_rejects_other_grid_tone():
     n = 4 * l_avg
     ref = reference_wave(205, l_acc, n)
     other = reference_wave(307, l_acc, n)
-    out = ddc(other, ref, l_avg)
+    i, q = demod(other, ref, l_avg)
     # boxcar zero at grid spacing: bounded by accumulated quantization
-    assert np.abs(out.i).max() <= 4 * l_avg
-    assert np.abs(out.q).max() <= 4 * l_avg
-    self_out = ddc(ref, ref, l_avg)
-    assert np.abs(out.i).max() < 1e-2 * self_out.i[0]
+    assert np.abs(i).max() <= 4 * l_avg
+    assert np.abs(q).max() <= 4 * l_avg
+    self_i, _ = demod(ref, ref, l_avg)
+    assert np.abs(i).max() < 1e-2 * self_i[0]
 
 
 def test_ddc_zero_subband_zero_series():
@@ -254,17 +265,8 @@ def test_ddc_zero_subband_zero_series():
     ref = reference_wave(205, 1024, 2 * l_avg)
     z = np.zeros(2 * l_avg, dtype=np.int64)
     for mode in DemodMode:
-        out = ddc((z, z), ref, l_avg, mode)
-        assert not out.i.any() and not out.q.any()
-
-
-def test_ddc_trailing_partial_window_discarded():
-    l_avg = 1024
-    n = 3 * l_avg + 500
-    ref = reference_wave(205, 1024, n)
-    out = ddc(ref, ref, l_avg)
-    assert len(out) == 3
-    assert out.n_discarded == 500
+        i, q = demod((z, z), ref, l_avg, mode)
+        assert not i.any() and not q.any()
 
 
 def test_ddc_square_uses_reference_signs_only():
@@ -274,13 +276,13 @@ def test_ddc_square_uses_reference_signs_only():
     si = rng.integers(-2000, 2000, n)
     sq = rng.integers(-2000, 2000, n)
     ref = reference_wave(17, 1024, n)
-    out = ddc((si, sq), ref, l_avg, DemodMode.SQUARE_WAVE)
+    i, q = demod((si, sq), ref, l_avg, DemodMode.SQUARE_WAVE)
     sc = np.where(ref[0] >= 0, 1, -1).astype(np.int64)
     ss = np.where(ref[1] >= 0, 1, -1).astype(np.int64)
     want_i = (sc * si + ss * sq)[:l_avg].sum()
     want_q = (sc * sq - ss * si)[:l_avg].sum()
-    assert out.i[0] == want_i
-    assert out.q[0] == want_q
+    assert i[0] == want_i
+    assert q[0] == want_q
 
 
 def test_ddc_square_sign_of_zero_is_positive():
@@ -289,10 +291,10 @@ def test_ddc_square_sign_of_zero_is_positive():
     ref_q = np.array([1, 0, -1, 0], dtype=np.int64)
     ones = np.ones(4, dtype=np.int64)
     zeros = np.zeros(4, dtype=np.int64)
-    out = ddc((ones, zeros), (ref_i, ref_q), l_avg, DemodMode.SQUARE_WAVE)
+    i, q = demod((ones, zeros), (ref_i, ref_q), l_avg, DemodMode.SQUARE_WAVE)
     # signs: sc = [+,-,+,+], ss = [+,+,-,+]
-    assert out.i[0] == 1 - 1 + 1 + 1
-    assert out.q[0] == -(1 + 1 - 1 + 1)
+    assert i[0] == 1 - 1 + 1 + 1
+    assert q[0] == -(1 + 1 - 1 + 1)
 
 
 def test_square_to_sine_magnitude_ratio():
@@ -300,23 +302,22 @@ def test_square_to_sine_magnitude_ratio():
     word, l_acc, l_avg = 205, 1024, 1024
     n = 8 * l_avg
     ref = reference_wave(word, l_acc, n)
-    out_s = ddc(ref, ref, l_avg)
-    out_q = ddc(ref, ref, l_avg, DemodMode.SQUARE_WAVE)
-    ms = np.abs(out_s.i.mean() + 1j * out_s.q.mean())
-    mq = np.abs(out_q.i.mean() + 1j * out_q.q.mean())
+    si, sq = demod(ref, ref, l_avg)
+    qi, qq = demod(ref, ref, l_avg, DemodMode.SQUARE_WAVE)
+    ms = np.abs(si.mean() + 1j * sq.mean())
+    mq = np.abs(qi.mean() + 1j * qq.mean())
     ratio = (mq * 511.0 / ms) / (4.0 / math.pi)
     assert abs(ratio - 1.0) < 0.02
-    dphi = abs(
-        math.atan2(out_q.q.mean(), out_q.i.mean())
-        - math.atan2(out_s.q.mean(), out_s.i.mean())
-    )
+    dphi = abs(math.atan2(qq.mean(), qi.mean()) - math.atan2(sq.mean(), si.mean()))
     assert dphi < 1e-2
 
 
 def test_series_metadata_and_complex_view():
     l_avg = 512
     ref = reference_wave(205, 1024, 2 * l_avg)
-    out = ddc(ref, ref, l_avg, band_index=1, tone_index=3, freq_word=205)
+    i, q = demod(ref, ref, l_avg)
+    rate = desk_analyzer(l_avg=l_avg).fs_hz
+    out = IqTimeSeries(1, 3, 205, i, q, rate, l_avg, DemodMode.SINE_DDC)
     assert out.band_index == 1 and out.tone_index == 3 and out.freq_word == 205
     assert out.rate_hz == pytest.approx(250e6 / 512)
     z = out.complex_values()

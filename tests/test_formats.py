@@ -90,6 +90,19 @@ def test_series_csv_round_trip_floats():
     _series_equal(s, back)  # repr round-trip is exact for float64
 
 
+def test_series_of_only_inf_and_nan_round_trips_in_both_formats():
+    s = make_series(n=2)
+    floats = IqTimeSeries(
+        3, 17, 205, np.array([np.inf, np.nan]), np.array([-np.inf, np.nan]),
+        s.rate_hz, s.l_avg, s.demod_mode, s.n_discarded,
+    )
+    for back in (series_from_csv(series_to_csv(floats)), series_from_binary(series_to_binary(floats))):
+        assert back.i.dtype == back.q.dtype == np.float64
+        assert np.array_equal(back.i, floats.i, equal_nan=True)
+        assert np.array_equal(back.q, floats.q, equal_nan=True)
+    assert series_from_csv(series_to_csv(s)).i.dtype == np.int64
+
+
 def test_series_binary_round_trip():
     for float_data in (False, True):
         s = make_series(float_data=float_data)

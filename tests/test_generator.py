@@ -72,10 +72,10 @@ def band_shift(band, band_index, cfg):
 # phase accumulator
 
 
-def stepped_phases(modulus, increment, n, start=0):
-    """Oracle of phase_words: a counter stepped n times, wrapping by a
-    conditional subtraction as the hardware does."""
-    out, phase = [], start
+def stepped_phases(modulus, increment, n):
+    """Oracle of phase_words: a counter stepped n times from 0, wrapping by
+    a conditional subtraction as the hardware does."""
+    out, phase = [], 0
     for _ in range(n):
         out.append(phase)
         phase += increment
@@ -85,11 +85,11 @@ def stepped_phases(modulus, increment, n, start=0):
 
 
 def test_phase_step_power_of_two_wrap():
-    assert phase_words(65536, 1, 2, start=65535).tolist() == [65535, 0]
+    assert phase_words(65536, 65535, 3).tolist() == [0, 65535, 65534]
 
 
 def test_phase_step_explicit_modulo():
-    assert phase_words(65520, 2, 2, start=65519).tolist() == [65519, 1]
+    assert phase_words(65520, 32761, 3).tolist() == [0, 32761, 2]
 
 
 def test_phase_sequence_period_by_cycle_detection():
@@ -105,10 +105,9 @@ def test_phase_words_matches_stepped_accumulator():
     for _ in range(20):
         mod = int(rng.integers(8, 5000))
         inc = int(rng.integers(0, mod))
-        start = int(rng.integers(0, mod))
         n = int(rng.integers(1, 400))
-        ph = phase_words(mod, inc, n, start=start)
-        assert ph.tolist() == stepped_phases(mod, inc, n, start)
+        ph = phase_words(mod, inc, n)
+        assert ph.tolist() == stepped_phases(mod, inc, n)
 
 
 def test_phase_acc_rejects_bad_increment():

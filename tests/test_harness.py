@@ -20,7 +20,7 @@ from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
     DoublePrecision,
-    _periodic_window_sums,
+    _window_sums,
     ToneConfig,
     cordic_tone,
     generate_comb,
@@ -326,12 +326,37 @@ def small_chains(draw):
     return replace(cfg, warmup_windows=warmup)
 
 
+def reshape_window_sums(y, l_avg, n_windows):
+    """The boxcar of the former analyzer.ddc: the first n_windows whole
+    windows of y, each summed from its own samples."""
+    return y[: n_windows * l_avg].reshape(n_windows, l_avg).sum(axis=1)
+
+
+def whole_run_series(cfg, tone):
+    """A tone's retained window sums from the whole run, with no engine
+    plan: the first n_total subband samples, their ddc_products against a
+    reference over the whole run, reshape sums, warm-up windows dropped."""
+    g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
+    n_windows = cfg.acquisition_len + w
+    n_total = n_windows * a.L_avg
+    sub = tuple(s[:n_total] for s in _subbands(cfg, n_total, 1)[tone.band_index])
+    ref = cordic_tone(g.L_acc, tone.freq_word, n_total, g.cordic)
+    return tuple(
+        reshape_window_sums(y, a.L_avg, n_windows)[w:]
+        for y in ddc_products(sub, ref, a.demod_mode)
+    )
+
+
 @settings(max_examples=40)
 @given(small_chains())
 def test_periodic_engine_equals_direct_on_random_chains(cfg):
     rp = run_loopback(cfg, engine="periodic")
     rd = run_loopback(cfg, engine="direct")
-    for tp, td in zip(rp.tones, rd.tones, strict=True):
+    tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
+    for tone, tp, td in zip(tones, rp.tones, rd.tones, strict=True):
+        want_i, want_q = whole_run_series(cfg, tone)
+        assert np.array_equal(td.series.i, want_i)
+        assert np.array_equal(td.series.q, want_q)
         assert np.array_equal(tp.series.i, td.series.i)
         assert np.array_equal(tp.series.q, td.series.q)
         assert np.array_equal(tp.amp_spectrum.values, td.amp_spectrum.values)
@@ -518,7 +543,7 @@ def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
 
 def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
     """Prefix sums over two periods and a modulo gather: the window sums of
-    y tiled from sample 0, kept as the oracle for _periodic_window_sums."""
+    y tiled from sample 0, kept as an oracle for _window_sums."""
     period_sum = int(y.sum())
     c = np.concatenate(([0], np.cumsum(np.concatenate((y, y)))))
     full, rem = divmod(l_avg, p_band)
@@ -527,6 +552,13 @@ def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
     pattern = full * period_sum + (c[offsets + rem] - c[offsets])
     idx = np.arange(n_windows, dtype=np.int64) % n_pat
     return pattern[idx]
+
+
+def exact_window_sums(y, l_avg, n_windows):
+    """y tiled from sample 0 and reshape-summed in Python ints (object
+    dtype), which never wrap."""
+    tiled = y.astype(object)[np.arange(n_windows * l_avg) % len(y)]
+    return reshape_window_sums(tiled, l_avg, n_windows)
 
 
 @st.composite
@@ -540,9 +572,12 @@ def window_sum_cases(draw):
             st.integers(1, 4 * p_band + 7),  # below or above, coprime or not
         )
     )
-    bound = 1 << 31
+    # up to 2^62 / l_avg every window sum fits int64 while the prefix sums
+    # of the tiled stream can wrap, soonest when every value is >= 0
+    bound = draw(st.sampled_from([1 << 31, (1 << 62) // l_avg]))
+    low = draw(st.sampled_from([-bound, 0]))
     y = np.array(
-        draw(st.lists(st.integers(-bound, bound), min_size=p_band, max_size=p_band)),
+        draw(st.lists(st.integers(low, bound), min_size=p_band, max_size=p_band)),
         dtype=np.int64,
     )
     return y, p_band, l_avg, draw(st.integers(1, 400))
@@ -552,10 +587,11 @@ def window_sum_cases(draw):
 @given(window_sum_cases())
 def test_periodic_window_sums_equal_the_two_period_reference(case):
     y, p_band, l_avg, n_windows = case
-    got = _periodic_window_sums(y, l_avg, n_windows)
+    got = _window_sums(y, l_avg, n_windows)
     want = periodic_window_sums_reference(y, p_band, l_avg, n_windows)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+    assert got.tolist() == exact_window_sums(y, l_avg, n_windows).tolist()
 
 
 def test_thread_count_does_not_change_bits():
