@@ -60,8 +60,8 @@ class AnalyzerConfig:
             raise ConfigError("L_avg must be >= 1")
         if self.n_bands < 1:
             raise ConfigError("n_bands must be >= 1")
-        if self.band_rate_hz <= 0:
-            raise ConfigError("band_rate_hz must be > 0")
+        if not (0 < self.band_rate_hz < math.inf):
+            raise ConfigError(f"band_rate_hz must be finite and > 0, got {self.band_rate_hz}")
         if not (2 <= self.wide_width_bits <= 32):
             raise ConfigError("wide_width_bits must be in 2..32")
         if self.shifter_lut_len % (5 * self.decim_to_band) != 0:

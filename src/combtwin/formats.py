@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import functools
-import hashlib
 import io
 import json
 import struct
@@ -144,14 +143,18 @@ def series_to_binary(series: IqTimeSeries) -> bytes:
 
 def series_from_binary(data: bytes) -> IqTimeSeries:
     """Inverse of series_to_binary; raises ConfigError on a bad magic, a
-    truncated file, or a header that lacks a key or is not a JSON object."""
+    truncated file, or a header that is not UTF-8 JSON, is not an object
+    or lacks a key."""
     if data[:4] != _BIN_MAGIC:
         raise ConfigError("not an I/Q binary file (bad magic)")
     hlen = int.from_bytes(data[4:8], "little")  # the u32, or less when cut short
     off = 8 + hlen + 8
     if len(data) < off:
         raise ConfigError("truncated I/Q binary file: header or sample count cut short")
-    header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"I/Q binary header is not UTF-8 JSON: {e}") from e
     (count,) = struct.unpack_from("<Q", data, 8 + hlen)
     if not isinstance(header, dict) or header.get("dtype") not in ("<i8", "<f8"):
         raise ConfigError("I/Q binary header is not an object with a valid dtype")
@@ -444,7 +447,3 @@ def write_samples_csv(x: Iterable[float]) -> str:
     for n, v in enumerate(x):
         rows.append(f"{n},{_fmt_float(v)}")
     return "\n".join(rows) + "\n"
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

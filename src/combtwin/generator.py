@@ -432,8 +432,8 @@ class GeneratorConfig:
             raise ConfigError("L_acc must be >= 8 and a multiple of 4")
         if self.upsample_factor < 1:
             raise ConfigError("upsample_factor must be >= 1")
-        if self.band_rate_hz <= 0:
-            raise ConfigError("band_rate_hz must be > 0")
+        if not (0 < self.band_rate_hz < math.inf):
+            raise ConfigError(f"band_rate_hz must be finite and > 0, got {self.band_rate_hz}")
         # band b's shift needs shifter_lut_len * (2b + 1) / (5U) whole cycles,
         # and 2b + 1 is odd: when band 0 holds whole cycles, every band does
         if self.shifter_lut_len % (5 * self.upsample_factor) != 0:

@@ -35,11 +35,9 @@ from .generator import (
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
-    cordic_sincos_array,
     cordic_tone,
     default_freq_words,
     generate_comb,
-    phase_words,
     waveform_period,
     windowed_sinc_taps,
 )
@@ -337,20 +335,18 @@ def _span(
 
 def _tone_series(
     cfg: ChainConfig,
-    plan: tuple[bool, int, int, str],
     sub: tuple[np.ndarray, np.ndarray],
     tone: ToneConfig,
     mode: DemodMode,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> IqTimeSeries:
-    """One tone's retained accumulator outputs from its band's _span under
-    an _engine_plan, in arith: the span, starting at phase 0 of the
-    reference period, is demodulated and its window sums taken as a stream
-    that tiles it. On the direct plan the span is the whole run, so the
-    tiled stream is the run itself."""
-    _, _, span, _ = plan
+    """One tone's retained accumulator outputs from its band's _span, in
+    arith: the span, starting at phase 0 of the reference period, is
+    demodulated and its window sums taken as a stream that tiles it. On
+    the direct plan the span is the whole run, so the tiled stream is the
+    run itself."""
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
-    ref = arith.reference(g.L_acc, tone.freq_word, span, g.cordic)
+    ref = arith.reference(g.L_acc, tone.freq_word, len(sub[0]), g.cordic)
     yi, yq = ddc_products(sub, ref, mode)
     i, q = (arith.window_sums(y, a.L_avg, cfg.acquisition_len + w) for y in (yi, yq))
     return IqTimeSeries(
@@ -394,13 +390,18 @@ def _loopback(
     use_periodic, n_gen, span, reason = plan
     g, a = cfg.generator, cfg.analyzer
     spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads, arith).items()}
-    predicted = _predicted_spurs(cfg)
+    predicted = tuple(
+        (f, "period-extension alias")
+        for f, _ in predict_spurs(
+            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, a.band_rate_hz
+        )
+    )
     # every series tiles n_pat windows; on the direct plan that is all of them
     n_pat = span // math.gcd(a.L_avg, span)
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
-        series = _tone_series(cfg, plan, spans[tone.band_index], tone, a.demod_mode, arith)
+        series = _tone_series(cfg, spans[tone.band_index], tone, a.demod_mode, arith)
         return _tone_metrics(series, predicted, n_pat)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
@@ -423,16 +424,6 @@ def _loopback(
     )
 
 
-def _predicted_spurs(cfg: ChainConfig) -> tuple[tuple[float, str], ...]:
-    g, a = cfg.generator, cfg.analyzer
-    return tuple(
-        (f, "period-extension alias")
-        for f, _ in predict_spurs(
-            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, a.band_rate_hz
-        )
-    )
-
-
 def _tone_metrics(
     series: IqTimeSeries, predicted: tuple[tuple[float, str], ...], n_pat: int
 ) -> ToneResult:
@@ -449,26 +440,14 @@ def _tone_metrics(
         _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
     else:  # a silent tone: no fluctuation, and its spectra are exact zeros
         mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
-    amp_spec = _periodogram(xa, fs, SpectrumWindow.RECT)
-    phase_spec = _periodogram(xp, fs, SpectrumWindow.RECT)
-    amp_rep = detect_spurs(
-        amp_spec,
-        threshold_db=10.0,
-        floor_min=float(np.max(amp_spec.values)) * SPUR_FLOOR_GUARD_REL,
-    )
-    phase_rep = detect_spurs(
-        phase_spec,
-        threshold_db=10.0,
-        floor_min=float(np.max(phase_spec.values)) * SPUR_FLOOR_GUARD_REL,
-    )
-    return ToneResult(
-        series=series,
-        amp_spectrum=amp_spec,
-        phase_spectrum=phase_spec,
-        amp_spurs=SpurReport(amp_rep.lines, amp_rep.floor, predicted),
-        phase_spurs=SpurReport(phase_rep.lines, phase_rep.floor, predicted),
-        carrier_power=mean_amp**2,
-    )
+    specs, reports = [], []
+    for x in (xa, xp):
+        spec = _periodogram(x, fs, SpectrumWindow.RECT)
+        floor_min = float(np.max(spec.values)) * SPUR_FLOOR_GUARD_REL
+        rep = detect_spurs(spec, threshold_db=10.0, floor_min=floor_min)
+        specs.append(spec)
+        reports.append(SpurReport(rep.lines, rep.floor, predicted))
+    return ToneResult(series, *specs, *reports, carrier_power=mean_amp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +493,7 @@ def run_cordic_sweep(
                 angle_bits=None,
                 guard_bits=g.cordic.guard_bits,
             )
-            ph = phase_words(g.L_acc, word, n)
-            ci, _ = cordic_sincos_array(ph, g.L_acc, cordic)
+            ci, _ = cordic_tone(g.L_acc, word, n, cordic)
             fund = word if word <= n // 2 else n - word
             sinad, sfdr = sinad_sfdr(ci.astype(np.float64), fund)
             rows.append(SweepRow(b, it, sinad, sfdr))
@@ -598,7 +576,7 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
         for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
             yi, yq = ddc_products(pre, ref, mode)
             lines.append(_spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB))
-            series.append(_tone_series(cfg, plan, spans[tone.band_index], tone, mode))
+            series.append(_tone_series(cfg, spans[tone.band_index], tone, mode))
         m_sine, m_square = (complex(np.mean(s.complex_values())) for s in series)
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
         dphi = math.remainder(
@@ -723,7 +701,7 @@ def persist(result: RunResult, out_dir) -> dict:
             p = tmp / rel
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_bytes(data)
-            digests[rel] = formats.sha256_hex(data)
+            digests[rel] = hashlib.sha256(data).hexdigest()
         manifest = {
             "package_version": __version__,
             "scenario_name": result.scenario_name,

@@ -145,7 +145,8 @@ def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
     for callers that need only the means of them. Unless some cyclic step
     of the pattern's phase (the wrap step included) is a jump, np.unwrap of
     the tiled phase adds 0.0 to every sample after the first and nothing
-    else, so delta_phase tiles the pattern too."""
+    else, so delta_phase tiles the pattern too; otherwise np.unwrap runs
+    over the tiled phase."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if len(i) == 0:
@@ -169,27 +170,11 @@ def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
         )
         delta_phase[0] = (p[0] - mean_phase) * fac
     else:
-        phase = _unwrap(periodic_extend(p, n))
+        phase = np.unwrap(periodic_extend(p, n))
         mean_phase = float(np.mean(phase))
         delta_phase = np.subtract(phase, mean_phase, out=phase if overwrite else None)
         delta_phase *= fac
     return amp, phase, mean_amp, delta_amp, delta_phase
-
-
-def _unwrap(p: np.ndarray) -> np.ndarray:
-    """np.unwrap(p) for a 1-D float64 p, bit for bit. numpy forms its
-    correction at every step and zeroes it where abs(diff) < pi; this forms
-    it only at the other steps (NaN included), in numpy's own operations."""
-    dd = np.diff(p)
-    corr = np.zeros_like(dd)
-    jump = np.flatnonzero(~(np.abs(dd) < np.pi))
-    d = dd[jump]
-    dmod = np.mod(d + np.pi, 2 * np.pi) - np.pi
-    np.copyto(dmod, np.pi, where=(dmod == -np.pi) & (d > 0))
-    corr[jump] = dmod - d
-    up = p.copy()
-    up[1:] = p[1:] + corr.cumsum()
-    return up
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +248,8 @@ def psd(
     n = len(x)
     if n < 2:
         raise ConfigError("psd needs at least 2 samples")
-    if fs <= 0:
-        raise ConfigError("fs must be > 0")
+    if not (0 < fs < math.inf):
+        raise ConfigError(f"fs must be finite and > 0, got {fs}")
     if method is PsdMethod.PERIODOGRAM:
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
@@ -368,8 +353,8 @@ def predict_spurs(
     """
     if L_acc < 1 or U < 1 or lut_len < 1 or L_avg < 1:
         raise ConfigError("all integer arguments must be >= 1")
-    if band_rate <= 0:
-        raise ConfigError("band_rate must be > 0")
+    if not (0 < band_rate < math.inf):
+        raise ConfigError(f"band_rate must be finite and > 0, got {band_rate}")
     R = waveform_period(L_acc, U, lut_len) // U
     j = np.arange(1, R, dtype=np.int64)
     am = (j * np.int64(L_avg)) % np.int64(R)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def test_predict_spurs_none_for_divisible_modulus(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "no spurs predicted"
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_predict_spurs_refuses_a_non_finite_band_rate(capsys, rate):
+    argv = f"predict-spurs --l-acc 1024 --l-avg 1024 --band-rate {rate}".split()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: band_rate must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +164,16 @@ def test_run_loopback_on_a_one_window_capture_exits_1(tmp_path, capsys):
     assert "acquisition_len 1 is too short" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_run_loopback_refuses_a_non_finite_band_rate_as_the_config_loads(tmp_path, capsys, rate):
+    path = Path(_small_ini(tmp_path, "rate.ini"))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("band_rate_hz = 250000000.0", f"band_rate_hz = {rate}"))
+    with mock.patch("combtwin.cli.run_loopback", side_effect=AssertionError("the comb ran")):
+        assert main(["run-loopback", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: band_rate_hz must be finite and > 0")
+
+
 # ---------------------------------------------------------------------------
 # sweep-cordic
 
@@ -226,13 +244,29 @@ def test_psd_stdout_default(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "blob", [b"CTIQ\x10", b"CTIQ\x02\x00\x00\x00{}" + bytes(8), b"CTIQ\x02\x00\x00\x00[]" + bytes(8)]
+    "blob",
+    [
+        b"CTIQ\x10",
+        b"CTIQ\x02\x00\x00\x00{}" + bytes(8),
+        b"CTIQ\x02\x00\x00\x00[]" + bytes(8),
+        b"CTIQ\x03\x00\x00\x00abc" + bytes(8),
+        b"CTIQ\x02\x00\x00\x00\xff\xfe" + bytes(8),
+    ],
 )
 def test_psd_on_a_truncated_or_headerless_binary_exits_1(tmp_path, capsys, blob):
     src = tmp_path / "x.bin"
     src.write_bytes(blob)
     assert main(["psd", "--in", str(src), "--fs", "1"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "I/Q binary" in err
+
+
+@pytest.mark.parametrize("fs", ["inf", "nan"])
+def test_psd_refuses_a_non_finite_fs(tmp_path, capsys, fs):
+    src = tmp_path / "x.csv"
+    src.write_text("\n".join(str(v) for v in range(64)) + "\n")
+    assert main(["psd", "--in", str(src), "--fs", fs]) == 1
+    assert capsys.readouterr().err.startswith("error: fs must be finite and > 0")
 
 
 def test_psd_periodogram_rejects_segment_len(tmp_path, capsys):

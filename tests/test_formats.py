@@ -118,6 +118,11 @@ def test_series_binary_rejects_garbage():
     blob = series_to_binary(make_series())
     with pytest.raises(ValueError):
         series_from_binary(blob[:20])  # truncated
+    # headers that are not JSON, or not UTF-8
+    for header in (b"abc", b"\xff\xfe"):
+        bad = b"CTIQ" + len(header).to_bytes(4, "little") + header + bytes(8)
+        with pytest.raises(ConfigError, match="not UTF-8 JSON"):
+            series_from_binary(bad)
 
 
 @pytest.mark.parametrize("float_data", [False, True])

@@ -22,6 +22,7 @@ from combtwin.generator import (
     DoublePrecision,
     _window_sums,
     ToneConfig,
+    cordic_sincos_array,
     cordic_tone,
     generate_comb,
     phase_words,
@@ -60,6 +61,7 @@ from combtwin.metrics import (
     SpurReport,
     _rfft,
     predict_spurs,
+    sinad_sfdr,
 )
 from test_metrics import _detect_spurs_loop, amp_phase_reference, assert_same_bits
 
@@ -653,6 +655,28 @@ def test_sweep_low_precision_golden():
     rows = run_cordic_sweep([6], [3], default_sweep_config())
     assert rows[0].sinad_db == pytest.approx(16.868394440272112, abs=1e-9)
     assert rows[0].sfdr_db == pytest.approx(23.99078745404838, abs=1e-9)
+
+
+@pytest.mark.parametrize("word", [997, 1000, 3100])
+@pytest.mark.parametrize("angle_bits, guard_bits", [(None, 0), (12, 3)])
+def test_sweep_rows_equal_the_cordic_of_every_phase_word(word, angle_bits, guard_bits):
+    # the sweep's former path, kept as its oracle: cordic_sincos_array over
+    # one accumulator period of phase words, with the sweep's data bits and
+    # iterations, the default angle bits and the base config's guard bits
+    l_acc = 4096
+    base = make_chain_config(
+        "sweep", l_acc, l_acc, 1, 1, 1, freq_words=[word],
+        cordic=CordicConfig(10, 10, angle_bits=angle_bits, guard_bits=guard_bits),
+    )
+    bits, iters = [6, 10, 13], [3, 10]
+    rows = run_cordic_sweep(bits, iters, base)
+    assert len(rows) == len(bits) * len(iters)
+    ph = phase_words(l_acc, word, l_acc)
+    fund = min(word, l_acc - word)
+    for row in rows:
+        cordic = CordicConfig(row.data_bits, row.iterations, guard_bits=guard_bits)
+        ci, _ = cordic_sincos_array(ph, l_acc, cordic)
+        assert (row.sinad_db, row.sfdr_db) == sinad_sfdr(ci.astype(np.float64), fund)
 
 
 def test_sweep_table_shape():

@@ -21,7 +21,6 @@ from combtwin.metrics import (
     _periodogram_fac,
     _periodogram_window,
     _rfft,
-    _unwrap,
     amp_phase,
     dbc_per_hz,
     deglitch,
@@ -134,7 +133,7 @@ def amp_phase_reference(i, q):
     if len(i) == 0:
         raise ConfigError("amp_phase needs a nonempty series")
     amp = np.hypot(i, q)
-    phase = _unwrap(np.arctan2(q, i))
+    phase = np.unwrap(np.arctan2(q, i))
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:
         raise ValueError("degenerate input: mean amplitude is zero")
@@ -193,40 +192,6 @@ def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
     assert_same_bits(
         (r.amp, r.phase, r.delta_amp, r.delta_phase), (amp, phase, delta_amp, delta_phase)
     )
-
-
-# phase values whose differences land on exactly +-pi, on signed zeros and
-# on non-finite values
-_UNWRAP_SPECIALS = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -3 * np.pi, np.nan, np.inf, -np.inf)
-
-
-@st.composite
-def phase_series(draw):
-    steps = np.array(
-        draw(
-            st.lists(
-                st.one_of(st.floats(-25.0, 25.0), st.sampled_from(_UNWRAP_SPECIALS)),
-                min_size=1,
-                max_size=300,
-            )
-        )
-    )
-    kind = draw(st.sampled_from(["values", "turns", "wrapped turns"]))
-    if kind == "values":
-        return steps
-    with np.errstate(invalid="ignore"):
-        turns = np.cumsum(steps)  # multi-turn differences
-        return turns if kind == "turns" else np.arctan2(np.sin(turns), np.cos(turns))
-
-
-@settings(max_examples=300)
-@given(phase_series())
-@example(np.array([0.0, np.pi, 0.0, -np.pi, -0.0, np.pi, np.nan, 1.0, np.inf, -np.inf, 2.0]))
-@example(np.array([-0.0]))
-def test_unwrap_equals_numpy_bit_for_bit(p):
-    with np.errstate(invalid="ignore"):
-        got, want = _unwrap(p), np.unwrap(p)
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
