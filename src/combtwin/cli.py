@@ -11,7 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .formats import config_from_ini, config_to_ini
+from .formats import (
+    config_from_ini,
+    config_to_ini,
+    read_samples,
+    spectrum_to_csv,
+    write_samples_csv,
+)
 from .fxp import ConfigError
 from .harness import (
     LONG_RUN_SCENARIOS,
@@ -173,8 +179,6 @@ def _cmd_predict_spurs(args) -> int:
 
 
 def _cmd_psd(args) -> int:
-    from .formats import read_samples, spectrum_to_csv
-
     x = read_samples(args.infile)
     method = PsdMethod(args.method)
     window = SpectrumWindow(args.window) if args.window else None
@@ -189,8 +193,6 @@ def _cmd_psd(args) -> int:
 
 
 def _cmd_deglitch(args) -> int:
-    from .formats import read_samples, write_samples_csv
-
     x = read_samples(args.infile)
     cleaned, n = deglitch(x, args.seed)
     print(f"replaced {n} samples")

@@ -431,15 +431,26 @@ def config_from_ini(text: str) -> ChainConfig:
 
 def read_samples(path: str) -> np.ndarray:
     """Read one real-valued series from an I/Q CSV/binary file (the I
-    column) or a bare one-column CSV."""
+    column) or a bare one-column CSV. A value that does not parse or is
+    not finite raises ConfigError naming the file and the data row."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] == _BIN_MAGIC:
-        return np.asarray(series_from_binary(data).i, dtype=np.float64)
-    _, rows = _csv_rows(data.decode("utf-8"))
-    if not rows:
-        raise ConfigError(f"no samples found in {path}")
-    return np.array([float(row[1] if len(row) > 1 else row[0]) for row in rows], dtype=np.float64)
+        x = np.asarray(series_from_binary(data).i, dtype=np.float64)
+    else:
+        _, rows = _csv_rows(data.decode("utf-8"))
+        if not rows:
+            raise ConfigError(f"no samples found in {path}")
+        x = np.empty(len(rows))
+        for n, row in enumerate(rows):
+            try:
+                x[n] = float(row[1] if len(row) > 1 else row[0])
+            except ValueError as e:
+                raise ConfigError(f"{path} data row {n + 1}: {e}") from e
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ConfigError(f"{path} data row {bad[0] + 1}: {x[bad[0]]} is not finite")
+    return x
 
 
 def write_samples_csv(x: Iterable[float]) -> str:

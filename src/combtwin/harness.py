@@ -12,9 +12,14 @@ import functools
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ from .metrics import (
     _periodogram_fac,
     detect_spurs,
     predict_spurs,
+    sinad_sfdr,
 )
 
 SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
@@ -57,6 +63,18 @@ SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+# The analyzer fields that copy a generator value, each with the generator
+# attribute it copies: make_chain_config fills them, ChainConfig checks them.
+_MIRRORED = (
+    ("decim_to_band", "upsample_factor"),
+    ("n_bands", "n_bands"),
+    ("wide_width_bits", "wide_width"),
+    ("reference_bits", "cordic.data_bits"),
+    ("band_rate_hz", "band_rate_hz"),
+    ("shifter_lut_len", "shifter_lut_len"),
+)
 
 
 @dataclass(frozen=True)
@@ -85,15 +103,8 @@ class ChainConfig:
         if not self.tones:
             raise ConfigError("at least one tone must be configured")
         g, a = self.generator, self.analyzer
-        mirrored = (
-            ("decim_to_band", a.decim_to_band, "upsample_factor", g.upsample_factor),
-            ("n_bands", a.n_bands, "n_bands", g.n_bands),
-            ("wide_width_bits", a.wide_width_bits, "wide_width", g.wide_width),
-            ("reference_bits", a.reference_bits, "cordic.data_bits", g.cordic.data_bits),
-            ("band_rate_hz", a.band_rate_hz, "band_rate_hz", g.band_rate_hz),
-            ("shifter_lut_len", a.shifter_lut_len, "shifter_lut_len", g.shifter_lut_len),
-        )
-        for a_name, a_val, g_name, g_val in mirrored:
+        for a_name, g_name in _MIRRORED:
+            a_val, g_val = getattr(a, a_name), attrgetter(g_name)(g)
             if a_val != g_val:
                 raise ConfigError(
                     f"analyzer.{a_name} {a_val} must equal generator.{g_name} {g_val}"
@@ -139,14 +150,9 @@ def make_chain_config(
         cordic=cordic if cordic is not None else CordicConfig(10, 10),
     )
     ana = AnalyzerConfig(
-        decim_to_band=upsample_factor,
         L_avg=L_avg,
         demod_mode=demod_mode,
-        n_bands=n_bands,
-        band_rate_hz=band_rate_hz,
-        wide_width_bits=gen.wide_width,
-        reference_bits=gen.cordic.data_bits,
-        shifter_lut_len=lut,
+        **{a_name: attrgetter(g_name)(gen) for a_name, g_name in _MIRRORED},
     )
     words = (
         list(freq_words)
@@ -436,7 +442,7 @@ def _tone_metrics(
     fs = series.rate_hz
     i, q = series.i[:n_pat], series.q[:n_pat]
     if np.any(i) or np.any(q):
-        fac = _periodogram_fac(SpectrumWindow.RECT, n, fs)
+        fac = _periodogram_fac(n, fs)
         _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
     else:  # a silent tone: no fluctuation, and its spectra are exact zeros
         mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
@@ -477,24 +483,19 @@ def run_cordic_sweep(
     For each (data_bits, iterations) pair, generates one coherent
     full-scale tone capture (L_acc samples, so the tone word is the
     fundamental bin) and measures SINAD and SFDR on the in-phase wave.
+    Each sweep CORDIC keeps the base config's angle_bits (None: data_bits
+    - 1 at each width) and guard_bits.
     """
-    from .metrics import sinad_sfdr
-
     cfg = base if base is not None else default_sweep_config()
     g = cfg.generator
     word = cfg.tones[0].freq_word
     n = g.L_acc
+    fund = word if word <= n // 2 else n - word
     rows = []
     for b in bits:
         for it in iters:
-            cordic = CordicConfig(
-                data_bits=b,
-                iterations=it,
-                angle_bits=None,
-                guard_bits=g.cordic.guard_bits,
-            )
+            cordic = replace(g.cordic, data_bits=b, iterations=it)
             ci, _ = cordic_tone(g.L_acc, word, n, cordic)
-            fund = word if word <= n // 2 else n - word
             sinad, sfdr = sinad_sfdr(ci.astype(np.float64), fund)
             rows.append(SweepRow(b, it, sinad, sfdr))
     return rows
@@ -660,12 +661,7 @@ def persist(result: RunResult, out_dir) -> dict:
     Reruns with equal config produce byte-identical payload files (wall
     time and throughput are reported on stdout only, never persisted).
     """
-    import os
-    import tempfile
-    from pathlib import Path
-
-    from . import __version__
-    from . import formats
+    from . import __version__, formats
 
     out = Path(out_dir)
     if out.exists():
@@ -716,8 +712,6 @@ def persist(result: RunResult, out_dir) -> dict:
         os.chmod(tmp, 0o755)
         os.replace(tmp, out)
     except Exception:
-        import shutil
-
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     return manifest

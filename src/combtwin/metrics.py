@@ -181,29 +181,16 @@ def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
 # power spectral density
 
 
-def _periodogram_window(window: SpectrumWindow, n: int) -> np.ndarray:
-    if window is SpectrumWindow.RECT:
-        return np.ones(n)  # what get_window("boxcar", n) returns
-    from scipy.signal import get_window
-
-    return get_window("hann", n)
-
-
-def _periodogram_fac(window: SpectrumWindow, n: int, fs: float) -> float:
-    """scipy.signal.periodogram's density factor for the window, in its
-    exact operation order. The Rect window's sum of squares is n exactly,
-    so it needs no window array."""
-    if window is SpectrumWindow.RECT:
-        w2 = np.float64(n)
-    else:
-        w = _periodogram_window(window, n)
-        w2 = np.add.accumulate(w * w)[-1]
+def _periodogram_fac(w2: float, fs: float) -> float:
+    """scipy.signal.periodogram's density factor for a window whose sum of
+    squares is w2, in its exact operation order. The Rect window's w2 is
+    the length n exactly, so it needs no window array."""
     return float(1 / np.sqrt(w2 / (1 / fs)))
 
 
 def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
     """The periodogram of xw, the input already multiplied by the window
-    and _periodogram_fac(window, len(xw), fs): scipy.signal.periodogram(
+    and its _periodogram_fac: scipy.signal.periodogram(
     detrend=False, scaling="density") written out around one rfft, in its
     exact operation order, bit-identical for both windows and every length
     without ShortTimeFFT's overhead. Squaring the rfft output in place
@@ -253,9 +240,13 @@ def psd(
     if method is PsdMethod.PERIODOGRAM:
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
-        win = window if window is not None else SpectrumWindow.RECT
-        scale = _periodogram_window(win, n) * _periodogram_fac(win, n, fs)
-        return _periodogram(x * scale, fs, win)
+        if window is SpectrumWindow.HANN:
+            from scipy.signal import get_window
+
+            w = get_window("hann", n)
+            scale = w * _periodogram_fac(np.add.accumulate(w * w)[-1], fs)
+            return _periodogram(x * scale, fs, window)
+        return _periodogram(x * _periodogram_fac(n, fs), fs, SpectrumWindow.RECT)
     win = window if window is not None else SpectrumWindow.HANN
     win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
     seg = segment_len if segment_len is not None else max(2, n // 8)
@@ -317,18 +308,16 @@ def sinad_sfdr(tone_wave: np.ndarray, fundamental_bin: int) -> tuple[float, floa
     the single largest other bin.
     """
     x = np.asarray(tone_wave, dtype=np.float64)
-    spec = np.abs(np.fft.rfft(x)) ** 2
-    if not (0 < fundamental_bin < len(spec)):
+    p = np.abs(np.fft.rfft(x)) ** 2
+    if not (0 < fundamental_bin < len(p)):
         raise ConfigError("fundamental_bin out of range")
-    p = spec.copy()
     p[0] = 0.0
     p_fund = p[fundamental_bin]
     if p_fund == 0.0:
         raise ValueError("fundamental bin holds no power")
-    p_rest = p.copy()
-    p_rest[fundamental_bin] = 0.0
-    total_rest = float(p_rest.sum())
-    max_rest = float(p_rest.max())
+    p[fundamental_bin] = 0.0
+    total_rest = float(p.sum())
+    max_rest = float(p.max())
     sinad = math.inf if total_rest == 0.0 else 10.0 * math.log10(p_fund / total_rest)
     sfdr = math.inf if max_rest == 0.0 else 10.0 * math.log10(p_fund / max_rest)
     return sinad, sfdr
@@ -370,10 +359,9 @@ def predict_spurs(
     best_att = np.full(R, -np.inf)
     np.maximum.at(best_att, a, att)
     out = []
-    for ai in np.unique(a):
+    for ai in np.unique(a):  # ascending, and so are the frequencies
         freq_hz = float(Fraction(int(ai), R * L_avg) * Fraction(band_rate))
         out.append((freq_hz, float(best_att[ai])))
-    out.sort(key=lambda t: t[0])
     return out
 
 
@@ -441,10 +429,13 @@ def deglitch(x: np.ndarray, rng_seed: int) -> tuple[np.ndarray, int]:
     Statistics are computed once over the raw input (glitches included);
     replacements are drawn in ascending index order so the result is
     deterministic for a given seed. sigma = 0 returns the input unchanged.
+    Non-finite samples are refused.
     """
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 2:
         raise ConfigError("deglitch needs at least 2 samples")
+    if not np.isfinite(x).all():
+        raise ConfigError("deglitch needs finite samples")
     mu = float(np.mean(x))
     sigma = float(np.std(x))
     out = x.copy()

@@ -88,6 +88,21 @@ def test_deglitch_replaces_and_writes(tmp_path, capsys):
     assert np.array_equal(cleaned[keep], x[keep])
 
 
+@pytest.mark.parametrize("command", ["psd", "deglitch"])
+@pytest.mark.parametrize(
+    "row, why",
+    [("nan", "nan is not finite"), ("inf", "inf is not finite"), ("1,", "could not convert")],
+)
+def test_sample_file_with_a_bad_value_exits_1(tmp_path, capsys, command, row, why):
+    path = tmp_path / "x.csv"
+    path.write_text(f"1\n2\n{row}\n4\n", encoding="utf-8")
+    assert main([command, "--in", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {path} data row 3: ")
+    assert why in cap.err
+
+
 # ---------------------------------------------------------------------------
 # start-up
 
@@ -187,6 +202,23 @@ def test_sweep_cordic_csv(tmp_path, capsys):
     assert txt[1] == "10,7,39.0201,51.6365"
     assert txt[2] == "10,10,40.9098,51.2106"
     assert out.read_text().splitlines() == txt
+
+
+def test_sweep_cordic_keeps_the_config_angle_bits(tmp_path, capsys):
+    # the sweep sets data bits and iterations only: a 12-bit CORDIC angle
+    # in the INI sweeps otherwise than the default data_bits - 1
+    text = config_to_ini(builtin_scenarios()["desk_a"])
+    assert "guard_bits = 0\n" in text
+    rows = []
+    for ini in (text, text.replace("guard_bits = 0\n", "guard_bits = 0\nangle_bits = 12\n")):
+        path = tmp_path / "sweep.ini"
+        path.write_text(ini, encoding="utf-8")
+        argv = ["sweep-cordic", "--config", str(path), "--bits", "8,10", "--iters", "10"]
+        assert main(argv) == 0
+        rows.append(capsys.readouterr().out.splitlines())
+    assert rows[0][0] == rows[1][0] == "data_bits,iterations,sinad_db,sfdr_db"
+    assert [r.split(",")[:2] for r in rows[0]] == [r.split(",")[:2] for r in rows[1]]
+    assert rows[0][1:] != rows[1][1:]
 
 
 # ---------------------------------------------------------------------------

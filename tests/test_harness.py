@@ -662,7 +662,7 @@ def test_sweep_low_precision_golden():
 def test_sweep_rows_equal_the_cordic_of_every_phase_word(word, angle_bits, guard_bits):
     # the sweep's former path, kept as its oracle: cordic_sincos_array over
     # one accumulator period of phase words, with the sweep's data bits and
-    # iterations, the default angle bits and the base config's guard bits
+    # iterations and the base config's angle and guard bits
     l_acc = 4096
     base = make_chain_config(
         "sweep", l_acc, l_acc, 1, 1, 1, freq_words=[word],
@@ -674,7 +674,9 @@ def test_sweep_rows_equal_the_cordic_of_every_phase_word(word, angle_bits, guard
     ph = phase_words(l_acc, word, l_acc)
     fund = min(word, l_acc - word)
     for row in rows:
-        cordic = CordicConfig(row.data_bits, row.iterations, guard_bits=guard_bits)
+        cordic = CordicConfig(
+            row.data_bits, row.iterations, angle_bits=angle_bits, guard_bits=guard_bits
+        )
         ci, _ = cordic_sincos_array(ph, l_acc, cordic)
         assert (row.sinad_db, row.sfdr_db) == sinad_sfdr(ci.astype(np.float64), fund)
 

@@ -19,7 +19,6 @@ from combtwin.metrics import (
     SpurLine,
     _amp_phase,
     _periodogram_fac,
-    _periodogram_window,
     _rfft,
     amp_phase,
     dbc_per_hz,
@@ -291,6 +290,11 @@ def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
     assert np.array_equal(got, want)
 
 
+def _window(window, n):
+    """scipy.signal.periodogram's window array."""
+    return signal.get_window("boxcar" if window is SpectrumWindow.RECT else "hann", n)
+
+
 @pytest.mark.parametrize("window", list(SpectrumWindow))
 @pytest.mark.parametrize(
     "x",
@@ -311,7 +315,8 @@ def test_periodogram_of_zero_and_near_zero_inputs_equals_scipy(x, window):
         got = psd(x, 3.0, method=PsdMethod.PERIODOGRAM, window=window).values
     assert got.dtype == want.dtype
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    xw = x * (_periodogram_window(window, len(x)) * _periodogram_fac(window, len(x), 3.0))
+    w = _window(window, len(x))
+    xw = x * (w * _periodogram_fac(np.add.accumulate(w * w)[-1], 3.0))
     assert rfft.call_count == (1 if xw.any() else 0)
 
 
@@ -322,12 +327,18 @@ def test_periodogram_of_zero_and_near_zero_inputs_equals_scipy(x, window):
     st.sampled_from([1.0, 3.0, 250e6 / 1024, 1e-3, 0.1]),
 )
 def test_periodogram_fac_and_scale_equal_scipy_order(window, n, fs):
-    # scipy.signal.periodogram's density factor over the whole window
-    w = np.ones(n) if window is SpectrumWindow.RECT else signal.get_window("hann", n)
-    fac = 1 / np.sqrt(np.add.accumulate(w * w)[-1] / (1 / fs))
-    assert _periodogram_fac(window, n, fs).hex() == float(fac).hex()
-    scale = _periodogram_window(window, n) * _periodogram_fac(window, n, fs)
-    assert_same_bits((scale,), (w * fac,))
+    # scipy.signal.periodogram's density factor over the whole window; psd
+    # passes the Rect window's sum of squares as the length n and scales by
+    # the scalar, which equals the window times the factor bit for bit
+    w = _window(window, n)
+    w2 = np.add.accumulate(w * w)[-1]
+    fac = 1 / np.sqrt(w2 / (1 / fs))
+    assert _periodogram_fac(w2, fs).hex() == float(fac).hex()
+    if window is SpectrumWindow.RECT:
+        assert _periodogram_fac(n, fs).hex() == float(fac).hex()
+        assert_same_bits((np.full(n, _periodogram_fac(n, fs)),), (w * fac,))
+    else:
+        assert_same_bits((w * _periodogram_fac(w2, fs),), (w * fac,))
 
 
 def test_psd_rejects_short_input():
@@ -660,3 +671,10 @@ def test_deglitch_equals_one_draw_per_glitch(data_seed, n, n_glitches, rng_seed)
 def test_deglitch_requires_two_samples():
     with pytest.raises(ValueError):
         deglitch(np.ones(1), rng_seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deglitch_refuses_non_finite_samples(bad):
+    # mu and sigma would be NaN and the draw would raise OverflowError
+    with pytest.raises(ConfigError, match="finite"):
+        deglitch(np.array([1.0, 2.0, bad, 4.0]), rng_seed=0)

@@ -67,3 +67,40 @@ def test_private_function_finder_flags_only_unreferenced_names():
 def test_every_private_function_is_referenced():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_private_functions(sources) == []
+
+
+def repeated_imports(source: str) -> list[str]:
+    """Imports inside a function (nested ones included) from a module the
+    file already imports from at top level, as `function (module)`."""
+    tree = ast.parse(source)
+
+    def modules(nodes):
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield "." * node.level + (node.module or "")
+
+    top = set(modules(tree.body))
+    functions = [
+        node
+        for parent in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
+        for node in parent.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [f"{f.name} ({m})" for f in functions for m in modules(ast.walk(f)) if m in top]
+
+
+def test_repeated_import_finder_flags_only_modules_imported_at_top():
+    src = (
+        "import os\nfrom .a import x\nfrom . import b\n"
+        "def f():\n    import os\n    from .a import y\n    from .c import z\n"
+        "    def g():\n        from os import path\n"
+        "class C:\n    def m(self):\n        from . import d\n        import json\n"
+    )
+    assert repeated_imports(src) == ["f (os)", "f (.a)", "f (os)", "m (.)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_repeats_a_top_level_import(path):
+    assert repeated_imports(path.read_text(encoding="utf-8")) == []
