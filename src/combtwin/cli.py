@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
 
     def add_config(p: _Parser, run: bool) -> None:
         p.add_argument("--config", default=None, help="builtin scenario name or INI file path")
-        p.add_argument("--long-run", action="store_true", help="unlock full-scale configs")
         if run:
+            p.add_argument("--long-run", action="store_true", help="unlock full-scale configs")
             p.add_argument("--threads", type=int, default=1, help="worker thread cap (results unchanged)")
 
     p = sub.add_parser("run-loopback", help="generate the comb and analyze it in loopback")
@@ -137,7 +137,7 @@ def _cmd_run_loopback(args) -> int:
 
 
 def _cmd_sweep_cordic(args) -> int:
-    base = _load_config(args.config, args.long_run) if args.config else None
+    base = _load_config(args.config, long_run=True) if args.config else None
     bits = [int(v) for v in args.bits.split(",") if v]
     iters = [int(v) for v in args.iters.split(",") if v]
     rows = run_cordic_sweep(bits, iters, base)

@@ -16,15 +16,13 @@ import io
 import json
 import struct
 import typing
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 from .analyzer import DemodMode, IqTimeSeries
-from .fxp import ConfigError, FxpFormat, FxpValue
-from .generator import AMPLITUDE_FORMAT, FilterSpec
+from .fxp import ConfigError
 from .harness import ChainConfig
 from .metrics import PsdMethod, Spectrum, SpectrumUnits, SpectrumWindow, SpurReport
 
@@ -87,10 +85,6 @@ def _series_from_header(header: dict, i: np.ndarray, q: np.ndarray) -> IqTimeSer
         raise ConfigError(f"I/Q series header lacks key {e}") from e
 
 
-# what a series CSV reads where its metadata line lacks a key
-_SERIES_CSV_DEFAULTS = _series_header(IqTimeSeries(0, 0, 0, (), (), 0.0, 1, DemodMode.SINE_DDC))
-
-
 def series_to_csv(series: IqTimeSeries) -> str:
     """Header line with tone metadata, column line, then index,i,q rows."""
     meta = "# " + " ".join(f"{k}={v}" for k, v in _series_header(series).items())
@@ -105,6 +99,8 @@ def series_to_csv(series: IqTimeSeries) -> str:
 
 
 def series_from_csv(text: str) -> IqTimeSeries:
+    """Inverse of series_to_csv; raises ConfigError naming a key the
+    metadata line lacks."""
     meta, rows = _csv_rows(text)
     i_vals: list = []
     q_vals: list = []
@@ -117,7 +113,7 @@ def series_from_csv(text: str) -> IqTimeSeries:
     dtype = np.int64 if is_int else np.float64
     i = np.array([conv(v) for v in i_vals], dtype=dtype)
     q = np.array([conv(v) for v in q_vals], dtype=dtype)
-    return _series_from_header({**_SERIES_CSV_DEFAULTS, **meta}, i, q)
+    return _series_from_header(meta, i, q)
 
 
 def series_to_binary(series: IqTimeSeries) -> bytes:
@@ -242,19 +238,8 @@ _SCENARIO_KEYS = {
 _DEFAULTED = ("warmup_windows", "guard_bits", "description")
 
 
-@dataclass(frozen=True)
-class _StoredFilter:
-    """A FilterSpec as stored: the coefficient format as its two widths."""
-
-    taps: tuple[int, ...]
-    total_bits: int
-    frac_bits: int
-    description: str = ""
-
-
 class _Field(NamedTuple):
-    name: str  # dataclass attribute
-    key: str  # dictionary key
+    name: str  # dataclass attribute and dictionary key
     type: Any  # field type, `X | None` unwrapped
     optional: bool
     section: bool  # stored as its own INI section
@@ -269,26 +254,21 @@ def _fields(cls) -> tuple[_Field, ...]:
         nullable = type(None) in typing.get_args(tp)
         if nullable:
             (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
-        key = "amplitude_raw" if tp is FxpValue else f.name
-        section = dataclasses.is_dataclass(tp) and tp is not FxpValue
         records = typing.get_origin(tp) is tuple and dataclasses.is_dataclass(typing.get_args(tp)[0])
-        out.append(_Field(f.name, key, tp, nullable or f.name in _DEFAULTED, section or records))
+        section = dataclasses.is_dataclass(tp) or records
+        out.append(_Field(f.name, tp, nullable or f.name in _DEFAULTED, section))
     return tuple(out)
 
 
 def _encode(v, tp=None):
     if tp is float and v is not None:
         return float(v)  # an int given for a float field hashes as its INI read-back
-    if isinstance(v, FilterSpec):
-        v = _StoredFilter(v.taps, v.coeff_format.total_bits, v.coeff_format.frac_bits, v.description)
-    if isinstance(v, FxpValue):
-        return v.raw
     if isinstance(v, Enum):
         return v.value
     if isinstance(v, tuple):
         return [_encode(x) for x in v]
     if dataclasses.is_dataclass(v):
-        return {f.key: _encode(getattr(v, f.name), f.type) for f in _fields(type(v))}
+        return {f.name: _encode(getattr(v, f.name), f.type) for f in _fields(type(v))}
     return v
 
 
@@ -299,28 +279,23 @@ def _join(path: str, key: str) -> str:
 def _where(path: str, f: _Field) -> str:
     """Where a field lives in config.ini, for error messages."""
     if f.section:
-        return f"section [{_join(path, f.key)}]"
-    return f"key '{_SCENARIO_KEYS.get(f.key, f.key.lower())}' in [{path or 'scenario'}]"
+        return f"section [{_join(path, f.name)}]"
+    return f"key '{_SCENARIO_KEYS.get(f.name, f.name.lower())}' in [{path or 'scenario'}]"
 
 
 def _decode(tp, v, path: str):
     """Build a value of type tp from its dictionary form; leaves may be the
     strings an INI file holds."""
-    if tp is FilterSpec:
-        s = _decode(_StoredFilter, v, path)
-        return FilterSpec(s.taps, FxpFormat(s.total_bits, s.frac_bits), s.description)
-    if tp is FxpValue:
-        return FxpValue(int(v), AMPLITUDE_FORMAT)
     if dataclasses.is_dataclass(tp):
         fields = _fields(tp)
-        unknown = set(v) - {f.key for f in fields}
+        unknown = set(v) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{path or 'scenario'}]")
         kw = {}
         for f in fields:
-            if f.key in v:
-                x = v[f.key]
-                kw[f.name] = None if x is None else _decode(f.type, x, _join(path, f.key))
+            if f.name in v:
+                x = v[f.name]
+                kw[f.name] = None if x is None else _decode(f.type, x, _join(path, f.name))
             elif not f.optional:
                 raise ConfigError(f"missing {_where(path, f)}")
         return tp(**kw)
@@ -374,7 +349,7 @@ def config_to_ini(cfg: ChainConfig) -> str:
 
 
 def _records(cls, name: str, section: dict) -> list[dict]:
-    keys = [f.key for f in _fields(cls)]
+    keys = [f.name for f in _fields(cls)]
     prefix = name.removesuffix("s") + "_"
     rows = []
     for k, v in section.items():
@@ -393,15 +368,14 @@ def _unflatten(cls, path: str, own: dict, sections: dict) -> dict:
     below it, popped from sections."""
     d = {}
     for f in _fields(cls):
-        sub = _join(path, f.key)
+        sub = _join(path, f.name)
         if f.section and sub in sections:
             if typing.get_origin(f.type) is tuple:
-                d[f.key] = _records(typing.get_args(f.type)[0], sub, sections.pop(sub))
+                d[f.name] = _records(typing.get_args(f.type)[0], sub, sections.pop(sub))
             else:
-                stored = _StoredFilter if f.type is FilterSpec else f.type
-                d[f.key] = _unflatten(stored, sub, sections.pop(sub), sections)
-        elif not f.section and f.key.lower() in own:
-            d[f.key] = own.pop(f.key.lower())
+                d[f.name] = _unflatten(f.type, sub, sections.pop(sub), sections)
+        elif not f.section and f.name.lower() in own:
+            d[f.name] = own.pop(f.name.lower())
     if own:
         raise ConfigError(f"unknown key(s) {sorted(own)} in [{path or 'scenario'}]")
     return d

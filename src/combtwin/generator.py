@@ -37,16 +37,14 @@ class ToneConfig:
     """One excitation tone: placement and per-tone amplitude.
 
     freq_word k puts the tone at k * band_rate / L_acc Hz within its band.
-    amplitude_code is a Q2.15 scale in [0, 1]; 1.0 (raw 32768) passes the
-    CORDIC output through unchanged.
+    amplitude_raw is the raw code of a Q2.15 (AMPLITUDE_FORMAT) scale in
+    [0, 1]; 1.0 (raw 32768) passes the CORDIC output through unchanged.
     """
 
     band_index: int
     tone_index: int
     freq_word: int
-    amplitude_code: FxpValue = field(
-        default_factory=lambda: FxpValue(32768, AMPLITUDE_FORMAT)
-    )
+    amplitude_raw: int = 32768
 
     def __post_init__(self) -> None:
         if self.band_index < 0:
@@ -55,15 +53,12 @@ class ToneConfig:
             raise ConfigError("tone_index must be >= 0")
         if self.freq_word < 0:
             raise ConfigError("freq_word must be >= 0")
-        if self.amplitude_code.fmt != AMPLITUDE_FORMAT:
-            raise ConfigError(
-                "amplitude_code must use AMPLITUDE_FORMAT (Q2.15): a config "
-                "stores only its raw code"
-            )
-        if self.amplitude_code.raw < 0:
-            raise ConfigError("amplitude_code must be >= 0")
-        if self.amplitude_code.to_float() > 1.0:
-            raise ConfigError("amplitude_code must be <= 1.0")
+        if not 0 <= self.amplitude_raw <= 32768:
+            raise ConfigError(f"amplitude_raw {self.amplitude_raw} must be in 0..32768")
+
+    @property
+    def amplitude_code(self) -> FxpValue:
+        return FxpValue(self.amplitude_raw, AMPLITUDE_FORMAT)
 
 
 AMPLITUDE_FORMAT = FxpFormat(total_bits=17, frac_bits=15)
@@ -206,27 +201,25 @@ def cordic_tone(
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Quantized linear-phase FIR: raw integer taps plus their format."""
+    """Quantized linear-phase FIR: raw integer taps plus the widths of
+    their format, FxpFormat(total_bits, frac_bits)."""
 
     taps: tuple[int, ...]
-    coeff_format: FxpFormat
-    description: str
+    total_bits: int
+    frac_bits: int
+    description: str = ""
 
     def __post_init__(self) -> None:
         if len(self.taps) % 2 != 1:
             raise ConfigError("filter must have odd length")
         if list(self.taps) != list(reversed(self.taps)):
             raise ConfigError("filter must be symmetric (linear phase)")
-        fmt = self.coeff_format
+        fmt = FxpFormat(self.total_bits, self.frac_bits)
         if not all(fmt.min_raw <= t <= fmt.max_raw for t in self.taps):
             raise ConfigError(
                 f"filter taps must lie in [{fmt.min_raw}, {fmt.max_raw}], the "
                 f"range of the {fmt.total_bits}-bit coefficient format"
             )
-
-    @property
-    def shift(self) -> int:
-        return self.coeff_format.frac_bits
 
     def taps_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=np.int64)
@@ -234,7 +227,7 @@ class FilterSpec:
     def requantize(self, acc: np.ndarray, stream_bits: int) -> np.ndarray:
         """Exact convolution sums back to the stream format: shift out the
         coefficient fraction (truncate toward -inf), then saturate."""
-        acc = shift_right(acc, self.shift, Rounding.TRUNCATE_TOWARD_NEG_INF)
+        acc = shift_right(acc, self.frac_bits, Rounding.TRUNCATE_TOWARD_NEG_INF)
         return saturate(acc, stream_bits)
 
     def check_int64_headroom(self, stream_bits: int, name: str) -> None:
@@ -276,10 +269,10 @@ def _design_windowed_sinc(
     h = windowed_sinc_taps(num_taps, cutoff_cycles, gain)
     frac = coeff_bits - 2
     raw = np.floor(h * (1 << frac) + 0.5).astype(np.int64)
-    fmt = FxpFormat(total_bits=coeff_bits, frac_bits=frac)
     return FilterSpec(
         taps=tuple(int(v) for v in raw),
-        coeff_format=fmt,
+        total_bits=coeff_bits,
+        frac_bits=frac,
         description=(
             f"{num_taps}-tap Hamming windowed sinc, cutoff {cutoff_cycles} "
             f"cycles/sample, gain {gain}, {coeff_bits}-bit coefficients"
@@ -490,8 +483,8 @@ def tone_generate(
     if tone.freq_word >= cfg.L_acc:
         raise ConfigError("freq_word must be < L_acc")
     ci, cq = cordic_tone(cfg.L_acc, tone.freq_word, n_samples, cfg.cordic)
-    amp = np.int64(tone.amplitude_code.raw)
-    sh = np.int64(tone.amplitude_code.fmt.frac_bits)
+    amp = np.int64(tone.amplitude_raw)
+    sh = np.int64(AMPLITUDE_FORMAT.frac_bits)
     return (ci * amp) >> sh, (cq * amp) >> sh
 
 
@@ -622,7 +615,7 @@ class DoublePrecision:
         self.h_interp, self.h_chan = h_interp, h_chan
 
     def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
-        amp = tone.amplitude_code.to_float()
+        amp = tone.amplitude_raw / (1 << AMPLITUDE_FORMAT.frac_bits)
         return tuple(amp * s for s in self.reference(cfg.L_acc, tone.freq_word, n, cfg.cordic))
 
     def reference(self, L_acc: int, word: int, n: int, cordic: CordicConfig):

@@ -31,7 +31,7 @@ from .analyzer import (
     channelize,
     ddc_products,
 )
-from .fxp import ConfigError, FxpValue
+from .fxp import ConfigError
 from .generator import (
     AMPLITUDE_FORMAT,
     FIXED_POINT,
@@ -96,8 +96,11 @@ class ChainConfig:
     warmup_windows: int = 1
 
     def __post_init__(self) -> None:
-        if self.acquisition_len < 1:
-            raise ConfigError("acquisition_len must be >= 1")
+        if self.acquisition_len < 2:
+            raise ConfigError(
+                f"acquisition_len {self.acquisition_len} is too short to measure: "
+                "the spectra need at least 2 retained windows"
+            )
         if self.warmup_windows < 0:
             raise ConfigError("warmup_windows must be >= 0")
         if not self.tones:
@@ -161,14 +164,7 @@ def make_chain_config(
     )
     amp_raw = int(math.floor((1 << AMPLITUDE_FORMAT.frac_bits) / tones_per_band + 0.5))
     tones = tuple(
-        ToneConfig(
-            band_index=b,
-            tone_index=t,
-            freq_word=words[t],
-            amplitude_code=FxpValue(amp_raw, AMPLITUDE_FORMAT),
-        )
-        for b in range(n_bands)
-        for t in range(len(words))
+        ToneConfig(b, t, words[t], amp_raw) for b in range(n_bands) for t in range(len(words))
     )
     return ChainConfig(
         generator=gen,
@@ -291,15 +287,9 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     exact once the warm-up covers the transient. Direct spans the whole
     run, a span that tiles the run once, so _tone_series treats both plans
     alike. "auto" also needs the period plus the transient to be shorter than
-    the run and a period of at most 2^23 full-rate samples. A capture of
-    one window has no spectrum, so it is refused before any work."""
+    the run and a period of at most 2^23 full-rate samples."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
-    if cfg.acquisition_len < 2:
-        raise ConfigError(
-            f"acquisition_len {cfg.acquisition_len} is too short to measure: "
-            "the spectra need at least 2 retained windows"
-        )
     g, u = cfg.generator, cfg.generator.upsample_factor
     n_band_total = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
     p_band = waveform_period(g.L_acc, u, g.shifter_lut_len) // u
@@ -471,7 +461,7 @@ class SweepRow:
 def default_sweep_config() -> ChainConfig:
     """Single coherent tone at full accumulator length for tone metrics."""
     return make_chain_config(
-        "cordic_sweep", 65536, 65536, 1, 1, 1, freq_words=[997]
+        "cordic_sweep", 65536, 65536, 1, 1, 2, freq_words=[997]
     )
 
 
@@ -619,7 +609,7 @@ def _float_interp_taps(cfg: ChainConfig, quantize_interp: bool) -> np.ndarray:
     if g.interp_filter is None and not quantize_interp:
         u = g.upsample_factor
         return windowed_sinc_taps(len(spec.taps), 1.0 / (2 * u), float(u))
-    return spec.taps_array() / float(1 << spec.shift)
+    return spec.taps_array() / float(1 << spec.frac_bits)
 
 
 def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
@@ -627,7 +617,7 @@ def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
     spec = a.resolved_channelizer_filter()
     if a.channelizer_filter is None:
         return windowed_sinc_taps(len(spec.taps), 1.0 / (5 * a.decim_to_band), 1.0)
-    return spec.taps_array() / float(1 << spec.shift)
+    return spec.taps_array() / float(1 << spec.frac_bits)
 
 
 def float_oracle(

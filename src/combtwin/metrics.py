@@ -230,11 +230,14 @@ def psd(
     Periodogram: single segment (segment_len must be None), Rect window
     unless specified. Welch: Hann-windowed segments (default length N/8,
     50% overlap), window power compensated, segment periodograms averaged.
+    Non-finite samples are refused.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if n < 2:
         raise ConfigError("psd needs at least 2 samples")
+    if not np.isfinite(x).all():
+        raise ConfigError("psd needs finite samples")
     if not (0 < fs < math.inf):
         raise ConfigError(f"fs must be finite and > 0, got {fs}")
     if method is PsdMethod.PERIODOGRAM:

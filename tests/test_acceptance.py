@@ -11,10 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from combtwin import FxpValue
 from combtwin.analyzer import AnalyzerConfig, DemodMode, boxcar_response, channelize
 from combtwin.generator import (
-    AMPLITUDE_FORMAT,
     GeneratorConfig,
     ToneConfig,
     default_freq_words,
@@ -106,7 +104,7 @@ def _steady_comb(l_acc):
     )
     words = default_freq_words(l_acc, 4)
     tones = [
-        ToneConfig(b, t, k, FxpValue(8192, AMPLITUDE_FORMAT))
+        ToneConfig(b, t, k, 8192)
         for b in range(2)
         for t, k in enumerate(words)
     ]

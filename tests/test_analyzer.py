@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtwin import ConfigError, FxpFormat, FxpValue
+from combtwin import ConfigError
 from combtwin.analyzer import (
     AnalyzerConfig,
     DemodMode,
@@ -17,7 +17,6 @@ from combtwin.analyzer import (
     ddc_products,
 )
 from combtwin.generator import (
-    AMPLITUDE_FORMAT,
     FIXED_POINT,
     CordicConfig,
     FilterSpec,
@@ -140,11 +139,7 @@ def channelizer_cases(draw):
     n_bands = draw(st.integers(1, 3))
     w = draw(st.integers(2, 32))
     half = draw(st.lists(st.integers(-(1 << 17), (1 << 17) - 1), min_size=1, max_size=16))
-    spec = FilterSpec(
-        taps=tuple(half + half[-2::-1]),
-        coeff_format=FxpFormat(18, 16),
-        description="random symmetric",
-    )
+    spec = FilterSpec(tuple(half + half[-2::-1]), 18, 16, "random symmetric")
     cfg = AnalyzerConfig(
         decim_to_band=d,
         L_avg=16,
@@ -171,7 +166,7 @@ def test_polyphase_equals_direct_on_random_configs(case):
 
 
 def test_channelizer_taps_that_can_wrap_int64_are_rejected():
-    taps = FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(52, 16), description="x")
+    taps = FilterSpec((1 << 50,) * 3, 52, 16, "x")
     with pytest.raises(ConfigError, match="channelizer_filter"):
         AnalyzerConfig(channelizer_filter=taps)  # 20-bit wideband stream
     AnalyzerConfig(channelizer_filter=taps, wide_width_bits=11)  # 3 * 2^60 < 2^63
@@ -182,7 +177,7 @@ def test_channelize_recovers_single_tone_band():
     # and only as stopband leakage in channel 0
     gcfg = desk_generator()
     word = 257
-    tones = [ToneConfig(1, 0, word, FxpValue(32767, AMPLITUDE_FORMAT))]
+    tones = [ToneConfig(1, 0, word, 32767)]
     wide = generate_comb(gcfg, tones, 4096)
     acfg = desk_analyzer()
     y1 = channelize(wide, 1, acfg)

@@ -174,8 +174,10 @@ def test_run_loopback_stdout_and_artifacts(tmp_path, capsys):
 
 
 def test_run_loopback_on_a_one_window_capture_exits_1(tmp_path, capsys):
-    cfg = _small_ini(tmp_path, "one.ini", acq=1)
-    assert main(["run-loopback", "--config", cfg]) == 1
+    path = Path(_small_ini(tmp_path, "one.ini", acq=2))
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("acquisition_len = 2\n", "acquisition_len = 1\n"), encoding="utf-8")
+    assert main(["run-loopback", "--config", str(path)]) == 1
     assert "acquisition_len 1 is too short" in capsys.readouterr().err
 
 
@@ -187,6 +189,16 @@ def test_run_loopback_refuses_a_non_finite_band_rate_as_the_config_loads(tmp_pat
     with mock.patch("combtwin.cli.run_loopback", side_effect=AssertionError("the comb ran")):
         assert main(["run-loopback", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: band_rate_hz must be finite and > 0")
+
+
+@pytest.mark.parametrize("raw", ["40000", "-1"])
+def test_run_loopback_refuses_an_amplitude_outside_0_to_1(tmp_path, capsys, raw):
+    path = Path(_small_ini(tmp_path, "amp.ini"))
+    text = path.read_text(encoding="utf-8")
+    assert "tone_0 = 0,0,51,8192\n" in text
+    path.write_text(text.replace("tone_0 = 0,0,51,8192\n", f"tone_0 = 0,0,51,{raw}\n"))
+    assert main(["run-loopback", "--config", str(path)]) == 1
+    assert f"amplitude_raw {raw} must be in 0..32768" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +214,12 @@ def test_sweep_cordic_csv(tmp_path, capsys):
     assert txt[1] == "10,7,39.0201,51.6365"
     assert txt[2] == "10,10,40.9098,51.2106"
     assert out.read_text().splitlines() == txt
+
+
+def test_sweep_cordic_takes_a_full_scale_config(capsys):
+    # the sweep simulates one tone per row, not the run, so needs no unlock
+    assert main(["sweep-cordic", "--config", "full_a", "--bits", "10", "--iters", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "data_bits,iterations,sinad_db,sfdr_db"
 
 
 def test_sweep_cordic_keeps_the_config_angle_bits(tmp_path, capsys):
@@ -231,6 +249,7 @@ def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys):
     assert main(["run-loopback", "--seed", "3"]) == 1
     assert main(["compare-demod", "--seed", "3"]) == 1
     assert main(["sweep-cordic", "--threads", "2"]) == 1
+    assert main(["sweep-cordic", "--long-run"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 

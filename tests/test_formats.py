@@ -1,7 +1,9 @@
 """Serialization: series CSV/binary, spectrum CSV, INI config round-trips."""
 
+import hashlib
 import json
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,9 +25,8 @@ from combtwin.formats import (
     spur_report_to_json,
     write_samples_csv,
 )
-from combtwin.fxp import ConfigError, FxpFormat, FxpValue
+from combtwin.fxp import ConfigError, FxpFormat
 from combtwin.generator import (
-    AMPLITUDE_FORMAT,
     CordicConfig,
     FilterSpec,
     GeneratorConfig,
@@ -101,6 +102,18 @@ def test_series_of_only_inf_and_nan_round_trips_in_both_formats():
         assert np.array_equal(back.i, floats.i, equal_nan=True)
         assert np.array_equal(back.q, floats.q, equal_nan=True)
     assert series_from_csv(series_to_csv(s)).i.dtype == np.int64
+
+
+@pytest.mark.parametrize("key", ["band_index", "fs_hz", "l_avg", "demod_mode"])
+def test_series_csv_without_a_key_is_named(key):
+    text = series_to_csv(make_series())
+    meta, rest = text.split("\n", 1)
+    meta = " ".join(p for p in meta.split() if not p.startswith(f"{key}="))
+    with pytest.raises(ConfigError, match=f"lacks key '{key}'"):
+        series_from_csv(meta + "\n" + rest)
+    # nor does a CSV without its metadata line read as band 0 at rate 0
+    with pytest.raises(ConfigError, match="lacks key"):
+        series_from_csv(rest)
 
 
 def test_series_binary_round_trip():
@@ -209,6 +222,69 @@ def test_int_given_for_a_float_field_hashes_as_its_ini_read_back():
     assert config_hash(cfg).startswith("120da64088fe")
 
 
+# config hash and SHA-256 of config_to_ini for every builtin; perfbench's
+# golden file does not cover full_a or full_b
+BUILTIN_PINS = {
+    "desk_a": (
+        "1cff1de6788a9ce333812930369e9a4c2dd60197a87e3180eee9aafbf438f904",
+        "7f03c4441ff98fdf722b5c7593fdc1ddfe66f72facbf60b47c52c500183f4e84",
+    ),
+    "desk_b": (
+        "20ef6f23f62a61e7c60443a8feb25472a1282c77ee1d3ed38e71dca35149d6c9",
+        "b540b17256aabfef0dd9b1becb83b5da2f3c2475ff4255a619b0e4c06018c714",
+    ),
+    "full_a": (
+        "5d245afcf75df4b66fb1d6d3e62dc9d36af7e9b5c51a6212bcc1e530e4604485",
+        "90b295c85a74458fe14b67008b9d433ff78c99203890b5282f5427b8fb7f5f76",
+    ),
+    "full_b": (
+        "8aa3fd931633a0f4fab07e5efe3c6bc5d3794ef787937af6be70767a467b61ba",
+        "fc7a7bad89dd99162937f118e50bdbf304cabf57803881ecbeaa4d1eaac3119f",
+    ),
+    "demod_single": (
+        "977d2f8ab4ff974bbbf11e14f95dc844eed662ee62d10ae3d2de074850e83dd2",
+        "1ae506ccc8d5bb1f70b8c397268cbb1cba656c4e551d12fe75408d3a728110a3",
+    ),
+    "demod_two_tone": (
+        "06f92c040bbb505271ad3ee6b85ffde9bbd24707d98c0222711f2757487b4642",
+        "f638cc9103b8bc20c7828a44f63c28c2be86850a1fff34a700ab1427150c7356",
+    ),
+}
+
+
+def test_builtin_config_hashes_and_ini_bytes_are_pinned():
+    pins = {
+        name: (config_hash(cfg), hashlib.sha256(config_to_ini(cfg).encode("utf-8")).hexdigest())
+        for name, cfg in builtin_scenarios().items()
+    }
+    assert pins == BUILTIN_PINS
+
+
+def test_explicit_filters_are_stored_as_their_fields():
+    # desk_a with both designed filters given explicitly: every section's
+    # keys are its dataclass's fields, and the bytes are pinned
+    cfg = builtin_scenarios()["desk_a"]
+    g = replace(cfg.generator, interp_filter=cfg.generator.resolved_interp_filter())
+    a = replace(cfg.analyzer, channelizer_filter=cfg.analyzer.resolved_channelizer_filter())
+    cfg = replace(cfg, generator=g, analyzer=a)
+    d = config_to_dict(cfg)
+    names = [f.name for f in fields(FilterSpec)]
+    assert names == ["taps", "total_bits", "frac_bits", "description"]
+    assert list(d["generator"]["interp_filter"]) == names
+    assert list(d["analyzer"]["channelizer_filter"]) == names
+    assert list(d["tones"][0]) == [f.name for f in fields(ToneConfig)]
+    ini = config_to_ini(cfg)
+    assert "[generator.interp_filter]\ntaps = " in ini
+    back = config_from_ini(ini)
+    assert back == cfg
+    assert config_to_ini(back) == ini
+    assert config_hash(cfg) == "18a4270b236f425d2cc9a02afbf570bf4235d3158b0ede350130d79ceb298cd2"
+    assert (
+        hashlib.sha256(ini.encode("utf-8")).hexdigest()
+        == "96371ca21eee77a06295f452f9a25aa95c305c8fdf85977e5fda8b6afcfbf19b"
+    )
+
+
 # words with characters INI files treat specially inside values
 words = st.text(alphabet="abcXYZ019_-.%#;=:", min_size=1, max_size=6)
 names = st.lists(words, min_size=1, max_size=3).map(" ".join)
@@ -219,7 +295,8 @@ def filter_specs(draw):
     total = draw(st.integers(4, 18))
     fmt = FxpFormat(total, draw(st.integers(0, total)))
     half = draw(st.lists(st.integers(fmt.min_raw, fmt.max_raw), min_size=1, max_size=6))
-    return FilterSpec(tuple(half + half[-2::-1]), fmt, draw(st.just("") | names))
+    return FilterSpec(tuple(half + half[-2::-1]), fmt.total_bits, fmt.frac_bits,
+                      draw(st.just("") | names))
 
 
 @st.composite
@@ -266,15 +343,14 @@ def chain_configs(draw):
                  max_size=4, unique=True)
     )
     tones = tuple(
-        ToneConfig(b, t, draw(st.integers(0, l_acc - 1)),
-                   FxpValue(draw(st.integers(0, 1 << 15)), AMPLITUDE_FORMAT))
+        ToneConfig(b, t, draw(st.integers(0, l_acc - 1)), draw(st.integers(0, 1 << 15)))
         for b, t in ids
     )
     return ChainConfig(
         generator=gen,
         analyzer=ana,
         tones=tones,
-        acquisition_len=draw(st.integers(1, 10**6)),
+        acquisition_len=draw(st.integers(2, 10**6)),
         scenario_name=draw(names),
         seed=draw(st.integers(0, 2**31)),
         warmup_windows=draw(st.integers(0, 5)),

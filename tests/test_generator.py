@@ -48,10 +48,6 @@ def desk_cfg(l_acc=1024, n_bands=2, tones=4):
     )
 
 
-def amp(raw=32767):
-    return FxpValue(raw, AMPLITUDE_FORMAT)
-
-
 # The exciter's two LUT mixes as stages of their own, kept as references:
 # generate_comb applies them through its arithmetic's mix.
 
@@ -113,9 +109,9 @@ def test_phase_words_matches_stepped_accumulator():
 def test_phase_acc_rejects_bad_increment():
     # the tone's frequency word is the accumulator increment: it must be < L_acc
     cfg = desk_cfg()
-    tone_generate(ToneConfig(0, 0, cfg.L_acc - 1, amp()), cfg, 4)
+    tone_generate(ToneConfig(0, 0, cfg.L_acc - 1, 32767), cfg, 4)
     with pytest.raises(ConfigError):
-        tone_generate(ToneConfig(0, 0, cfg.L_acc, amp()), cfg, 4)
+        tone_generate(ToneConfig(0, 0, cfg.L_acc, 32767), cfg, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +353,7 @@ def test_cordic_tone_owns_its_arrays_and_checks_l_acc():
 
 def test_tone_dc_word_is_constant():
     cfg = desk_cfg()
-    ti, tq = tone_generate(ToneConfig(0, 0, 0, amp()), cfg, 64)
+    ti, tq = tone_generate(ToneConfig(0, 0, 0, 32767), cfg, 64)
     want = (511 * 32767) >> 15
     assert np.all(ti == want)
     assert np.all(tq == 0)
@@ -365,7 +361,7 @@ def test_tone_dc_word_is_constant():
 
 def test_tone_periodicity():
     cfg = desk_cfg()
-    ti, tq = tone_generate(ToneConfig(0, 0, 4, amp()), cfg, 1024)
+    ti, tq = tone_generate(ToneConfig(0, 0, 4, 32767), cfg, 1024)
     assert np.array_equal(ti[:256], ti[256:512])
     assert np.array_equal(tq[:768], tq[256:])
     assert not np.array_equal(ti[:128], ti[128:256])  # 256 is minimal
@@ -373,20 +369,20 @@ def test_tone_periodicity():
 
 def test_tone_full_modulus_period_for_coprime_word():
     cfg = desk_cfg(l_acc=65536)
-    ti, _ = tone_generate(ToneConfig(0, 0, 997, amp()), cfg, 2 * 65536)
+    ti, _ = tone_generate(ToneConfig(0, 0, 997, 32767), cfg, 2 * 65536)
     assert np.array_equal(ti[:65536], ti[65536:])
     assert not np.array_equal(ti[: 65536 // 2], ti[65536 // 2 : 65536])
 
 
 def test_tone_amplitude_validation():
-    with pytest.raises(ConfigError):
-        ToneConfig(0, 0, 3, FxpValue(-1, AMPLITUDE_FORMAT))
-    with pytest.raises(ConfigError):
-        ToneConfig(0, 0, 3, FxpValue(40000, AMPLITUDE_FORMAT))  # > 1.0
-    # a config stores only the raw code and reads it back as AMPLITUDE_FORMAT:
-    # raw 16384 at Q2.14 (1.0) would hash and read back as 0.5
-    with pytest.raises(ConfigError, match="AMPLITUDE_FORMAT"):
-        ToneConfig(0, 0, 3, FxpValue(16384, FxpFormat(16, 14)))
+    with pytest.raises(ConfigError, match="amplitude_raw -1 "):
+        ToneConfig(0, 0, 3, -1)
+    with pytest.raises(ConfigError, match="amplitude_raw 32769 "):
+        ToneConfig(0, 0, 3, 32769)  # > 1.0
+    assert ToneConfig(0, 0, 3).amplitude_raw == 32768
+    # the raw code is read as AMPLITUDE_FORMAT (Q2.15)
+    assert ToneConfig(0, 0, 3, 0).amplitude_code == FxpValue(0, AMPLITUDE_FORMAT)
+    assert ToneConfig(0, 0, 3, 16384).amplitude_code.to_float() == 0.5
 
 
 def test_band_sum_dc_tones():
@@ -407,8 +403,8 @@ def test_band_sum_cancellation():
 
 def test_band_sum_equals_per_tone_sum():
     cfg = desk_cfg()
-    t1 = tone_generate(ToneConfig(0, 0, 3, amp(8192)), cfg, 200)
-    t2 = tone_generate(ToneConfig(0, 1, 5, amp(8192)), cfg, 200)
+    t1 = tone_generate(ToneConfig(0, 0, 3, 8192), cfg, 200)
+    t2 = tone_generate(ToneConfig(0, 1, 5, 8192), cfg, 200)
     bi, bq = band_sum([t1, t2], cfg.resolved_sum_width)
     assert np.array_equal(bi, t1[0] + t2[0])
     assert np.array_equal(bq, t1[1] + t2[1])
@@ -466,7 +462,7 @@ def test_generate_comb_streams_tones_into_the_band_sum():
         n_bands=1, tones_per_band=40, L_acc=n, upsample_factor=1, shifter_lut_len=5
     )
     words = default_freq_words(cfg.L_acc, 40)
-    tones = [ToneConfig(0, t, w, amp(819)) for t, w in enumerate(words)]
+    tones = [ToneConfig(0, t, w, 819) for t, w in enumerate(words)]
     generate_comb(cfg, tones, 64)  # fill the CORDIC table and filter caches
     tracemalloc.start()
     try:
@@ -493,7 +489,7 @@ def test_down_shift_dc_becomes_period_five_tone():
 
 def test_down_shift_moves_band_rate_fifth_tone_to_dc():
     cfg = desk_cfg(l_acc=1020)
-    st = tone_generate(ToneConfig(0, 0, 1020 // 5, amp()), cfg, 1020)
+    st = tone_generate(ToneConfig(0, 0, 1020 // 5, 32767), cfg, 1020)
     band = band_sum([st], cfg.resolved_sum_width)
     di, dq = down_shift(band, cfg)
     mag = np.abs(np.fft.fft(di + 1j * dq)) / 1020
@@ -517,7 +513,7 @@ def test_upsample_impulse_yields_tap_sequence():
     x[0] = 1000
     ui, _ = upsample_interp((x, np.zeros_like(x)), cfg)
     taps = spec.taps_array()
-    want = (1000 * taps) >> spec.shift
+    want = (1000 * taps) >> spec.frac_bits
     assert np.array_equal(ui[: len(taps)], want)
 
 
@@ -575,7 +571,7 @@ def interpolators(draw):
         L_acc=8,
         upsample_factor=u,
         shifter_lut_len=5 * u,
-        interp_filter=FilterSpec(taps, fmt, "random"),
+        interp_filter=FilterSpec(taps, fmt.total_bits, fmt.frac_bits, "random"),
         sum_width_bits=width,
     )
     return band, cfg
@@ -593,10 +589,9 @@ def test_polyphase_interpolator_equals_zero_stuffed_fir(case):
 
 
 def test_polyphase_interpolator_with_fewer_taps_than_branches():
-    fmt = FxpFormat(18, 16)
     cfg = GeneratorConfig(
         n_bands=1, tones_per_band=1, L_acc=8, upsample_factor=8, shifter_lut_len=40,
-        interp_filter=FilterSpec((1 << 15, 1 << 16, 1 << 15), fmt, "3 taps"),
+        interp_filter=FilterSpec((1 << 15, 1 << 16, 1 << 15), 18, 16, "3 taps"),
         sum_width_bits=12,
     )
     x = np.array([100, -200, 2047], dtype=np.int64)
@@ -725,7 +720,7 @@ def test_waveform_period_validation():
 
 def _comb_steady(cfg, words, n_periods=2):
     tones = [
-        ToneConfig(b, t, k, amp(8192))
+        ToneConfig(b, t, k, 8192)
         for b in range(cfg.n_bands)
         for t, k in enumerate(words)
     ]
@@ -760,7 +755,7 @@ def test_comb_period_is_lcm_and_minimal_adjusted_modulus():
 
 def test_generate_comb_deterministic():
     cfg = desk_cfg()
-    tones = [ToneConfig(0, 0, 51, amp(8192)), ToneConfig(1, 2, 257, amp(8192))]
+    tones = [ToneConfig(0, 0, 51, 8192), ToneConfig(1, 2, 257, 8192)]
     a = generate_comb(cfg, tones, 300)
     b = generate_comb(cfg, tones, 300)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -768,7 +763,7 @@ def test_generate_comb_deterministic():
 
 def test_generate_comb_empty_band_is_silent():
     cfg = desk_cfg()
-    tones = [ToneConfig(0, 0, 51, amp(8192))]
+    tones = [ToneConfig(0, 0, 51, 8192)]
     wi, wq = generate_comb(cfg, tones, 100)
     assert len(wi) == 800
     only = band_shift(
@@ -819,7 +814,7 @@ def comb_cases(draw):
             max_size=4,
         )
     )
-    tones = [ToneConfig(b, t, w, amp(a)) for t, (b, w, a) in enumerate(specs)]
+    tones = [ToneConfig(b, t, w, a) for t, (b, w, a) in enumerate(specs)]
     n = draw(st.one_of(st.integers(1, l_acc - 1), st.integers(l_acc, 3 * l_acc + 5)))
     return cfg, tones, n, draw(st.integers(1, 2))
 
@@ -858,25 +853,29 @@ def test_default_words_are_odd_coprime_in_band():
 
 
 def test_filter_spec_validation():
-    fmt = AMPLITUDE_FORMAT
     with pytest.raises(ConfigError):
-        FilterSpec(taps=(1, 2, 2, 1), coeff_format=fmt, description="even length")
+        FilterSpec((1, 2, 2, 1), 17, 15, "even length")
     with pytest.raises(ConfigError):
-        FilterSpec(taps=(1, 1, 2), coeff_format=fmt, description="asymmetric")
-    FilterSpec(taps=(1, 2, 1), coeff_format=fmt, description="ok")
+        FilterSpec((1, 1, 2), 17, 15, "asymmetric")
+    assert FilterSpec((1, 2, 1), 17, 15).description == ""
     with pytest.raises(ConfigError):
-        FilterSpec(taps=(1, 1 << 16, 1), coeff_format=fmt, description="tap too large")
+        FilterSpec((1, 1 << 16, 1), 17, 15, "tap too large")
     with pytest.raises(ConfigError):
-        FilterSpec(taps=(-(1 << 16) - 1,), coeff_format=fmt, description="tap too small")
-    FilterSpec(taps=(-(1 << 16), (1 << 16) - 1, -(1 << 16)), coeff_format=fmt, description="edges")
+        FilterSpec((-(1 << 16) - 1,), 17, 15, "tap too small")
+    FilterSpec((-(1 << 16), (1 << 16) - 1, -(1 << 16)), 17, 15, "edges")
+    # the widths are those of an FxpFormat
+    with pytest.raises(ConfigError, match="total_bits must be in 2..64"):
+        FilterSpec((1,), 65, 15)
+    with pytest.raises(ConfigError, match="frac_bits must be in 0..total_bits"):
+        FilterSpec((1,), 17, 18)
 
 
 def test_unbounded_taps_are_rejected_before_they_wrap_int64():
     # taps of 2^50 on a 20-bit stream: the convolution sum 3 * 2^50 * (2^19 - 1)
     # wraps int64 and fir_apply returns -524288 where +524287 is right
     with pytest.raises(ConfigError):
-        FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(18, 16), description="x")
-    wide = FilterSpec(taps=(1 << 50,) * 3, coeff_format=FxpFormat(52, 16), description="x")
+        FilterSpec((1 << 50,) * 3, 18, 16, "x")
+    wide = FilterSpec((1 << 50,) * 3, 52, 16, "x")
     x = np.full(4, 2**19 - 1, dtype=np.int64)
     assert fir_apply(x, x, wide, 20)[0][-1] == -524288  # the silent wrap
     with pytest.raises(ConfigError, match="interp_filter"):
@@ -884,7 +883,7 @@ def test_unbounded_taps_are_rejected_before_they_wrap_int64():
             n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=wide, sum_width_bits=20
         )
     # the bound is sum|h| * 2^(stream_bits-1) < 2^63, checked exactly
-    edge = FilterSpec(taps=(1 << 45, 1 << 46, 1 << 45), coeff_format=FxpFormat(52, 16), description="x")
+    edge = FilterSpec((1 << 45, 1 << 46, 1 << 45), 52, 16, "x")
     GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=16)
     with pytest.raises(ConfigError):
         GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=17)

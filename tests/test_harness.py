@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from combtwin import ConfigError, FxpValue
+from combtwin import ConfigError
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
 from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
 from combtwin.generator import (
-    AMPLITUDE_FORMAT,
     CordicConfig,
     DoublePrecision,
     _window_sums,
@@ -139,7 +138,7 @@ def test_make_chain_config_validation():
     cfg = builtin_scenarios()["desk_a"]
     with pytest.raises(ConfigError):
         replace(cfg, tones=cfg.tones + (cfg.tones[0],))  # duplicate tone id
-    bad_band = ToneConfig(9, 0, 51, FxpValue(8192, AMPLITUDE_FORMAT))
+    bad_band = ToneConfig(9, 0, 51, 8192)
     with pytest.raises(ConfigError):
         replace(cfg, tones=(bad_band,))
     # averaging length is settable independently of the accumulator modulus
@@ -225,8 +224,7 @@ def test_predicted_lines_appear_in_spectrum(desk_a_result):
 
 def test_zero_amplitude_tones_give_silent_series():
     cfg = builtin_scenarios()["desk_a"]
-    zero = FxpValue(0, AMPLITUDE_FORMAT)
-    tones = tuple(replace(t, amplitude_code=zero) for t in cfg.tones)
+    tones = tuple(replace(t, amplitude_raw=0) for t in cfg.tones)
     res = run_loopback(replace(cfg, tones=tones, acquisition_len=40))
     for t in res.tones:
         assert not t.series.i.any() and not t.series.q.any()
@@ -391,12 +389,13 @@ def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
 
 @pytest.mark.parametrize("run", [run_loopback, float_oracle, run_demod_compare])
 def test_one_window_capture_is_refused_before_any_work(run):
-    # ChainConfig keeps accepting it (the CORDIC sweep config uses 1)
-    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=1)
+    # building the config raises, so no run is handed one
     with mock.patch("combtwin.harness.generate_comb") as comb:
         with pytest.raises(ConfigError, match="acquisition_len 1 is too short"):
-            run(cfg)
+            run(replace(builtin_scenarios()["desk_a"], acquisition_len=1))
     comb.assert_not_called()
+    with pytest.raises(ConfigError, match="acquisition_len 0 is too short"):
+        replace(builtin_scenarios()["desk_a"], acquisition_len=0)
 
 
 def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
@@ -665,7 +664,7 @@ def test_sweep_rows_equal_the_cordic_of_every_phase_word(word, angle_bits, guard
     # iterations and the base config's angle and guard bits
     l_acc = 4096
     base = make_chain_config(
-        "sweep", l_acc, l_acc, 1, 1, 1, freq_words=[word],
+        "sweep", l_acc, l_acc, 1, 1, 2, freq_words=[word],
         cordic=CordicConfig(10, 10, angle_bits=angle_bits, guard_bits=guard_bits),
     )
     bits, iters = [6, 10, 13], [3, 10]

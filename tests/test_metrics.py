@@ -674,6 +674,14 @@ def test_deglitch_requires_two_samples():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", list(PsdMethod))
+def test_psd_refuses_non_finite_samples(bad, method):
+    # every bin would be NaN
+    with pytest.raises(ConfigError, match="psd needs finite samples"):
+        psd(np.array([1.0, 2.0, bad, 4.0]), 1.0, method=method, segment_len=None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_deglitch_refuses_non_finite_samples(bad):
     # mu and sigma would be NaN and the draw would raise OverflowError
     with pytest.raises(ConfigError, match="finite"):

@@ -104,3 +104,12 @@ def test_repeated_import_finder_flags_only_modules_imported_at_top():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_function_repeats_a_top_level_import(path):
     assert repeated_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_config_codec_names_no_config_type():
+    # formats derives the dictionary, the hash and config.ini from
+    # dataclasses.fields alone, with no branch for a particular type
+    tree = ast.parse((Path(combtwin.__file__).parent / "formats.py").read_text(encoding="utf-8"))
+    assert "generator" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert not names & {"FilterSpec", "ToneConfig", "FxpValue", "FxpFormat", "AMPLITUDE_FORMAT"}
