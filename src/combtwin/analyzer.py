@@ -23,8 +23,7 @@ from .generator import (
     DoublePrecision,
     FilterSpec,
     FixedPoint,
-    design_windowed_sinc,
-    fir_apply,
+    GeneratorConfig,
 )
 
 
@@ -37,9 +36,11 @@ class DemodMode(Enum):
 class AnalyzerConfig:
     """Sizing of the analysis path.
 
-    decim_to_band must equal the exciter's upsample factor; wide_width_bits
-    must match the wideband stream format it produces. The default
-    channelizer is a 127-tap windowed sinc passing one band width.
+    decim_to_band, n_bands, band_rate_hz, wide_width_bits, reference_bits
+    and shifter_lut_len copy generator values: ChainConfig checks each
+    against the generator, and the chain reads the generator's. ChainConfig
+    also designs the default channelizer (a 127-tap windowed sinc passing
+    one band width) and checks the widths that need both halves.
     """
 
     decim_to_band: int = 8
@@ -54,59 +55,12 @@ class AnalyzerConfig:
     accumulator_width_bits: int | None = None
 
     def __post_init__(self) -> None:
-        if self.decim_to_band < 1:
-            raise ConfigError("decim_to_band must be >= 1")
         if self.L_avg < 1:
             raise ConfigError("L_avg must be >= 1")
-        if self.n_bands < 1:
-            raise ConfigError("n_bands must be >= 1")
-        if not (0 < self.band_rate_hz < math.inf):
-            raise ConfigError(f"band_rate_hz must be finite and > 0, got {self.band_rate_hz}")
-        if not (2 <= self.wide_width_bits <= 32):
-            raise ConfigError("wide_width_bits must be in 2..32")
-        if self.shifter_lut_len % (5 * self.decim_to_band) != 0:
-            raise ConfigError(
-                "shifter_lut_len must be a multiple of 5*decim_to_band so every "
-                "band center is an integer number of LUT cycles"
-            )
-        acc = self.resolved_accumulator_width
-        need = self.ddc_product_bits + max(1, math.ceil(math.log2(self.L_avg)))
-        if acc < need:
-            raise ConfigError(
-                f"accumulator_width_bits {acc} < {need} required for "
-                f"overflow-free accumulation over L_avg={self.L_avg}"
-            )
-        if acc > 63:
-            raise ConfigError("accumulator_width_bits must be <= 63 (int64 exactness)")
-        self.resolved_channelizer_filter().check_int64_headroom(
-            self.wide_width_bits, "channelizer_filter"
-        )
-
-    @property
-    def ddc_product_bits(self) -> int:
-        # subband * reference product plus one carry bit for the two-term sum
-        return self.wide_width_bits + self.reference_bits + 1
-
-    @property
-    def resolved_accumulator_width(self) -> int:
-        if self.accumulator_width_bits is not None:
-            return self.accumulator_width_bits
-        return self.ddc_product_bits + max(1, math.ceil(math.log2(self.L_avg)))
 
     @property
     def fs_hz(self) -> float:
         return self.band_rate_hz / self.L_avg
-
-    def resolved_channelizer_filter(self) -> FilterSpec:
-        if self.channelizer_filter is not None:
-            return self.channelizer_filter
-        # passband edge = one band half-width (band_rate/5) at the full rate
-        return design_windowed_sinc(
-            num_taps=127,
-            cutoff_cycles=1.0 / (5 * self.decim_to_band),
-            gain=1.0,
-            coeff_bits=18,
-        )
 
 
 @dataclass(frozen=True)
@@ -141,33 +95,21 @@ class IqTimeSeries:
 def channelize(
     wideband: tuple[np.ndarray, np.ndarray],
     band_index: int,
-    cfg: AnalyzerConfig,
-    method: str = "polyphase",
+    g: GeneratorConfig,
+    spec: FilterSpec,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extract one band back onto the exciter's tone grid at band rate.
+    """Extract one band of g's wideband stream back onto the exciter's tone
+    grid at band rate.
 
-    Mix by the conjugate band-center exponential, lowpass, decimate by D,
-    then shift up by band_rate/5 to undo the exciter's down-shift, all in
-    arith. The polyphase method is the default and is bit-identical to
-    "direct", a fixed-point reference.
+    Mix by the conjugate of the generator's band shift, lowpass with spec
+    and decimate by U (polyphase), then shift up by band_rate/5 to undo the
+    exciter's down-shift, all in arith at g's wideband width.
     """
-    if not (0 <= band_index < cfg.n_bands):
-        raise ConfigError(f"band_index {band_index} out of range 0..{cfg.n_bands - 1}")
-    if method not in ("polyphase", "direct"):
-        raise ConfigError("method must be 'polyphase' or 'direct'")
-    w = cfg.wide_width_bits
-    d = cfg.decim_to_band
-    cycles = cfg.shifter_lut_len * (2 * band_index + 1) // (5 * d)
-    mi, mq = arith.mix(wideband, cfg.shifter_lut_len, cycles, w, -1)
-    spec = cfg.resolved_channelizer_filter()
-    if method == "direct":
-        bi, bq = fir_apply(mi, mq, spec, w)
-        bi, bq = bi[::d], bq[::d]
-    else:
-        bi, bq = arith.decimate((mi, mq), spec, d, w)
-    return arith.mix((bi, bq), 5, 1, w, +1)
+    w, lut = g.wide_width, g.shifter_lut_len
+    mixed = arith.mix(wideband, lut, g.band_shift_cycles(band_index), w, -1)
+    return arith.mix(arith.decimate(mixed, spec, g.upsample_factor, w), 5, 1, w, +1)
 
 
 # ---------------------------------------------------------------------------

@@ -186,19 +186,24 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
+    """Inverse of spectrum_to_csv; raises ConfigError naming a key the
+    metadata line lacks."""
     meta, rows = _csv_rows(text)
     seg = meta.get("segment_len")
     ov = meta.get("overlap_frac")
-    return Spectrum(
-        n_points=int(meta["n_points"]),
-        bin_hz=float(meta["bin_hz"]),
-        values=np.array([float(row[1]) for row in rows]),
-        units=SpectrumUnits(meta["units"]),
-        window=SpectrumWindow(meta["window"]),
-        method=PsdMethod(meta["method"]),
-        segment_len=int(seg) if seg is not None else None,
-        overlap_frac=float(ov) if ov is not None else None,
-    )
+    try:
+        return Spectrum(
+            n_points=int(meta["n_points"]),
+            bin_hz=float(meta["bin_hz"]),
+            values=np.array([float(row[1]) for row in rows]),
+            units=SpectrumUnits(meta["units"]),
+            window=SpectrumWindow(meta["window"]),
+            method=PsdMethod(meta["method"]),
+            segment_len=int(seg) if seg is not None else None,
+            overlap_frac=float(ov) if ov is not None else None,
+        )
+    except KeyError as e:
+        raise ConfigError(f"spectrum header lacks key {e}") from e
 
 
 def spur_report_dict(report: SpurReport) -> dict:

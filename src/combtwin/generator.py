@@ -280,14 +280,6 @@ def _design_windowed_sinc(
     )
 
 
-def fir_apply(
-    i: np.ndarray, q: np.ndarray, spec: FilterSpec, stream_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Causal length-preserving FIR in exact integers, then shift and saturate."""
-    h = spec.taps_array()
-    return tuple(spec.requantize(np.convolve(s, h)[: len(s)], stream_bits) for s in (i, q))
-
-
 # Polyphase kernels (Crochiere & Rabiner 1983) return the branch sums before
 # any requantization: exact on int64 (the fixed-point chain), complex128 for
 # the float oracle.
@@ -434,6 +426,12 @@ class GeneratorConfig:
                 f"shifter LUT length {self.shifter_lut_len} does not hold an "
                 "integer number of cycles for band 0"
             )
+        # the LUT mixes add two products of w-bit codes: int64 for w <= 32
+        if self.resolved_sum_width < 2 or self.wide_width > 32:
+            raise ConfigError(
+                f"sum_width_bits {self.resolved_sum_width} must be >= 2 and give a "
+                f"wideband stream of <= 32 bits, not {self.wide_width}"
+            )
         self.resolved_interp_filter().check_int64_headroom(
             self.resolved_sum_width, "interp_filter"
         )
@@ -454,6 +452,11 @@ class GeneratorConfig:
         if not (0 <= band_index < self.n_bands):
             raise ConfigError(f"band_index {band_index} out of range")
         return Fraction(2 * band_index + 1, 5 * self.upsample_factor)
+
+    def band_shift_cycles(self, band_index: int) -> int:
+        """Whole shifter LUT cycles that move band band_index to its center
+        (the analyzer's channelizer undoes the same shift)."""
+        return int(self.band_center_fraction(band_index) * self.shifter_lut_len)
 
     def resolved_interp_filter(self) -> FilterSpec:
         if self.interp_filter is not None:
@@ -524,7 +527,7 @@ def upsample_interp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate by U with the configured FIR, as a polyphase filter.
 
-    Bit-identical to zero-stuffing by U and running fir_apply at the full
+    Bit-identical to zero-stuffing by U and running the FIR at the full
     rate, but only the U branch filters (len(taps)/U taps each) run.
     Output length is input length * U; for periodic input the steady
     state (past the first taps-1 samples) is periodic with U times the
@@ -690,8 +693,7 @@ def generate_comb(
         band = arith.mix(band, 5, 1, w, -1)  # down by band_rate/5
         band = arith.interp(band, cfg)
         # up to the band center, an integer number of shifter LUT cycles
-        cycles = int(cfg.band_center_fraction(b) * cfg.shifter_lut_len)
-        return arith.mix(band, cfg.shifter_lut_len, cycles, w, +1)
+        return arith.mix(band, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1)
 
     bands = sorted(by_band)
     if threads > 1 and len(bands) > 1:

@@ -37,11 +37,13 @@ from .generator import (
     FIXED_POINT,
     CordicConfig,
     DoublePrecision,
+    FilterSpec,
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
     cordic_tone,
     default_freq_words,
+    design_windowed_sinc,
     generate_comb,
     waveform_period,
     windowed_sinc_taps,
@@ -66,7 +68,8 @@ SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
 
 
 # The analyzer fields that copy a generator value, each with the generator
-# attribute it copies: make_chain_config fills them, ChainConfig checks them.
+# attribute it copies: make_chain_config fills them, ChainConfig checks them,
+# and the chain reads the generator's.
 _MIRRORED = (
     ("decim_to_band", "upsample_factor"),
     ("n_bands", "n_bands"),
@@ -84,7 +87,8 @@ class ChainConfig:
     acquisition_len is the number of retained output samples per tone; the
     run generates (acquisition_len + warmup_windows) * L_avg band samples
     and discards the first warmup_windows accumulator outputs, which
-    absorb the filter transients.
+    absorb the filter transients. The checks that need both halves of the
+    chain (the channelizer and accumulator widths) are made here.
     """
 
     generator: GeneratorConfig
@@ -112,6 +116,18 @@ class ChainConfig:
                 raise ConfigError(
                     f"analyzer.{a_name} {a_val} must equal generator.{g_name} {g_val}"
                 )
+        acc = self.resolved_accumulator_width
+        need = self.ddc_product_bits + max(1, math.ceil(math.log2(a.L_avg)))
+        if acc < need:
+            raise ConfigError(
+                f"accumulator_width_bits {acc} < {need} required for "
+                f"overflow-free accumulation over L_avg={a.L_avg}"
+            )
+        if acc > 63:
+            raise ConfigError("accumulator_width_bits must be <= 63 (int64 exactness)")
+        self.resolved_channelizer_filter().check_int64_headroom(
+            g.wide_width, "channelizer_filter"
+        )
         seen = set()
         for t in self.tones:
             if t.band_index >= g.n_bands:
@@ -122,6 +138,28 @@ class ChainConfig:
             if key in seen:
                 raise ConfigError(f"duplicate tone id {key}")
             seen.add(key)
+
+    @property
+    def ddc_product_bits(self) -> int:
+        # subband * reference product plus one carry bit for the two-term sum
+        return self.generator.wide_width + self.generator.cordic.data_bits + 1
+
+    @property
+    def resolved_accumulator_width(self) -> int:
+        if self.analyzer.accumulator_width_bits is not None:
+            return self.analyzer.accumulator_width_bits
+        return self.ddc_product_bits + max(1, math.ceil(math.log2(self.analyzer.L_avg)))
+
+    def resolved_channelizer_filter(self) -> FilterSpec:
+        if self.analyzer.channelizer_filter is not None:
+            return self.analyzer.channelizer_filter
+        # passband edge = one band half-width (band_rate/5) at the full rate
+        return design_windowed_sinc(
+            num_taps=127,
+            cutoff_cycles=1.0 / (5 * self.generator.upsample_factor),
+            gain=1.0,
+            coeff_bits=18,
+        )
 
 
 def make_chain_config(
@@ -253,7 +291,7 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     """Upper bound, in band samples, on the settling time of both chains."""
     u = cfg.generator.upsample_factor
     n_interp = len(cfg.generator.resolved_interp_filter().taps)
-    n_chan = len(cfg.analyzer.resolved_channelizer_filter().taps)
+    n_chan = len(cfg.resolved_channelizer_filter().taps)
     return (n_interp + n_chan) // u + 2
 
 
@@ -268,11 +306,12 @@ def _subbands(
     causal from sample 0, so a prefix of the result equals a shorter run."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    wideband = generate_comb(cfg.generator, cfg.tones, n_band, threads, arith=arith)
+    g, spec = cfg.generator, cfg.resolved_channelizer_filter()
+    wideband = generate_comb(g, cfg.tones, n_band, threads, arith=arith)
     bands = sorted({t.band_index for t in cfg.tones})
 
     def one(b: int):
-        return channelize(wideband, b, cfg.analyzer, arith=arith)
+        return channelize(wideband, b, g, spec, arith=arith)
 
     if threads > 1 and len(bands) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -389,7 +428,7 @@ def _loopback(
     predicted = tuple(
         (f, "period-extension alias")
         for f, _ in predict_spurs(
-            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, a.band_rate_hz
+            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
         )
     )
     # every series tiles n_pat windows; on the direct plan that is all of them
@@ -613,10 +652,10 @@ def _float_interp_taps(cfg: ChainConfig, quantize_interp: bool) -> np.ndarray:
 
 
 def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
-    a = cfg.analyzer
-    spec = a.resolved_channelizer_filter()
-    if a.channelizer_filter is None:
-        return windowed_sinc_taps(len(spec.taps), 1.0 / (5 * a.decim_to_band), 1.0)
+    spec = cfg.resolved_channelizer_filter()
+    if cfg.analyzer.channelizer_filter is None:
+        u = cfg.generator.upsample_factor
+        return windowed_sinc_taps(len(spec.taps), 1.0 / (5 * u), 1.0)
     return spec.taps_array() / float(1 << spec.frac_bits)
 
 

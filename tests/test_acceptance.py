@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from combtwin.analyzer import AnalyzerConfig, DemodMode, boxcar_response, channelize
+from combtwin.analyzer import boxcar_response, channelize
 from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
@@ -34,6 +34,7 @@ from combtwin.metrics import (
     predict_spurs,
     psd,
 )
+from test_analyzer import channelize_direct
 
 
 def _ok(name, detail):
@@ -286,18 +287,10 @@ def test_criterion_9_determinism_and_polyphase(tmp_path):
     n = 100_000
     wi = rng.integers(-4096, 4096, n)
     wq = rng.integers(-4096, 4096, n)
-    acfg = AnalyzerConfig(
-        decim_to_band=8,
-        L_avg=1024,
-        demod_mode=DemodMode.SINE_DDC,
-        n_bands=2,
-        band_rate_hz=250e6,
-        wide_width_bits=13,
-        reference_bits=10,
-    )
+    g, spec = cfg.generator, cfg.resolved_channelizer_filter()  # 13-bit wideband
     for b in range(2):
-        di, dq = channelize((wi, wq), b, acfg, method="direct")
-        pi, pq = channelize((wi, wq), b, acfg, method="polyphase")
+        di, dq = channelize_direct((wi, wq), b, g, spec)
+        pi, pq = channelize((wi, wq), b, g, spec)
         assert np.array_equal(di, pi)
         assert np.array_equal(dq, pq)
     _ok(

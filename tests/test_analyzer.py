@@ -1,6 +1,7 @@
 """Analysis path: channelizer, demodulators, boxcar averaging."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from combtwin.generator import (
     ToneConfig,
     cordic_sincos_array,
     generate_comb,
+    lut_mix,
     phase_words,
 )
+from combtwin.harness import make_chain_config
+from test_generator import fir_apply
 
 
 def desk_analyzer(l_avg=1024, mode=DemodMode.SINE_DDC, n_bands=2, wide=13):
@@ -41,6 +45,7 @@ def desk_analyzer(l_avg=1024, mode=DemodMode.SINE_DDC, n_bands=2, wide=13):
 
 
 def desk_generator(l_acc=1024):
+    # two bands of four 10-bit tones: a 13-bit wideband stream
     return GeneratorConfig(
         n_bands=2,
         tones_per_band=4,
@@ -49,6 +54,26 @@ def desk_generator(l_acc=1024):
         upsample_factor=8,
         shifter_lut_len=40,
     )
+
+
+def desk_chain(**kw):
+    """desk_generator's chain: 2 bands of 4 tones, L_avg 1024."""
+    return make_chain_config("desk", 1024, 1024, 2, 4, 2, **kw)
+
+
+def desk_channelizer():
+    return desk_chain().resolved_channelizer_filter()
+
+
+def channelize_direct(wideband, band_index, g, spec):
+    """channelize with the full-rate FIR, kept as the reference of the
+    polyphase decimator: the conjugate band shift, fir_apply, then every
+    U-th sample and the band_rate/5 re-shift."""
+    w, lut, u = g.wide_width, g.shifter_lut_len, g.upsample_factor
+    cycles = lut * (2 * band_index + 1) // (5 * u)
+    mi, mq = lut_mix(wideband, lut, cycles, w, -1)
+    bi, bq = fir_apply(mi, mq, spec, w)
+    return lut_mix((bi[::u], bq[::u]), 5, 1, w, +1)
 
 
 def reference_wave(word, l_acc, n):
@@ -63,36 +88,22 @@ def reference_wave(word, l_acc, n):
 def test_analyzer_config_defaults_and_validation():
     cfg = desk_analyzer()
     assert cfg.fs_hz == pytest.approx(250e6 / 1024)
-    assert cfg.resolved_accumulator_width >= cfg.ddc_product_bits + 10
     with pytest.raises(ConfigError):
         desk_analyzer(l_avg=0)
-    with pytest.raises(ConfigError):
-        AnalyzerConfig(
-            decim_to_band=8,
-            L_avg=1024,
-            demod_mode=DemodMode.SINE_DDC,
-            n_bands=2,
-            band_rate_hz=250e6,
-            wide_width_bits=13,
-            reference_bits=10,
-            shifter_lut_len=39,  # not a multiple of 5*D
-        )
-    with pytest.raises(ConfigError):
-        AnalyzerConfig(
-            decim_to_band=8,
-            L_avg=1024,
-            demod_mode=DemodMode.SINE_DDC,
-            n_bands=2,
-            band_rate_hz=250e6,
-            wide_width_bits=13,
-            reference_bits=10,
-            accumulator_width_bits=20,  # cannot hold the boxcar growth
-        )
+    # the chain checks the copies against the generator and sizes the
+    # accumulator from the generator's widths
+    chain = desk_chain()
+    assert chain.ddc_product_bits == 13 + 10 + 1
+    assert chain.resolved_accumulator_width >= chain.ddc_product_bits + 10
+    with pytest.raises(ConfigError, match="analyzer.shifter_lut_len 39"):
+        replace(chain, analyzer=replace(chain.analyzer, shifter_lut_len=39))
+    with pytest.raises(ConfigError, match="accumulator_width_bits 20 < 34"):
+        # cannot hold the boxcar growth
+        replace(chain, analyzer=replace(chain.analyzer, accumulator_width_bits=20))
 
 
 def test_channelizer_default_filter_shape():
-    cfg = desk_analyzer()
-    spec = cfg.resolved_channelizer_filter()
+    spec = desk_channelizer()
     taps = spec.taps_array()
     assert len(taps) == 127
     assert np.array_equal(taps, taps[::-1])
@@ -103,21 +114,21 @@ def test_channelizer_default_filter_shape():
 
 
 def test_channelize_zero_in_zero_out():
-    cfg = desk_analyzer()
+    g, spec = desk_generator(), desk_channelizer()
     z = np.zeros(4096, dtype=np.int64)
     for b in range(2):
-        yi, yq = channelize((z, z), b, cfg)
+        yi, yq = channelize((z, z), b, g, spec)
         assert len(yi) == 512
         assert not yi.any() and not yq.any()
 
 
 def test_channelize_rejects_bad_band():
-    cfg = desk_analyzer()
+    g, spec = desk_generator(), desk_channelizer()
     z = np.zeros(64, dtype=np.int64)
     with pytest.raises(ConfigError):
-        channelize((z, z), 2, cfg)
+        channelize((z, z), 2, g, spec)
     with pytest.raises(ConfigError):
-        channelize((z, z), -1, cfg)
+        channelize((z, z), -1, g, spec)
 
 
 def test_polyphase_equals_direct_on_random_input():
@@ -125,63 +136,70 @@ def test_polyphase_equals_direct_on_random_input():
     n = 100_000
     wi = rng.integers(-4096, 4096, n)
     wq = rng.integers(-4096, 4096, n)
-    cfg = desk_analyzer()
+    g, spec = desk_generator(), desk_channelizer()
     for b in range(2):
-        di, dq = channelize((wi, wq), b, cfg, method="direct")
-        pi, pq = channelize((wi, wq), b, cfg, method="polyphase")
+        di, dq = channelize_direct((wi, wq), b, g, spec)
+        pi, pq = channelize((wi, wq), b, g, spec)
         assert np.array_equal(di, pi)
         assert np.array_equal(dq, pq)
 
 
 @st.composite
 def channelizer_cases(draw):
-    d = draw(st.integers(1, 8))
+    u = draw(st.integers(1, 8))
     n_bands = draw(st.integers(1, 3))
-    w = draw(st.integers(2, 32))
+    band_bits = max(1, math.ceil(math.log2(n_bands)))
+    # the generator's band sum has at least 2 bits: a wideband stream of 3
+    # bits (4 for three bands) up to 32
+    w = draw(st.integers(2 + band_bits, 32))
     half = draw(st.lists(st.integers(-(1 << 17), (1 << 17) - 1), min_size=1, max_size=16))
     spec = FilterSpec(tuple(half + half[-2::-1]), 18, 16, "random symmetric")
-    cfg = AnalyzerConfig(
-        decim_to_band=d,
-        L_avg=16,
+    g = GeneratorConfig(
         n_bands=n_bands,
-        wide_width_bits=w,
-        shifter_lut_len=5 * d * draw(st.integers(1, 3)),
-        channelizer_filter=spec,
+        tones_per_band=1,
+        L_acc=8,
+        upsample_factor=u,
+        shifter_lut_len=5 * u * draw(st.integers(1, 3)),
+        sum_width_bits=w - band_bits,
     )
+    assert g.wide_width == w
     n = draw(st.integers(1, 300))
     lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
     stream = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
     wide = (np.array(draw(stream), dtype=np.int64), np.array(draw(stream), dtype=np.int64))
-    return cfg, wide, draw(st.integers(0, n_bands - 1))
+    return g, spec, wide, draw(st.integers(0, n_bands - 1))
 
 
 @settings(max_examples=150)
 @given(channelizer_cases())
 def test_polyphase_equals_direct_on_random_configs(case):
-    cfg, wide, band = case
-    di, dq = channelize(wide, band, cfg, method="direct")
-    pi, pq = channelize(wide, band, cfg, method="polyphase")
+    g, spec, wide, band = case
+    di, dq = channelize_direct(wide, band, g, spec)
+    pi, pq = channelize(wide, band, g, spec)
     assert np.array_equal(di, pi)
     assert np.array_equal(dq, pq)
 
 
 def test_channelizer_taps_that_can_wrap_int64_are_rejected():
+    # sum|h| * 2^(w-1) = 3 * 2^50 * 2^(w-1) reaches 2^63 at w = 13
     taps = FilterSpec((1 << 50,) * 3, 52, 16, "x")
+    chain = desk_chain()  # 13-bit wideband stream
     with pytest.raises(ConfigError, match="channelizer_filter"):
-        AnalyzerConfig(channelizer_filter=taps)  # 20-bit wideband stream
-    AnalyzerConfig(channelizer_filter=taps, wide_width_bits=11)  # 3 * 2^60 < 2^63
+        replace(chain, analyzer=replace(chain.analyzer, channelizer_filter=taps))
+    chain = make_chain_config("one", 1024, 1024, 1, 1, 2)  # 12-bit wideband stream
+    assert chain.generator.wide_width == 12
+    replace(chain, analyzer=replace(chain.analyzer, channelizer_filter=taps))
 
 
 def test_channelize_recovers_single_tone_band():
     # a tone placed in band 1 shows up in channel 1 at its grid frequency
     # and only as stopband leakage in channel 0
-    gcfg = desk_generator()
+    gcfg, spec = desk_generator(), desk_channelizer()
     word = 257
     tones = [ToneConfig(1, 0, word, 32767)]
     wide = generate_comb(gcfg, tones, 4096)
-    acfg = desk_analyzer()
-    y1 = channelize(wide, 1, acfg)
-    y0 = channelize(wide, 0, acfg)
+    y1 = channelize(wide, 1, gcfg, spec)
+    y0 = channelize(wide, 0, gcfg, spec)
     n = len(y1[0])
     skip = 64  # filter transient
     z1 = (y1[0] + 1j * y1[1])[skip:]
@@ -200,14 +218,13 @@ def test_channelize_undoes_band_shift_on_tone_grid():
     from test_generator import band_shift, down_shift
 
     gcfg = desk_generator()
-    acfg = desk_analyzer()
     n = 2048
     k = 9  # cycles in n samples at band rate
     t = np.arange(n)
     x = np.round(3000 * np.exp(2j * np.pi * k * t / n))
     band = x.real.astype(np.int64), x.imag.astype(np.int64)
     shifted = band_shift(upsample_interp(down_shift(band, gcfg), gcfg), 0, gcfg)
-    yi, yq = channelize(shifted, 0, acfg)
+    yi, yq = channelize(shifted, 0, gcfg, desk_channelizer())
     z = (yi + 1j * yq)[32:]
     spec = np.abs(np.fft.fft(z))
     peak = int(np.argmax(spec))

@@ -449,6 +449,35 @@ def test_config_ini_analyzer_lut_unlike_generator_lut_exits_1(tmp_path, capsys):
     assert "analyzer.shifter_lut_len 80 must equal generator.shifter_lut_len 40" in cap.err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("decim_to_band", "0"),
+        ("n_bands", "0"),
+        ("band_rate_hz", "inf"),
+        ("wide_width_bits", "40"),
+        ("shifter_lut_len", "39"),
+        ("accumulator_width_bits", "20"),
+        ("l_avg", "0"),
+    ],
+)
+def test_config_ini_bad_analyzer_value_exits_1_naming_it(tmp_path, capsys, key, value):
+    # a copied generator value is checked against the generator's, l_avg by
+    # AnalyzerConfig and the accumulator width by ChainConfig
+    base = _desk_a_ini(capsys).replace("[analyzer]\n", "[analyzer]\naccumulator_width_bits = 40\n")
+    rc, cap = _dump(tmp_path, capsys, _edit_ini(base, "analyzer", key, value=value))
+    assert rc == 1
+    assert key in cap.err.lower()
+
+
+@pytest.mark.parametrize("width", [0, 42])
+def test_config_ini_sum_width_outside_2_to_32_bits_exits_1(tmp_path, capsys, width):
+    base = _desk_a_ini(capsys).replace("[generator]\n", f"[generator]\nsum_width_bits = {width}\n")
+    rc, cap = _dump(tmp_path, capsys, base)
+    assert rc == 1
+    assert f"sum_width_bits {width}" in cap.err
+
+
 @pytest.mark.parametrize("record", ["0,0,51", "0,0,51,8192,7"])
 def test_config_ini_tone_record_needs_four_fields(tmp_path, capsys, record):
     text = _edit_ini(_desk_a_ini(capsys), "tones", "tone_0", value=record)

@@ -185,6 +185,18 @@ def test_spectrum_csv_round_trip():
         assert np.array_equal(back.values, spec.values)
 
 
+@pytest.mark.parametrize("key", ["n_points", "bin_hz", "units", "window", "method"])
+def test_spectrum_csv_without_a_key_is_named(key):
+    text = spectrum_to_csv(psd(np.arange(64.0), 10.0), config_hash="abc123")
+    meta, rest = text.split("\n", 1)
+    meta = " ".join(p for p in meta.split() if not p.startswith(f"{key}="))
+    with pytest.raises(ConfigError, match=f"lacks key '{key}'"):
+        spectrum_from_csv(meta + "\n" + rest)
+    # nor does a CSV without its metadata line raise a bare KeyError
+    with pytest.raises(ConfigError, match="spectrum header lacks key"):
+        spectrum_from_csv(rest)
+
+
 def test_spur_report_json_fields():
     import json
 
@@ -260,12 +272,32 @@ def test_builtin_config_hashes_and_ini_bytes_are_pinned():
     assert pins == BUILTIN_PINS
 
 
+# SHA-256 of repr((taps, total_bits, frac_bits)) of the designed interpolator
+# and channelizer; every builtin has U = 8, so all six resolve the same two.
+# The config hash leaves out a filter that defaults to None, and the golden
+# digests do not cover full_a or full_b.
+DESIGNED_FILTER_PINS = (
+    "3b7f11fefdf6baf4a17f2deafacbaa159f4d39536844a2953f918bfaaa29624f",
+    "5504ae75c3d23ab9cd0accb966f51721246e211e6a8a80dc03db70d354de0696",
+)
+
+
+def test_builtin_designed_filters_are_pinned():
+    def digest(spec):
+        blob = repr((spec.taps, spec.total_bits, spec.frac_bits)).encode()
+        return hashlib.sha256(blob).hexdigest()
+
+    for name, cfg in builtin_scenarios().items():
+        interp, chan = cfg.generator.resolved_interp_filter(), cfg.resolved_channelizer_filter()
+        assert (digest(interp), digest(chan)) == DESIGNED_FILTER_PINS, name
+
+
 def test_explicit_filters_are_stored_as_their_fields():
     # desk_a with both designed filters given explicitly: every section's
     # keys are its dataclass's fields, and the bytes are pinned
     cfg = builtin_scenarios()["desk_a"]
     g = replace(cfg.generator, interp_filter=cfg.generator.resolved_interp_filter())
-    a = replace(cfg.analyzer, channelizer_filter=cfg.analyzer.resolved_channelizer_filter())
+    a = replace(cfg.analyzer, channelizer_filter=cfg.resolved_channelizer_filter())
     cfg = replace(cfg, generator=g, analyzer=a)
     d = config_to_dict(cfg)
     names = [f.name for f in fields(FilterSpec)]

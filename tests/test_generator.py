@@ -24,7 +24,6 @@ from combtwin.generator import (
     cordic_tone,
     default_freq_words,
     design_windowed_sinc,
-    fir_apply,
     generate_comb,
     lut_mix,
     make_lut,
@@ -62,6 +61,14 @@ def band_shift(band, band_index, cfg):
     frac = cfg.band_center_fraction(band_index)  # validates band_index
     cycles = int(frac * cfg.shifter_lut_len)
     return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1)
+
+
+def fir_apply(i, q, spec, stream_bits):
+    """Causal length-preserving FIR in exact integers, then shift and
+    saturate: the full-rate filter that the polyphase interpolator and
+    decimator are checked against."""
+    h = spec.taps_array()
+    return tuple(spec.requantize(np.convolve(s, h)[: len(s)], stream_bits) for s in (i, q))
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +894,39 @@ def test_unbounded_taps_are_rejected_before_they_wrap_int64():
     GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=16)
     with pytest.raises(ConfigError):
         GeneratorConfig(n_bands=2, tones_per_band=4, L_acc=1024, interp_filter=edge, sum_width_bits=17)
+
+
+def exact_lut_mix(x, length, cycles, width, sign):
+    """lut_mix in Python integers: the products cannot wrap."""
+    li, lq = make_lut(length, cycles, width, sign)
+    hi = (1 << (width - 1)) - 1
+    out = ([], [])
+    for n, (a, b) in enumerate(zip(*x)):
+        c, s = int(li[n % length]), int(lq[n % length])
+        for o, v in zip(out, (int(a) * c - int(b) * s, int(a) * s + int(b) * c)):
+            o.append(min(max(v >> (width - 1), -hi - 1), hi))
+    return out
+
+
+def test_stream_widths_are_bounded_before_the_lut_mixes_wrap_int64():
+    # a 42-bit stream wraps int64 in lut_mix: 8388607 gives -2, not 8388606
+    x = (np.full(5, 8388607, dtype=np.int64),) * 2
+    assert lut_mix(x, 5, 1, 42, +1)[0][0] == -2
+    assert exact_lut_mix(x, 5, 1, 42, +1)[0][0] == 8388606
+    one = dict(n_bands=1, tones_per_band=1, L_acc=8, upsample_factor=1, shifter_lut_len=5,
+               cordic=CordicConfig(24, 24))
+    for bad in (0, 1, 32, 42):  # a band sum of < 2 bits, a wideband stream of > 32
+        with pytest.raises(ConfigError, match=f"sum_width_bits {bad} "):
+            GeneratorConfig(**one, sum_width_bits=bad)
+    g = GeneratorConfig(**one, sum_width_bits=31)
+    assert g.wide_width == 32
+    # at the widest legal streams, format-edge codes mix exactly; one bit more wraps
+    for w in (g.resolved_sum_width, g.wide_width, g.wide_width + 1):
+        x = stream_pair(w, w, 400)
+        got = [lut_mix(x, 40, c, w, sign) for c in (1, 3) for sign in (+1, -1)]
+        want = [exact_lut_mix(x, 40, c, w, sign) for c in (1, 3) for sign in (+1, -1)]
+        exact = all(a.tolist() == b for pg, pw in zip(got, want) for a, b in zip(pg, pw))
+        assert exact == (w <= 32), w
 
 
 def test_filter_design_keeps_the_gain_argument_type():

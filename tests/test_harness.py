@@ -715,7 +715,8 @@ def demod_compare_reference(cfg):
     res_square = run_loopback(cfg_square)
     n_pre = max(4096, 4 * _band_transient_len(cfg))
     wideband = generate_comb(g, cfg.tones, n_pre)
-    subbands = {b: channelize(wideband, b, a) for b in {t.band_index for t in cfg.tones}}
+    spec = cfg.resolved_channelizer_filter()
+    subbands = {b: channelize(wideband, b, g, spec) for b in {t.band_index for t in cfg.tones}}
     skip = _band_transient_len(cfg)
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
     rows = []
