@@ -15,6 +15,7 @@ from .generator import (
     GeneratorConfig,
     ToneConfig,
     band_sum,
+    band_tone_sums,
     default_freq_words,
     design_windowed_sinc,
     generate_comb,

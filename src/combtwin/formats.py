@@ -54,6 +54,38 @@ def _csv_rows(text: str) -> tuple[dict[str, str], list[list[str]]]:
     return meta, rows
 
 
+def _header(meta: dict, what: str, **convs) -> dict:
+    """Each key of convs read from meta through its converter (an int, a
+    float or an enum); a missing key, or a value its converter refuses,
+    raises ConfigError naming the key."""
+    out = {}
+    for key, conv in convs.items():
+        if key not in meta:
+            raise ConfigError(f"{what} header lacks key '{key}'")
+        try:
+            out[key] = conv(meta[key])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{what} header key '{key}': {e}") from e
+    return out
+
+
+def _data_values(rows: list[list[str]], columns: str, conv, what: str) -> list:
+    """The values past the first column (index or freq_hz) of data rows
+    holding the comma-separated columns, through conv, row by row; a row
+    of another length, or a value conv refuses, raises ConfigError naming
+    the data row."""
+    width = columns.count(",") + 1
+    out = []
+    for n, row in enumerate(rows):
+        try:
+            if len(row) != width:
+                raise ValueError(f"{','.join(row)!r} is not {columns}")
+            out += [conv(v) for v in row[1:]]
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"{what} data row {n + 1}: {e}") from e
+    return out
+
+
 def _series_header(series: IqTimeSeries) -> dict:
     """The tone metadata both series formats store, in the CSV's key order."""
     return {
@@ -69,20 +101,11 @@ def _series_header(series: IqTimeSeries) -> dict:
 
 def _series_from_header(header: dict, i: np.ndarray, q: np.ndarray) -> IqTimeSeries:
     """Inverse of _series_header; the values may be the strings a CSV holds."""
-    try:
-        return IqTimeSeries(
-            band_index=int(header["band_index"]),
-            tone_index=int(header["tone_index"]),
-            freq_word=int(header["freq_word"]),
-            i=i,
-            q=q,
-            rate_hz=float(header["fs_hz"]),
-            l_avg=int(header["l_avg"]),
-            demod_mode=DemodMode(header["demod_mode"]),
-            n_discarded=int(header["n_discarded"]),
-        )
-    except KeyError as e:
-        raise ConfigError(f"I/Q series header lacks key {e}") from e
+    h = _header(
+        header, "I/Q series", band_index=int, tone_index=int, freq_word=int,
+        fs_hz=float, l_avg=int, demod_mode=DemodMode, n_discarded=int,
+    )
+    return IqTimeSeries(i=i, q=q, rate_hz=h.pop("fs_hz"), **h)
 
 
 def series_to_csv(series: IqTimeSeries) -> str:
@@ -100,19 +123,14 @@ def series_to_csv(series: IqTimeSeries) -> str:
 
 def series_from_csv(text: str) -> IqTimeSeries:
     """Inverse of series_to_csv; raises ConfigError naming a key the
-    metadata line lacks."""
+    metadata line lacks or holds a bad value in, or a data row that is
+    not index,i,q numbers."""
     meta, rows = _csv_rows(text)
-    i_vals: list = []
-    q_vals: list = []
-    for _, si, sq in rows:
-        i_vals.append(si)
-        q_vals.append(sq)
     # int only when every value is an integer literal: inf and nan are floats
-    is_int = all(v.strip().lstrip("+-").isdecimal() for v in i_vals + q_vals)
-    conv = int if is_int else float
-    dtype = np.int64 if is_int else np.float64
-    i = np.array([conv(v) for v in i_vals], dtype=dtype)
-    q = np.array([conv(v) for v in q_vals], dtype=dtype)
+    is_int = all(v.strip().lstrip("+-").isdecimal() for row in rows for v in row[1:])
+    conv, dtype = (int, np.int64) if is_int else (float, np.float64)
+    iq = np.array(_data_values(rows, "index,i,q", conv, "I/Q series"), dtype=dtype)
+    i, q = iq.reshape(-1, 2).T.copy()
     return _series_from_header(meta, i, q)
 
 
@@ -187,23 +205,16 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
 
 def spectrum_from_csv(text: str) -> Spectrum:
     """Inverse of spectrum_to_csv; raises ConfigError naming a key the
-    metadata line lacks."""
+    metadata line lacks or holds a bad value in, or a data row that is
+    not freq_hz,value numbers."""
     meta, rows = _csv_rows(text)
-    seg = meta.get("segment_len")
-    ov = meta.get("overlap_frac")
-    try:
-        return Spectrum(
-            n_points=int(meta["n_points"]),
-            bin_hz=float(meta["bin_hz"]),
-            values=np.array([float(row[1]) for row in rows]),
-            units=SpectrumUnits(meta["units"]),
-            window=SpectrumWindow(meta["window"]),
-            method=PsdMethod(meta["method"]),
-            segment_len=int(seg) if seg is not None else None,
-            overlap_frac=float(ov) if ov is not None else None,
-        )
-    except KeyError as e:
-        raise ConfigError(f"spectrum header lacks key {e}") from e
+    optional = {k: conv for k, conv in (("segment_len", int), ("overlap_frac", float)) if k in meta}
+    h = _header(
+        meta, "spectrum", n_points=int, bin_hz=float, units=SpectrumUnits,
+        window=SpectrumWindow, method=PsdMethod, **optional,
+    )
+    values = np.array(_data_values(rows, "freq_hz,value", float, "spectrum"))
+    return Spectrum(values=values, **h)
 
 
 def spur_report_dict(report: SpurReport) -> dict:

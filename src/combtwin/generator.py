@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -458,6 +457,15 @@ class GeneratorConfig:
         (the analyzer's channelizer undoes the same shift)."""
         return int(self.band_center_fraction(band_index) * self.shifter_lut_len)
 
+    @property
+    def phase_step(self) -> int:
+        """Band samples after which every LUT phase of the chain is back at
+        its phase of sample 0: the band-rate shifts by band_rate/5 and, at
+        the full rate, the shifter LUT; the decimation phase repeats every
+        band sample. The LUT length is a multiple of 5U, so this is
+        lcm(5, shifter_lut_len / gcd(shifter_lut_len, U))."""
+        return self.shifter_lut_len // self.upsample_factor
+
     def resolved_interp_filter(self) -> FilterSpec:
         if self.interp_filter is not None:
             return self.interp_filter
@@ -653,23 +661,21 @@ class DoublePrecision:
         return periodic_extend(sums, n_windows)
 
 
-def generate_comb(
+def band_tone_sums(
     cfg: GeneratorConfig,
     tones: Sequence[ToneConfig],
     n_band_samples: int,
-    threads: int = 1,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full excitation pipeline in arith; returns the wideband I/Q
-    stream.
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Each toned band's tone sum over its first min(L_acc, n_band_samples)
+    samples, in arith: the input generate_comb tiles.
 
-    Bands with no configured tones contribute silence. threads > 1 runs
-    the bands in a thread pool; the result does not depend on it. Tones
-    stream into their band sum and bands into the wideband sum, so one
-    band holds its running sum and a single tone stream at a time. A band's
-    tone sum is formed over one accumulator period and tiled; the
-    full-rate stages run over every sample.
+    Each tone repeats every L_acc / gcd(L_acc, word) samples from sample 0,
+    so a band's tone sum repeats every L_acc: one accumulator period holds
+    every value of an n_band_samples run, and the overflow check sees them
+    all. Tones stream into the sum, so a band holds its running sum and a
+    single tone stream at a time.
     """
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
@@ -678,28 +684,53 @@ def generate_comb(
                 f"tone band_index {t.band_index} >= n_bands {cfg.n_bands}"
             )
         by_band.setdefault(t.band_index, []).append(t)
-    if not by_band:
+    n_acc, w = min(cfg.L_acc, n_band_samples), cfg.resolved_sum_width
+    return {
+        b: arith.sum((arith.tone(t, cfg, n_acc) for t in by_band[b]), w)
+        for b in sorted(by_band)
+    }
+
+
+def generate_comb(
+    cfg: GeneratorConfig,
+    tone_sums: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    n_band_samples: int,
+    start: int = 0,
+    *,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band samples [start, start + n_band_samples) of the excitation
+    pipeline, run in arith from zero filter state at start; returns the
+    wideband I/Q stream (U samples per band sample).
+
+    tone_sums are the run's band_tone_sums, each tiled from sample start;
+    bands without tones contribute silence. start must be a multiple of
+    cfg.phase_step, where every LUT of the chain is at its phase of sample
+    0, so the first samples past the filter transient equal those of a run
+    from 0. The full-rate stages run over every sample.
+    """
+    if start % cfg.phase_step:
+        raise ConfigError(
+            f"comb start {start} is not a multiple of the phase step {cfg.phase_step}"
+        )
+    if not tone_sums:
         z = np.zeros(n_band_samples * cfg.upsample_factor, dtype=np.int64)
         return z, z.copy()
+    end = min(cfg.L_acc, start + n_band_samples)
+    if any(len(s[0]) < end for s in tone_sums.values()):
+        raise ConfigError(f"tone sums must cover band samples [0, {end})")
 
-    def one_band(b: int) -> tuple[np.ndarray, np.ndarray]:
-        # each tone repeats every L_acc / gcd(L_acc, word) samples from
-        # sample 0, so the band's tone sum repeats every L_acc: sum one
-        # accumulator period (the same values, so the same overflow check)
-        n_acc = min(cfg.L_acc, n_band_samples)
+    def one_band(b: int, band: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        band = tuple(periodic_extend(np.roll(s, -start), n_band_samples) for s in band)
         w = cfg.resolved_sum_width
-        bi, bq = arith.sum((arith.tone(t, cfg, n_acc) for t in by_band[b]), w)
-        band = periodic_extend(bi, n_band_samples), periodic_extend(bq, n_band_samples)
         band = arith.mix(band, 5, 1, w, -1)  # down by band_rate/5
         band = arith.interp(band, cfg)
         # up to the band center, an integer number of shifter LUT cycles
         return arith.mix(band, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1)
 
-    bands = sorted(by_band)
-    if threads > 1 and len(bands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return arith.sum(ex.map(one_band, bands), cfg.wide_width)
-    return arith.sum(map(one_band, bands), cfg.wide_width)
+    return arith.sum(
+        (one_band(b, band) for b, band in sorted(tone_sums.items())), cfg.wide_width
+    )
 
 
 def default_freq_words(L_acc: int, tones_per_band: int) -> list[int]:

@@ -41,6 +41,7 @@ from .generator import (
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
+    band_tone_sums,
     cordic_tone,
     default_freq_words,
     design_windowed_sinc,
@@ -295,6 +296,11 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     return (n_interp + n_chan) // u + 2
 
 
+# a time slice is at least this many overlaps long, so the overlap each
+# slice recomputes stays within a quarter of its length
+_MIN_SLICE_OVERLAPS = 4
+
+
 def _subbands(
     cfg: ChainConfig,
     n_band: int,
@@ -302,21 +308,42 @@ def _subbands(
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Generate n_band band samples of the comb and channelize every band
-    that holds a tone, in arith (in a pool when threads > 1). The chain is
-    causal from sample 0, so a prefix of the result equals a shorter run."""
+    that holds a tone, in arith. The chain is causal from sample 0, so a
+    prefix of the result equals a shorter run.
+
+    [0, n_band) is cut into k = min(threads, n_band // m) time slices (at
+    least one), which run in a pool when k > 1 (overlap-save). Each slice
+    starts its chain from zero filter state one overlap before its first
+    sample and drops those outputs; _band_transient_len bounds the
+    transient, and the overlap is that bound rounded up to the generator's
+    phase_step. m is _MIN_SLICE_OVERLAPS overlaps, and every slice starts
+    on a step multiple, so the bits do not depend on threads. The band
+    tone sums are formed once per run."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
-    wideband = generate_comb(g, cfg.tones, n_band, threads, arith=arith)
-    bands = sorted({t.band_index for t in cfg.tones})
+    sums = band_tone_sums(g, cfg.tones, n_band, arith=arith)
+    step = g.phase_step
+    overlap = -(-_band_transient_len(cfg) // step) * step
+    k = max(1, min(threads, n_band // (_MIN_SLICE_OVERLAPS * overlap)))
+    edges = [i * (n_band // step) // k * step for i in range(k)] + [n_band]
 
-    def one(b: int):
-        return channelize(wideband, b, g, spec, arith=arith)
+    def one_slice(a: int, b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        a0 = max(0, a - overlap)
+        wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
+        return {
+            band: tuple(s[a - a0 :] for s in channelize(wideband, band, g, spec, arith=arith))
+            for band in sums
+        }
 
-    if threads > 1 and len(bands) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return dict(zip(bands, ex.map(one, bands)))
-    return {b: one(b) for b in bands}
+    if k == 1:
+        return one_slice(0, n_band)
+    with ThreadPoolExecutor(max_workers=k) as ex:
+        parts = list(ex.map(one_slice, edges[:-1], edges[1:]))
+    return {
+        band: tuple(np.concatenate([p[band][c] for p in parts]) for c in (0, 1))
+        for band in sums
+    }
 
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
@@ -401,9 +428,9 @@ def run_loopback(
 ) -> RunResult:
     """Generate the comb, loop it straight into the analyzer, demodulate
     every tone, and compute amplitude/phase PSDs and spur reports.
-    threads > 1 runs the bands (generation, channelizer) and then the
-    tones (DDC and every metric) in thread pools; the bits do not depend
-    on it.
+    threads > 1 runs time slices of the comb and channelizer (see
+    _subbands) and then the tones (DDC and every metric) in thread pools;
+    the bits do not depend on it.
 
     engine: "direct" streams every sample; "periodic" computes one
     waveform period plus the filter transient and assembles accumulator

@@ -23,6 +23,7 @@ from combtwin.generator import (
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
+    band_tone_sums,
     cordic_sincos_array,
     generate_comb,
     lut_mix,
@@ -197,7 +198,7 @@ def test_channelize_recovers_single_tone_band():
     gcfg, spec = desk_generator(), desk_channelizer()
     word = 257
     tones = [ToneConfig(1, 0, word, 32767)]
-    wide = generate_comb(gcfg, tones, 4096)
+    wide = generate_comb(gcfg, band_tone_sums(gcfg, tones, 4096), 4096)
     y1 = channelize(wide, 1, gcfg, spec)
     y0 = channelize(wide, 0, gcfg, spec)
     n = len(y1[0])

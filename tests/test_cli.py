@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import combtwin
+from combtwin.analyzer import DemodMode, IqTimeSeries
 from combtwin.cli import main
-from combtwin.formats import config_to_ini, read_samples
+from combtwin.formats import config_to_ini, read_samples, series_to_binary
 from combtwin.harness import builtin_scenarios, config_hash
 
 
@@ -311,6 +312,21 @@ def test_psd_on_a_truncated_or_headerless_binary_exits_1(tmp_path, capsys, blob)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "I/Q binary" in err
 
+
+
+def test_psd_on_a_binary_with_a_bogus_demod_mode_exits_1(tmp_path, capsys):
+    blob = series_to_binary(
+        IqTimeSeries(0, 0, 1, np.arange(8), np.arange(8), 1.0, 1, DemodMode.SINE_DDC)
+    )
+    hlen = int.from_bytes(blob[4:8], "little")
+    h = blob[8 : 8 + hlen].replace(b'"sine"', b'"bogus"')
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"CTIQ" + len(h).to_bytes(4, "little") + h + blob[8 + hlen :])
+    assert main(["psd", "--in", str(src), "--fs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: I/Q series header key 'demod_mode': 'bogus' is not a valid DemodMode\n"
+    )
 
 @pytest.mark.parametrize("fs", ["inf", "nan"])
 def test_psd_refuses_a_non_finite_fs(tmp_path, capsys, fs):

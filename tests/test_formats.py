@@ -116,6 +116,43 @@ def test_series_csv_without_a_key_is_named(key):
         series_from_csv(rest)
 
 
+
+@pytest.mark.parametrize(
+    "row, why",
+    [
+        ("1,5", "'1,5' is not index,i,q"),
+        ("1,5,6,7", "'1,5,6,7' is not index,i,q"),
+        ("1,abc,6", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_series_csv_with_a_bad_data_row_names_the_row(row, why):
+    meta, cols, first, _, *rest = series_to_csv(make_series(n=4)).splitlines()
+    text = "\n".join([meta, cols, first, row, *rest])
+    with pytest.raises(ConfigError, match=f"^I/Q series data row 2: {why}$"):
+        series_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "key, value, why",
+    [
+        ("demod_mode", "bogus", "'bogus' is not a valid DemodMode"),
+        ("l_avg", "1.5", "invalid literal for int"),
+        ("fs_hz", "fast", "could not convert string to float: 'fast'"),
+    ],
+)
+def test_series_header_with_a_bad_value_names_the_key(key, value, why):
+    s = make_series(n=2)
+    meta, rest = series_to_csv(s).split("\n", 1)
+    meta = " ".join(f"{key}={value}" if p.startswith(f"{key}=") else p for p in meta.split())
+    blob = series_to_binary(s)
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = {**json.loads(blob[8 : 8 + hlen]), key: value}
+    h = json.dumps(header).encode("utf-8")
+    bad_blob = b"CTIQ" + len(h).to_bytes(4, "little") + h + blob[8 + hlen :]
+    for read, data in ((series_from_csv, meta + "\n" + rest), (series_from_binary, bad_blob)):
+        with pytest.raises(ConfigError, match=f"^I/Q series header key '{key}': {why}"):
+            read(data)
+
 def test_series_binary_round_trip():
     for float_data in (False, True):
         s = make_series(float_data=float_data)
@@ -196,6 +233,35 @@ def test_spectrum_csv_without_a_key_is_named(key):
     with pytest.raises(ConfigError, match="spectrum header lacks key"):
         spectrum_from_csv(rest)
 
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [
+        ("0.125", "'0.125' is not freq_hz,value"),
+        ("0.125,1.0,2.0", "'0.125,1.0,2.0' is not freq_hz,value"),
+        ("0.125,loud", "could not convert string to float: 'loud'"),
+    ],
+)
+def test_spectrum_csv_with_a_bad_data_row_names_the_row(row, why):
+    # the fourth line is the second data row
+    meta, cols, first, _, *rest = spectrum_to_csv(psd(np.arange(64.0), 10.0)).splitlines()
+    text = "\n".join([meta, cols, first, row, *rest])
+    with pytest.raises(ConfigError, match=f"^spectrum data row 2: {why}$"):
+        spectrum_from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "key, enum", [("units", "SpectrumUnits"), ("window", "SpectrumWindow"), ("method", "PsdMethod")]
+)
+def test_spectrum_header_with_a_bad_enum_names_the_key(key, enum):
+    text = spectrum_to_csv(psd(np.arange(64.0), 10.0))
+    meta, rest = text.split("\n", 1)
+    meta = " ".join(f"{key}=bogus" if p.startswith(f"{key}=") else p for p in meta.split())
+    with pytest.raises(
+        ConfigError, match=f"^spectrum header key '{key}': 'bogus' is not a valid {enum}$"
+    ):
+        spectrum_from_csv(meta + "\n" + rest)
 
 def test_spur_report_json_fields():
     import json

@@ -18,6 +18,7 @@ from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
     band_sum,
+    band_tone_sums,
     _cordic_table,
     cordic_gain,
     cordic_sincos_array,
@@ -461,19 +462,21 @@ def test_band_sum_rejects_empty_and_unequal_streams():
 
 
 def test_generate_comb_streams_tones_into_the_band_sum():
-    """A 40-tone band peaks below 8 tone streams' worth of traced memory:
-    the tones are summed as they are generated, never held together. The run
-    is one accumulator period, so each tone stream spans all of it."""
+    """A 40-tone band peaks below 8 tone streams' worth of traced memory,
+    through its tone sum and the comb: the tones are summed as they are
+    generated, never held together. The run is one accumulator period, so
+    each tone stream spans all of it."""
     n = 1 << 15
     cfg = GeneratorConfig(
         n_bands=1, tones_per_band=40, L_acc=n, upsample_factor=1, shifter_lut_len=5
     )
     words = default_freq_words(cfg.L_acc, 40)
     tones = [ToneConfig(0, t, w, 819) for t, w in enumerate(words)]
-    generate_comb(cfg, tones, 64)  # fill the CORDIC table and filter caches
+    # fill the CORDIC table and filter caches
+    generate_comb(cfg, band_tone_sums(cfg, tones, 64), 64)
     tracemalloc.start()
     try:
-        generate_comb(cfg, tones, n)
+        generate_comb(cfg, band_tone_sums(cfg, tones, n), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -734,7 +737,7 @@ def _comb_steady(cfg, words, n_periods=2):
     period = waveform_period(cfg.L_acc, cfg.upsample_factor, cfg.shifter_lut_len)
     n_taps = len(cfg.resolved_interp_filter().taps)
     n_band = (n_periods * period + n_taps * cfg.upsample_factor) // cfg.upsample_factor
-    wi, wq = generate_comb(cfg, tones, n_band)
+    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones, n_band), n_band)
     return wi[n_taps - 1 :], wq[n_taps - 1 :], period
 
 
@@ -763,15 +766,15 @@ def test_comb_period_is_lcm_and_minimal_adjusted_modulus():
 def test_generate_comb_deterministic():
     cfg = desk_cfg()
     tones = [ToneConfig(0, 0, 51, 8192), ToneConfig(1, 2, 257, 8192)]
-    a = generate_comb(cfg, tones, 300)
-    b = generate_comb(cfg, tones, 300)
+    a = generate_comb(cfg, band_tone_sums(cfg, tones, 300), 300)
+    b = generate_comb(cfg, band_tone_sums(cfg, tones, 300), 300)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_generate_comb_empty_band_is_silent():
     cfg = desk_cfg()
     tones = [ToneConfig(0, 0, 51, 8192)]
-    wi, wq = generate_comb(cfg, tones, 100)
+    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones, 100), 100)
     assert len(wi) == 800
     only = band_shift(
         upsample_interp(
@@ -823,24 +826,41 @@ def comb_cases(draw):
     )
     tones = [ToneConfig(b, t, w, a) for t, (b, w, a) in enumerate(specs)]
     n = draw(st.one_of(st.integers(1, l_acc - 1), st.integers(l_acc, 3 * l_acc + 5)))
-    return cfg, tones, n, draw(st.integers(1, 2))
+    return cfg, tones, n, cfg.phase_step * draw(st.integers(0, 3))
 
 
 @settings(max_examples=150)
 @given(comb_cases())
 def test_generate_comb_sums_one_accumulator_period(case):
-    # n below, at and above L_acc; both raise on the same overflow
-    cfg, tones, n, threads = case
+    # a comb from start, n below, at and above L_acc, equals the reference
+    # run from 0 past the interpolator's transient; both raise on the same
+    # overflow
+    cfg, tones, n, start = case
     try:
-        want = generate_comb_reference(cfg, tones, n)
+        want = generate_comb_reference(cfg, tones, start + n)
     except ConfigError as e:
         with pytest.raises(ConfigError, match=str(e)):
-            generate_comb(cfg, tones, n, threads)
+            generate_comb(cfg, band_tone_sums(cfg, tones, start + n), n, start)
         return
-    got = generate_comb(cfg, tones, n, threads)
+    got = generate_comb(cfg, band_tone_sums(cfg, tones, start + n), n, start)
+    skip = len(cfg.resolved_interp_filter().taps) - 1 if start else 0
+    u = cfg.upsample_factor
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype == np.int64
-        assert np.array_equal(g, w)
+        assert len(g) == n * u
+        assert np.array_equal(g[skip:], w[start * u + skip :])
+
+
+def test_generate_comb_refuses_an_off_step_start():
+    cfg = desk_cfg()
+    assert cfg.phase_step == 5
+    sums = band_tone_sums(cfg, [ToneConfig(0, 0, 51, 8192)], 100)
+    generate_comb(cfg, sums, 50, 10)
+    for start in (1, 4, 12):
+        with pytest.raises(ConfigError, match=f"comb start {start} is not a multiple"):
+            generate_comb(cfg, sums, 50, start)
+    with pytest.raises(ConfigError, match=r"tone sums must cover band samples \[0, 105\)"):
+        generate_comb(cfg, sums, 50, 55)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,14 +18,17 @@ from combtwin import ConfigError
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
 from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
 from combtwin.generator import (
+    FIXED_POINT,
     CordicConfig,
     DoublePrecision,
     _window_sums,
     ToneConfig,
+    band_tone_sums,
     cordic_sincos_array,
     cordic_tone,
     generate_comb,
     phase_words,
+    tone_generate,
     waveform_period,
 )
 from combtwin.harness import (
@@ -46,6 +50,7 @@ from combtwin.harness import (
     _engine_plan,
     _float_chan_taps,
     _float_interp_taps,
+    _MIN_SLICE_OVERLAPS,
     _post_accum_residual_db,
     _span,
     _spectral_line_count,
@@ -596,10 +601,15 @@ def test_periodic_window_sums_equal_the_two_period_reference(case):
 
 
 def test_thread_count_does_not_change_bits():
-    # the tone pool runs the DDC and every metric, so compare all of them
-    cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=160)
-    for engine, used in (("auto", "periodic"), ("direct", "direct")):
-        runs = [run_loopback(cfg, engine=engine, threads=t) for t in (1, 2, 4)]
+    # the tone pool runs the DDC and every metric, so compare all of them;
+    # one band at 3 threads cuts the comb into 3 time slices
+    desk = replace(builtin_scenarios()["desk_a"], acquisition_len=160)
+    one_band = replace(desk, tones=tuple(t for t in desk.tones if t.band_index == 0))
+    cases = [(cfg, engine, used, threads)
+             for cfg, threads in ((desk, (1, 2, 4)), (one_band, (1, 3)))
+             for engine, used in (("auto", "periodic"), ("direct", "direct"))]
+    for cfg, engine, used, threads in cases:
+        runs = [run_loopback(cfg, engine=engine, threads=t) for t in threads]
         base = runs[0]
         assert base.engine == used
         for other in runs[1:]:
@@ -614,6 +624,49 @@ def test_thread_count_does_not_change_bits():
                 assert ta.amp_spurs == tb.amp_spurs
                 assert ta.phase_spurs == tb.phase_spurs
                 assert ta.carrier_power == tb.carrier_power
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_chains(), st.data())
+def test_time_slices_equal_one_slice_bit_for_bit(cfg, data):
+    # n_band from below one minimum slice, m, to several slices and periods;
+    # drawn as whole slices plus a rest, since small integers dominate draws
+    g = cfg.generator
+    overlap = -(-_band_transient_len(cfg) // g.phase_step) * g.phase_step
+    m = _MIN_SLICE_OVERLAPS * overlap
+    p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
+    n_band = m * data.draw(st.integers(0, 4)) + data.draw(st.integers(1, m + 3 * p_band))
+    double = DoublePrecision(_float_interp_taps(cfg, False), _float_chan_taps(cfg))
+    for arith in (FIXED_POINT, double):
+        want = _subbands(cfg, n_band, 1, arith)
+        assert sorted(want) == sorted({t.band_index for t in cfg.tones})
+        for threads in (2, 3, 4):
+            got = _subbands(cfg, n_band, threads, arith)
+            assert sorted(got) == sorted(want)
+            for b in want:
+                for x, y in zip(got[b], want[b], strict=True):
+                    assert x.dtype == y.dtype and len(x) == n_band
+                    assert np.array_equal(x, y)
+
+
+def test_time_slices_run_in_the_harness_pool():
+    # one band: min(threads, n_band // m) slices, one pool of that many
+    # workers, and every tone generated once per run, not once per slice
+    cfg = builtin_scenarios()["desk_a"]
+    cfg = replace(cfg, tones=tuple(t for t in cfg.tones if t.band_index == 0))
+    m = _MIN_SLICE_OVERLAPS * 25  # a 25-sample transient on a 5-sample step
+    for n_band, threads, k in ((m - 1, 4, None), (2 * m + 3, 4, 2), (5145, 3, 3)):
+        with (
+            mock.patch("combtwin.harness.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool,
+            mock.patch("combtwin.generator.tone_generate", wraps=tone_generate) as tone,
+        ):
+            got = _subbands(cfg, n_band, threads)
+        if k is None:
+            pool.assert_not_called()
+        else:
+            pool.assert_called_once_with(max_workers=k)
+        assert tone.call_count == len(cfg.tones)
+        assert np.array_equal(got[0][0], _subbands(cfg, n_band, 1)[0][0])
 
 
 def test_rerun_is_bit_identical(desk_a_result):
@@ -714,7 +767,7 @@ def demod_compare_reference(cfg):
     res_sine = run_loopback(cfg_sine)
     res_square = run_loopback(cfg_square)
     n_pre = max(4096, 4 * _band_transient_len(cfg))
-    wideband = generate_comb(g, cfg.tones, n_pre)
+    wideband = generate_comb(g, band_tone_sums(g, cfg.tones, n_pre), n_pre)
     spec = cfg.resolved_channelizer_filter()
     subbands = {b: channelize(wideband, b, g, spec) for b in {t.band_index for t in cfg.tones}}
     skip = _band_transient_len(cfg)
