@@ -123,7 +123,7 @@ def _cmd_run_loopback(args) -> int:
         f"simulated {result.throughput_sps:.3e} full-rate samples/s"
     )
     for tr in result.tones:
-        s = tr.series
+        s = tr.pattern
         amp_bins = ",".join(str(l.bin) for l in tr.amp_spurs.lines) or "-"
         ph_bins = ",".join(str(l.bin) for l in tr.phase_spurs.lines) or "-"
         print(

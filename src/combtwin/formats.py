@@ -99,12 +99,16 @@ def _series_header(series: IqTimeSeries) -> dict:
     }
 
 
+# the converter of each key of _series_header
+_SERIES_KEYS = dict(
+    band_index=int, tone_index=int, freq_word=int, fs_hz=float, l_avg=int,
+    demod_mode=DemodMode, n_discarded=int,
+)
+
+
 def _series_from_header(header: dict, i: np.ndarray, q: np.ndarray) -> IqTimeSeries:
     """Inverse of _series_header; the values may be the strings a CSV holds."""
-    h = _header(
-        header, "I/Q series", band_index=int, tone_index=int, freq_word=int,
-        fs_hz=float, l_avg=int, demod_mode=DemodMode, n_discarded=int,
-    )
+    h = _header(header, "I/Q series", **_SERIES_KEYS)
     return IqTimeSeries(i=i, q=q, rate_hz=h.pop("fs_hz"), **h)
 
 
@@ -125,7 +129,11 @@ def series_from_csv(text: str) -> IqTimeSeries:
     """Inverse of series_to_csv; raises ConfigError naming a key the
     metadata line lacks or holds a bad value in, or a data row that is
     not index,i,q numbers."""
-    meta, rows = _csv_rows(text)
+    return _series_from_rows(*_csv_rows(text))
+
+
+def _series_from_rows(meta: dict[str, str], rows: list[list[str]]) -> IqTimeSeries:
+    """series_from_csv of a CSV's _csv_rows."""
     # int only when every value is an integer literal: inf and nan are floats
     is_int = all(v.strip().lstrip("+-").isdecimal() for row in rows for v in row[1:])
     conv, dtype = (int, np.int64) if is_int else (float, np.float64)
@@ -420,23 +428,31 @@ def config_from_ini(text: str) -> ChainConfig:
 
 
 def read_samples(path: str) -> np.ndarray:
-    """Read one real-valued series from an I/Q CSV/binary file (the I
-    column) or a bare one-column CSV. A value that does not parse or is
-    not finite raises ConfigError naming the file and the data row."""
+    """Read one real-valued series: the I column of an I/Q binary file or
+    of a CSV whose metadata holds a series header key, both through the
+    series readers, or else the second column of a CSV (the only one of a
+    one-column CSV). A value that does not parse or is not finite raises
+    ConfigError naming the file and the data row."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] == _BIN_MAGIC:
         x = np.asarray(series_from_binary(data).i, dtype=np.float64)
     else:
-        _, rows = _csv_rows(data.decode("utf-8"))
-        if not rows:
-            raise ConfigError(f"no samples found in {path}")
-        x = np.empty(len(rows))
-        for n, row in enumerate(rows):
+        meta, rows = _csv_rows(data.decode("utf-8"))
+        if meta.keys() & _SERIES_KEYS.keys():
             try:
-                x[n] = float(row[1] if len(row) > 1 else row[0])
-            except ValueError as e:
-                raise ConfigError(f"{path} data row {n + 1}: {e}") from e
+                x = np.asarray(_series_from_rows(meta, rows).i, dtype=np.float64)
+            except ConfigError as e:
+                raise ConfigError(f"{path}: {e}") from e
+        elif not rows:
+            raise ConfigError(f"no samples found in {path}")
+        else:
+            x = np.empty(len(rows))
+            for n, row in enumerate(rows):
+                try:
+                    x[n] = float(row[1] if len(row) > 1 else row[0])
+                except ValueError as e:
+                    raise ConfigError(f"{path} data row {n + 1}: {e}") from e
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ConfigError(f"{path} data row {bad[0] + 1}: {x[bad[0]]} is not finite")

@@ -46,6 +46,7 @@ from .generator import (
     default_freq_words,
     design_windowed_sinc,
     generate_comb,
+    periodic_extend,
     waveform_period,
     windowed_sinc_taps,
 )
@@ -256,12 +257,28 @@ def config_hash(cfg: ChainConfig) -> str:
 
 @dataclass(frozen=True)
 class ToneResult:
-    series: IqTimeSeries
-    amp_spectrum: Spectrum
-    phase_spectrum: Spectrum
+    """One tone's measurement at pattern size. Its series of n_windows
+    retained windows tiles pattern, its first min(n_pat, n_windows), and
+    both spectra are functions of that pattern: each is derived on
+    access and not cached, since a cache would hold the whole-run arrays."""
+
+    pattern: IqTimeSeries
+    n_windows: int
     amp_spurs: SpurReport
     phase_spurs: SpurReport
     carrier_power: float
+
+    @property
+    def series(self) -> IqTimeSeries:
+        return _tiled(self.pattern, self.n_windows)
+
+    @property
+    def amp_spectrum(self) -> Spectrum:
+        return _tone_spectra(self.pattern, self.n_windows)[1]
+
+    @property
+    def phase_spectrum(self) -> Spectrum:
+        return _tone_spectra(self.pattern, self.n_windows)[2]
 
 
 @dataclass(frozen=True)
@@ -278,7 +295,7 @@ class RunResult:
 
     def tone(self, band_index: int, tone_index: int) -> ToneResult:
         for t in self.tones:
-            s = t.series
+            s = t.pattern
             if s.band_index == band_index and s.tone_index == tone_index:
                 return t
         raise KeyError((band_index, tone_index))
@@ -402,15 +419,20 @@ def _tone_series(
     mode: DemodMode,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> IqTimeSeries:
-    """One tone's retained accumulator outputs from its band's _span, in
-    arith: the span, starting at phase 0 of the reference period, is
-    demodulated and its window sums taken as a stream that tiles it. On
-    the direct plan the span is the whole run, so the tiled stream is the
-    run itself."""
+    """The pattern of one tone's retained accumulator outputs from its
+    band's _span, in arith: the span, starting at phase 0 of the reference
+    period, is demodulated and its window sums taken as a stream that
+    tiles it. That stream repeats every n_pat = span / gcd(L_avg, span)
+    windows, so only the warm-up and the first min(n_pat, acquisition_len)
+    retained windows are formed; _tiled extends them to the run. On the
+    direct plan the span is the whole run, and so is the pattern."""
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
-    ref = arith.reference(g.L_acc, tone.freq_word, len(sub[0]), g.cordic)
+    span = len(sub[0])
+    n_pat = span // math.gcd(a.L_avg, span)
+    ref = arith.reference(g.L_acc, tone.freq_word, span, g.cordic)
     yi, yq = ddc_products(sub, ref, mode)
-    i, q = (arith.window_sums(y, a.L_avg, cfg.acquisition_len + w) for y in (yi, yq))
+    n = w + min(n_pat, cfg.acquisition_len)
+    i, q = (arith.window_sums(y, a.L_avg, n) for y in (yi, yq))
     return IqTimeSeries(
         band_index=tone.band_index,
         tone_index=tone.tone_index,
@@ -421,6 +443,11 @@ def _tone_series(
         l_avg=a.L_avg,
         demod_mode=mode,
     )
+
+
+def _tiled(pattern: IqTimeSeries, n: int) -> IqTimeSeries:
+    """The series of n windows that tiles pattern."""
+    return replace(pattern, i=periodic_extend(pattern.i, n), q=periodic_extend(pattern.q, n))
 
 
 def run_loopback(
@@ -449,7 +476,7 @@ def _loopback(
     comb, channelizer, tone series and metrics, run in arith."""
     t0 = time.perf_counter()
     plan = _engine_plan(cfg, engine)
-    use_periodic, n_gen, span, reason = plan
+    use_periodic, n_gen, _, reason = plan
     g, a = cfg.generator, cfg.analyzer
     spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads, arith).items()}
     predicted = tuple(
@@ -458,13 +485,11 @@ def _loopback(
             g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
         )
     )
-    # every series tiles n_pat windows; on the direct plan that is all of them
-    n_pat = span // math.gcd(a.L_avg, span)
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
-        series = _tone_series(cfg, spans[tone.band_index], tone, a.demod_mode, arith)
-        return _tone_metrics(series, predicted, n_pat)
+        pattern = _tone_series(cfg, spans[tone.band_index], tone, a.demod_mode, arith)
+        return _tone_metrics(pattern, cfg.acquisition_len, predicted)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
@@ -486,30 +511,34 @@ def _loopback(
     )
 
 
-def _tone_metrics(
-    series: IqTimeSeries, predicted: tuple[tuple[float, str], ...], n_pat: int
-) -> ToneResult:
-    """Amplitude/phase, both PSDs and spur reports of a series that tiles
-    its first n_pat samples (n_pat >= len(series): no repetition). Each
+def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spectrum]:
+    """The mean amplitude and the amplitude and phase PSDs of the series of
+    n windows that tiles pattern, from one _amp_phase pass. Each
     periodogram input is its fluctuation pattern times the Rect window's
     constant scale, tiled: the same products as the whole series times the
     scale, built at pattern cost."""
-    n = len(series)
-    fs = series.rate_hz
-    i, q = series.i[:n_pat], series.q[:n_pat]
-    if np.any(i) or np.any(q):
+    fs = pattern.rate_hz
+    if np.any(pattern.i) or np.any(pattern.q):
         fac = _periodogram_fac(n, fs)
-        _, _, mean_amp, xa, xp = _amp_phase(i, q, n, fac, overwrite=True)
+        _, _, mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, fac, overwrite=True)
     else:  # a silent tone: no fluctuation, and its spectra are exact zeros
         mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
-    specs, reports = [], []
-    for x in (xa, xp):
-        spec = _periodogram(x, fs, SpectrumWindow.RECT)
+    amp, phase = (_periodogram(x, fs, SpectrumWindow.RECT) for x in (xa, xp))
+    return mean_amp, amp, phase
+
+
+def _tone_metrics(
+    pattern: IqTimeSeries, n: int, predicted: tuple[tuple[float, str], ...]
+) -> ToneResult:
+    """The ToneResult of the series of n windows that tiles pattern: both
+    spur reports and the carrier power, from spectra it then drops."""
+    mean_amp, *specs = _tone_spectra(pattern, n)
+    reports = []
+    for spec in specs:
         floor_min = float(np.max(spec.values)) * SPUR_FLOOR_GUARD_REL
         rep = detect_spurs(spec, threshold_db=10.0, floor_min=floor_min)
-        specs.append(spec)
         reports.append(SpurReport(rep.lines, rep.floor, predicted))
-    return ToneResult(series, *specs, *reports, carrier_power=mean_amp**2)
+    return ToneResult(pattern, n, *reports, carrier_power=mean_amp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +662,8 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
         for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
             yi, yq = ddc_products(pre, ref, mode)
             lines.append(_spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB))
-            series.append(_tone_series(cfg, spans[tone.band_index], tone, mode))
+            pattern = _tone_series(cfg, spans[tone.band_index], tone, mode)
+            series.append(_tiled(pattern, cfg.acquisition_len))
         m_sine, m_square = (complex(np.mean(s.complex_values())) for s in series)
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
         dphi = math.remainder(
@@ -728,16 +758,17 @@ def persist(result: RunResult, out_dir) -> dict:
         def artifacts():
             yield "config.ini", formats.config_to_ini(result.config).encode("utf-8")
             for tr in result.tones:
+                p = tr.pattern
+                stem = f"b{p.band_index:03d}_t{p.tone_index:03d}"
                 s = tr.series
-                stem = f"b{s.band_index:03d}_t{s.tone_index:03d}"
                 yield f"series/{stem}.csv", formats.series_to_csv(s).encode("utf-8")
                 yield f"series/{stem}.bin", formats.series_to_binary(s)
-                yield f"spectra/{stem}_amp.csv", formats.spectrum_to_csv(
-                    tr.amp_spectrum, result.config_hash
-                ).encode("utf-8")
-                yield f"spectra/{stem}_phase.csv", formats.spectrum_to_csv(
-                    tr.phase_spectrum, result.config_hash
-                ).encode("utf-8")
+                del s  # freed before both spectra are derived, in one pass
+                _, amp, phase = _tone_spectra(p, tr.n_windows)
+                for kind, spec in (("amp", amp), ("phase", phase)):
+                    yield f"spectra/{stem}_{kind}.csv", formats.spectrum_to_csv(
+                        spec, result.config_hash
+                    ).encode("utf-8")
                 spurs = {
                     "amp": formats.spur_report_dict(tr.amp_spurs),
                     "phase": formats.spur_report_dict(tr.phase_spurs),

@@ -14,7 +14,13 @@ import pytest
 import combtwin
 from combtwin.analyzer import DemodMode, IqTimeSeries
 from combtwin.cli import main
-from combtwin.formats import config_to_ini, read_samples, series_to_binary
+from combtwin.formats import (
+    _series_from_rows,
+    config_to_ini,
+    read_samples,
+    series_to_binary,
+    series_to_csv,
+)
 from combtwin.harness import builtin_scenarios, config_hash
 
 
@@ -293,6 +299,21 @@ def test_psd_stdout_default(tmp_path, capsys):
     assert txt.startswith("# method=periodogram")
     # one row per one-sided bin
     assert len([l for l in txt.splitlines() if not l.startswith("#")]) == 33 + 1
+
+
+def test_psd_reads_a_series_csv_through_the_series_reader(tmp_path, capsys):
+    s = IqTimeSeries(0, 0, 1, np.arange(64) % 7, np.arange(64), 1.0, 1, DemodMode.SINE_DDC)
+    src = tmp_path / "s.csv"
+    src.write_text(series_to_csv(s))
+    with mock.patch("combtwin.formats._series_from_rows", wraps=_series_from_rows) as reader:
+        assert main(["psd", "--in", str(src), "--fs", "64"]) == 0
+    assert reader.call_count == 1
+    via_series = capsys.readouterr().out
+    # the I column as a bare one-column file gives the same spectrum
+    bare = tmp_path / "i.csv"
+    bare.write_text("\n".join(str(v) for v in s.i) + "\n")
+    assert main(["psd", "--in", str(bare), "--fs", "64"]) == 0
+    assert capsys.readouterr().out == via_series
 
 
 @pytest.mark.parametrize(

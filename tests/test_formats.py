@@ -505,6 +505,23 @@ def test_read_samples_csv_and_binary(tmp_path):
     assert np.array_equal(read_samples(str(pc)), [10.5, 11.5, 12.5])
 
 
+def test_read_samples_reads_a_series_csv_through_the_series_reader(tmp_path):
+    s = make_series(n=8)
+    text = series_to_csv(s)
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    assert np.array_equal(read_samples(str(p)), s.i.astype(np.float64))
+    # the series reader refuses a bad data row or header value; the error
+    # names the file
+    for old, new, named in [
+        ("\n3,", "\n3,x", "I/Q series data row 4: "),
+        ("l_avg=", "l_avg=x", "I/Q series header key 'l_avg': "),
+    ]:
+        p.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: {named}")):
+            read_samples(str(p))
+
+
 @pytest.fixture(scope="module")
 def persisted(tmp_path_factory):
     """desk_a and demod_two_tone, run and persisted once."""

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import math
+import resource
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -448,6 +451,18 @@ def test_rotated_span_equals_the_last_period_of_a_whole_period_run(name):
             assert np.array_equal(g, s[(k - 1) * p_band :])
 
 
+class ReferenceTone(NamedTuple):
+    """A tone result that holds its whole series and both spectra, as
+    ToneResult did before it kept only the pattern."""
+
+    series: IqTimeSeries
+    amp_spectrum: Spectrum
+    phase_spectrum: Spectrum
+    amp_spurs: SpurReport
+    phase_spurs: SpurReport
+    carrier_power: float
+
+
 def tone_metrics_reference(series, predicted):
     """_tone_metrics before it ran on the pattern, spelled out: amplitude
     and phase over the whole series, scipy's periodogram of each
@@ -468,7 +483,7 @@ def tone_metrics_reference(series, predicted):
     if not (np.any(series.i) or np.any(series.q)):
         zeros = spectrum(np.zeros(n // 2 + 1))
         empty = SpurReport(lines=(), floor=0.0, predicted=predicted)
-        return ToneResult(series, zeros, zeros, empty, empty, 0.0)
+        return ReferenceTone(series, zeros, zeros, empty, empty, 0.0)
     amp, _, delta_amp, delta_phase = amp_phase_reference(series.i, series.q)
     spectra, reports = [], []
     for delta in (delta_amp, delta_phase):
@@ -480,7 +495,7 @@ def tone_metrics_reference(series, predicted):
         lines, floor = _detect_spurs_loop(spec, 10.0, floor_min)
         spectra.append(spec)
         reports.append(SpurReport(lines, floor, predicted))
-    return ToneResult(series, *spectra, *reports, float(np.mean(amp)) ** 2)
+    return ReferenceTone(series, *spectra, *reports, float(np.mean(amp)) ** 2)
 
 
 def assert_same_tone(got, want):
@@ -538,13 +553,29 @@ def test_tone_metrics_on_a_winding_pattern_equal_the_whole_series_path():
 )
 def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
     k = np.arange(n) % len(i)
-    series = IqTimeSeries(0, 0, 1, i[k], q[k], 1e5, 4, DemodMode.SINE_DDC)
+    pattern = IqTimeSeries(0, 0, 1, i, q, 1e5, 4, DemodMode.SINE_DDC)
+    series = replace(pattern, i=i[k], q=q[k])
     predicted = ((2e4, "period-extension alias"),)
     with mock.patch("combtwin.metrics._rfft", wraps=_rfft) as rfft:
-        got = _tone_metrics(series, predicted, len(i))
+        got = _tone_metrics(pattern, n, predicted)
     # an FFT of zeros is never taken
     assert rfft.call_count == sum(np.any(s.values) for s in (got.amp_spectrum, got.phase_spectrum))
     assert_same_tone(got, tone_metrics_reference(series, predicted))
+
+
+def test_tone_results_hold_the_same_pattern_at_any_run_length():
+    # desk_a's two bands of four tones: every series tiles n_pat = 5
+    # windows, so what a result retains does not grow with the run
+    base = builtin_scenarios()["desk_a"]
+    runs = [run_loopback(replace(base, acquisition_len=acq), engine="periodic") for acq in (40, 400)]
+    for res, acq in zip(runs, (40, 400)):
+        assert res.engine == "periodic" and len(res.tones) == 8
+        for t in res.tones:
+            assert type(t) is ToneResult and t.n_windows == len(t.series) == acq
+    nbytes = [sum(t.pattern.i.nbytes + t.pattern.q.nbytes for t in r.tones) for r in runs]
+    assert nbytes[0] == nbytes[1] == 8 * 2 * 5 * 8
+    for ta, tb in zip(*(r.tones for r in runs)):
+        assert_same_bits((ta.pattern.i, ta.pattern.q), (tb.pattern.i, tb.pattern.q))
 
 
 def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
@@ -986,7 +1017,7 @@ def float_oracle_reference(cfg, quantize_interp=False):
                 demod_mode=a.demod_mode,
                 n_discarded=len(y) - nw * a.L_avg,
             )
-            results.append(_tone_metrics(series, predicted, len(series)))
+            results.append(_tone_metrics(series, len(series), predicted))
     return results
 
 
@@ -1162,6 +1193,26 @@ def test_persist_reruns_are_byte_identical(tmp_path):
             acc.update((out / rel).read_bytes())
         digests.append(acc.hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_persist_live_peak_does_not_grow_with_the_band_count(tmp_path):
+    # persist derives one tone's series and spectra at a time and drops
+    # them, so its live peak is that of one tone's artifacts, at 1 band or
+    # 4 (2 tones or 8); a result that cached them would grow by each tone's
+    # 60 kB. The process peak RSS, the whole test process's, is reported
+    # beside it: it sits above live memory and moves with allocation order
+    peaks = {}
+    for n_bands in (1, 4):
+        res = run_loopback(make_chain_config("flat", 1024, 1024, n_bands, 2, 2560))
+        tracemalloc.start()
+        try:
+            persist(res, tmp_path / f"bands{n_bands}")
+            peaks[n_bands] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"persist live peak {peaks[1]} B at 1 band, {peaks[4]} B at 4; process peak RSS {rss_mb:.0f} MB")
+    assert peaks[4] < 1.1 * peaks[1]
 
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
