@@ -6,8 +6,7 @@ scenarios that reproduce the chain's spur arithmetic, reduced-precision
 CORDIC behavior, and square-wave demodulation trade-offs at desk scale.
 """
 
-__version__ = "0.1.0"
-
+from ._version import __version__
 from .fxp import ConfigError, FxpFormat, FxpValue, Rounding
 from .generator import (
     CordicConfig,
@@ -27,7 +26,6 @@ from .analyzer import (
     AnalyzerConfig,
     DemodMode,
     IqTimeSeries,
-    boxcar_response,
     channelize,
     ddc_products,
 )
@@ -38,23 +36,19 @@ from .metrics import (
     SpectrumWindow,
     SpurLine,
     SpurReport,
-    amp_phase,
-    dbc_per_hz,
     deglitch,
     detect_spurs,
-    fft,
-    ifft,
     predict_spurs,
     psd,
     sinad_sfdr,
 )
+from .config import ChainConfig
+from .formats import config_hash
 from .harness import (
-    ChainConfig,
     DemodComparison,
     RunResult,
     SweepRow,
     builtin_scenarios,
-    config_hash,
     float_oracle,
     make_chain_config,
     persist,

@@ -11,7 +11,6 @@ the metrics layer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,10 +36,11 @@ class AnalyzerConfig:
     """Sizing of the analysis path.
 
     decim_to_band, n_bands, band_rate_hz, wide_width_bits, reference_bits
-    and shifter_lut_len copy generator values: ChainConfig checks each
-    against the generator, and the chain reads the generator's. ChainConfig
-    also designs the default channelizer (a 127-tap windowed sinc passing
-    one band width) and checks the widths that need both halves.
+    and shifter_lut_len copy generator values: config.ChainConfig checks
+    each against the generator, and the chain reads the generator's.
+    ChainConfig also designs the default channelizer (a 127-tap windowed
+    sinc passing one band width) and checks the widths that need both
+    halves.
     """
 
     decim_to_band: int = 8
@@ -136,22 +136,3 @@ def ddc_products(
     sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
     ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
     return sc * fi + ss * fq, sc * fq - ss * fi
-
-
-def boxcar_response(L: int, f_norm: float) -> float:
-    """|sum_{n<L} e^(j 2 pi f n)| / L, the averaging filter's magnitude.
-
-    Closed form sin(pi L f) / (L sin(pi f)); exact 1 at f = 0 and exact 0
-    at nonzero multiples of 1/L.
-    """
-    if L < 1:
-        raise ConfigError("L must be >= 1")
-    if not (0.0 <= f_norm < 1.0):
-        raise ConfigError("f_norm must be in [0, 1)")
-    if f_norm == 0.0:
-        return 1.0
-    ratio = L * f_norm
-    # exact zero at the boxcar nulls despite floating-point sin
-    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) % L != 0:
-        return 0.0
-    return abs(math.sin(math.pi * ratio) / (L * math.sin(math.pi * f_norm)))

@@ -11,8 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from .config import ChainConfig
 from .formats import (
     config_from_ini,
+    config_hash,
     config_to_ini,
     read_samples,
     spectrum_to_csv,
@@ -21,9 +23,7 @@ from .formats import (
 from .fxp import ConfigError
 from .harness import (
     LONG_RUN_SCENARIOS,
-    ChainConfig,
     builtin_scenarios,
-    config_hash,
     persist,
     run_cordic_sweep,
     run_demod_compare,

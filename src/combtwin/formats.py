@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import struct
@@ -22,9 +23,9 @@ from typing import Any, Iterable, NamedTuple
 import numpy as np
 
 from .analyzer import DemodMode, IqTimeSeries
+from .config import ChainConfig
 from .fxp import ConfigError
-from .harness import ChainConfig
-from .metrics import PsdMethod, Spectrum, SpectrumUnits, SpectrumWindow, SpurReport
+from .metrics import Spectrum, SpurReport
 
 _BIN_MAGIC = b"CTIQ"
 
@@ -211,20 +212,6 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
     return "\n".join(rows) + "\n"
 
 
-def spectrum_from_csv(text: str) -> Spectrum:
-    """Inverse of spectrum_to_csv; raises ConfigError naming a key the
-    metadata line lacks or holds a bad value in, or a data row that is
-    not freq_hz,value numbers."""
-    meta, rows = _csv_rows(text)
-    optional = {k: conv for k, conv in (("segment_len", int), ("overlap_frac", float)) if k in meta}
-    h = _header(
-        meta, "spectrum", n_points=int, bin_hz=float, units=SpectrumUnits,
-        window=SpectrumWindow, method=PsdMethod, **optional,
-    )
-    values = np.array(_data_values(rows, "freq_hz,value", float, "spectrum"))
-    return Spectrum(values=values, **h)
-
-
 def spur_report_dict(report: SpurReport) -> dict:
     """The JSON object of a spur report: its floor, detected lines and
     predicted (frequency, tag) pairs."""
@@ -236,10 +223,6 @@ def spur_report_dict(report: SpurReport) -> dict:
         ],
         "predicted": [[f, tag] for f, tag in report.predicted],
     }
-
-
-def spur_report_to_json(report: SpurReport) -> str:
-    return json.dumps(spur_report_dict(report), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +319,12 @@ def config_to_dict(cfg: ChainConfig) -> dict:
     """The canonical dictionary of a config: what config_hash hashes and the
     manifest stores."""
     return _encode(cfg)
+
+
+def config_hash(cfg: ChainConfig) -> str:
+    """SHA-256 of the canonical dictionary as compact, key-sorted JSON."""
+    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def config_from_dict(d: dict) -> ChainConfig:

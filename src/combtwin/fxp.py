@@ -70,10 +70,6 @@ class FxpValue:
                 f"for {self.fmt.total_bits}-bit format"
             )
 
-    def to_float(self) -> float:
-        """raw / 2^frac_bits, exact in double precision for total_bits <= 52."""
-        return self.raw / (1 << self.fmt.frac_bits)
-
 
 # ---------------------------------------------------------------------------
 # Array helpers. The DSP chain carries streams as int64 numpy arrays of raw

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._version import __version__
 from .analyzer import (
     AnalyzerConfig,
     DemodMode,
@@ -31,20 +32,28 @@ from .analyzer import (
     channelize,
     ddc_products,
 )
+from .config import _MIRRORED, ChainConfig
+from .formats import (
+    config_hash,
+    config_to_dict,
+    config_to_ini,
+    series_to_binary,
+    series_to_csv,
+    spectrum_to_csv,
+    spur_report_dict,
+)
 from .fxp import ConfigError
 from .generator import (
     AMPLITUDE_FORMAT,
     FIXED_POINT,
     CordicConfig,
     DoublePrecision,
-    FilterSpec,
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
     band_tone_sums,
     cordic_tone,
     default_freq_words,
-    design_windowed_sinc,
     generate_comb,
     periodic_extend,
     waveform_period,
@@ -67,101 +76,6 @@ SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-# The analyzer fields that copy a generator value, each with the generator
-# attribute it copies: make_chain_config fills them, ChainConfig checks them,
-# and the chain reads the generator's.
-_MIRRORED = (
-    ("decim_to_band", "upsample_factor"),
-    ("n_bands", "n_bands"),
-    ("wide_width_bits", "wide_width"),
-    ("reference_bits", "cordic.data_bits"),
-    ("band_rate_hz", "band_rate_hz"),
-    ("shifter_lut_len", "shifter_lut_len"),
-)
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """One runnable scenario: exciter, analyzer, tone plan, and capture length.
-
-    acquisition_len is the number of retained output samples per tone; the
-    run generates (acquisition_len + warmup_windows) * L_avg band samples
-    and discards the first warmup_windows accumulator outputs, which
-    absorb the filter transients. The checks that need both halves of the
-    chain (the channelizer and accumulator widths) are made here.
-    """
-
-    generator: GeneratorConfig
-    analyzer: AnalyzerConfig
-    tones: tuple[ToneConfig, ...]
-    acquisition_len: int
-    scenario_name: str = "custom"
-    seed: int = 0
-    warmup_windows: int = 1
-
-    def __post_init__(self) -> None:
-        if self.acquisition_len < 2:
-            raise ConfigError(
-                f"acquisition_len {self.acquisition_len} is too short to measure: "
-                "the spectra need at least 2 retained windows"
-            )
-        if self.warmup_windows < 0:
-            raise ConfigError("warmup_windows must be >= 0")
-        if not self.tones:
-            raise ConfigError("at least one tone must be configured")
-        g, a = self.generator, self.analyzer
-        for a_name, g_name in _MIRRORED:
-            a_val, g_val = getattr(a, a_name), attrgetter(g_name)(g)
-            if a_val != g_val:
-                raise ConfigError(
-                    f"analyzer.{a_name} {a_val} must equal generator.{g_name} {g_val}"
-                )
-        acc = self.resolved_accumulator_width
-        need = self.ddc_product_bits + max(1, math.ceil(math.log2(a.L_avg)))
-        if acc < need:
-            raise ConfigError(
-                f"accumulator_width_bits {acc} < {need} required for "
-                f"overflow-free accumulation over L_avg={a.L_avg}"
-            )
-        if acc > 63:
-            raise ConfigError("accumulator_width_bits must be <= 63 (int64 exactness)")
-        self.resolved_channelizer_filter().check_int64_headroom(
-            g.wide_width, "channelizer_filter"
-        )
-        seen = set()
-        for t in self.tones:
-            if t.band_index >= g.n_bands:
-                raise ConfigError(f"tone band_index {t.band_index} >= n_bands")
-            if t.freq_word >= g.L_acc:
-                raise ConfigError(f"tone freq_word {t.freq_word} >= L_acc")
-            key = (t.band_index, t.tone_index)
-            if key in seen:
-                raise ConfigError(f"duplicate tone id {key}")
-            seen.add(key)
-
-    @property
-    def ddc_product_bits(self) -> int:
-        # subband * reference product plus one carry bit for the two-term sum
-        return self.generator.wide_width + self.generator.cordic.data_bits + 1
-
-    @property
-    def resolved_accumulator_width(self) -> int:
-        if self.analyzer.accumulator_width_bits is not None:
-            return self.analyzer.accumulator_width_bits
-        return self.ddc_product_bits + max(1, math.ceil(math.log2(self.analyzer.L_avg)))
-
-    def resolved_channelizer_filter(self) -> FilterSpec:
-        if self.analyzer.channelizer_filter is not None:
-            return self.analyzer.channelizer_filter
-        # passband edge = one band half-width (band_rate/5) at the full rate
-        return design_windowed_sinc(
-            num_taps=127,
-            cutoff_cycles=1.0 / (5 * self.generator.upsample_factor),
-            gain=1.0,
-            coeff_bits=18,
-        )
 
 
 def make_chain_config(
@@ -241,17 +155,6 @@ LONG_RUN_SCENARIOS = ("full_a", "full_b")
 
 
 # ---------------------------------------------------------------------------
-# config hashing
-
-
-def config_hash(cfg: ChainConfig) -> str:
-    from .formats import config_to_dict
-
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
 # results
 
 
@@ -285,20 +188,13 @@ class ToneResult:
 class RunResult:
     scenario_name: str
     config_hash: str
-    config: "ChainConfig"
+    config: ChainConfig
     tones: tuple[ToneResult, ...]  # band-major, tone-minor
     wall_time_s: float
     throughput_sps: float  # simulated (effective) full-rate complex samples per second
     computed_sps: float  # full-rate complex samples actually computed per second
     engine: str
     engine_reason: str  # why _engine_plan chose the periodic or the direct path
-
-    def tone(self, band_index: int, tone_index: int) -> ToneResult:
-        for t in self.tones:
-            s = t.pattern
-            if s.band_index == band_index and s.tone_index == tone_index:
-                return t
-        raise KeyError((band_index, tone_index))
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +643,6 @@ def persist(result: RunResult, out_dir) -> dict:
     Reruns with equal config produce byte-identical payload files (wall
     time and throughput are reported on stdout only, never persisted).
     """
-    from . import __version__, formats
-
     out = Path(out_dir)
     if out.exists():
         raise FileExistsError(f"output directory already exists: {out}")
@@ -756,22 +650,22 @@ def persist(result: RunResult, out_dir) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix=".tmp-run-", dir=out.parent))
     try:
         def artifacts():
-            yield "config.ini", formats.config_to_ini(result.config).encode("utf-8")
+            yield "config.ini", config_to_ini(result.config).encode("utf-8")
             for tr in result.tones:
                 p = tr.pattern
                 stem = f"b{p.band_index:03d}_t{p.tone_index:03d}"
                 s = tr.series
-                yield f"series/{stem}.csv", formats.series_to_csv(s).encode("utf-8")
-                yield f"series/{stem}.bin", formats.series_to_binary(s)
+                yield f"series/{stem}.csv", series_to_csv(s).encode("utf-8")
+                yield f"series/{stem}.bin", series_to_binary(s)
                 del s  # freed before both spectra are derived, in one pass
                 _, amp, phase = _tone_spectra(p, tr.n_windows)
                 for kind, spec in (("amp", amp), ("phase", phase)):
-                    yield f"spectra/{stem}_{kind}.csv", formats.spectrum_to_csv(
+                    yield f"spectra/{stem}_{kind}.csv", spectrum_to_csv(
                         spec, result.config_hash
                     ).encode("utf-8")
                 spurs = {
-                    "amp": formats.spur_report_dict(tr.amp_spurs),
-                    "phase": formats.spur_report_dict(tr.phase_spurs),
+                    "amp": spur_report_dict(tr.amp_spurs),
+                    "phase": spur_report_dict(tr.phase_spurs),
                     "carrier_power": tr.carrier_power,
                 }
                 yield f"spurs/{stem}.json", json.dumps(
@@ -790,7 +684,7 @@ def persist(result: RunResult, out_dir) -> dict:
             "scenario_name": result.scenario_name,
             "engine": result.engine,
             "config_hash": result.config_hash,
-            "config": formats.config_to_dict(result.config),
+            "config": config_to_dict(result.config),
             "files": dict(sorted(digests.items())),
         }
         (tmp / "manifest.json").write_text(

@@ -1,10 +1,9 @@
 """Measurement mathematics.
 
-FFT with validated mixed-radix lengths, periodogram and Welch PSDs,
-amplitude/phase extraction into fractional-fluctuation series, dBc/Hz
-normalization, SINAD/SFDR, spur prediction from accumulator/LUT period
-arithmetic, spur detection over a median floor, and the mu +/- 5 sigma
-deglitcher.
+Periodogram and Welch PSDs, amplitude/phase extraction into
+fractional-fluctuation series, SINAD/SFDR, spur prediction from
+accumulator/LUT period arithmetic, spur detection over a median floor,
+and the mu +/- 5 sigma deglitcher.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .generator import periodic_extend, waveform_period
 
 class SpectrumUnits(Enum):
     LINEAR_PER_HZ = "linear_per_hz"
-    DBC_PER_HZ = "dbc_per_hz"
 
 
 class SpectrumWindow(Enum):
@@ -57,11 +55,6 @@ class Spectrum:
     def freqs_hz(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.bin_hz
 
-    def linear_values(self) -> np.ndarray:
-        if self.units is SpectrumUnits.LINEAR_PER_HZ:
-            return np.asarray(self.values, dtype=np.float64)
-        return 10.0 ** (np.asarray(self.values, dtype=np.float64) / 10.0)
-
 
 @dataclass(frozen=True)
 class SpurLine:
@@ -73,73 +66,20 @@ class SpurLine:
 @dataclass(frozen=True)
 class SpurReport:
     lines: tuple[SpurLine, ...]
-    floor: float  # median PSD in the spectrum's units
+    floor: float  # median PSD (linear density)
     predicted: tuple[tuple[float, str], ...] = field(default_factory=tuple)
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-def _validate_fft_length(n: int) -> None:
-    if n < 1:
-        raise ConfigError("fft length must be >= 1")
-    m = n
-    for p in (2, 5):
-        while m % p == 0:
-            m //= p
-    if m != 1:
-        raise ConfigError(
-            f"fft length {n} unsupported: must factor as 2^a * 5^b"
-        )
-
-
-def fft(x: np.ndarray) -> np.ndarray:
-    """Forward DFT for lengths factorizable as 2^a * 5^b."""
-    x = np.asarray(x)
-    _validate_fft_length(len(x))
-    return np.fft.fft(x)
-
-
-def ifft(x: np.ndarray) -> np.ndarray:
-    """Inverse DFT; ifft(fft(x)) returns x within 1e-9 relative."""
-    x = np.asarray(x)
-    _validate_fft_length(len(x))
-    return np.fft.ifft(x)
 
 
 # ---------------------------------------------------------------------------
 # amplitude / phase
 
 
-@dataclass(frozen=True)
-class AmpPhaseResult:
-    """Raw amplitude/phase plus the fractional fluctuation series used for
-    PSDs: delta_amp = amp/mean(amp) - 1, delta_phase = phase - mean(phase)."""
-
-    amp: np.ndarray
-    phase: np.ndarray
-    delta_amp: np.ndarray
-    delta_phase: np.ndarray
-
-
-def amp_phase(series) -> AmpPhaseResult:
-    """Amplitude sqrt(I^2+Q^2) and unwrapped four-quadrant phase.
-
-    Accepts an IqTimeSeries or a plain (i, q) array pair.
-    """
-    if isinstance(series, tuple):
-        i, q = series
-    else:
-        i, q = series.i, series.q
-    amp, phase, _, delta_amp, delta_phase = _amp_phase(i, q, len(i))
-    return AmpPhaseResult(amp, phase, delta_amp, delta_phase)
-
-
 def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
-    """amp_phase of the series that tiles (i, q) to n samples, bit for bit,
-    with both fluctuation series multiplied by fac: (amp, phase, mean
-    amplitude, delta_amp * fac, delta_phase * fac). The elementwise work
+    """Amplitude sqrt(I^2+Q^2) and unwrapped four-quadrant phase of the
+    series that tiles (i, q) to n samples, with its fractional fluctuation
+    series delta_amp = amp/mean(amp) - 1 and delta_phase = phase -
+    mean(phase), both multiplied by fac: (amp, phase, mean amplitude,
+    delta_amp * fac, delta_phase * fac). The elementwise work
     runs on the given samples only, the means over the tiled arrays; with
     overwrite, the fluctuation series are written over those two arrays,
     for callers that need only the means of them. Unless some cyclic step
@@ -280,26 +220,6 @@ def psd(
     )
 
 
-def dbc_per_hz(spec: Spectrum, carrier_power: float) -> Spectrum:
-    """Renormalize a linear-density spectrum to dB relative to the carrier."""
-    if carrier_power <= 0:
-        raise ConfigError("carrier_power must be > 0")
-    if spec.units is not SpectrumUnits.LINEAR_PER_HZ:
-        raise ConfigError("dbc_per_hz expects a linear-density spectrum")
-    with np.errstate(divide="ignore"):
-        vals = 10.0 * np.log10(np.asarray(spec.values, dtype=np.float64) / carrier_power)
-    return Spectrum(
-        n_points=spec.n_points,
-        bin_hz=spec.bin_hz,
-        values=vals,
-        units=SpectrumUnits.DBC_PER_HZ,
-        window=spec.window,
-        method=spec.method,
-        segment_len=spec.segment_len,
-        overlap_frac=spec.overlap_frac,
-    )
-
-
 # ---------------------------------------------------------------------------
 # tone quality
 
@@ -399,7 +319,7 @@ def detect_spurs(
     """
     if threshold_db <= 0:
         raise ConfigError("threshold_db must be > 0")
-    vals = spec.linear_values()
+    vals = spec.values
     floor_lin = _spur_floor(vals, floor_min)
     thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
     # bins 1.. over the threshold against both neighbours; the last bin's
@@ -415,10 +335,7 @@ def detect_spurs(
             math.inf if floor_lin == 0.0 else 10.0 * math.log10(vals[b] / floor_lin)
         )
         lines.append(SpurLine(freq_hz=b * spec.bin_hz, level_db=level_db, bin=b))
-    floor_out = floor_lin
-    if spec.units is not SpectrumUnits.LINEAR_PER_HZ:
-        floor_out = -math.inf if floor_lin == 0.0 else 10.0 * math.log10(floor_lin)
-    return SpurReport(lines=tuple(lines), floor=floor_out)
+    return SpurReport(lines=tuple(lines), floor=floor_lin)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from combtwin.analyzer import boxcar_response, channelize
+from combtwin.analyzer import channelize
 from combtwin.generator import (
     GeneratorConfig,
     ToneConfig,
@@ -31,11 +31,10 @@ from combtwin.metrics import (
     PsdMethod,
     SpectrumWindow,
     deglitch,
-    fft,
     predict_spurs,
     psd,
 )
-from test_analyzer import channelize_direct
+from test_analyzer import boxcar_response, channelize_direct
 
 
 def _ok(name, detail):
@@ -203,17 +202,22 @@ def test_criterion_6_boxcar_response():
 
 
 def test_criterion_7_fft_psd_correctness():
+    # the Rect periodogram against a direct-DFT |X|^2 density, one-sided:
+    # |X_k|^2 / (n fs), doubled off DC and (for even n) Nyquist
     rng = np.random.default_rng(71)
     worst = 0.0
-    for n in (8, 40, 160, 2560):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fs = 500.0
+    for n in (8, 40, 160, 2560, 45):
+        x = rng.standard_normal(n)
         k = np.arange(n)
-        ref = np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
-        err = np.abs(fft(x) - ref).max() / np.abs(ref).max()
+        ref = np.abs(np.exp(-2j * np.pi * np.outer(k[: n // 2 + 1], k) / n) @ x) ** 2 / (n * fs)
+        ref[1 : -1 if n % 2 == 0 else None] *= 2
+        spec = psd(x, fs, method=PsdMethod.PERIODOGRAM, window=SpectrumWindow.RECT)
+        assert len(spec.values) == n // 2 + 1 and spec.bin_hz == fs / n
+        err = np.abs(spec.values - ref).max() / ref.max()
         assert err < 1e-9
         worst = max(worst, err)
 
-    fs = 500.0
     x = rng.standard_normal(2048)
     spec = psd(x, fs, method=PsdMethod.PERIODOGRAM, window=SpectrumWindow.RECT)
     integrated = np.sum(spec.values) * spec.bin_hz

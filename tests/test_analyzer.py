@@ -13,7 +13,6 @@ from combtwin.analyzer import (
     AnalyzerConfig,
     DemodMode,
     IqTimeSeries,
-    boxcar_response,
     channelize,
     ddc_products,
 )
@@ -340,6 +339,26 @@ def test_series_metadata_and_complex_view():
 
 # ---------------------------------------------------------------------------
 # boxcar response
+
+
+def boxcar_response(L: int, f_norm: float) -> float:
+    """|sum_{n<L} e^(j 2 pi f n)| / L, the averaging filter's magnitude,
+    kept as the oracle of predict_spurs' attenuation column.
+
+    Closed form sin(pi L f) / (L sin(pi f)); exact 1 at f = 0 and exact 0
+    at nonzero multiples of 1/L.
+    """
+    if L < 1:
+        raise ConfigError("L must be >= 1")
+    if not (0.0 <= f_norm < 1.0):
+        raise ConfigError("f_norm must be in [0, 1)")
+    if f_norm == 0.0:
+        return 1.0
+    ratio = L * f_norm
+    # exact zero at the boxcar nulls despite floating-point sin
+    if abs(ratio - round(ratio)) < 1e-9 and round(ratio) % L != 0:
+        return 0.0
+    return abs(math.sin(math.pi * ratio) / (L * math.sin(math.pi * f_norm)))
 
 
 def test_boxcar_response_endpoints():

@@ -1,5 +1,7 @@
 """Command line interface: outputs, file side effects, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,18 +12,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import combtwin
 from combtwin.analyzer import DemodMode, IqTimeSeries
 from combtwin.cli import main
 from combtwin.formats import (
     _series_from_rows,
+    config_hash,
     config_to_ini,
     read_samples,
     series_to_binary,
     series_to_csv,
 )
-from combtwin.harness import builtin_scenarios, config_hash
+from combtwin.harness import builtin_scenarios
+from test_formats import mutations
 
 
 def _small_ini(tmp_path, name, scenario="desk_a", acq=160):
@@ -108,6 +114,21 @@ def test_sample_file_with_a_bad_value_exits_1(tmp_path, capsys, command, row, wh
     assert cap.out == ""
     assert cap.err.startswith(f"error: {path} data row 3: ")
     assert why in cap.err
+
+
+@pytest.mark.parametrize("command", ["psd", "deglitch"])
+@pytest.mark.parametrize("suffix", ["csv", "bin"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sample_commands_on_a_mutated_series_exit_0_or_1(demod_single_dir, command, suffix, data):
+    blob = (demod_single_dir / "series" / f"b000_t000.{suffix}").read_bytes()
+    path = demod_single_dir.parent / f"mutant.{suffix}"
+    path.write_bytes(data.draw(mutations(blob)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--in", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

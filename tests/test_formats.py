@@ -11,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtwin.analyzer import AnalyzerConfig, DemodMode, IqTimeSeries
+from combtwin.config import ChainConfig
 from combtwin.formats import (
+    _csv_rows,
+    _data_values,
+    _header,
     config_from_ini,
+    config_hash,
     config_to_dict,
     config_to_ini,
     read_samples,
@@ -20,9 +25,8 @@ from combtwin.formats import (
     series_from_csv,
     series_to_binary,
     series_to_csv,
-    spectrum_from_csv,
     spectrum_to_csv,
-    spur_report_to_json,
+    spur_report_dict,
     write_samples_csv,
 )
 from combtwin.fxp import ConfigError, FxpFormat
@@ -33,14 +37,26 @@ from combtwin.generator import (
     ToneConfig,
 )
 from combtwin.harness import (
-    ChainConfig,
     builtin_scenarios,
-    config_hash,
     make_chain_config,
     persist,
     run_loopback,
 )
-from combtwin.metrics import PsdMethod, SpectrumWindow, psd
+from combtwin.metrics import PsdMethod, Spectrum, SpectrumUnits, SpectrumWindow, psd
+
+
+def spectrum_from_csv(text: str) -> Spectrum:
+    """Inverse of spectrum_to_csv, kept as the round-trip oracle; raises
+    ConfigError naming a key the metadata line lacks or holds a bad value
+    in, or a data row that is not freq_hz,value numbers."""
+    meta, rows = _csv_rows(text)
+    optional = {k: conv for k, conv in (("segment_len", int), ("overlap_frac", float)) if k in meta}
+    h = _header(
+        meta, "spectrum", n_points=int, bin_hz=float, units=SpectrumUnits,
+        window=SpectrumWindow, method=PsdMethod, **optional,
+    )
+    values = np.array(_data_values(rows, "freq_hz,value", float, "spectrum"))
+    return Spectrum(values=values, **h)
 
 
 def make_series(float_data=False, n=64, seed=61):
@@ -264,18 +280,15 @@ def test_spectrum_header_with_a_bad_enum_names_the_key(key, enum):
         spectrum_from_csv(meta + "\n" + rest)
 
 def test_spur_report_json_fields():
-    import json
-
     from combtwin.metrics import detect_spurs
 
     rng = np.random.default_rng(63)
     spec = psd(rng.standard_normal(4096), 1000.0)
-    import dataclasses
-
     vals = np.full(len(spec.values), 1e-6)
     vals[50] *= 1e4
-    rep = detect_spurs(dataclasses.replace(spec, values=vals), threshold_db=10.0)
-    doc = json.loads(spur_report_to_json(rep))
+    rep = detect_spurs(replace(spec, values=vals), threshold_db=10.0)
+    # persist writes each report's dictionary into the spur JSON
+    doc = json.loads(json.dumps(spur_report_dict(rep)))
     assert doc["floor"] == rep.floor
     assert len(doc["lines"]) == 1
     assert doc["lines"][0]["bin"] == 50
@@ -520,6 +533,49 @@ def test_read_samples_reads_a_series_csv_through_the_series_reader(tmp_path):
         p.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=re.escape(f"{p}: {named}")):
             read_samples(str(p))
+
+
+# ---------------------------------------------------------------------------
+# every artifact reader is total: it returns a value or raises ConfigError
+
+# the separators the artifact formats parse on, and the digits
+_MUTANT_BYTES = b",=#:.\n []{}\"-+e0123456789"
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """data truncated, less a span of 1-7 bytes, with one byte replaced by
+    a separator or a digit, or less one line. Half the positions fall in
+    the first 200 bytes, where the headers are."""
+    kind = draw(st.sampled_from(["truncate", "delete_span", "replace_byte", "delete_line"]))
+    if kind == "delete_line":
+        lines = data.splitlines(keepends=True)
+        k = draw(st.integers(0, len(lines) - 1))
+        return b"".join(lines[:k] + lines[k + 1 :])
+    at = draw(st.integers(0, len(data) - 1) | st.integers(0, min(len(data), 200) - 1))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "delete_span":
+        return data[:at] + data[at + draw(st.integers(1, 7)) :]
+    return data[:at] + bytes([draw(st.sampled_from(_MUTANT_BYTES))]) + data[at + 1 :]
+
+
+_READERS = {
+    "series/b000_t000.csv": lambda blob: series_from_csv(blob.decode("utf-8")),
+    "series/b000_t000.bin": series_from_binary,
+    "config.ini": lambda blob: config_from_ini(blob.decode("utf-8")),
+}
+
+
+@pytest.mark.parametrize("rel", sorted(_READERS))
+@settings(max_examples=200)
+@given(data=st.data())
+def test_artifact_readers_parse_or_raise_config_error(demod_single_dir, rel, data):
+    blob = data.draw(mutations((demod_single_dir / rel).read_bytes()))
+    try:
+        _READERS[rel](blob)
+    except ConfigError:
+        pass
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from combtwin.fxp import saturate, shift_right
 from combtwin.generator import cmul_lut
 
 Q17 = FxpFormat(8, 7)
-Q115 = FxpFormat(16, 15)
 
 
 # big-integer oracles of the array helpers
@@ -55,12 +54,6 @@ def test_value_raw_must_fit_format():
         FxpValue(128, Q17)
     with pytest.raises(ConfigError):
         FxpValue(-129, Q17)
-
-
-def test_to_float_examples():
-    assert FxpValue(64, Q17).to_float() == 0.5
-    assert FxpValue(-128, Q17).to_float() == -1.0
-    assert FxpValue(1, Q115).to_float() == 2.0 ** -15
 
 
 def test_mul_examples():

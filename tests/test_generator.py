@@ -390,7 +390,7 @@ def test_tone_amplitude_validation():
     assert ToneConfig(0, 0, 3).amplitude_raw == 32768
     # the raw code is read as AMPLITUDE_FORMAT (Q2.15)
     assert ToneConfig(0, 0, 3, 0).amplitude_code == FxpValue(0, AMPLITUDE_FORMAT)
-    assert ToneConfig(0, 0, 3, 16384).amplitude_code.to_float() == 0.5
+    assert ToneConfig(0, 0, 3, 16384).amplitude_code == FxpValue(1 << 14, AMPLITUDE_FORMAT)
 
 
 def test_band_sum_dc_tones():

@@ -13,14 +13,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
 from combtwin import ConfigError
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
-from combtwin.formats import config_from_dict, config_from_ini, config_to_dict
+from combtwin.formats import config_from_dict, config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
+    AMPLITUDE_FORMAT,
     FIXED_POINT,
     CordicConfig,
     DoublePrecision,
@@ -41,7 +42,6 @@ from combtwin.harness import (
     DemodToneComparison,
     ToneResult,
     builtin_scenarios,
-    config_hash,
     default_sweep_config,
     float_oracle,
     make_chain_config,
@@ -171,6 +171,13 @@ def test_chain_config_rejects_an_analyzer_lut_unlike_the_generator_lut(lut):
 # loopback runs: spur structure
 
 
+def tone_result(result, band_index, tone_index):
+    """The ToneResult of one tone of a RunResult."""
+    key = (band_index, tone_index)
+    (t,) = (t for t in result.tones if (t.pattern.band_index, t.pattern.tone_index) == key)
+    return t
+
+
 def _spur_bins(result, kind="amp"):
     out = {}
     for t in result.tones:
@@ -248,7 +255,7 @@ def test_run_result_metadata(desk_a_result):
     )
     assert desk_a_result.config_hash == config_hash(desk_a_result.config)
     assert desk_a_result.wall_time_s > 0
-    t = desk_a_result.tone(1, 2)
+    t = tone_result(desk_a_result, 1, 2)
     assert t.series.band_index == 1 and t.series.tone_index == 2
     assert len(t.series) == 2560
 
@@ -369,6 +376,45 @@ def test_periodic_engine_equals_direct_on_random_chains(cfg):
         assert np.array_equal(tp.series.q, td.series.q)
         assert np.array_equal(tp.amp_spectrum.values, td.amp_spectrum.values)
         assert np.array_equal(tp.phase_spectrum.values, td.phase_spectrum.values)
+
+
+@st.composite
+def coherent_chains(draw):
+    """small_chains() with the capture made coherent: acquisition_len
+    rounded up to a multiple of the series period n_pat = R / gcd(L_avg, R),
+    R the waveform period in band samples, so every line falls on a bin."""
+    cfg = draw(small_chains())
+    g = cfg.generator
+    r = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
+    n_pat = r // math.gcd(cfg.analyzer.L_avg, r)
+    return replace(cfg, acquisition_len=-(-cfg.acquisition_len // n_pat) * n_pat)
+
+
+def _r_divides_l_avg():
+    # R = lcm(L_acc, lut / U) = 20 divides L_avg = 20: no residual lines at all
+    cfg = make_chain_config(
+        "prop", 20, 20, 1, 2, 10, upsample_factor=1, shifter_lut_len=5, freq_words=[3, 7]
+    )
+    return replace(cfg, warmup_windows=-(-_band_transient_len(cfg) // 20))
+
+
+@settings(max_examples=100)
+@given(coherent_chains())
+@example(_r_divides_l_avg())
+def test_amplitude_lines_lie_on_predicted_bins(cfg):
+    # the amplitude half of the spur law over random chains; the phase half
+    # waits on an explicit winding term (a tone that winds whole turns per
+    # pattern leaks its phase ramp into unpredicted bins)
+    g, a = cfg.generator, cfg.analyzer
+    r = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
+    predicted = predict_spurs(g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, 1.0)
+    bin_hz = 1.0 / (a.L_avg * cfg.acquisition_len)
+    assert all(abs(f / bin_hz - round(f / bin_hz)) < 1e-6 for f, _ in predicted)
+    bins = {round(f / bin_hz) for f, _ in predicted}
+    if a.L_avg % r == 0:
+        assert bins == set()
+    for t in run_loopback(cfg).tones:
+        assert {line.bin for line in t.amp_spurs.lines} <= bins
 
 
 def test_engine_auto_falls_back_to_direct_when_period_too_long():
@@ -812,8 +858,8 @@ def demod_compare_reference(cfg):
         zs = (pi_s + 1j * pq_s)[skip:]
         zq = (pi_q + 1j * pq_q)[skip:]
         key = (tone.band_index, tone.tone_index)
-        s_sine = res_sine.tone(*key).series
-        s_square = res_square.tone(*key).series
+        s_sine = tone_result(res_sine, *key).series
+        s_square = tone_result(res_square, *key).series
         m_sine = complex(np.mean(s_sine.complex_values()))
         m_square = complex(np.mean(s_square.complex_values()))
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
@@ -977,7 +1023,8 @@ def float_oracle_reference(cfg, quantize_interp=False):
         band = np.zeros(n_band, dtype=np.complex128)
         for t in by_band[b]:
             ph = phase_words(g.L_acc, t.freq_word, n_band)
-            band += ref_amp * t.amplitude_code.to_float() * np.exp(2j * np.pi * ph / g.L_acc)
+            amp = t.amplitude_raw / (1 << AMPLITUDE_FORMAT.frac_bits)
+            band += ref_amp * amp * np.exp(2j * np.pi * ph / g.L_acc)
         n_idx = np.arange(n_band) % 5
         band = band * np.exp(-2j * np.pi * n_idx / 5.0)
         stuffed = np.zeros(n_wide, dtype=np.complex128)

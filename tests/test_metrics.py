@@ -1,4 +1,4 @@
-"""Measurement mathematics: FFT, PSDs, demod statistics, spur tools."""
+"""Measurement mathematics: the FFT the PSDs run, PSDs, demod statistics, spur tools."""
 
 import dataclasses
 import math
@@ -20,75 +20,63 @@ from combtwin.metrics import (
     _amp_phase,
     _periodogram_fac,
     _rfft,
-    amp_phase,
-    dbc_per_hz,
     deglitch,
     detect_spurs,
-    fft,
-    ifft,
     predict_spurs,
     psd,
     sinad_sfdr,
 )
+from test_analyzer import boxcar_response
 
 
 # ---------------------------------------------------------------------------
-# FFT
+# FFT: metrics._rfft (scipy.fft.rfft), the transform every periodogram runs
 
 
-def _direct_dft(x):
+def _direct_rdft(x):
+    """Bins 0..n//2 of the DFT of a real x, each summed directly."""
     n = len(x)
     k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return w @ x
+    return np.exp(-2j * np.pi * np.outer(k[: n // 2 + 1], k) / n) @ x
 
 
 def test_fft_unit_impulse():
-    x = np.zeros(40, dtype=complex)
+    x = np.zeros(40)
     x[0] = 1.0
-    assert np.allclose(fft(x), np.ones(40), atol=1e-12)
+    assert np.allclose(_rfft(x), np.ones(21), atol=1e-12)
 
 
 def test_fft_single_exponential_is_one_bin():
+    # a real cosine is two exponentials; the one-sided transform holds one
     n = 160
     k = 23
-    x = np.exp(2j * np.pi * k * np.arange(n) / n)
-    spec = np.abs(fft(x))
-    assert spec[k] == pytest.approx(n, rel=1e-9)
+    x = np.cos(2 * np.pi * k * np.arange(n) / n)
+    spec = np.abs(_rfft(x))
+    assert spec[k] == pytest.approx(n / 2, rel=1e-9)
     others = np.delete(spec, k)
     assert others.max() < 1e-9 * n
 
 
 def test_fft_matches_direct_dft_oracle():
+    # any length: the transform has no 2^a * 5^b restriction
     rng = np.random.default_rng(41)
-    for n in (8, 40, 160, 2560):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = fft(x)
-        want = _direct_dft(x)
+    for n in (8, 40, 160, 2560, 45):
+        x = rng.standard_normal(n)
+        got = _rfft(x)
+        want = _direct_rdft(x)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() / scale < 1e-9
 
 
-def test_fft_round_trip_identity():
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal(640) + 1j * rng.standard_normal(640)
-    back = ifft(fft(x))
-    assert np.abs(back - x).max() / np.abs(x).max() < 1e-9
-
-
-def test_fft_rejects_unsupported_length():
-    with pytest.raises(ValueError, match="2\\^a"):
-        fft(np.zeros(24, dtype=complex))  # 24 = 2^3 * 3
-    with pytest.raises(ValueError):
-        fft(np.zeros(7, dtype=complex))
-
-
 def test_fft_parseval():
+    # one-sided: every bin but DC and (for even n) Nyquist stands for two
     rng = np.random.default_rng(43)
-    x = rng.standard_normal(2560) + 1j * rng.standard_normal(2560)
-    e_time = np.sum(np.abs(x) ** 2)
-    e_freq = np.sum(np.abs(fft(x)) ** 2) / len(x)
-    assert abs(e_freq - e_time) / e_time < 1e-9
+    for n in (2560, 2561):
+        x = rng.standard_normal(n)
+        p = np.abs(_rfft(x)) ** 2
+        p[1 : -1 if n % 2 == 0 else None] *= 2
+        e_time = np.sum(x**2)
+        assert abs(np.sum(p) / n - e_time) / e_time < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -98,34 +86,34 @@ def test_fft_parseval():
 def test_amp_phase_constant_real():
     i = np.full(16, 1000.0)
     q = np.zeros(16)
-    r = amp_phase((i, q))
-    assert np.allclose(r.delta_amp, 0.0, atol=1e-12)
-    assert np.allclose(r.delta_phase, 0.0, atol=1e-12)
-    assert np.allclose(r.amp, 1000.0)
+    amp, _, _, delta_amp, delta_phase = _amp_phase(i, q, len(i))
+    assert np.allclose(delta_amp, 0.0, atol=1e-12)
+    assert np.allclose(delta_phase, 0.0, atol=1e-12)
+    assert np.allclose(amp, 1000.0)
 
 
 def test_amp_phase_quadrature_and_pythagorean():
-    r = amp_phase((np.zeros(8), np.full(8, 7.0)))
-    assert np.allclose(r.phase, np.pi / 2)
-    r2 = amp_phase((np.full(4, 3.0), np.full(4, 4.0)))
-    assert np.allclose(r2.amp, 5.0)
+    _, phase, *_ = _amp_phase(np.zeros(8), np.full(8, 7.0), 8)
+    assert np.allclose(phase, np.pi / 2)
+    amp, *_ = _amp_phase(np.full(4, 3.0), np.full(4, 4.0), 4)
+    assert np.allclose(amp, 5.0)
 
 
 def test_amp_phase_unwraps():
     n = 64
     ph = np.linspace(0, 6 * np.pi, n)  # three full turns
-    r = amp_phase((np.cos(ph), np.sin(ph)))
-    assert r.phase[-1] == pytest.approx(6 * np.pi, abs=1e-9)
-    assert np.all(np.diff(r.phase) > 0)
+    _, phase, *_ = _amp_phase(np.cos(ph), np.sin(ph), n)
+    assert phase[-1] == pytest.approx(6 * np.pi, abs=1e-9)
+    assert np.all(np.diff(phase) > 0)
 
 
 def test_amp_phase_degenerate_input():
     with pytest.raises(ValueError, match="degenerate"):
-        amp_phase((np.zeros(8), np.zeros(8)))
+        _amp_phase(np.zeros(8), np.zeros(8), 8)
 
 
 def amp_phase_reference(i, q):
-    """amp_phase before it ran on a pattern, kept as the oracle: every step
+    """_amp_phase before it ran on a pattern, kept as the oracle: every step
     over the whole series."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -159,7 +147,7 @@ def tiled_patterns(draw):
     i, q = (np.array(v, dtype=np.float64) for v in zip(*points))
     # lengths past 4096 tile each pattern many times over
     n = draw(st.integers(len(i), 5 * len(i) + 7) | st.integers(4090, 9000))
-    # 1.0 is amp_phase's; the others are Rect periodogram scales 1/sqrt(n*fs)
+    # 1.0 is the whole-series call's; the others are Rect periodogram scales 1/sqrt(n*fs)
     fac = draw(st.sampled_from([1.0, 1 / math.sqrt(41 * 3.0), 2.0**-9]))
     return i, q, n, fac, draw(st.booleans())
 
@@ -187,10 +175,8 @@ def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
     else:
         assert_same_bits((got_amp, got_phase), (amp, phase))
     assert mean_amp.hex() == float(np.mean(amp)).hex()
-    r = amp_phase((i[k], q[k]))
-    assert_same_bits(
-        (r.amp, r.phase, r.delta_amp, r.delta_phase), (amp, phase, delta_amp, delta_phase)
-    )
+    r = _amp_phase(i[k], q[k], n)
+    assert_same_bits((r[0], r[1], r[3], r[4]), (amp, phase, delta_amp, delta_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -354,22 +340,6 @@ def test_periodogram_rejects_segment_len():
     assert psd(x, 1.0, method=PsdMethod.WELCH, segment_len=5).n_points == 5
 
 
-def test_dbc_per_hz():
-    x = np.random.default_rng(48).standard_normal(512)
-    spec = psd(x, 1.0, method=PsdMethod.PERIODOGRAM, window=SpectrumWindow.RECT)
-    carrier = 2.0
-    out = dbc_per_hz(spec, carrier)
-    assert out.units is SpectrumUnits.DBC_PER_HZ
-    want = 10 * np.log10(spec.values[5] / carrier)
-    assert out.values[5] == pytest.approx(want, abs=1e-12)
-    flat = dataclasses.replace(spec, values=np.full_like(spec.values, carrier))
-    assert np.allclose(dbc_per_hz(flat, carrier).values, 0.0, atol=1e-12)
-    ten = dataclasses.replace(spec, values=np.full_like(spec.values, 10 * carrier))
-    assert np.allclose(dbc_per_hz(ten, carrier).values, 10.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        dbc_per_hz(spec, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # SINAD / SFDR
 
@@ -437,8 +407,6 @@ def test_predict_spurs_desk_scale():
 
 
 def test_predict_spurs_attenuation_matches_boxcar():
-    from combtwin.analyzer import boxcar_response
-
     lines = predict_spurs(65536, 8, 40, 65536, 250e6)
     for freq, att_db in lines:
         j = round(freq / (250e6 / 65536) * 5)  # 1 or 2
@@ -491,7 +459,7 @@ def test_detect_spurs_threshold_validation():
 
 def _detect_spurs_loop(spec, threshold_db, floor_min):
     """Bin-by-bin reference for detect_spurs: (lines, linear floor)."""
-    vals = spec.linear_values()
+    vals = spec.values
     floor_lin = max(float(np.median(vals)), floor_min)
     thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
     lines = []
@@ -515,15 +483,13 @@ def _detect_spurs_loop(spec, threshold_db, floor_min):
 _TIE_LEVELS = [-0.0, 0.0, -5e-324, 1e-24, 1.0, 2.0, 1e3, 9e307]
 
 
-def _spur_spectrum(values, units=SpectrumUnits.LINEAR_PER_HZ, bin_hz=1.0):
+def _spur_spectrum(values, bin_hz=1.0):
     values = np.array(values, dtype=np.float64)
-    if units is SpectrumUnits.DBC_PER_HZ:
-        values = values * 1e-4 - 50.0  # -50..+50 dB
     return Spectrum(
         n_points=2 * len(values) - 1,
         bin_hz=bin_hz,
         values=values,
-        units=units,
+        units=SpectrumUnits.LINEAR_PER_HZ,
         window=SpectrumWindow.RECT,
         method=PsdMethod.PERIODOGRAM,
     )
@@ -549,10 +515,7 @@ def spur_spectra(draw):
         vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 1e3]), min_size=m, max_size=m))
         if kind == "edge":
             vals[-1] = 1e6  # a line in the last bin, which has no right neighbour
-    units = draw(st.sampled_from([SpectrumUnits.LINEAR_PER_HZ, SpectrumUnits.DBC_PER_HZ]))
-    if kind == "tie":  # dBc levels map to positive linear ones: no ties
-        units = SpectrumUnits.LINEAR_PER_HZ
-    return _spur_spectrum(vals, units, draw(st.sampled_from([1.0, 0.1, 3.814697265625])))
+    return _spur_spectrum(vals, draw(st.sampled_from([1.0, 0.1, 3.814697265625])))
 
 
 @settings(max_examples=500)
@@ -582,9 +545,8 @@ def test_detect_spurs_equals_bin_loop(spec, threshold_db, floor_min):
         rep = detect_spurs(spec, threshold_db=threshold_db, floor_min=floor_min)
     assert rep.lines == lines
     assert all(type(line.bin) is int for line in rep.lines)
-    if spec.units is SpectrumUnits.LINEAR_PER_HZ:
-        assert type(rep.floor) is float
-        assert rep.floor.hex() == float(floor_lin).hex()
+    assert type(rep.floor) is float
+    assert rep.floor.hex() == float(floor_lin).hex()
 
 
 # ---------------------------------------------------------------------------

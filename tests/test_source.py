@@ -69,26 +69,43 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(sources) == []
 
 
-def repeated_imports(source: str) -> list[str]:
-    """Imports inside a function (nested ones included) from a module the
-    file already imports from at top level, as `function (module)`."""
-    tree = ast.parse(source)
+def _modules(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
 
-    def modules(nodes):
-        for node in nodes:
-            if isinstance(node, ast.Import):
-                yield from (a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                yield "." * node.level + (node.module or "")
 
-    top = set(modules(tree.body))
+def _function_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, module) of each import inside a module-level function or
+    method, nested ones included."""
     functions = [
         node
         for parent in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]
         for node in parent.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
-    return [f"{f.name} ({m})" for f in functions for m in modules(ast.walk(f)) if m in top]
+    return [(f.name, m) for f in functions for m in _modules(ast.walk(f))]
+
+
+def repeated_imports(source: str) -> list[str]:
+    """Imports inside a function (nested ones included) from a module the
+    file already imports from at top level, as `function (module)`."""
+    tree = ast.parse(source)
+    top = set(_modules(tree.body))
+    return [f"{f} ({m})" for f, m in _function_imports(tree) if m in top]
+
+
+def package_imports_in_functions(source: str) -> list[str]:
+    """Imports inside a function of a combtwin module (relative, or by the
+    package name), as `function (module)`: with an acyclic import graph
+    every module imports the package's modules at top level."""
+    return [
+        f"{f} ({m})"
+        for f, m in _function_imports(ast.parse(source))
+        if m.startswith(".") or m.split(".")[0] == "combtwin"
+    ]
 
 
 def test_repeated_import_finder_flags_only_modules_imported_at_top():
@@ -104,6 +121,65 @@ def test_repeated_import_finder_flags_only_modules_imported_at_top():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_function_repeats_a_top_level_import(path):
     assert repeated_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_finder_flags_only_combtwin_modules():
+    src = (
+        "import os\nfrom . import a\n"
+        "def f():\n    import json\n    from .b import x\n    from scipy.signal import welch\n"
+        "    def g():\n        import combtwin.c\n"
+        "class C:\n    def m(self):\n        from . import d\n"
+    )
+    assert package_imports_in_functions(src) == ["f (.b)", "f (combtwin.c)", "m (.)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_function_imports_a_combtwin_module(path):
+    assert package_imports_in_functions(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_public_names(sources: dict[str, str], entry_points=()) -> list[str]:
+    """Public module-level functions and classes (`module.name`) whose name
+    no module of sources references, as a name or as an attribute, other
+    than __init__ (which re-exports them); entry_points are exempt."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    used = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and f"{module}.{node.name}" not in entry_points
+    ]
+
+
+# called from outside the package only: the console script, the float
+# oracle (the tests' and the benchmark's), and the public reader of the
+# package's own series CSV
+ENTRY_POINTS = ("cli.main", "harness.float_oracle", "formats.series_from_csv")
+
+
+def test_public_name_finder_flags_only_unreferenced_names():
+    a = "def f(): pass\ndef g(): pass\nclass K: pass\ndef main(): pass\ndef _p(): pass\n"
+    b = "from a import f\nimport a\nf(a.K)\n"
+    init = "from .a import g\ng()\n"
+    got = unreferenced_public_names({"a": a, "b": b, "__init__": init}, ("a.main",))
+    assert got == ["a.g"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_public_names(sources, ENTRY_POINTS) == []
 
 
 def test_config_codec_names_no_config_type():
