@@ -32,7 +32,6 @@ from .analyzer import (
 from .metrics import (
     PsdMethod,
     Spectrum,
-    SpectrumUnits,
     SpectrumWindow,
     SpurLine,
     SpurReport,

@@ -198,7 +198,7 @@ def series_from_binary(data: bytes) -> IqTimeSeries:
 def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
     meta = (
         f"# method={spec.method.value} window={spec.window.value} "
-        f"units={spec.units.value} n_points={spec.n_points} "
+        f"units=linear_per_hz n_points={spec.n_points} "
         f"bin_hz={_fmt_float(spec.bin_hz)}"
     )
     if spec.segment_len is not None:
@@ -234,6 +234,8 @@ def spur_report_dict(report: SpurReport) -> dict:
 # keys are lower-cased, None is left out, a number list is one comma-separated
 # value and each tone record is one key. A key whose field defaults to None
 # may be missing; so may the keys in _DEFAULTED, which take the field default.
+# config_from_ini walks the same fields once (_read) to build the dataclasses
+# straight from the INI strings.
 
 # [scenario] holds the top-level keys, named and ordered as before the schema
 _SCENARIO_KEYS = {
@@ -247,6 +249,7 @@ _DEFAULTED = ("warmup_windows", "guard_bits", "description")
 
 class _Field(NamedTuple):
     name: str  # dataclass attribute and dictionary key
+    key: str  # config.ini key
     type: Any  # field type, `X | None` unwrapped
     optional: bool
     section: bool  # stored as its own INI section
@@ -263,7 +266,8 @@ def _fields(cls) -> tuple[_Field, ...]:
             (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
         records = typing.get_origin(tp) is tuple and dataclasses.is_dataclass(typing.get_args(tp)[0])
         section = dataclasses.is_dataclass(tp) or records
-        out.append(_Field(f.name, tp, nullable or f.name in _DEFAULTED, section))
+        key = _SCENARIO_KEYS.get(f.name, f.name.lower())
+        out.append(_Field(f.name, key, tp, nullable or f.name in _DEFAULTED, section))
     return tuple(out)
 
 
@@ -287,32 +291,7 @@ def _where(path: str, f: _Field) -> str:
     """Where a field lives in config.ini, for error messages."""
     if f.section:
         return f"section [{_join(path, f.name)}]"
-    return f"key '{_SCENARIO_KEYS.get(f.name, f.name.lower())}' in [{path or 'scenario'}]"
-
-
-def _decode(tp, v, path: str):
-    """Build a value of type tp from its dictionary form; leaves may be the
-    strings an INI file holds."""
-    if dataclasses.is_dataclass(tp):
-        fields = _fields(tp)
-        unknown = set(v) - {f.name for f in fields}
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{path or 'scenario'}]")
-        kw = {}
-        for f in fields:
-            if f.name in v:
-                x = v[f.name]
-                kw[f.name] = None if x is None else _decode(f.type, x, _join(path, f.name))
-            elif not f.optional:
-                raise ConfigError(f"missing {_where(path, f)}")
-        return tp(**kw)
-    if typing.get_origin(tp) is tuple:
-        item = typing.get_args(tp)[0]
-        return tuple(_decode(item, x, path) for x in (v.split(",") if isinstance(v, str) else v))
-    try:
-        return tp(v)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad value {v!r} for {path}: {e}") from e
+    return f"key '{f.key}' in [{path or 'scenario'}]"
 
 
 def config_to_dict(cfg: ChainConfig) -> dict:
@@ -325,12 +304,6 @@ def config_hash(cfg: ChainConfig) -> str:
     """SHA-256 of the canonical dictionary as compact, key-sorted JSON."""
     blob = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def config_from_dict(d: dict) -> ChainConfig:
-    """Inverse of config_to_dict; raises ConfigError naming a missing,
-    unknown or malformed key."""
-    return _decode(ChainConfig, d, "")
 
 
 def _flatten(d: dict, path: str, sections: dict) -> None:
@@ -361,8 +334,44 @@ def config_to_ini(cfg: ChainConfig) -> str:
     return buf.getvalue()
 
 
-def _records(cls, name: str, section: dict) -> list[dict]:
-    keys = [f.name for f in _fields(cls)]
+def _value(tp, text: str, where: str):
+    """One INI string as a value of type tp: an int, float, str or enum, or
+    a tuple of them written as one comma-separated value."""
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, x, where) for x in text.split(","))
+    try:
+        return tp(text)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value {text!r} for {where}: {e}") from e
+
+
+def _read(cls, path: str, own: dict, sections: dict):
+    """A cls built from its section's keys (own) and the sections below it,
+    popped from sections. Unknown keys are named before missing ones."""
+    fields = _fields(cls)
+    unknown = own.keys() - {f.key for f in fields if not f.section}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in [{path or 'scenario'}]")
+    kw = {}
+    for f in fields:
+        sub = _join(path, f.name)
+        if f.section and sub in sections:
+            if typing.get_origin(f.type) is tuple:
+                kw[f.name] = _records(typing.get_args(f.type)[0], sub, sections.pop(sub))
+            else:
+                kw[f.name] = _read(f.type, sub, sections.pop(sub), sections)
+        elif not f.section and f.key in own:
+            kw[f.name] = _value(f.type, own[f.key], sub)
+        elif not f.optional:
+            raise ConfigError(f"missing {_where(path, f)}")
+    return cls(**kw)
+
+
+def _records(cls, name: str, section: dict) -> tuple:
+    """The records of a [name] section, one `<name>_<n> = v,v,...` key each,
+    in the order of n."""
+    keys = [f.key for f in _fields(cls)]
     prefix = name.removesuffix("s") + "_"
     rows = []
     for k, v in section.items():
@@ -372,41 +381,20 @@ def _records(cls, name: str, section: dict) -> list[dict]:
         values = v.split(",")
         if len(values) != len(keys):
             raise ConfigError(f"[{name}] {k} needs {len(keys)} values: {','.join(keys)}")
-        rows.append((int(n), dict(zip(keys, values))))
-    return [row for _, row in sorted(rows, key=lambda r: r[0])]
-
-
-def _unflatten(cls, path: str, own: dict, sections: dict) -> dict:
-    """The dictionary of cls from its section's keys (own) and the sections
-    below it, popped from sections."""
-    d = {}
-    for f in _fields(cls):
-        sub = _join(path, f.name)
-        if f.section and sub in sections:
-            if typing.get_origin(f.type) is tuple:
-                d[f.name] = _records(typing.get_args(f.type)[0], sub, sections.pop(sub))
-            else:
-                d[f.name] = _unflatten(f.type, sub, sections.pop(sub), sections)
-        elif not f.section and f.name.lower() in own:
-            d[f.name] = own.pop(f.name.lower())
-    if own:
-        raise ConfigError(f"unknown key(s) {sorted(own)} in [{path or 'scenario'}]")
-    return d
+        rows.append((int(n), _read(cls, name, dict(zip(keys, values)), {})))
+    return tuple(rec for _, rec in sorted(rows, key=lambda r: r[0]))
 
 
 def config_from_ini(text: str) -> ChainConfig:
     """Read config.ini text; raises ConfigError naming a missing or unknown
-    key or section."""
+    key or section, or a value its field's type refuses."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"malformed config file: {e}") from e
     sections = {name: dict(cp[name]) for name in cp.sections()}
-    scenario = sections.pop("scenario", {})
-    d = {key: scenario.pop(ini) for key, ini in _SCENARIO_KEYS.items() if ini in scenario}
-    d.update(_unflatten(ChainConfig, "", scenario, sections))
-    cfg = config_from_dict(d)
+    cfg = _read(ChainConfig, "", sections.pop("scenario", {}), sections)
     if sections:
         raise ConfigError(f"unknown section(s) {', '.join(f'[{s}]' for s in sections)}")
     return cfg

@@ -346,26 +346,22 @@ def make_lut(
 
 
 def cmul_lut(
-    xi: np.ndarray,
-    xq: np.ndarray,
-    li: np.ndarray,
-    lq: np.ndarray,
-    lut_width: int,
-    out_bits: int,
+    xi: np.ndarray, xq: np.ndarray, li: np.ndarray, lq: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-wise complex multiply by LUT values.
+    """Sample-wise complex multiply of a width-bit stream by width-bit LUT
+    values.
 
-    Four exact integer products, right shift by lut_width-1 (truncate
-    toward -inf, the stream rounding default), saturate to out_bits.
+    Four exact integer products, right shift by width-1 (truncate toward
+    -inf, the stream rounding default), saturate to width bits.
     """
     pi = xi * li
     pi -= xq * lq
     pq = xi * lq
     pq += xq * li
-    sh = np.int64(lut_width - 1)
+    sh = np.int64(width - 1)
     pi >>= sh
     pq >>= sh
-    return saturate(pi, out_bits), saturate(pq, out_bits)
+    return saturate(pi, width), saturate(pq, width)
 
 
 def lut_mix(
@@ -379,7 +375,7 @@ def lut_mix(
     taking LUT entry n mod length; output stays width bits."""
     xi, xq = x
     li, lq = (periodic_extend(t, len(xi)) for t in make_lut(length, cycles, width, sign))
-    return cmul_lut(xi, xq, li, lq, width, width)
+    return cmul_lut(xi, xq, li, lq, width)
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,7 @@ def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spect
     fs = pattern.rate_hz
     if np.any(pattern.i) or np.any(pattern.q):
         fac = _periodogram_fac(n, fs)
-        _, _, mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, fac, overwrite=True)
+        mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, fac)
     else:  # a silent tone: no fluctuation, and its spectra are exact zeros
         mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
     amp, phase = (_periodogram(x, fs, SpectrumWindow.RECT) for x in (xa, xp))

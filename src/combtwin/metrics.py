@@ -20,10 +20,6 @@ from .fxp import ConfigError
 from .generator import periodic_extend, waveform_period
 
 
-class SpectrumUnits(Enum):
-    LINEAR_PER_HZ = "linear_per_hz"
-
-
 class SpectrumWindow(Enum):
     RECT = "rect"
     HANN = "hann"
@@ -36,12 +32,12 @@ class PsdMethod(Enum):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided PSD: n_points/2 + 1 bins spaced bin_hz apart."""
+    """One-sided PSD, a linear density per Hz: n_points/2 + 1 bins spaced
+    bin_hz apart."""
 
     n_points: int
     bin_hz: float
     values: np.ndarray
-    units: SpectrumUnits
     window: SpectrumWindow
     method: PsdMethod
     segment_len: int | None = None
@@ -74,19 +70,17 @@ class SpurReport:
 # amplitude / phase
 
 
-def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
-    """Amplitude sqrt(I^2+Q^2) and unwrapped four-quadrant phase of the
-    series that tiles (i, q) to n samples, with its fractional fluctuation
-    series delta_amp = amp/mean(amp) - 1 and delta_phase = phase -
-    mean(phase), both multiplied by fac: (amp, phase, mean amplitude,
-    delta_amp * fac, delta_phase * fac). The elementwise work
-    runs on the given samples only, the means over the tiled arrays; with
-    overwrite, the fluctuation series are written over those two arrays,
-    for callers that need only the means of them. Unless some cyclic step
-    of the pattern's phase (the wrap step included) is a jump, np.unwrap of
-    the tiled phase adds 0.0 to every sample after the first and nothing
-    else, so delta_phase tiles the pattern too; otherwise np.unwrap runs
-    over the tiled phase."""
+def _amp_phase(i, q, n: int, fac: float):
+    """The mean amplitude and the fractional fluctuation series of the
+    series that tiles (i, q) to n samples: (mean(amp), (amp/mean(amp) - 1)
+    * fac, (phase - mean(phase)) * fac), where amp is sqrt(I^2+Q^2) and
+    phase the unwrapped four-quadrant phase. The elementwise work runs on
+    the given samples only, the means over the tiled arrays, and each
+    fluctuation series is written over its tiled array. Unless some cyclic
+    step of the pattern's phase (the wrap step included) is a jump,
+    np.unwrap of the tiled phase adds 0.0 to every sample after the first
+    and nothing else, so delta_phase tiles the pattern too; otherwise
+    np.unwrap runs over the tiled phase."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if len(i) == 0:
@@ -96,25 +90,20 @@ def _amp_phase(i, q, n: int, fac: float = 1.0, overwrite: bool = False):
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:
         raise ValueError("degenerate input: mean amplitude is zero")
-    delta_amp = periodic_extend(
-        (amp_pat / mean_amp - 1.0) * fac, n, out=amp if overwrite else None
-    )
+    delta_amp = periodic_extend((amp_pat / mean_amp - 1.0) * fac, n, out=amp)
     p = np.arctan2(q, i)
     if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):
         p_up = p + 0.0
         phase = periodic_extend(p_up, n)
         phase[0] = p[0]
         mean_phase = float(np.mean(phase))
-        delta_phase = periodic_extend(
-            (p_up - mean_phase) * fac, n, out=phase if overwrite else None
-        )
+        delta_phase = periodic_extend((p_up - mean_phase) * fac, n, out=phase)
         delta_phase[0] = (p[0] - mean_phase) * fac
     else:
-        phase = np.unwrap(periodic_extend(p, n))
-        mean_phase = float(np.mean(phase))
-        delta_phase = np.subtract(phase, mean_phase, out=phase if overwrite else None)
+        delta_phase = np.unwrap(periodic_extend(p, n))
+        delta_phase -= float(np.mean(delta_phase))
         delta_phase *= fac
-    return amp, phase, mean_amp, delta_amp, delta_phase
+    return mean_amp, delta_amp, delta_phase
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +140,6 @@ def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
         n_points=n,
         bin_hz=fs / n,
         values=pxx,
-        units=SpectrumUnits.LINEAR_PER_HZ,
         window=window,
         method=PsdMethod.PERIODOGRAM,
     )
@@ -212,7 +200,6 @@ def psd(
         n_points=seg,
         bin_hz=fs / seg,
         values=pxx,
-        units=SpectrumUnits.LINEAR_PER_HZ,
         window=win,
         method=method,
         segment_len=seg,

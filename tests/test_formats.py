@@ -42,7 +42,7 @@ from combtwin.harness import (
     persist,
     run_loopback,
 )
-from combtwin.metrics import PsdMethod, Spectrum, SpectrumUnits, SpectrumWindow, psd
+from combtwin.metrics import PsdMethod, Spectrum, SpectrumWindow, psd
 
 
 def spectrum_from_csv(text: str) -> Spectrum:
@@ -52,9 +52,12 @@ def spectrum_from_csv(text: str) -> Spectrum:
     meta, rows = _csv_rows(text)
     optional = {k: conv for k, conv in (("segment_len", int), ("overlap_frac", float)) if k in meta}
     h = _header(
-        meta, "spectrum", n_points=int, bin_hz=float, units=SpectrumUnits,
+        meta, "spectrum", n_points=int, bin_hz=float, units=str,
         window=SpectrumWindow, method=PsdMethod, **optional,
     )
+    # every spectrum is a linear density per Hz
+    if h.pop("units") != "linear_per_hz":
+        raise ConfigError("spectrum header key 'units' is not linear_per_hz")
     values = np.array(_data_values(rows, "freq_hz,value", float, "spectrum"))
     return Spectrum(values=values, **h)
 
@@ -230,7 +233,6 @@ def test_spectrum_csv_round_trip():
         back = spectrum_from_csv(text)
         assert back.n_points == spec.n_points
         assert back.bin_hz == spec.bin_hz
-        assert back.units == spec.units
         assert back.window == spec.window
         assert back.method == spec.method
         assert back.segment_len == spec.segment_len
@@ -268,7 +270,7 @@ def test_spectrum_csv_with_a_bad_data_row_names_the_row(row, why):
 
 
 @pytest.mark.parametrize(
-    "key, enum", [("units", "SpectrumUnits"), ("window", "SpectrumWindow"), ("method", "PsdMethod")]
+    "key, enum", [("window", "SpectrumWindow"), ("method", "PsdMethod")]
 )
 def test_spectrum_header_with_a_bad_enum_names_the_key(key, enum):
     text = spectrum_to_csv(psd(np.arange(64.0), 10.0))
@@ -591,9 +593,7 @@ def persisted(tmp_path_factory):
 
 
 def _spectra_equal(a, b):
-    assert (a.n_points, a.bin_hz, a.units, a.window, a.method) == (
-        b.n_points, b.bin_hz, b.units, b.window, b.method
-    )
+    assert (a.n_points, a.bin_hz, a.window, a.method) == (b.n_points, b.bin_hz, b.window, b.method)
     assert (a.segment_len, a.overlap_frac) == (b.segment_len, b.overlap_frac)
     assert a.values.dtype == b.values.dtype
     assert a.values.view(np.int64).tolist() == b.values.view(np.int64).tolist()

@@ -60,7 +60,7 @@ def test_mul_examples():
     # Q1.7 x Q1.7 -> Q1.7 through the LUT multiply, imaginary parts zero
     x = np.array([64, -128, 77], dtype=np.int64)
     zero = np.zeros(3, dtype=np.int64)
-    pi, pq = cmul_lut(x, zero, x, zero, 8, 8)
+    pi, pq = cmul_lut(x, zero, x, zero, 8)
     assert pi.tolist() == [32, 127, 46]  # 0.25 exactly; -1 * -1 saturates; 5929 >> 7
     assert pq.tolist() == [0, 0, 0]
 
@@ -69,7 +69,7 @@ def test_mul_matches_big_integer_oracle():
     # exact double-width products before the shift, wide random sweep
     rng = np.random.default_rng(12)
     xi, xq, li, lq = (rng.integers(-(1 << 17), 1 << 17, 20_000) for _ in range(4))
-    pi, pq = cmul_lut(xi, xq, li, lq, 18, 18)
+    pi, pq = cmul_lut(xi, xq, li, lq, 18)
     for k in range(len(xi)):
         a, b, c, d = int(xi[k]), int(xq[k]), int(li[k]), int(lq[k])
         assert pi[k] == _apply_overflow_int((a * c - b * d) >> 17, 18)

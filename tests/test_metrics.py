@@ -14,7 +14,6 @@ from combtwin import ConfigError
 from combtwin.metrics import (
     PsdMethod,
     Spectrum,
-    SpectrumUnits,
     SpectrumWindow,
     SpurLine,
     _amp_phase,
@@ -86,30 +85,38 @@ def test_fft_parseval():
 def test_amp_phase_constant_real():
     i = np.full(16, 1000.0)
     q = np.zeros(16)
-    amp, _, _, delta_amp, delta_phase = _amp_phase(i, q, len(i))
+    mean_amp, delta_amp, delta_phase = _amp_phase(i, q, len(i), 1.0)
+    assert mean_amp == pytest.approx(1000.0)
     assert np.allclose(delta_amp, 0.0, atol=1e-12)
     assert np.allclose(delta_phase, 0.0, atol=1e-12)
-    assert np.allclose(amp, 1000.0)
 
 
 def test_amp_phase_quadrature_and_pythagorean():
-    _, phase, *_ = _amp_phase(np.zeros(8), np.full(8, 7.0), 8)
-    assert np.allclose(phase, np.pi / 2)
-    amp, *_ = _amp_phase(np.full(4, 3.0), np.full(4, 4.0), 4)
-    assert np.allclose(amp, 5.0)
+    # phases pi/2 and 0 at amplitude 7: the phase swings pi/4 about its mean
+    mean_amp, delta_amp, delta_phase = _amp_phase(np.array([0.0, 7.0]), np.array([7.0, 0.0]), 8, 1.0)
+    assert mean_amp == pytest.approx(7.0)
+    assert np.allclose(delta_amp, 0.0)
+    assert np.allclose(delta_phase, np.tile([np.pi / 4, -np.pi / 4], 4))
+    mean_amp, *_ = _amp_phase(np.full(4, 3.0), np.full(4, 4.0), 4, 1.0)
+    assert mean_amp == pytest.approx(5.0)
+    # the fluctuation series come out multiplied by fac
+    _, delta_amp, delta_phase = _amp_phase(np.array([1.0, 3.0]), np.array([0.0, 0.0]), 4, 2.0)
+    assert np.allclose(delta_amp, [-1.0, 1.0, -1.0, 1.0])
+    assert np.allclose(delta_phase, 0.0)
 
 
 def test_amp_phase_unwraps():
     n = 64
-    ph = np.linspace(0, 6 * np.pi, n)  # three full turns
-    _, phase, *_ = _amp_phase(np.cos(ph), np.sin(ph), n)
-    assert phase[-1] == pytest.approx(6 * np.pi, abs=1e-9)
-    assert np.all(np.diff(phase) > 0)
+    ph = np.linspace(0, 6 * np.pi, n)  # three full turns about a mean of 3 pi
+    _, _, delta_phase = _amp_phase(np.cos(ph), np.sin(ph), n, 1.0)
+    assert delta_phase[0] == pytest.approx(-3 * np.pi, abs=1e-9)
+    assert delta_phase[-1] == pytest.approx(3 * np.pi, abs=1e-9)
+    assert np.all(np.diff(delta_phase) > 0)
 
 
 def test_amp_phase_degenerate_input():
     with pytest.raises(ValueError, match="degenerate"):
-        _amp_phase(np.zeros(8), np.zeros(8), 8)
+        _amp_phase(np.zeros(8), np.zeros(8), 8, 1.0)
 
 
 def amp_phase_reference(i, q):
@@ -149,34 +156,32 @@ def tiled_patterns(draw):
     n = draw(st.integers(len(i), 5 * len(i) + 7) | st.integers(4090, 9000))
     # 1.0 is the whole-series call's; the others are Rect periodogram scales 1/sqrt(n*fs)
     fac = draw(st.sampled_from([1.0, 1 / math.sqrt(41 * 3.0), 2.0**-9]))
-    return i, q, n, fac, draw(st.booleans())
+    return i, q, n, fac
 
 
 @settings(max_examples=300)
 @given(tiled_patterns())
-@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 1.0, False))  # constant series, n_pat = 1
-@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 2.0**-9, True))  # zero fluctuations
-@example((np.array([-5.0, -5.0, -5.0]), np.array([1e-3, -1e-3, 0.0]), 50, 1.0, True))  # crosses +-pi
-@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 31, 2.0**-9, True))  # winds once per pattern
-@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 4097, 1.0, False))
+@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 1.0))  # constant series, n_pat = 1
+@example((np.full(1, 1000.0), np.full(1, -0.0), 9, 2.0**-9))  # zero fluctuations
+@example((np.array([-5.0, -5.0, -5.0]), np.array([1e-3, -1e-3, 0.0]), 50, 1.0))  # crosses +-pi
+@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 31, 2.0**-9))  # winds once per pattern
+@example((np.array([3.0, -1.0, -2.0]), np.array([0.0, 2.0, -2.0]), 4097, 1.0))
 def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
-    i, q, n, fac, overwrite = case
+    i, q, n, fac = case
     k = np.arange(n) % len(i)
     try:
-        amp, phase, delta_amp, delta_phase = amp_phase_reference(i[k], q[k])
+        amp, _, delta_amp, delta_phase = amp_phase_reference(i[k], q[k])
     except ValueError:
         with pytest.raises(ValueError, match="degenerate"):
-            _amp_phase(i, q, n, fac, overwrite)
+            _amp_phase(i, q, n, fac)
         return
-    got_amp, got_phase, mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac, overwrite)
+    mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac)
     assert_same_bits((got_da, got_dp), (delta_amp * fac, delta_phase * fac))
-    if overwrite:  # the fluctuation series took the place of the tiled arrays
-        assert got_amp is got_da and got_phase is got_dp
-    else:
-        assert_same_bits((got_amp, got_phase), (amp, phase))
     assert mean_amp.hex() == float(np.mean(amp)).hex()
-    r = _amp_phase(i[k], q[k], n)
-    assert_same_bits((r[0], r[1], r[3], r[4]), (amp, phase, delta_amp, delta_phase))
+    # the whole series as its own pattern, at the unscaled fac
+    mean_amp, got_da, got_dp = _amp_phase(i[k], q[k], n, 1.0)
+    assert_same_bits((got_da, got_dp), (delta_amp, delta_phase))
+    assert mean_amp.hex() == float(np.mean(amp)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +494,6 @@ def _spur_spectrum(values, bin_hz=1.0):
         n_points=2 * len(values) - 1,
         bin_hz=bin_hz,
         values=values,
-        units=SpectrumUnits.LINEAR_PER_HZ,
         window=SpectrumWindow.RECT,
         method=PsdMethod.PERIODOGRAM,
     )
