@@ -209,6 +209,12 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     return (n_interp + n_chan) // u + 2
 
 
+def _overlap(cfg: ChainConfig) -> int:
+    """A time slice's lead-in: _band_transient_len rounded up to phase_step."""
+    step = cfg.generator.phase_step
+    return -(-_band_transient_len(cfg) // step) * step
+
+
 # a time slice is at least this many overlaps long, so the overlap each
 # slice recomputes stays within a quarter of its length
 _MIN_SLICE_OVERLAPS = 4
@@ -216,30 +222,29 @@ _MIN_SLICE_OVERLAPS = 4
 
 def _subbands(
     cfg: ChainConfig,
-    n_band: int,
+    start: int,
+    stop: int,
     threads: int,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Generate n_band band samples of the comb and channelize every band
-    that holds a tone, in arith. The chain is causal from sample 0, so a
-    prefix of the result equals a shorter run.
+    """Band samples [start, stop) of the comb run from sample 0, start a
+    multiple of the generator's phase_step, channelized for every band
+    that holds a tone, in arith.
 
-    [0, n_band) is cut into k = min(threads, n_band // m) time slices (at
-    least one), which run in a pool when k > 1 (overlap-save). Each slice
-    starts its chain from zero filter state one overlap before its first
-    sample and drops those outputs; _band_transient_len bounds the
-    transient, and the overlap is that bound rounded up to the generator's
-    phase_step. m is _MIN_SLICE_OVERLAPS overlaps, and every slice starts
-    on a step multiple, so the bits do not depend on threads. The band
-    tone sums are formed once per run."""
+    [start, stop) is cut into k = min(threads, (stop - start) // m) time
+    slices (at least one), which run in a pool when k > 1 (overlap-save).
+    Each slice starts its chain from zero filter state one overlap before
+    its first sample (or at sample 0) and drops those outputs. m is
+    _MIN_SLICE_OVERLAPS overlaps, and every slice starts on a step
+    multiple, where every LUT is at its phase of sample 0, so the bits do
+    not depend on threads. The band tone sums are formed once per run."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
-    sums = band_tone_sums(g, cfg.tones, n_band, arith=arith)
-    step = g.phase_step
-    overlap = -(-_band_transient_len(cfg) // step) * step
-    k = max(1, min(threads, n_band // (_MIN_SLICE_OVERLAPS * overlap)))
-    edges = [i * (n_band // step) // k * step for i in range(k)] + [n_band]
+    sums = band_tone_sums(g, cfg.tones, stop, arith=arith)
+    step, overlap, n = g.phase_step, _overlap(cfg), stop - start
+    k = max(1, min(threads, n // (_MIN_SLICE_OVERLAPS * overlap)))
+    edges = [start + i * (n // step) // k * step for i in range(k)] + [stop]
 
     def one_slice(a: int, b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         a0 = max(0, a - overlap)
@@ -250,7 +255,7 @@ def _subbands(
         }
 
     if k == 1:
-        return one_slice(0, n_band)
+        return one_slice(start, stop)
     with ThreadPoolExecutor(max_workers=k) as ex:
         parts = list(ex.map(one_slice, edges[:-1], edges[1:]))
     return {
@@ -260,13 +265,14 @@ def _subbands(
 
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
-    """The engine rule of every loopback run: (periodic, band samples to
-    generate, span, reason). Periodic generates one period plus the
-    transient and tiles its last period, the span (see _span); tiling is
-    exact once the warm-up covers the transient. Direct spans the whole
-    run, a span that tiles the run once, so _tone_series treats both plans
-    alike. "auto" also needs the period plus the transient to be shorter than
-    the run and a period of at most 2^23 full-rate samples."""
+    """The engine rule of every loopback run: (periodic, start, span,
+    reason), the run demodulating band samples [start, start + span).
+    Direct spans the whole run. Periodic spans one period from the first
+    multiple of the period at or past the transient: a steady-state
+    period at phase 0 of every tone reference and of the windows, so it
+    tiles the run and _tone_series treats both plans alike. "auto" also
+    needs the period plus the transient to be shorter than the run and a
+    period of at most 2^23 full-rate samples."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
     g, u = cfg.generator, cfg.generator.upsample_factor
@@ -288,24 +294,9 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
         )
     if engine == "direct" or (engine == "auto" and failed):
         why = "direct requested" if engine == "direct" else "; ".join(failed)
-        return False, n_band_total, n_band_total, why
+        return False, 0, n_band_total, why
     why = "periodic requested" if engine == "periodic" else f"{tiling} < {n_band_total}"
-    return True, p_band + transient, p_band, f"{why} and the transient fits"
-
-
-def _span(
-    plan: tuple[bool, int, int, str], subband: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, ...]:
-    """The span of a subband (at least n_gen samples) that an _engine_plan
-    demodulates, starting at phase 0 of the reference period. On the
-    periodic plan, samples [n_gen - span, n_gen) are one steady-state
-    period, each n_gen % span samples ahead of its phase: rolled back by
-    that shift, they are the period from its start (overlap-save). The
-    direct plan's span is the first n_gen samples."""
-    _, n_gen, span, _ = plan
-    last = tuple(s[n_gen - span : n_gen] for s in subband)
-    shift = n_gen % span
-    return tuple(np.roll(s, shift) for s in last) if shift else last
+    return True, -(-transient // p_band) * p_band, p_band, f"{why} and the transient fits"
 
 
 def _tone_series(
@@ -316,7 +307,7 @@ def _tone_series(
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> IqTimeSeries:
     """The pattern of one tone's retained accumulator outputs from its
-    band's _span, in arith: the span, starting at phase 0 of the reference
+    band's span, in arith: the span, starting at phase 0 of the reference
     period, is demodulated and its window sums taken as a stream that
     tiles it. That stream repeats every n_pat = span / gcd(L_avg, span)
     windows, so only the warm-up and the first min(n_pat, acquisition_len)
@@ -356,11 +347,11 @@ def run_loopback(
     the bits do not depend on it.
 
     engine: "direct" streams every sample; "periodic" computes one
-    waveform period plus the filter transient and assembles accumulator
-    outputs by tiling its last period, which the transient has passed
-    (bit-identical to direct for all retained windows); "auto" picks
-    periodic when it is both applicable and cheaper. _engine_plan holds
-    the rule; the result's engine_reason says why.
+    steady-state waveform period past the filter transient and assembles
+    accumulator outputs by tiling it (bit-identical to direct for all
+    retained windows); "auto" picks periodic when it is both applicable
+    and cheaper. _engine_plan holds the rule; the result's engine_reason
+    says why.
     """
     return _loopback(cfg, engine, threads, FIXED_POINT)
 
@@ -371,10 +362,9 @@ def _loopback(
     """The one driver of run_loopback and float_oracle: the engine plan,
     comb, channelizer, tone series and metrics, run in arith."""
     t0 = time.perf_counter()
-    plan = _engine_plan(cfg, engine)
-    use_periodic, n_gen, _, reason = plan
+    use_periodic, start, span, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
-    spans = {b: _span(plan, s) for b, s in _subbands(cfg, n_gen, threads, arith).items()}
+    spans = _subbands(cfg, start, start + span, threads, arith)
     predicted = tuple(
         (f, "period-extension alias")
         for f, _ in predict_spurs(
@@ -401,7 +391,8 @@ def _loopback(
         tones=tone_results,
         wall_time_s=wall,
         throughput_sps=cfg.acquisition_len * a.L_avg * g.upsample_factor / wall,
-        computed_sps=n_gen * g.upsample_factor / wall,
+        # the span and the lead-in its comb starts from
+        computed_sps=(span + min(start, _overlap(cfg))) * g.upsample_factor / wall,
         engine="periodic" if use_periodic else "direct",
         engine_reason=reason,
     )
@@ -542,12 +533,13 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
     """
     t0 = time.perf_counter()
     g = cfg.generator
-    plan = _engine_plan(cfg, "auto")
+    _, start, span, _ = _engine_plan(cfg, "auto")
     skip = _band_transient_len(cfg)
-    # the pre-accumulation spectra take the first n_pre samples of the run
+    # the pre-accumulation spectra take the interval's first n_pre samples:
+    # it starts in steady state at phase 0, so past skip they are the run's
     n_pre = max(4096, 4 * skip)
-    subbands = _subbands(cfg, max(plan[1], n_pre), threads)
-    spans = {b: _span(plan, s) for b, s in subbands.items()}
+    subbands = _subbands(cfg, start, start + max(span, n_pre), threads)
+    spans = {b: tuple(x[:span] for x in s) for b, s in subbands.items()}
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
 
     rows = []
@@ -595,10 +587,10 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
 
 # The ideal taps have the lengths of the quantized ones they are designed
 # as, so _band_transient_len bounds the float chain's transient as well.
-def _float_interp_taps(cfg: ChainConfig, quantize_interp: bool) -> np.ndarray:
+def _float_interp_taps(cfg: ChainConfig) -> np.ndarray:
     g = cfg.generator
     spec = g.resolved_interp_filter()
-    if g.interp_filter is None and not quantize_interp:
+    if g.interp_filter is None:
         u = g.upsample_factor
         return windowed_sinc_taps(len(spec.taps), 1.0 / (2 * u), float(u))
     return spec.taps_array() / float(1 << spec.frac_bits)
@@ -612,20 +604,18 @@ def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
     return spec.taps_array() / float(1 << spec.frac_bits)
 
 
-def float_oracle(
-    cfg: ChainConfig, quantize_interp: bool = False, engine: str = "auto"
-) -> RunResult:
+def float_oracle(cfg: ChainConfig, engine: str = "auto") -> RunResult:
     """run_loopback in double precision: the same chain, engine rule and
     tone path in the DoublePrecision arithmetic, with exact exponentials
     and ideal filter taps.
 
     Separates structural effects (periodicity, aliasing, filter-stopband
-    leakage) from quantization effects. quantize_interp swaps in the
-    quantized interpolator taps (as floats) while the rest stays ideal.
+    leakage) from quantization effects. A filter the config sets runs on
+    its quantized taps (as floats); a designed default, on its ideal taps.
     result.engine is "float"; engine_reason says which path ran. The
     phasor tables make the float chain exactly periodic, so the periodic
     path matches the direct one up to the convolutions' rounding."""
-    arith = DoublePrecision(_float_interp_taps(cfg, quantize_interp), _float_chan_taps(cfg))
+    arith = DoublePrecision(_float_interp_taps(cfg), _float_chan_taps(cfg))
     res = _loopback(cfg, engine, 1, arith)
     return replace(res, scenario_name=cfg.scenario_name + "_float", engine="float")
 

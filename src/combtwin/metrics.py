@@ -255,24 +255,24 @@ def predict_spurs(
     if not (0 < band_rate < math.inf):
         raise ConfigError(f"band_rate must be finite and > 0, got {band_rate}")
     R = waveform_period(L_acc, U, lut_len) // U
-    j = np.arange(1, R, dtype=np.int64)
+    # j*L_avg mod R depends only on j mod n = R / gcd(L_avg, R): j in [1, n)
+    # and the mirrors R - j are each residue's least-attenuated members
+    n = R // math.gcd(L_avg, R)
+    j = np.arange(1, n, dtype=np.int64)
+    j = np.concatenate([j, R - j])
     am = (j * np.int64(L_avg)) % np.int64(R)
-    keep = am != 0
-    j = j[keep]
-    if j.size == 0:
-        return []
-    a = np.minimum(am[keep], np.int64(R) - am[keep])
-    # boxcar magnitude at f = j/R in (0, 1); masked j never hit the nulls
+    a = np.minimum(am, np.int64(R) - am)
+    # boxcar magnitude at f = j/R in (0, 1); no j is a multiple of n, a null
     f = j / float(R)
     resp = np.abs(np.sin(np.pi * L_avg * f) / (L_avg * np.sin(np.pi * f)))
     att = 20.0 * np.log10(resp)
-    best_att = np.full(R, -np.inf)
-    np.maximum.at(best_att, a, att)
-    out = []
-    for ai in np.unique(a):  # ascending, and so are the frequencies
-        freq_hz = float(Fraction(int(ai), R * L_avg) * Fraction(band_rate))
-        out.append((freq_hz, float(best_att[ai])))
-    return out
+    aliases, which = np.unique(a, return_inverse=True)  # ascending, as are the frequencies
+    best_att = np.full(len(aliases), -np.inf)
+    np.maximum.at(best_att, which, att)
+    return [
+        (float(Fraction(int(ai), R * L_avg) * Fraction(band_rate)), float(att_ai))
+        for ai, att_ai in zip(aliases, best_att)
+    ]
 
 
 def _spur_floor(vals: np.ndarray, floor_min: float) -> float:

@@ -55,7 +55,6 @@ from combtwin.harness import (
     _float_interp_taps,
     _MIN_SLICE_OVERLAPS,
     _post_accum_residual_db,
-    _span,
     _spectral_line_count,
     _subbands,
     _tone_metrics,
@@ -345,7 +344,7 @@ def whole_run_series(cfg, tone):
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
     n_windows = cfg.acquisition_len + w
     n_total = n_windows * a.L_avg
-    sub = tuple(s[:n_total] for s in _subbands(cfg, n_total, 1)[tone.band_index])
+    sub = _subbands(cfg, 0, n_total, 1)[tone.band_index]
     ref = cordic_tone(g.L_acc, tone.freq_word, n_total, g.cordic)
     return tuple(
         reshape_window_sums(y, a.L_avg, n_windows)[w:]
@@ -426,9 +425,9 @@ def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
     cfg = make_chain_config(
         "long", 1 << 21, 1024, 1, 1, 1 << 15, upsample_factor=1, shifter_lut_len=5
     )
-    periodic, n_gen, span, reason = _engine_plan(cfg, "auto")
+    periodic, start, span, reason = _engine_plan(cfg, "auto")
     n = ((1 << 15) + 1) * 1024
-    assert (periodic, n_gen, span) == (False, n, n)
+    assert (periodic, start, span) == (False, 0, n)
     assert reason == "the period of 10485760 full-rate samples exceeds 2^23"
 
 
@@ -444,14 +443,17 @@ def test_one_window_capture_is_refused_before_any_work(run):
 
 
 def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
+    # (periodic, start, span): the period past desk_a's 25-sample transient
     cfg = builtin_scenarios()["desk_a"]
     p_band = waveform_period(1024, 8, 40) // 8
     n = (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
-    assert _engine_plan(cfg, "auto")[:3] == (True, p_band + 25, p_band)
-    assert _engine_plan(cfg, "periodic")[:3] == (True, p_band + 25, p_band)
-    assert _engine_plan(cfg, "direct")[:3] == (False, n, n)
+    assert _engine_plan(cfg, "auto")[:3] == (True, p_band, p_band)
+    assert _engine_plan(cfg, "periodic")[:3] == (True, p_band, p_band)
+    assert _engine_plan(cfg, "direct")[:3] == (False, 0, n)
     short = replace(cfg, acquisition_len=4)
-    assert _engine_plan(short, "auto")[:3] == (False, 5 * 1024, 5 * 1024)
+    assert _engine_plan(short, "auto")[:3] == (False, 0, 5 * 1024)
+    # a 192-sample transient over a 40-sample period: the fifth period
+    assert _engine_plan(tiny_chain(), "periodic")[:3] == (True, 200, 40)
 
 
 @settings(max_examples=40)
@@ -459,33 +461,62 @@ def test_engine_plan_span_is_the_tiled_period_or_the_whole_run():
 def test_periodic_plan_span_is_one_period_ending_the_run(cfg):
     g = cfg.generator
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
-    periodic, n_gen, span, _ = _engine_plan(cfg, "periodic")
-    # the span starts where the transient ends
-    assert periodic and span == p_band and n_gen == p_band + _band_transient_len(cfg)
+    periodic, start, span, _ = _engine_plan(cfg, "periodic")
+    # the span is the first whole period past the transient, and ends the
+    # samples the comb generates
+    transient = _band_transient_len(cfg)
+    assert periodic and span == p_band and start % p_band == 0
+    assert start - p_band < transient <= start
     assert _engine_plan(cfg, "direct")[1:3] == (
-        (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg,
-    ) * 2
+        0, (cfg.acquisition_len + cfg.warmup_windows) * cfg.analyzer.L_avg
+    )
+
+
+def one_band_builtin(name):
+    cfg = builtin_scenarios()[name]
+    if name in LONG_RUN_SCENARIOS:  # one band of 40 tones
+        cfg = replace(cfg, tones=tuple(t for t in cfg.tones if t.band_index == 0))
+    return cfg
 
 
 @pytest.mark.parametrize("name", [*sorted(builtin_scenarios()), "tiny"])
 def test_rotated_span_equals_the_last_period_of_a_whole_period_run(name):
-    # oracle: the last of k whole periods, which starts at a multiple of
-    # p_band past the transient
-    cfg = tiny_chain() if name == "tiny" else builtin_scenarios()[name]
-    if name in LONG_RUN_SCENARIOS:  # one band of 40 tones
-        cfg = replace(cfg, tones=tuple(t for t in cfg.tones if t.band_index == 0))
-    plan = _engine_plan(cfg, "periodic")
-    _, n_gen, p_band, _ = plan
+    # oracle: the last of k whole periods of a run from sample 0, which
+    # starts at a multiple of p_band past the transient
+    cfg = tiny_chain() if name == "tiny" else one_band_builtin(name)
+    periodic, start, p_band, _ = _engine_plan(cfg, "periodic")
+    assert periodic and start % p_band == 0
     transient = _band_transient_len(cfg)
     k = -(-transient // p_band) + 1
+    assert start == (k - 1) * p_band
     if name == "tiny":
-        assert (p_band, transient, k, n_gen % p_band) == (40, 192, 6, 32)
-    # a prefix of a run equals the shorter run
-    for sub in _subbands(cfg, k * p_band, threads=1).values():
-        got = _span(plan, tuple(s[:n_gen] for s in sub))
-        for g, s in zip(got, sub, strict=True):
+        assert (p_band, transient, k) == (40, 192, 6)
+    whole = _subbands(cfg, 0, k * p_band, 1)
+    got = _subbands(cfg, start, start + p_band, 1)
+    assert sorted(got) == sorted(whole)
+    for b in whole:
+        for g, s in zip(got[b], whole[b], strict=True):
             assert g.dtype == s.dtype == np.int64
-            assert np.array_equal(g, s[(k - 1) * p_band :])
+            assert np.array_equal(g, s[start:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_chains())
+@example(tiny_chain())
+def test_periodic_interval_equals_both_periods_of_a_whole_run(cfg):
+    # oracle: one slice from sample 0 through two periods past the start;
+    # the interval is cut into time slices at 2 and 3 threads
+    periodic, start, p_band, _ = _engine_plan(cfg, "periodic")
+    assert periodic
+    whole = _subbands(cfg, 0, start + 2 * p_band, 1)
+    for threads in (1, 2, 3):
+        got = _subbands(cfg, start, start + p_band, threads)
+        assert sorted(got) == sorted(whole)
+        for b in whole:
+            for g, s in zip(got[b], whole[b], strict=True):
+                assert g.dtype == s.dtype == np.int64
+                assert np.array_equal(g, s[start : start + p_band])
+                assert np.array_equal(g, s[start + p_band :])
 
 
 class ReferenceTone(NamedTuple):
@@ -703,12 +734,12 @@ def test_time_slices_equal_one_slice_bit_for_bit(cfg, data):
     m = _MIN_SLICE_OVERLAPS * overlap
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
     n_band = m * data.draw(st.integers(0, 4)) + data.draw(st.integers(1, m + 3 * p_band))
-    double = DoublePrecision(_float_interp_taps(cfg, False), _float_chan_taps(cfg))
+    double = DoublePrecision(_float_interp_taps(cfg), _float_chan_taps(cfg))
     for arith in (FIXED_POINT, double):
-        want = _subbands(cfg, n_band, 1, arith)
+        want = _subbands(cfg, 0, n_band, 1, arith)
         assert sorted(want) == sorted({t.band_index for t in cfg.tones})
         for threads in (2, 3, 4):
-            got = _subbands(cfg, n_band, threads, arith)
+            got = _subbands(cfg, 0, n_band, threads, arith)
             assert sorted(got) == sorted(want)
             for b in want:
                 for x, y in zip(got[b], want[b], strict=True):
@@ -727,13 +758,13 @@ def test_time_slices_run_in_the_harness_pool():
             mock.patch("combtwin.harness.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool,
             mock.patch("combtwin.generator.tone_generate", wraps=tone_generate) as tone,
         ):
-            got = _subbands(cfg, n_band, threads)
+            got = _subbands(cfg, 0, n_band, threads)
         if k is None:
             pool.assert_not_called()
         else:
             pool.assert_called_once_with(max_workers=k)
         assert tone.call_count == len(cfg.tones)
-        assert np.array_equal(got[0][0], _subbands(cfg, n_band, 1)[0][0])
+        assert np.array_equal(got[0][0], _subbands(cfg, 0, n_band, 1)[0][0])
 
 
 def test_rerun_is_bit_identical(desk_a_result):
@@ -947,17 +978,24 @@ def test_float_oracle_single_tone_is_exact():
 ORACLE_ENGINES = ("periodic", "direct")
 
 
-def oracle_on(cfg, engine, **kw):
-    res = float_oracle(cfg, engine=engine, **kw)
+def oracle_on(cfg, engine):
+    res = float_oracle(cfg, engine=engine)
     assert res.engine == "float" and res.engine_reason.startswith(f"{engine} requested")
     return res
+
+
+def pinned_interp(cfg):
+    """cfg with its interpolator set to the designed one, so that the float
+    oracle runs the quantized interpolator taps (as floats)."""
+    g = cfg.generator
+    return replace(cfg, generator=replace(g, interp_filter=g.resolved_interp_filter()))
 
 
 def test_float_oracle_shows_structural_lines_with_quantized_interp():
     cfg = replace(builtin_scenarios()["desk_a"], acquisition_len=160)
     m = 160
     for engine in ORACLE_ENGINES:
-        for t in oracle_on(cfg, engine, quantize_interp=True).tones:
+        for t in oracle_on(pinned_interp(cfg), engine).tones:
             bins = {l.bin for l in t.amp_spurs.lines}
             assert m // 5 in bins and 2 * m // 5 in bins
 
@@ -978,7 +1016,7 @@ def test_quantization_adds_fluctuation_power_over_float(desk_a_result):
     # with the same (quantized) filter taps the float chain carries only
     # stopband leakage; the integer chain adds rounding noise on top, so
     # its total non-carrier power must come out higher for every tone
-    res = float_oracle(builtin_scenarios()["desk_a"], quantize_interp=True)
+    res = float_oracle(pinned_interp(builtin_scenarios()["desk_a"]))
     for tf, ti in zip(res.tones, desk_a_result.tones):
         assert ti.amp_spectrum.values[1:].sum() > tf.amp_spectrum.values[1:].sum()
         assert ti.phase_spectrum.values[1:].sum() > tf.phase_spectrum.values[1:].sum()
@@ -993,7 +1031,7 @@ def _square_signs(ph, L):
     return sc, ss
 
 
-def float_oracle_reference(cfg, quantize_interp=False):
+def float_oracle_reference(cfg):
     """float_oracle before its polyphase and table rewrite, kept as the
     oracle: np.exp over every sample, full-rate convolution of the
     zero-stuffed band and of the mixed wideband, then every U-th output.
@@ -1002,7 +1040,7 @@ def float_oracle_reference(cfg, quantize_interp=False):
     u = g.upsample_factor
     n_band = (cfg.acquisition_len + cfg.warmup_windows) * a.L_avg
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
-    h_interp = _float_interp_taps(cfg, quantize_interp)
+    h_interp = _float_interp_taps(cfg)
     h_chan = _float_chan_taps(cfg)
     by_band = {}
     for t in cfg.tones:
@@ -1068,9 +1106,11 @@ def spur_bins(tone):
 def test_float_oracle_equals_full_rate_reference(name, mode, quantize_interp):
     base = builtin_scenarios()[name]
     cfg = replace(base, acquisition_len=40, analyzer=replace(base.analyzer, demod_mode=mode))
-    want = float_oracle_reference(cfg, quantize_interp=quantize_interp)
+    if quantize_interp:
+        cfg = pinned_interp(cfg)
+    want = float_oracle_reference(cfg)
     for engine in ORACLE_ENGINES:
-        got = oracle_on(cfg, engine, quantize_interp=quantize_interp).tones
+        got = oracle_on(cfg, engine).tones
         assert len(got) == len(want) == len(cfg.tones)
         for tg, tw in zip(got, want):
             zg, zw = tg.series.complex_values(), tw.series.complex_values()
@@ -1120,8 +1160,8 @@ def test_float_reference_signs_are_the_exact_square_waves(l_acc):
 def test_transient_bound_covers_the_oracle_taps():
     for cfg in builtin_scenarios().values():
         u = cfg.generator.upsample_factor
-        for quantize_interp in (False, True):
-            n_taps = len(_float_interp_taps(cfg, quantize_interp)) + len(_float_chan_taps(cfg))
+        for c in (cfg, pinned_interp(cfg)):
+            n_taps = len(_float_interp_taps(c)) + len(_float_chan_taps(c))
             assert n_taps // u + 2 <= _band_transient_len(cfg)
 
 
@@ -1129,7 +1169,7 @@ def assert_oracle_taps_quantize_to_the_chain_filters(cfg):
     # the oracle restates the default designs; rounded as design_windowed_sinc
     # rounds, its ideal taps must give the chain's quantized ones
     for h, spec in [
-        (_float_interp_taps(cfg, False), cfg.generator.resolved_interp_filter()),
+        (_float_interp_taps(cfg), cfg.generator.resolved_interp_filter()),
         (_float_chan_taps(cfg), cfg.resolved_channelizer_filter()),
     ]:
         raw = np.floor(h * 2.0**spec.frac_bits + 0.5).astype(np.int64)
@@ -1169,12 +1209,12 @@ def test_periodic_oracle_needs_the_warm_up_to_cover_the_transient():
 
 def full_scale_oracle(name):
     cfg = builtin_scenarios()[name]
-    return float_oracle(replace(cfg, tones=cfg.tones[:4]), quantize_interp=True)
+    return float_oracle(pinned_interp(replace(cfg, tones=cfg.tones[:4])))
 
 
 def test_full_scale_oracle_separates_structural_lines():
-    # band 0, tones 0-3, all 655360 windows: the periodic path computes two
-    # periods instead of 4.3e10 band samples. full_b's chain is clean; full_a
+    # band 0, tones 0-3, all 655360 windows: the periodic path computes one
+    # period and its lead-in instead of 4.3e10 band samples. full_b's chain is clean; full_a
     # shows only the period-extension lines m/5 and 2m/5, though not on
     # every tone: a line must clear the detector's 10 dB over its floor
     clean = full_scale_oracle("full_b")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from combtwin import ConfigError
+from combtwin.generator import waveform_period
 from combtwin.metrics import (
     PsdMethod,
     Spectrum,
@@ -417,6 +419,47 @@ def test_predict_spurs_attenuation_matches_boxcar():
         j = round(freq / (250e6 / 65536) * 5)  # 1 or 2
         want = 20 * math.log10(boxcar_response(65536, j / (5 * 65536)))
         assert att_db == pytest.approx(want, abs=1e-9)
+
+
+def predict_spurs_full_scan(L_acc, U, lut_len, L_avg, band_rate):
+    """predict_spurs over every grid component j in [1, R), kept as the
+    oracle: each alias's attenuation is the maximum over all of its
+    contributors."""
+    R = waveform_period(L_acc, U, lut_len) // U
+    j = np.arange(1, R, dtype=np.int64)
+    am = (j * np.int64(L_avg)) % np.int64(R)
+    keep = am != 0
+    j = j[keep]
+    if j.size == 0:
+        return []
+    a = np.minimum(am[keep], np.int64(R) - am[keep])
+    f = j / float(R)
+    resp = np.abs(np.sin(np.pi * L_avg * f) / (L_avg * np.sin(np.pi * f)))
+    att = 20.0 * np.log10(resp)
+    best_att = np.full(R, -np.inf)
+    np.maximum.at(best_att, a, att)
+    out = []
+    for ai in np.unique(a):
+        freq_hz = float(Fraction(int(ai), R * L_avg) * Fraction(band_rate))
+        out.append((freq_hz, float(best_att[ai])))
+    return out
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 512),
+    st.sampled_from([1, 2, 4, 8]),
+    st.integers(1, 80),
+    st.integers(1, 2048),
+    st.sampled_from([1.0, 250e6]),
+)
+@example(1024, 8, 40, 1024, 250e6)
+@example(1020, 8, 40, 1020, 250e6)
+@example(65536, 8, 40, 65536, 250e6)
+@example(65520, 8, 40, 65520, 250e6)
+def test_predict_spurs_equals_the_full_scan(l_acc, u, lut_len, l_avg, band_rate):
+    got = predict_spurs(l_acc, u, lut_len, l_avg, band_rate)
+    assert got == predict_spurs_full_scan(l_acc, u, lut_len, l_avg, band_rate)
 
 
 def _flat_spectrum(n=512, level=1e-6, fs=1000.0):
