@@ -65,8 +65,7 @@ class ChainConfig:
                 raise ConfigError(
                     f"analyzer.{a_name} {a_val} must equal generator.{g_name} {g_val}"
                 )
-        acc = self.resolved_accumulator_width
-        need = self.ddc_product_bits + max(1, math.ceil(math.log2(a.L_avg)))
+        acc, need = self.resolved_accumulator_width, self._accumulator_need
         if acc < need:
             raise ConfigError(
                 f"accumulator_width_bits {acc} < {need} required for "
@@ -94,10 +93,15 @@ class ChainConfig:
         return self.generator.wide_width + self.generator.cordic.data_bits + 1
 
     @property
+    def _accumulator_need(self) -> int:
+        """Bits that sum L_avg DDC products without overflow."""
+        return self.ddc_product_bits + max(1, math.ceil(math.log2(self.analyzer.L_avg)))
+
+    @property
     def resolved_accumulator_width(self) -> int:
         if self.analyzer.accumulator_width_bits is not None:
             return self.analyzer.accumulator_width_bits
-        return self.ddc_product_bits + max(1, math.ceil(math.log2(self.analyzer.L_avg)))
+        return self._accumulator_need
 
     def resolved_channelizer_filter(self) -> FilterSpec:
         if self.analyzer.channelizer_filter is not None:

@@ -212,16 +212,16 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
     return "\n".join(rows) + "\n"
 
 
-def spur_report_dict(report: SpurReport) -> dict:
-    """The JSON object of a spur report: its floor, detected lines and
-    predicted (frequency, tag) pairs."""
+def spur_report_dict(report: SpurReport, predicted: tuple[float, ...]) -> dict:
+    """The JSON object of a spur report: its floor, its detected lines and
+    the run's predicted alias frequencies, each tagged as such."""
     return {
         "floor": report.floor,
         "lines": [
             {"freq_hz": l.freq_hz, "level_db": l.level_db, "bin": l.bin}
             for l in report.lines
         ],
-        "predicted": [[f, tag] for f, tag in report.predicted],
+        "predicted": [[f, "period-extension alias"] for f in predicted],
     }
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -386,11 +385,10 @@ def lut_mix(
 class GeneratorConfig:
     """Sizing of the excitation path.
 
-    The frequency plan puts band centers at odd multiples of
-    band_rate/5 * 1/2 ... concretely center(b) = (2b+1) * full_rate /
-    (5*U*2) * 2 = (2b+1)/(5*U) of the full rate, so each band spans
-    2/5 of the band rate and the shifter LUT of length 5*U covers every
-    center with an integer number of cycles.
+    The frequency plan puts band b's center at (2b+1)/(5U) of the full
+    rate, an odd multiple of band_rate/5, so adjacent centers are 2/5 of
+    the band rate apart. The shifter LUT length is a multiple of 5U, so
+    every center is a whole number of LUT cycles.
     """
 
     n_bands: int = 10
@@ -442,16 +440,12 @@ class GeneratorConfig:
     def wide_width(self) -> int:
         return self.resolved_sum_width + max(1, math.ceil(math.log2(self.n_bands)))
 
-    def band_center_fraction(self, band_index: int) -> Fraction:
-        """Band center as an exact fraction of the full rate."""
-        if not (0 <= band_index < self.n_bands):
-            raise ConfigError(f"band_index {band_index} out of range")
-        return Fraction(2 * band_index + 1, 5 * self.upsample_factor)
-
     def band_shift_cycles(self, band_index: int) -> int:
         """Whole shifter LUT cycles that move band band_index to its center
         (the analyzer's channelizer undoes the same shift)."""
-        return int(self.band_center_fraction(band_index) * self.shifter_lut_len)
+        if not (0 <= band_index < self.n_bands):
+            raise ConfigError(f"band_index {band_index} out of range")
+        return (2 * band_index + 1) * self.shifter_lut_len // (5 * self.upsample_factor)
 
     @property
     def phase_step(self) -> int:

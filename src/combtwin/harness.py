@@ -71,8 +71,6 @@ from .metrics import (
     sinad_sfdr,
 )
 
-SPUR_FLOOR_GUARD_REL = 1e-24  # floor_min = max(PSD) * this, guards zero floors
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -195,6 +193,7 @@ class RunResult:
     computed_sps: float  # full-rate complex samples actually computed per second
     engine: str
     engine_reason: str  # why _engine_plan chose the periodic or the direct path
+    predicted: tuple[float, ...]  # predict_spurs's alias frequencies, in Hz
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +364,11 @@ def _loopback(
     use_periodic, start, span, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
     spans = _subbands(cfg, start, start + span, threads, arith)
-    predicted = tuple(
-        (f, "period-extension alias")
-        for f, _ in predict_spurs(
-            g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
-        )
-    )
 
     def one_tone(tone: ToneConfig) -> ToneResult:
         # the DDC temporaries are freed before the metrics start
         pattern = _tone_series(cfg, spans[tone.band_index], tone, a.demod_mode, arith)
-        return _tone_metrics(pattern, cfg.acquisition_len, predicted)
+        return _tone_metrics(pattern, cfg.acquisition_len)
 
     ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
     if threads > 1 and len(ordered_tones) > 1:
@@ -383,6 +376,9 @@ def _loopback(
             tone_results = tuple(ex.map(one_tone, ordered_tones))
     else:
         tone_results = tuple(map(one_tone, ordered_tones))
+    aliases = predict_spurs(
+        g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
+    )
     wall = time.perf_counter() - t0
     return RunResult(
         scenario_name=cfg.scenario_name,
@@ -395,6 +391,7 @@ def _loopback(
         computed_sps=(span + min(start, _overlap(cfg))) * g.upsample_factor / wall,
         engine="periodic" if use_periodic else "direct",
         engine_reason=reason,
+        predicted=tuple(f for f, _ in aliases),
     )
 
 
@@ -414,18 +411,11 @@ def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spect
     return mean_amp, amp, phase
 
 
-def _tone_metrics(
-    pattern: IqTimeSeries, n: int, predicted: tuple[tuple[float, str], ...]
-) -> ToneResult:
+def _tone_metrics(pattern: IqTimeSeries, n: int) -> ToneResult:
     """The ToneResult of the series of n windows that tiles pattern: both
     spur reports and the carrier power, from spectra it then drops."""
     mean_amp, *specs = _tone_spectra(pattern, n)
-    reports = []
-    for spec in specs:
-        floor_min = float(np.max(spec.values)) * SPUR_FLOOR_GUARD_REL
-        rep = detect_spurs(spec, threshold_db=10.0, floor_min=floor_min)
-        reports.append(SpurReport(rep.lines, rep.floor, predicted))
-    return ToneResult(pattern, n, *reports, carrier_power=mean_amp**2)
+    return ToneResult(pattern, n, *map(detect_spurs, specs), carrier_power=mean_amp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +644,8 @@ def persist(result: RunResult, out_dir) -> dict:
                         spec, result.config_hash
                     ).encode("utf-8")
                 spurs = {
-                    "amp": spur_report_dict(tr.amp_spurs),
-                    "phase": spur_report_dict(tr.phase_spurs),
+                    "amp": spur_report_dict(tr.amp_spurs, result.predicted),
+                    "phase": spur_report_dict(tr.phase_spurs, result.predicted),
                     "carrier_power": tr.carrier_power,
                 }
                 yield f"spurs/{stem}.json", json.dumps(

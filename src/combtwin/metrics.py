@@ -9,15 +9,17 @@ and the mu +/- 5 sigma deglitcher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 from scipy.fft import rfft as _rfft
 
 from .fxp import ConfigError
 from .generator import periodic_extend, waveform_period
+
+SPUR_THRESHOLD_DB = 10.0  # a line clears the median floor by this much
+SPUR_FLOOR_GUARD_REL = 1e-24  # the floor is at least max(PSD) * this
 
 
 class SpectrumWindow(Enum):
@@ -63,7 +65,6 @@ class SpurLine:
 class SpurReport:
     lines: tuple[SpurLine, ...]
     floor: float  # median PSD (linear density)
-    predicted: tuple[tuple[float, str], ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,8 @@ def predict_spurs(
     boxcar and alias to (j*band_rate/R) mod fs, folded to [0, fs/2]. Each
     alias is reported with the boxcar attenuation of its least-attenuated
     contributor. Empty when every grid component is a boxcar zero (R
-    divides L_avg).
+    divides L_avg). Each frequency is one correctly rounded division of
+    exact integers, a * band_rate / (R * L_avg).
     """
     if L_acc < 1 or U < 1 or lut_len < 1 or L_avg < 1:
         raise ConfigError("all integer arguments must be >= 1")
@@ -269,10 +271,9 @@ def predict_spurs(
     aliases, which = np.unique(a, return_inverse=True)  # ascending, as are the frequencies
     best_att = np.full(len(aliases), -np.inf)
     np.maximum.at(best_att, which, att)
-    return [
-        (float(Fraction(int(ai), R * L_avg) * Fraction(band_rate)), float(att_ai))
-        for ai, att_ai in zip(aliases, best_att)
-    ]
+    num, den = float(band_rate).as_integer_ratio()
+    den *= R * L_avg
+    return [(ai * num / den, att_ai) for ai, att_ai in zip(aliases.tolist(), best_att.tolist())]
 
 
 def _spur_floor(vals: np.ndarray, floor_min: float) -> float:
@@ -294,21 +295,16 @@ def _spur_floor(vals: np.ndarray, floor_min: float) -> float:
     return max(float(np.median(vals)), floor_min)
 
 
-def detect_spurs(
-    spec: Spectrum, threshold_db: float = 10.0, floor_min: float = 0.0
-) -> SpurReport:
-    """Local maxima exceeding the median floor by threshold_db.
+def detect_spurs(spec: Spectrum) -> SpurReport:
+    """Local maxima exceeding the median floor by SPUR_THRESHOLD_DB.
 
-    floor_min (linear density) clamps the floor from below; it guards
-    degenerate all-zero spectra where numerical dust would otherwise
-    clear any threshold over a zero median. Bin 0 is never a line (the
-    demodulated carrier lives at DC).
+    The floor is at least SPUR_FLOOR_GUARD_REL of the largest bin: the
+    guard keeps numerical dust from clearing the threshold over a zero
+    median. Bin 0 is never a line (the demodulated carrier lives at DC).
     """
-    if threshold_db <= 0:
-        raise ConfigError("threshold_db must be > 0")
     vals = spec.values
-    floor_lin = _spur_floor(vals, floor_min)
-    thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
+    floor_lin = _spur_floor(vals, float(np.max(vals)) * SPUR_FLOOR_GUARD_REL)
+    thresh = floor_lin * 10.0 ** (SPUR_THRESHOLD_DB / 10.0)
     # bins 1.. over the threshold against both neighbours; the last bin's
     # right neighbour is -inf, which every bin over the threshold exceeds
     cand = np.flatnonzero(vals[1:] > thresh) + 1

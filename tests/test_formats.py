@@ -288,13 +288,16 @@ def test_spur_report_json_fields():
     spec = psd(rng.standard_normal(4096), 1000.0)
     vals = np.full(len(spec.values), 1e-6)
     vals[50] *= 1e4
-    rep = detect_spurs(replace(spec, values=vals), threshold_db=10.0)
+    rep = detect_spurs(replace(spec, values=vals))
     # persist writes each report's dictionary into the spur JSON
-    doc = json.loads(json.dumps(spur_report_dict(rep)))
+    doc = json.loads(json.dumps(spur_report_dict(rep, (48.828125, 97.65625))))
     assert doc["floor"] == rep.floor
     assert len(doc["lines"]) == 1
     assert doc["lines"][0]["bin"] == 50
-    assert "predicted" in doc
+    assert doc["predicted"] == [
+        [48.828125, "period-extension alias"],
+        [97.65625, "period-extension alias"],
+    ]
 
 
 def test_config_ini_round_trip_all_scenarios():
@@ -599,11 +602,11 @@ def _spectra_equal(a, b):
     assert a.values.view(np.int64).tolist() == b.values.view(np.int64).tolist()
 
 
-def _report_doc(rep):
+def _report_doc(rep, predicted):
     return {
         "floor": rep.floor,
         "lines": [{"freq_hz": l.freq_hz, "level_db": l.level_db, "bin": l.bin} for l in rep.lines],
-        "predicted": [[f, tag] for f, tag in rep.predicted],
+        "predicted": [[f, "period-extension alias"] for f in predicted],
     }
 
 
@@ -624,8 +627,8 @@ def test_persisted_artifacts_read_back_bit_for_bit(persisted, name):
             _spectra_equal(spectrum_from_csv(text), spec)
         doc = json.loads((run_dir / "spurs" / f"{stem}.json").read_text(encoding="utf-8"))
         assert doc == {
-            "amp": _report_doc(tr.amp_spurs),
-            "phase": _report_doc(tr.phase_spurs),
+            "amp": _report_doc(tr.amp_spurs, res.predicted),
+            "phase": _report_doc(tr.phase_spurs, res.predicted),
             "carrier_power": tr.carrier_power,
         }
 

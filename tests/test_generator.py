@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,8 +60,8 @@ def down_shift(band, cfg):
 
 def band_shift(band, band_index, cfg):
     """Multiply by the band-center exponential from the shifter LUT."""
-    frac = cfg.band_center_fraction(band_index)  # validates band_index
-    cycles = int(frac * cfg.shifter_lut_len)
+    cycles = cfg.band_shift_cycles(band_index)  # validates band_index
+    assert cycles == Fraction(2 * band_index + 1, 5 * cfg.upsample_factor) * cfg.shifter_lut_len
     return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1)
 
 

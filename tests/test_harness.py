@@ -7,6 +7,7 @@ import resource
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -38,7 +39,6 @@ from combtwin.generator import (
 from combtwin.harness import (
     LONG_RUN_SCENARIOS,
     PRE_ACCUM_LINE_THRESHOLD_DB,
-    SPUR_FLOOR_GUARD_REL,
     DemodToneComparison,
     ToneResult,
     builtin_scenarios,
@@ -210,11 +210,8 @@ def test_adjusted_modulus_no_line_at_former_spur_bins(desk_b_result):
 
 def test_loopback_attaches_predictions(desk_a_result, desk_b_result):
     fs = 250e6 / 1024
-    for t in desk_a_result.tones:
-        freqs = sorted(f for f, _ in t.amp_spurs.predicted)
-        assert freqs == pytest.approx([fs / 5, 2 * fs / 5], rel=1e-12)
-    for t in desk_b_result.tones:
-        assert len(t.amp_spurs.predicted) == 0
+    assert desk_a_result.predicted == pytest.approx([fs / 5, 2 * fs / 5], rel=1e-12)
+    assert desk_b_result.predicted == ()
 
 
 def test_predicted_lines_appear_in_spectrum(desk_a_result):
@@ -223,7 +220,7 @@ def test_predicted_lines_appear_in_spectrum(desk_a_result):
     for t in desk_a_result.tones:
         fs = t.series.rate_hz
         detected = {l.bin for l in t.amp_spurs.lines}
-        for freq, _ in t.amp_spurs.predicted:
+        for freq in desk_a_result.predicted:
             assert round(freq / (fs / m)) in detected
 
 
@@ -531,7 +528,7 @@ class ReferenceTone(NamedTuple):
     carrier_power: float
 
 
-def tone_metrics_reference(series, predicted):
+def tone_metrics_reference(series):
     """_tone_metrics before it ran on the pattern, spelled out: amplitude
     and phase over the whole series, scipy's periodogram of each
     fluctuation series, the bin-loop spur detector and the carrier from the
@@ -549,7 +546,7 @@ def tone_metrics_reference(series, predicted):
 
     if not (np.any(series.i) or np.any(series.q)):
         zeros = spectrum(np.zeros(n // 2 + 1))
-        empty = SpurReport(lines=(), floor=0.0, predicted=predicted)
+        empty = SpurReport(lines=(), floor=0.0)
         return ReferenceTone(series, zeros, zeros, empty, empty, 0.0)
     amp, _, delta_amp, delta_phase = amp_phase_reference(series.i, series.q)
     spectra, reports = [], []
@@ -558,10 +555,8 @@ def tone_metrics_reference(series, predicted):
             delta, fs=fs, window="boxcar", detrend=False, scaling="density"
         )
         spec = spectrum(pxx)
-        floor_min = float(np.max(pxx)) * SPUR_FLOOR_GUARD_REL
-        lines, floor = _detect_spurs_loop(spec, 10.0, floor_min)
         spectra.append(spec)
-        reports.append(SpurReport(lines, floor, predicted))
+        reports.append(SpurReport(*_detect_spurs_loop(spec)))
     return ReferenceTone(series, *spectra, *reports, float(np.mean(amp)) ** 2)
 
 
@@ -588,7 +583,7 @@ def test_tone_metrics_on_the_pattern_equal_the_whole_series_path(cfg):
     rp = run_loopback(cfg, engine="periodic")
     rd = run_loopback(cfg, engine="direct")
     for tp, td in zip(rp.tones, rd.tones, strict=True):
-        assert_same_tone(tp, tone_metrics_reference(td.series, td.amp_spurs.predicted))
+        assert_same_tone(tp, tone_metrics_reference(td.series))
 
 
 def test_tone_metrics_on_a_winding_pattern_equal_the_whole_series_path():
@@ -601,7 +596,7 @@ def test_tone_metrics_on_a_winding_pattern_equal_the_whole_series_path():
     (td,) = run_loopback(cfg, engine="direct").tones
     p = np.arctan2(tp.series.q[:5], tp.series.i[:5])
     assert not np.all(np.abs(np.diff(p, append=p[:1])) < np.pi)  # the tiled unwrap runs
-    assert_same_tone(tp, tone_metrics_reference(td.series, td.amp_spurs.predicted))
+    assert_same_tone(tp, tone_metrics_reference(td.series))
 
 
 @pytest.mark.parametrize(
@@ -622,12 +617,11 @@ def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
     k = np.arange(n) % len(i)
     pattern = IqTimeSeries(0, 0, 1, i, q, 1e5, 4, DemodMode.SINE_DDC)
     series = replace(pattern, i=i[k], q=q[k])
-    predicted = ((2e4, "period-extension alias"),)
     with mock.patch("combtwin.metrics._rfft", wraps=_rfft) as rfft:
-        got = _tone_metrics(pattern, n, predicted)
+        got = _tone_metrics(pattern, n)
     # an FFT of zeros is never taken
     assert rfft.call_count == sum(np.any(s.values) for s in (got.amp_spectrum, got.phase_spectrum))
-    assert_same_tone(got, tone_metrics_reference(series, predicted))
+    assert_same_tone(got, tone_metrics_reference(series))
 
 
 def test_tone_results_hold_the_same_pattern_at_any_run_length():
@@ -1058,16 +1052,12 @@ def float_oracle_reference(cfg):
         stuffed = np.zeros(n_wide, dtype=np.complex128)
         stuffed[::u] = band
         band_w = np.convolve(stuffed, h_interp)[:n_wide]
-        frac = g.band_center_fraction(b)
+        frac = Fraction(2 * b + 1, 5 * u)
         w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % frac.denominator
         wide += band_w * np.exp(2j * np.pi * w_arg / frac.denominator)
-    predicted = tuple(
-        (f, "period-extension alias")
-        for f, _ in predict_spurs(g.L_acc, u, g.shifter_lut_len, a.L_avg, a.band_rate_hz)
-    )
     results = []
     for b in sorted(by_band):
-        frac = g.band_center_fraction(b)
+        frac = Fraction(2 * b + 1, 5 * u)
         w_arg = (np.arange(n_wide, dtype=np.int64) * frac.numerator) % frac.denominator
         mixed = wide * np.exp(-2j * np.pi * w_arg / frac.denominator)
         sub = np.convolve(mixed, h_chan)[:n_wide][::u]
@@ -1092,7 +1082,7 @@ def float_oracle_reference(cfg):
                 demod_mode=a.demod_mode,
                 n_discarded=len(y) - nw * a.L_avg,
             )
-            results.append(_tone_metrics(series, len(series), predicted))
+            results.append(_tone_metrics(series, len(series)))
     return results
 
 

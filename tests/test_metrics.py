@@ -21,6 +21,7 @@ from combtwin.metrics import (
     _amp_phase,
     _periodogram_fac,
     _rfft,
+    _spur_floor,
     deglitch,
     detect_spurs,
     predict_spurs,
@@ -451,12 +452,13 @@ def predict_spurs_full_scan(L_acc, U, lut_len, L_avg, band_rate):
     st.sampled_from([1, 2, 4, 8]),
     st.integers(1, 80),
     st.integers(1, 2048),
-    st.sampled_from([1.0, 250e6]),
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
 )
 @example(1024, 8, 40, 1024, 250e6)
 @example(1020, 8, 40, 1020, 250e6)
 @example(65536, 8, 40, 65536, 250e6)
 @example(65520, 8, 40, 65520, 250e6)
+@example(65536, 8, 40, 65535, 250e6)  # L_avg = L_acc - 1: 32768 aliases
 def test_predict_spurs_equals_the_full_scan(l_acc, u, lut_len, l_avg, band_rate):
     got = predict_spurs(l_acc, u, lut_len, l_avg, band_rate)
     assert got == predict_spurs_full_scan(l_acc, u, lut_len, l_avg, band_rate)
@@ -470,7 +472,7 @@ def _flat_spectrum(n=512, level=1e-6, fs=1000.0):
 
 def test_detect_spurs_flat_floor_is_empty():
     spec = _flat_spectrum()
-    rep = detect_spurs(spec, threshold_db=10.0)
+    rep = detect_spurs(spec)
     assert len(rep.lines) == 0
     assert rep.floor == pytest.approx(1e-6)
 
@@ -479,7 +481,7 @@ def test_detect_spurs_single_line():
     spec = _flat_spectrum()
     vals = spec.values.copy()
     vals[100] *= 10**3  # +30 dB
-    rep = detect_spurs(dataclasses.replace(spec, values=vals), threshold_db=10.0)
+    rep = detect_spurs(dataclasses.replace(spec, values=vals))
     assert len(rep.lines) == 1
     assert rep.lines[0].bin == 100
     assert rep.lines[0].level_db == pytest.approx(30.0, abs=0.1)
@@ -495,21 +497,18 @@ def test_detect_spurs_finds_all_injected_lines():
         bins = [int(b) for b in bins if all(abs(b - o) > 1 for o in bins if o != b)]
         for b in bins:
             vals[b] *= 10 ** (rng.uniform(15, 40) / 10)
-        rep = detect_spurs(dataclasses.replace(spec, values=vals), threshold_db=10.0)
+        rep = detect_spurs(dataclasses.replace(spec, values=vals))
         got = {line.bin for line in rep.lines}
         assert got == set(bins)
 
 
-def test_detect_spurs_threshold_validation():
-    with pytest.raises(ValueError):
-        detect_spurs(_flat_spectrum(), threshold_db=0.0)
-
-
-def _detect_spurs_loop(spec, threshold_db, floor_min):
-    """Bin-by-bin reference for detect_spurs: (lines, linear floor)."""
+def _detect_spurs_loop(spec):
+    """Bin-by-bin reference for detect_spurs: (lines, linear floor). A line
+    clears the median floor by 10 dB, and the floor is at least 1e-24 of
+    the largest bin."""
     vals = spec.values
-    floor_lin = max(float(np.median(vals)), floor_min)
-    thresh = floor_lin * 10.0 ** (threshold_db / 10.0)
+    floor_lin = max(float(np.median(vals)), float(np.max(vals)) * 1e-24)
+    thresh = floor_lin * 10.0 ** (10.0 / 10.0)
     lines = []
     for b in range(1, len(vals)):
         v = vals[b]
@@ -529,6 +528,8 @@ def _detect_spurs_loop(spec, threshold_db, floor_min):
 # below zero, carry a sign bit, or make the two middle bins sum past the
 # largest double
 _TIE_LEVELS = [-0.0, 0.0, -5e-324, 1e-24, 1.0, 2.0, 1e3, 9e307]
+# one ulp over 10 dB above a floor of 1.0
+_TEN_DB_UP = math.nextafter(10.0, math.inf)
 
 
 def _spur_spectrum(values, bin_hz=1.0):
@@ -543,9 +544,11 @@ def _spur_spectrum(values, bin_hz=1.0):
 
 
 @st.composite
-def spur_spectra(draw):
+def spur_values(draw):
     m = draw(st.integers(1, 200))
-    kind = draw(st.sampled_from(["plateau", "float", "zero", "edge", "nan", "half", "tie"]))
+    kind = draw(
+        st.sampled_from(["plateau", "float", "zero", "edge", "nan", "half", "tie", "threshold"])
+    )
     if kind == "zero":
         vals = [0.0] * m
     elif kind == "float":
@@ -558,38 +561,56 @@ def spur_spectra(draw):
         vals = draw(st.permutations(vals))
     elif kind == "tie":
         vals = draw(st.lists(st.sampled_from(_TIE_LEVELS), min_size=m, max_size=m))
+    elif kind == "threshold":  # mostly a floor of 1.0, and peaks one ulp from 10 dB
+        levels = [1.0, 1.0, 1.0, 1.0, math.nextafter(10.0, 0.0), 10.0, _TEN_DB_UP]
+        vals = draw(st.lists(st.sampled_from(levels), min_size=m, max_size=m))
     else:  # few distinct levels, so equal neighbours are common
         vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 30.0, 1e3]), min_size=m, max_size=m))
         if kind == "edge":
             vals[-1] = 1e6  # a line in the last bin, which has no right neighbour
-    return _spur_spectrum(vals, draw(st.sampled_from([1.0, 0.1, 3.814697265625])))
+    return np.array(vals, dtype=np.float64)
 
 
 @settings(max_examples=500)
-@given(
-    spec=spur_spectra(),
-    threshold_db=st.floats(0.1, 40.0),
-    floor_min=st.sampled_from([0.0, -0.0, 1e-24, 1.0, 1e308]),
-)
+@given(spur_values(), st.sampled_from([0.0, -0.0, 1e-24, 1.0, 1e308]))
 # more than half zeros and a NaN: the median, and so the floor, is NaN
-@example(spec=_spur_spectrum([0.0, 0.0, 0.0, math.nan, 5.0]), threshold_db=10.0, floor_min=0.0)
-@example(spec=_spur_spectrum([0.0, math.nan, 0.0, 0.0]), threshold_db=10.0, floor_min=0.0)
+@example(np.array([0.0, 0.0, 0.0, math.nan, 5.0]), 0.0)
+@example(np.array([0.0, math.nan, 0.0, 0.0]), 0.0)
 # median == floor_min on a signed zero, odd and even
-@example(spec=_spur_spectrum([-0.0, -0.0, 1.0]), threshold_db=10.0, floor_min=0.0)
-@example(spec=_spur_spectrum([-0.0, 5.0, -0.0, -0.0]), threshold_db=10.0, floor_min=0.0)
-@example(spec=_spur_spectrum([0.0, 7.0, 0.0]), threshold_db=10.0, floor_min=-0.0)
+@example(np.array([-0.0, -0.0, 1.0]), 0.0)
+@example(np.array([-0.0, 5.0, -0.0, -0.0]), 0.0)
+@example(np.array([0.0, 7.0, 0.0]), -0.0)
 # (-5e-324 + 0.0) / 2 rounds to -0.0
-@example(spec=_spur_spectrum([0.0, -5e-324, 2.0, -5e-324]), threshold_db=10.0, floor_min=0.0)
+@example(np.array([0.0, -5e-324, 2.0, -5e-324]), 0.0)
 # median == floor_min away from zero
-@example(spec=_spur_spectrum([1.0, 1.0, 30.0, 0.0]), threshold_db=10.0, floor_min=1.0)
+@example(np.array([1.0, 1.0, 30.0, 0.0]), 1.0)
 # exactly half at or below floor_min: the median is the mean of 0.0 and 30.0
-@example(spec=_spur_spectrum([0.0, 30.0, 30.0, 0.0]), threshold_db=10.0, floor_min=0.0)
+@example(np.array([0.0, 30.0, 30.0, 0.0]), 0.0)
+@example(np.array([1.0, 30.0, 1.0, 30.0]), 1.0)
 # the two middle bins sum to inf
-@example(spec=_spur_spectrum([9e307, 9e307, 0.0, 9e307]), threshold_db=10.0, floor_min=1e308)
-def test_detect_spurs_equals_bin_loop(spec, threshold_db, floor_min):
+@example(np.array([9e307, 9e307, 0.0, 9e307]), 1e308)
+def test_spur_floor_equals_the_clamped_median(vals, floor_min):
     with np.errstate(over="ignore"):  # the median of two bins near the largest double
-        lines, floor_lin = _detect_spurs_loop(spec, threshold_db, floor_min)
-        rep = detect_spurs(spec, threshold_db=threshold_db, floor_min=floor_min)
+        want = max(float(np.median(vals)), floor_min)
+        got = _spur_floor(vals, floor_min)
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
+
+
+@settings(max_examples=500)
+@given(spur_values(), st.sampled_from([1.0, 0.1, 3.814697265625]))
+@example(np.array([0.0, 0.0, 0.0]), 1.0)
+# peaks at and one ulp over 10 dB above a floor of 1.0: only the last is a line
+@example(np.array([1.0, 10.0, 1.0, _TEN_DB_UP, 1.0]), 1.0)
+@example(np.array([0.0, 0.0, 0.0, math.nan, 5.0]), 1.0)
+@example(np.array([-0.0, 5.0, -0.0, -0.0]), 1.0)
+@example(np.array([0.0, -5e-324, 2.0, -5e-324]), 1.0)
+@example(np.array([9e307, 9e307, 0.0, 9e307]), 1.0)
+def test_detect_spurs_equals_bin_loop(vals, bin_hz):
+    spec = _spur_spectrum(vals, bin_hz)
+    with np.errstate(over="ignore"):  # the median of two bins near the largest double
+        lines, floor_lin = _detect_spurs_loop(spec)
+        rep = detect_spurs(spec)
     assert rep.lines == lines
     assert all(type(line.bin) is int for line in rep.lines)
     assert type(rep.floor) is float
