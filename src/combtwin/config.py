@@ -103,15 +103,15 @@ class ChainConfig:
             return self.analyzer.accumulator_width_bits
         return self._accumulator_need
 
+    @property
+    def channelizer_design(self) -> tuple[int, float, float]:
+        """The default channelizer's (num_taps, cutoff_cycles, gain): passband
+        edge one band half-width (band_rate/5) at the full rate, unit gain."""
+        return 127, 1.0 / (5 * self.generator.upsample_factor), 1.0
+
     def resolved_channelizer_filter(self) -> FilterSpec:
         if self.analyzer.channelizer_filter is not None:
             return self.analyzer.channelizer_filter
-        # passband edge = one band half-width (band_rate/5) at the full rate;
         # looked up on the module at each call, so a wrapper installed on
         # generator.design_windowed_sinc (perfbench's tracer) sees it
-        return generator.design_windowed_sinc(
-            num_taps=127,
-            cutoff_cycles=1.0 / (5 * self.generator.upsample_factor),
-            gain=1.0,
-            coeff_bits=18,
-        )
+        return generator.design_windowed_sinc(*self.channelizer_design, coeff_bits=18)

@@ -456,16 +456,16 @@ class GeneratorConfig:
         lcm(5, shifter_lut_len / gcd(shifter_lut_len, U))."""
         return self.shifter_lut_len // self.upsample_factor
 
+    @property
+    def interp_design(self) -> tuple[int, float, float]:
+        """The default interpolator's (num_taps, cutoff_cycles, gain):
+        cutoff band_rate/2 at full rate; gain U compensates zero-stuffing."""
+        return 63, 1.0 / (2 * self.upsample_factor), float(self.upsample_factor)
+
     def resolved_interp_filter(self) -> FilterSpec:
         if self.interp_filter is not None:
             return self.interp_filter
-        # cutoff band_rate/2 at full rate; gain U compensates zero-stuffing
-        return design_windowed_sinc(
-            num_taps=63,
-            cutoff_cycles=1.0 / (2 * self.upsample_factor),
-            gain=float(self.upsample_factor),
-            coeff_bits=18,
-        )
+        return design_windowed_sinc(*self.interp_design, coeff_bits=18)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +548,16 @@ def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
 
 
 def _window_sums(y: np.ndarray, l_avg: int, n_windows: int) -> np.ndarray:
-    """Boxcar sums over a stream that is y (p samples) tiled from absolute
-    sample 0: window m covers [m*l_avg, (m+1)*l_avg). The stream's prefix
-    sum at x is (x // p) * c[p] + c[x % p], c the prefix sums of y; int64
-    wraparound in them cancels in the differences (a CIC integrator and
-    comb), so every sum that fits int64 is exact. The sums repeat every
-    n_pat = p / gcd(l_avg, p) windows: the first are formed, then tiled."""
+    """The first n_windows boxcar sums over a stream that is y (p samples)
+    tiled from absolute sample 0: window m covers [m*l_avg, (m+1)*l_avg).
+    The stream's prefix sum at x is (x // p) * c[p] + c[x % p], c the
+    prefix sums of y; int64 wraparound in them cancels in the differences
+    (a CIC integrator and comb), so every sum that fits int64 is exact."""
     p = len(y)
     c = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(y, out=c[1:])
-    x = np.arange(min(p // math.gcd(l_avg, p), n_windows) + 1, dtype=np.int64) * l_avg
-    return periodic_extend(np.diff((x // p) * c[p] + c[x % p]), n_windows)
+    x = np.arange(n_windows + 1, dtype=np.int64) * l_avg
+    return np.diff((x // p) * c[p] + c[x % p])
 
 
 @functools.lru_cache(maxsize=8)
@@ -646,9 +645,7 @@ class DoublePrecision:
         return tuple(polyphase_decimate(s, self.h_chan, d) for s in x)
 
     def window_sums(self, y: np.ndarray, l_avg: int, n_windows: int):
-        rows = min(len(y) // math.gcd(l_avg, len(y)), n_windows)
-        sums = periodic_extend(y, rows * l_avg).reshape(rows, l_avg).sum(axis=1)
-        return periodic_extend(sums, n_windows)
+        return periodic_extend(y, n_windows * l_avg).reshape(n_windows, l_avg).sum(axis=1)
 
 
 def band_tone_sums(

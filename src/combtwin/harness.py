@@ -90,7 +90,6 @@ def make_chain_config(
     demod_mode: DemodMode = DemodMode.SINE_DDC,
     band_rate_hz: float = 250e6,
     freq_words: Sequence[int] | None = None,
-    seed: int = 1234,
 ) -> ChainConfig:
     """Build a consistent ChainConfig: analyzer derived from the generator,
     default tone placement per band."""
@@ -124,7 +123,7 @@ def make_chain_config(
         tones=tones,
         acquisition_len=acquisition_len,
         scenario_name=scenario_name,
-        seed=seed,
+        seed=1234,
     )
 
 
@@ -270,8 +269,7 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     multiple of the period at or past the transient: a steady-state
     period at phase 0 of every tone reference and of the windows, so it
     tiles the run and _tone_series treats both plans alike. "auto" also
-    needs the period plus the transient to be shorter than the run and a
-    period of at most 2^23 full-rate samples."""
+    needs the period plus the transient to be shorter than the run."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
     g, u = cfg.generator, cfg.generator.upsample_factor
@@ -283,7 +281,6 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     checks = (
         (warmup >= transient, f"the {transient}-sample transient exceeds {warmup} warm-up samples"),
         (p_band + transient < n_band_total, f"{tiling} >= {n_band_total}"),
-        (p_band * u <= 1 << 23, f"the period of {p_band * u} full-rate samples exceeds 2^23"),
     )
     failed = [why for ok, why in checks if not ok]
     if engine == "periodic" and warmup < transient:
@@ -402,11 +399,7 @@ def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spect
     constant scale, tiled: the same products as the whole series times the
     scale, built at pattern cost."""
     fs = pattern.rate_hz
-    if np.any(pattern.i) or np.any(pattern.q):
-        fac = _periodogram_fac(n, fs)
-        mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, fac)
-    else:  # a silent tone: no fluctuation, and its spectra are exact zeros
-        mean_amp, xa, xp = 0.0, np.zeros(n), np.zeros(n)
+    mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, _periodogram_fac(n, fs))
     amp, phase = (_periodogram(x, fs, SpectrumWindow.RECT) for x in (xa, xp))
     return mean_amp, amp, phase
 
@@ -575,23 +568,17 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
 # float oracle
 
 
-# The ideal taps have the lengths of the quantized ones they are designed
-# as, so _band_transient_len bounds the float chain's transient as well.
-def _float_interp_taps(cfg: ChainConfig) -> np.ndarray:
-    g = cfg.generator
-    spec = g.resolved_interp_filter()
-    if g.interp_filter is None:
-        u = g.upsample_factor
-        return windowed_sinc_taps(len(spec.taps), 1.0 / (2 * u), float(u))
-    return spec.taps_array() / float(1 << spec.frac_bits)
-
-
-def _float_chan_taps(cfg: ChainConfig) -> np.ndarray:
-    spec = cfg.resolved_channelizer_filter()
-    if cfg.analyzer.channelizer_filter is None:
-        u = cfg.generator.upsample_factor
-        return windowed_sinc_taps(len(spec.taps), 1.0 / (5 * u), 1.0)
-    return spec.taps_array() / float(1 << spec.frac_bits)
+def _float_taps(cfg: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's interpolator and channelizer taps: a filter the config
+    sets, as its quantized taps in floats; a default, as the ideal taps of
+    the design it is quantized from. Either has the quantized filter's
+    length, so _band_transient_len bounds the float chain's transient too."""
+    g, a = cfg.generator, cfg.analyzer
+    filters = (g.interp_filter, g.interp_design), (a.channelizer_filter, cfg.channelizer_design)
+    return tuple(
+        windowed_sinc_taps(*design) if spec is None else spec.taps_array() / 2.0**spec.frac_bits
+        for spec, design in filters
+    )
 
 
 def float_oracle(cfg: ChainConfig, engine: str = "auto") -> RunResult:
@@ -605,7 +592,7 @@ def float_oracle(cfg: ChainConfig, engine: str = "auto") -> RunResult:
     result.engine is "float"; engine_reason says which path ran. The
     phasor tables make the float chain exactly periodic, so the periodic
     path matches the direct one up to the convolutions' rounding."""
-    arith = DoublePrecision(_float_interp_taps(cfg), _float_chan_taps(cfg))
+    arith = DoublePrecision(*_float_taps(cfg))
     res = _loopback(cfg, engine, 1, arith)
     return replace(res, scenario_name=cfg.scenario_name + "_float", engine="float")
 

@@ -75,7 +75,8 @@ def _amp_phase(i, q, n: int, fac: float):
     """The mean amplitude and the fractional fluctuation series of the
     series that tiles (i, q) to n samples: (mean(amp), (amp/mean(amp) - 1)
     * fac, (phase - mean(phase)) * fac), where amp is sqrt(I^2+Q^2) and
-    phase the unwrapped four-quadrant phase. The elementwise work runs on
+    phase the unwrapped four-quadrant phase; a silent series, mean(amp) 0,
+    gives 0.0 and two zero series. The elementwise work runs on
     the given samples only, the means over the tiled arrays, and each
     fluctuation series is written over its tiled array. Unless some cyclic
     step of the pattern's phase (the wrap step included) is a jump,
@@ -89,8 +90,8 @@ def _amp_phase(i, q, n: int, fac: float):
     amp_pat = np.hypot(i, q)
     amp = periodic_extend(amp_pat, n)
     mean_amp = float(np.mean(amp))
-    if mean_amp == 0.0:
-        raise ValueError("degenerate input: mean amplitude is zero")
+    if mean_amp == 0.0:  # a silent series fluctuates by nothing
+        return 0.0, np.zeros(n), np.zeros(n)
     delta_amp = periodic_extend((amp_pat / mean_amp - 1.0) * fac, n, out=amp)
     p = np.arctan2(q, i)
     if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):

@@ -51,8 +51,7 @@ from combtwin.harness import (
     run_loopback,
     _band_transient_len,
     _engine_plan,
-    _float_chan_taps,
-    _float_interp_taps,
+    _float_taps,
     _MIN_SLICE_OVERLAPS,
     _post_accum_residual_db,
     _spectral_line_count,
@@ -418,14 +417,17 @@ def test_engine_auto_falls_back_to_direct_when_period_too_long():
     assert run_loopback(short, engine="direct").engine_reason == "direct requested"
 
 
-def test_engine_auto_falls_back_to_direct_when_period_exceeds_2_pow_23():
+def test_engine_auto_takes_a_period_of_over_2_pow_23_samples_that_tiles_the_run():
+    # the plan only: the run would demodulate 10485760 band samples
     cfg = make_chain_config(
         "long", 1 << 21, 1024, 1, 1, 1 << 15, upsample_factor=1, shifter_lut_len=5
     )
-    periodic, start, span, reason = _engine_plan(cfg, "auto")
-    n = ((1 << 15) + 1) * 1024
-    assert (periodic, start, span) == (False, 0, n)
-    assert reason == "the period of 10485760 full-rate samples exceeds 2^23"
+    assert _engine_plan(cfg, "auto") == (
+        True,
+        10485760,
+        10485760,
+        "period 10485760 + transient 192 band samples < 33555456 and the transient fits",
+    )
 
 
 @pytest.mark.parametrize("run", [run_loopback, float_oracle, run_demod_compare])
@@ -690,6 +692,15 @@ def test_periodic_window_sums_equal_the_two_period_reference(case):
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert got.tolist() == exact_window_sums(y, l_avg, n_windows).tolist()
+    # the float arithmetic, with n_windows well past n_pat: every window is
+    # summed from its own samples, so window m repeats window m - n_pat bit
+    # for bit; y / 3 makes sums that round, so the order of their terms shows
+    y = y / 3.0
+    got = DoublePrecision(np.ones(1), np.ones(1)).window_sums(y, l_avg, n_windows)
+    tiled = y[np.arange(n_windows * l_avg) % p_band]
+    assert_same_bits((got,), (reshape_window_sums(tiled, l_avg, n_windows),))
+    n_pat = p_band // math.gcd(l_avg, p_band)
+    assert_same_bits((got[n_pat:],), (got[: max(n_windows - n_pat, 0)],))
 
 
 def test_thread_count_does_not_change_bits():
@@ -728,7 +739,7 @@ def test_time_slices_equal_one_slice_bit_for_bit(cfg, data):
     m = _MIN_SLICE_OVERLAPS * overlap
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
     n_band = m * data.draw(st.integers(0, 4)) + data.draw(st.integers(1, m + 3 * p_band))
-    double = DoublePrecision(_float_interp_taps(cfg), _float_chan_taps(cfg))
+    double = DoublePrecision(*_float_taps(cfg))
     for arith in (FIXED_POINT, double):
         want = _subbands(cfg, 0, n_band, 1, arith)
         assert sorted(want) == sorted({t.band_index for t in cfg.tones})
@@ -1034,8 +1045,7 @@ def float_oracle_reference(cfg):
     u = g.upsample_factor
     n_band = (cfg.acquisition_len + cfg.warmup_windows) * a.L_avg
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
-    h_interp = _float_interp_taps(cfg)
-    h_chan = _float_chan_taps(cfg)
+    h_interp, h_chan = _float_taps(cfg)
     by_band = {}
     for t in cfg.tones:
         by_band.setdefault(t.band_index, []).append(t)
@@ -1151,17 +1161,15 @@ def test_transient_bound_covers_the_oracle_taps():
     for cfg in builtin_scenarios().values():
         u = cfg.generator.upsample_factor
         for c in (cfg, pinned_interp(cfg)):
-            n_taps = len(_float_interp_taps(c)) + len(_float_chan_taps(c))
+            n_taps = sum(map(len, _float_taps(c)))
             assert n_taps // u + 2 <= _band_transient_len(cfg)
 
 
 def assert_oracle_taps_quantize_to_the_chain_filters(cfg):
-    # the oracle restates the default designs; rounded as design_windowed_sinc
-    # rounds, its ideal taps must give the chain's quantized ones
-    for h, spec in [
-        (_float_interp_taps(cfg), cfg.generator.resolved_interp_filter()),
-        (_float_chan_taps(cfg), cfg.resolved_channelizer_filter()),
-    ]:
+    # rounded as design_windowed_sinc rounds, the oracle's ideal taps must
+    # give the chain's quantized ones
+    specs = cfg.generator.resolved_interp_filter(), cfg.resolved_channelizer_filter()
+    for h, spec in zip(_float_taps(cfg), specs, strict=True):
         raw = np.floor(h * 2.0**spec.frac_bits + 0.5).astype(np.int64)
         assert raw.tolist() == list(spec.taps), spec.description
 
