@@ -344,23 +344,63 @@ def make_lut(
     return li, lq
 
 
+# The LUT mixes run over rows of whole LUT periods, about this many samples
+# each: numpy's cost per broadcast row falls as rows grow, and the LUT
+# repeated to one row (two 64 KiB int64 arrays) still sits in the L2 cache.
+_MIX_BLOCK = 8192
+
+
+def _block_products(
+    x: tuple[np.ndarray, np.ndarray], lut: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The complex products (x_i + j*x_q) * (l_i + j*l_q), sample k taking
+    LUT entry k % len(l_i), into fresh arrays.
+
+    The stream is viewed as rows of B samples, B the whole LUT periods in
+    min(_MIX_BLOCK, n) (one period if longer), and the rows are
+    multiplied by the LUT repeated to B entries; the last n % B samples
+    take that row's first entries. Every row starts at LUT phase 0, and
+    the LUT is repeated to one row only."""
+    (xi, xq), (li, lq) = x, lut
+    n, length = len(xi), len(li)
+    reps = max(1, min(_MIX_BLOCK, n) // length)
+    li, lq, b = np.tile(li, reps), np.tile(lq, reps), reps * length
+    m = n - n % b
+    dtype = np.result_type(xi, xq, li, lq)
+    oi, oq = np.empty(n, dtype), np.empty(n, dtype)
+
+    def rows(a: np.ndarray) -> np.ndarray:
+        return a[:m].reshape(-1, b)
+
+    for ai, aq, ci, cq, pi, pq in (
+        (rows(xi), rows(xq), li, lq, rows(oi), rows(oq)),
+        (xi[m:], xq[m:], li[: n - m], lq[: n - m], oi[m:], oq[m:]),
+    ):
+        np.multiply(ai, ci, out=pi)
+        pi -= aq * cq
+        np.multiply(ai, cq, out=pq)
+        pq += aq * ci
+    return oi, oq
+
+
 def cmul_lut(
     xi: np.ndarray, xq: np.ndarray, li: np.ndarray, lq: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-wise complex multiply of a width-bit stream by width-bit LUT
-    values.
+    """Complex multiply of a width-bit stream by width-bit LUT values,
+    sample k taking entry k % len(li): sample-wise for a LUT as long as
+    the stream.
 
-    Four exact integer products, right shift by width-1 (truncate toward
-    -inf, the stream rounding default), saturate to width bits.
+    Four exact integer products (_block_products), right shift by
+    width-1 (truncate toward -inf, the stream rounding default), saturate
+    to width bits; the shift and the saturation work in place on the
+    fresh products.
     """
-    pi = xi * li
-    pi -= xq * lq
-    pq = xi * lq
-    pq += xq * li
-    sh = np.int64(width - 1)
-    pi >>= sh
-    pq >>= sh
-    return saturate(pi, width), saturate(pq, width)
+    pi, pq = _block_products((xi, xq), (li, lq))
+    sh, hi = np.int64(width - 1), (1 << (width - 1)) - 1
+    for p in (pi, pq):
+        p >>= sh
+        np.clip(p, -hi - 1, hi, out=p)
+    return pi, pq
 
 
 def lut_mix(
@@ -372,9 +412,7 @@ def lut_mix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply a width-bit stream by the make_lut exponential, sample n
     taking LUT entry n mod length; output stays width bits."""
-    xi, xq = x
-    li, lq = (periodic_extend(t, len(xi)) for t in make_lut(length, cycles, width, sign))
-    return cmul_lut(xi, xq, li, lq, width)
+    return cmul_lut(*x, *make_lut(length, cycles, width, sign), width)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +615,8 @@ class FixedPoint:
     """The chain's int64 arithmetic: quantized CORDIC and LUT tables,
     requantization, saturation and exact window sums. Each operation is
     the stage function itself. Streams are (i, q) pairs in both
-    arithmetics, so periodic_extend and ddc_products serve both."""
+    arithmetics, so periodic_extend, _block_products and ddc_products
+    serve both."""
 
     def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
         return tone_generate(tone, cfg, n)
@@ -635,8 +674,7 @@ class DoublePrecision:
     def mix(self, x, length: int, cycles: int, width: int, sign: int):
         k = phase_words(length, cycles, length)
         c, s = _phasor_table(length)
-        li, lq = (periodic_extend(t, len(x[0])) for t in (c[k], sign * s[k]))
-        return x[0] * li - x[1] * lq, x[0] * lq + x[1] * li
+        return _block_products(x, (c[k], sign * s[k]))
 
     def interp(self, band, cfg: GeneratorConfig):
         return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)

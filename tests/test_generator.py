@@ -15,12 +15,15 @@ from combtwin.fxp import saturate
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
+    DoublePrecision,
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
     band_sum,
     band_tone_sums,
     _cordic_table,
+    _MIX_BLOCK,
+    _phasor_table,
     cordic_gain,
     cordic_sincos_array,
     cordic_tone,
@@ -626,24 +629,68 @@ def modulo_lut_mix(x, length, cycles, width, sign):
     return saturate(pi, width), saturate(pq, width)
 
 
+def tiled_float_mix(x, length, cycles, sign):
+    """DoublePrecision.mix before the block layout, kept as its oracle: the
+    phasor table tiled to the stream's length, out-of-place products."""
+    k = phase_words(length, cycles, length)
+    c, s = _phasor_table(length)
+    li, lq = (periodic_extend(t, len(x[0])) for t in (c[k], sign * s[k]))
+    return x[0] * li - x[1] * lq, x[0] * lq + x[1] * li
+
+
 @st.composite
 def lut_mixes(draw):
-    length = draw(st.integers(1, 64))
+    """A LUT mix over 0 to 3 whole blocks of B samples (B the whole LUT
+    periods in _MIX_BLOCK) plus no tail or a partial block, on widths up
+    to GeneratorConfig's 32 bits, a fifth of the codes at the format's
+    edges; half the streams are strided views (every other element of an
+    array twice as long)."""
+    length = draw(st.integers(1, 64) | st.just(_MIX_BLOCK + 3))
     cycles = draw(st.integers(0, 3 * length))
     sign = draw(st.sampled_from([+1, -1]))
-    width = draw(st.integers(2, 24))
-    x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, draw(st.integers(0, 150)))
+    width = draw(st.integers(2, 32))
+    b = length * max(1, _MIX_BLOCK // length)
+    n = draw(st.integers(0, 3)) * b + draw(st.just(0) | st.integers(1, b - 1))
+    x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, n)
+    if draw(st.booleans()):
+        x = tuple(np.repeat(s, 2)[::2] for s in x)
     return x, length, cycles, width, sign
 
 
 @settings(max_examples=300)
 @given(lut_mixes())
-def test_tiled_lut_mix_equals_modulo_indexed(case):
+def test_block_lut_mix_equals_modulo_indexed(case):
     x, length, cycles, width, sign = case
     before = (x[0].copy(), x[1].copy())
     mi, mq = lut_mix(x, length, cycles, width, sign)
     ri, rq = modulo_lut_mix(x, length, cycles, width, sign)
     assert mi.dtype == np.int64 and len(mi) == len(x[0])
+    assert np.array_equal(mi, ri)
+    assert np.array_equal(mq, rq)
+    assert np.array_equal(x[0], before[0]) and np.array_equal(x[1], before[1])
+
+
+def test_lut_mix_saturates_at_both_format_edges():
+    # at 45 degrees, edge codes of opposite sign overflow the format upwards
+    # and downwards, in whole blocks and in the tail
+    x = stream_pair(3, 16, 2 * _MIX_BLOCK + 999)
+    li, lq = make_lut(8, 1, 16, +1)
+    idx = np.arange(len(x[0])) % 8
+    raw = (x[0] * li[idx] - x[1] * lq[idx]) >> np.int64(15)
+    for part in (raw[: 2 * _MIX_BLOCK], raw[2 * _MIX_BLOCK :]):
+        assert part.max() > (1 << 15) - 1 and part.min() < -(1 << 15)
+    assert np.array_equal(lut_mix(x, 8, 1, 16, +1)[0], saturate(raw, 16))
+
+
+@settings(max_examples=200)
+@given(lut_mixes())
+def test_block_float_mix_equals_tiled(case):
+    x, length, cycles, _, sign = case
+    x = tuple(np.repeat(s / 3.0, 2)[::2] if s.strides[0] > 8 else s / 3.0 for s in x)
+    before = (x[0].copy(), x[1].copy())
+    mi, mq = DoublePrecision(np.ones(1), np.ones(1)).mix(x, length, cycles, 0, sign)
+    ri, rq = tiled_float_mix(x, length, cycles, sign)
+    assert mi.dtype == np.float64 and len(mi) == len(x[0])
     assert np.array_equal(mi, ri)
     assert np.array_equal(mq, rq)
     assert np.array_equal(x[0], before[0]) and np.array_equal(x[1], before[1])
