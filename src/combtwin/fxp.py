@@ -1,10 +1,10 @@
 """Fixed-point arithmetic substrate.
 
-Two's-complement signed formats, and the int64 array helpers every DSP
-block runs on: an arithmetic right shift with a rounding policy, and
-saturation to a word width. Only the phase accumulators reduce modulo
-their own modulus (generator.phase_words); every stream stage saturates
-or is proven not to overflow.
+Two's-complement signed formats, and the one narrowing kernel every
+saturating DSP stage runs on: requantize, an arithmetic right shift with
+a rounding policy and then saturation to a word width. Only the phase
+accumulators reduce modulo their own modulus (generator.phase_words);
+every stream stage saturates or is proven not to overflow.
 """
 
 from __future__ import annotations
@@ -72,21 +72,19 @@ class FxpValue:
 
 
 # ---------------------------------------------------------------------------
-# Array helpers. The DSP chain carries streams as int64 numpy arrays of raw
-# codes. Callers guarantee intermediate products fit int64 (the widest
-# configured datapath is < 48 bits).
+# The DSP chain carries streams as int64 numpy arrays of raw codes. Sums reach
+# 63 bits; the config checks (check_int64_headroom, the stream and accumulator
+# width limits) refuse every datapath whose intermediates could leave int64.
 
 
-def shift_right(x: np.ndarray, shift: int, rounding: Rounding) -> np.ndarray:
-    """Arithmetic right shift with the selected rounding, elementwise."""
-    if shift == 0:
-        return x
-    if rounding is Rounding.ROUND_HALF_UP:
-        x = x + (np.int64(1) << np.int64(shift - 1))
-    return x >> np.int64(shift)
-
-
-def saturate(x: np.ndarray, total_bits: int) -> np.ndarray:
-    lo = -(1 << (total_bits - 1))
-    hi = (1 << (total_bits - 1)) - 1
-    return np.clip(x, lo, hi)
+def requantize(
+    x: np.ndarray, shift: int, width: int, rounding: Rounding = Rounding.TRUNCATE_TOWARD_NEG_INF
+) -> np.ndarray:
+    """Shift out shift bits with the given rounding, then saturate to width
+    bits, in place: x is a fresh int64 array its caller owns, and is
+    returned. Round half up needs x + 2^(shift-1) to fit int64."""
+    if shift and rounding is Rounding.ROUND_HALF_UP:
+        x += np.int64(1) << np.int64(shift - 1)
+    x >>= np.int64(shift)
+    hi = (1 << (width - 1)) - 1
+    return np.clip(x, -hi - 1, hi, out=x)

@@ -21,8 +21,7 @@ from .fxp import (
     FxpFormat,
     FxpValue,
     Rounding,
-    saturate,
-    shift_right,
+    requantize,
 )
 
 
@@ -165,8 +164,8 @@ def cordic_sincos_array(
         x, y = x - d * (y >> np.int64(i)), y + d * (x >> np.int64(i))
         z = z - d * tab[i]
     y = np.where(rem == 0, np.int64(0), y)
-    x = saturate(shift_right(x, g, Rounding.ROUND_HALF_UP), b)
-    y = saturate(shift_right(y, g, Rounding.ROUND_HALF_UP), b)
+    x = requantize(x, g, b, Rounding.ROUND_HALF_UP)
+    y = requantize(y, g, b, Rounding.ROUND_HALF_UP)
     i_out = np.select([quad == 0, quad == 1, quad == 2], [x, -y, -x], default=y)
     q_out = np.select([quad == 0, quad == 1, quad == 2], [y, x, -y], default=-x)
     return i_out, q_out
@@ -221,12 +220,6 @@ class FilterSpec:
 
     def taps_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=np.int64)
-
-    def requantize(self, acc: np.ndarray, stream_bits: int) -> np.ndarray:
-        """Exact convolution sums back to the stream format: shift out the
-        coefficient fraction (truncate toward -inf), then saturate."""
-        acc = shift_right(acc, self.frac_bits, Rounding.TRUNCATE_TOWARD_NEG_INF)
-        return saturate(acc, stream_bits)
 
     def check_int64_headroom(self, stream_bits: int, name: str) -> None:
         """Raise ConfigError unless every convolution sum over a
@@ -390,17 +383,13 @@ def cmul_lut(
     sample k taking entry k % len(li): sample-wise for a LUT as long as
     the stream.
 
-    Four exact integer products (_block_products), right shift by
-    width-1 (truncate toward -inf, the stream rounding default), saturate
-    to width bits; the shift and the saturation work in place on the
-    fresh products.
+    Four exact integer products (_block_products), requantized in place
+    by width-1 bits (truncate toward -inf) to width bits.
     """
-    pi, pq = _block_products((xi, xq), (li, lq))
-    sh, hi = np.int64(width - 1), (1 << (width - 1)) - 1
-    for p in (pi, pq):
-        p >>= sh
-        np.clip(p, -hi - 1, hi, out=p)
-    return pi, pq
+    return tuple(
+        requantize(p, width - 1, width, Rounding.TRUNCATE_TOWARD_NEG_INF)
+        for p in _block_products((xi, xq), (li, lq))
+    )
 
 
 def lut_mix(
@@ -527,23 +516,20 @@ def tone_generate(
     return (ci * amp) >> sh, (cq * amp) >> sh
 
 
-def band_sum(
-    tone_streams: Iterable[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
+def _stream_sum(
+    streams: Iterable[tuple[np.ndarray, np.ndarray]], dtype: type, name: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact integer sum of streams, checked against sum_width_bits.
-
-    Sums the tones of one band (band format) and the shifted bands of the
-    comb (wideband format). Streams are consumed one at a time, so a
-    generator keeps only the running sum and one stream alive; the first
-    is copied, and no input array is modified.
-    """
-    streams = iter(tone_streams)
+    """Sum of (i, q) streams in dtype, consumed one at a time: the first is
+    copied, each later one is dropped once added, so a generator keeps
+    only the running sum and the stream being made alive. No input array
+    is modified."""
+    streams = iter(streams)
     first = next(streams, None)
     if first is None:
-        raise ConfigError("band_sum needs at least one stream")
+        raise ConfigError(f"{name} needs at least one stream")
     n = len(first[0])
-    # same_kind: a float stream raises, as adding it in place would
-    bi, bq = (np.asarray(s).astype(np.int64, casting="same_kind") for s in first)
+    # same_kind: a float stream into an integer sum raises, as adding it would
+    bi, bq = (np.asarray(s).astype(dtype, casting="same_kind") for s in first)
     del first
     if len(bq) != n:
         raise ConfigError("all streams must have equal length")
@@ -552,6 +538,17 @@ def band_sum(
             raise ConfigError("all streams must have equal length")
         bi += si
         bq += sq
+        del si, sq
+    return bi, bq
+
+
+def band_sum(
+    tone_streams: Iterable[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact integer sum of streams (_stream_sum), checked against
+    sum_width_bits: the tones of one band (band format) and the shifted
+    bands of the comb (wideband format)."""
+    bi, bq = _stream_sum(tone_streams, np.int64, "band_sum")
     hi = (1 << (sum_width_bits - 1)) - 1
     if bi.size and (max(bi.max(), bq.max()) > hi or min(bi.min(), bq.min()) < -hi - 1):
         raise ConfigError("band_sum overflowed the configured sum width")
@@ -571,7 +568,12 @@ def upsample_interp(
     """
     spec = cfg.resolved_interp_filter()
     h, u, w = spec.taps_array(), cfg.upsample_factor, cfg.resolved_sum_width
-    return tuple(spec.requantize(polyphase_interpolate(s, h, u), w) for s in band)
+    return tuple(
+        requantize(
+            polyphase_interpolate(s, h, u), spec.frac_bits, w, Rounding.TRUNCATE_TOWARD_NEG_INF
+        )
+        for s in band
+    )
 
 
 def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
@@ -635,7 +637,12 @@ class FixedPoint:
 
     def decimate(self, x, spec: FilterSpec, d: int, width: int):
         h = spec.taps_array()
-        return tuple(spec.requantize(polyphase_decimate(s, h, d), width) for s in x)
+        return tuple(
+            requantize(
+                polyphase_decimate(s, h, d), spec.frac_bits, width, Rounding.TRUNCATE_TOWARD_NEG_INF
+            )
+            for s in x
+        )
 
     def window_sums(self, y: np.ndarray, l_avg: int, n_windows: int):
         return _window_sums(y, l_avg, n_windows)
@@ -664,12 +671,7 @@ class DoublePrecision:
         return tuple(periodic_extend(amp * t[ph], n) for t in _phasor_table(L_acc))
 
     def sum(self, streams, width: int):
-        streams = iter(streams)
-        bi, bq = (s.copy() for s in next(streams))
-        for si, sq in streams:
-            bi += si
-            bq += sq
-        return bi, bq
+        return _stream_sum(streams, np.float64, "the float sum")
 
     def mix(self, x, length: int, cycles: int, width: int, sign: int):
         k = phase_words(length, cycles, length)
@@ -729,7 +731,8 @@ def generate_comb(
     wideband I/Q stream (U samples per band sample).
 
     tone_sums are the run's band_tone_sums, each tiled from sample start;
-    bands without tones contribute silence. start must be a multiple of
+    at least one band must have tones (ConfigError otherwise), and bands
+    without tones contribute silence. start must be a multiple of
     cfg.phase_step, where every LUT of the chain is at its phase of sample
     0, so the first samples past the filter transient equal those of a run
     from 0. The full-rate stages run over every sample.
@@ -738,9 +741,6 @@ def generate_comb(
         raise ConfigError(
             f"comb start {start} is not a multiple of the phase step {cfg.phase_step}"
         )
-    if not tone_sums:
-        z = np.zeros(n_band_samples * cfg.upsample_factor, dtype=np.int64)
-        return z, z.copy()
     end = min(cfg.L_acc, start + n_band_samples)
     if any(len(s[0]) < end for s in tone_sums.values()):
         raise ConfigError(f"tone sums must cover band samples [0, {end})")

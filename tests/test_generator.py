@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combtwin import ConfigError, FxpFormat, FxpValue
-from combtwin.fxp import saturate
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
     DoublePrecision,
+    FIXED_POINT,
     FilterSpec,
     GeneratorConfig,
     ToneConfig,
@@ -68,12 +69,17 @@ def band_shift(band, band_index, cfg):
     return lut_mix(band, cfg.shifter_lut_len, cycles, cfg.resolved_sum_width, +1)
 
 
+def clip(x, width):
+    """x saturated to the width-bit two's-complement range."""
+    return np.clip(x, -(1 << (width - 1)), (1 << (width - 1)) - 1)
+
+
 def fir_apply(i, q, spec, stream_bits):
     """Causal length-preserving FIR in exact integers, then shift and
     saturate: the full-rate filter that the polyphase interpolator and
     decimator are checked against."""
     h = spec.taps_array()
-    return tuple(spec.requantize(np.convolve(s, h)[: len(s)], stream_bits) for s in (i, q))
+    return tuple(clip(np.convolve(s, h)[: len(s)] >> spec.frac_bits, stream_bits) for s in (i, q))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +471,29 @@ def test_band_sum_rejects_empty_and_unequal_streams():
             band_sum(iter(streams), 16)
 
 
+@pytest.mark.parametrize(
+    "total, dtype",
+    [(band_sum, np.int64), (DoublePrecision(np.ones(1), np.ones(1)).sum, float)],
+    ids=["band_sum", "DoublePrecision.sum"],
+)
+def test_stream_sums_drop_each_stream_once_added(total, dtype):
+    """While stream k+1 is being made, no earlier stream is alive: the sum
+    holds only its running total and the stream it is adding."""
+    made, live = [], []
+
+    def streams():
+        for k in range(4):
+            live.append(sum(any(r() is not None for r in refs) for refs in made))
+            pair = (np.full(64, k, dtype), np.full(64, -k, dtype))
+            made.append([weakref.ref(a) for a in pair])
+            yield pair
+            del pair
+
+    bi, bq = total(streams(), 16)
+    assert live == [0, 0, 0, 0]
+    assert bi.tolist() == [6] * 64 and bq.tolist() == [-6] * 64
+
+
 def test_generate_comb_streams_tones_into_the_band_sum():
     """A 40-tone band peaks below 8 tone streams' worth of traced memory,
     through its tone sum and the comb: the tones are summed as they are
@@ -626,7 +655,7 @@ def modulo_lut_mix(x, length, cycles, width, sign):
     sh = np.int64(width - 1)
     pi = (xi * li - xq * lq) >> sh
     pq = (xi * lq + xq * li) >> sh
-    return saturate(pi, width), saturate(pq, width)
+    return clip(pi, width), clip(pq, width)
 
 
 def tiled_float_mix(x, length, cycles, sign):
@@ -679,7 +708,7 @@ def test_lut_mix_saturates_at_both_format_edges():
     raw = (x[0] * li[idx] - x[1] * lq[idx]) >> np.int64(15)
     for part in (raw[: 2 * _MIX_BLOCK], raw[2 * _MIX_BLOCK :]):
         assert part.max() > (1 << 15) - 1 and part.min() < -(1 << 15)
-    assert np.array_equal(lut_mix(x, 8, 1, 16, +1)[0], saturate(raw, 16))
+    assert np.array_equal(lut_mix(x, 8, 1, 16, +1)[0], clip(raw, 16))
 
 
 @settings(max_examples=200)
@@ -909,6 +938,13 @@ def test_generate_comb_refuses_an_off_step_start():
             generate_comb(cfg, sums, 50, start)
     with pytest.raises(ConfigError, match=r"tone sums must cover band samples \[0, 105\)"):
         generate_comb(cfg, sums, 50, 55)
+
+
+def test_generate_comb_needs_a_toned_band():
+    cfg = desk_cfg()
+    for arith in (FIXED_POINT, DoublePrecision(np.ones(1), np.ones(1))):
+        with pytest.raises(ConfigError, match="needs at least one stream"):
+            generate_comb(cfg, {}, 100, arith=arith)
 
 
 # ---------------------------------------------------------------------------

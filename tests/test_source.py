@@ -189,3 +189,24 @@ def test_config_codec_names_no_config_type():
     assert "generator" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not names & {"FilterSpec", "ToneConfig", "FxpValue", "FxpFormat", "AMPLITUDE_FORMAT"}
+
+
+def clip_uses(source: str) -> list[int]:
+    """Lines that name clip: np.clip, an array's .clip or an imported clip."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if (isinstance(n, ast.Attribute) and n.attr == "clip")
+        or (isinstance(n, ast.Name) and n.id == "clip")
+    )
+
+
+def test_clip_finder_flags_every_spelling():
+    src = "from numpy import clip\nnp.clip(x, 0, 1)\nx.clip(0, 1)\nclip(x, 0, 1)\nclipped = 1\n"
+    assert clip_uses(src) == [2, 3, 4]
+
+
+def test_only_fxp_saturates():
+    # every saturating narrowing goes through the one kernel, fxp.requantize
+    saturating = {p.name for p in PACKAGE if clip_uses(p.read_text(encoding="utf-8"))}
+    assert saturating == {"fxp.py"}
