@@ -1,8 +1,9 @@
 """Loopback analysis path.
 
 Channelizes the wideband stream back into band-rate subbands (mix, FIR,
-decimate, re-shift) and forms each tone's products with its regenerated
-reference (full-precision sine DDC or sign-only square wave). The boxcar
+decimate, re-shift) and forms each tone's block products with one
+accumulator period of its regenerated reference (full-precision sine DDC
+or sign-only square wave), which repeats as the shifter LUTs do. The boxcar
 that accumulates L_avg products per output sample is the arithmetic's
 window_sums, which harness._tone_series applies on both engine plans.
 Accumulator outputs are undivided integer sums; normalization happens in
@@ -23,6 +24,7 @@ from .generator import (
     FilterSpec,
     FixedPoint,
     GeneratorConfig,
+    _block_products,
 )
 
 
@@ -121,18 +123,15 @@ def ddc_products(
     reference: tuple[np.ndarray, np.ndarray],
     mode: DemodMode,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample products of the subband with the conjugate reference.
+    """Per-sample products of the subband with the conjugate reference,
+    sample k taking reference entry k % len(ci) (one accumulator period
+    serves any stream): _block_products with the table (ci, -cq).
 
     SINE_DDC: two real multiplies per output component, kept exact (no
-    rounding before accumulation). SQUARE_WAVE: multiply by the MSB square
-    waves of the reference (sign(0) = +1), add and subtract only.
+    rounding before accumulation). SQUARE_WAVE: the same products with the
+    MSB square waves of the reference (sign(0) = +1), add and subtract only.
     """
-    fi, fq = subband
     ci, cq = reference
-    if len(fi) != len(ci) or len(fq) != len(cq):
-        raise ConfigError("subband and reference must have equal length")
-    if mode is DemodMode.SINE_DDC:
-        return fi * ci + fq * cq, fq * ci - fi * cq
-    sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
-    ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
-    return sc * fi + ss * fq, sc * fq - ss * fi
+    if mode is DemodMode.SQUARE_WAVE:
+        ci, cq = (np.where(c >= 0, np.int64(1), np.int64(-1)) for c in (ci, cq))
+    return _block_products(subband, (ci, -cq))

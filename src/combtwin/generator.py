@@ -181,15 +181,14 @@ def _cordic_table(L_acc: int, cfg: CordicConfig) -> tuple[np.ndarray, np.ndarray
     return ci, cq
 
 
-def cordic_tone(
-    L_acc: int, word: int, n: int, cfg: CordicConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled CORDIC tone, cordic_sincos_array(phase_words(L_acc, word,
-    n)): one period of L_acc / gcd(L_acc, word) samples gathered from the
-    table of all L_acc phase words, then tiled. CORDIC output depends only
-    on the phase word, so the iterations run once per table entry."""
-    ph = phase_words(L_acc, word, L_acc // math.gcd(L_acc, word))
-    return tuple(periodic_extend(t[ph], n) for t in _cordic_table(L_acc, cfg))
+def cordic_tone(L_acc: int, word: int, cfg: CordicConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One accumulator period of the unscaled CORDIC tone,
+    cordic_sincos_array(phase_words(L_acc, word, L_acc)), gathered from the
+    table of all L_acc phase words into fresh arrays. CORDIC output depends
+    only on the phase word, so the iterations run once per table entry;
+    sample k of a longer run is entry k % L_acc."""
+    ph = phase_words(L_acc, word, L_acc)
+    return tuple(t[ph] for t in _cordic_table(L_acc, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +352,12 @@ def _block_products(
     min(_MIX_BLOCK, n) (one period if longer), and the rows are
     multiplied by the LUT repeated to B entries; the last n % B samples
     take that row's first entries. Every row starts at LUT phase 0, and
-    the LUT is repeated to one row only."""
+    the LUT is repeated to one row only. ConfigError unless the stream's
+    and the LUT's I and Q have equal lengths and the LUT is not empty."""
     (xi, xq), (li, lq) = x, lut
     n, length = len(xi), len(li)
+    if len(xq) != n or len(lq) != length or length == 0:
+        raise ConfigError("block products need I and Q of equal length and a nonempty LUT")
     reps = max(1, min(_MIX_BLOCK, n) // length)
     li, lq, b = np.tile(li, reps), np.tile(lq, reps), reps * length
     m = n - n % b
@@ -441,9 +443,9 @@ class GeneratorConfig:
             raise ConfigError(f"band_rate_hz must be finite and > 0, got {self.band_rate_hz}")
         # band b's shift needs shifter_lut_len * (2b + 1) / (5U) whole cycles,
         # and 2b + 1 is odd: when band 0 holds whole cycles, every band does
-        if self.shifter_lut_len % (5 * self.upsample_factor) != 0:
+        if self.shifter_lut_len < 1 or self.shifter_lut_len % (5 * self.upsample_factor) != 0:
             raise ConfigError(
-                f"shifter LUT length {self.shifter_lut_len} does not hold an "
+                f"shifter_lut_len {self.shifter_lut_len} must be >= 1 and hold an "
                 "integer number of cycles for band 0"
             )
         # the LUT mixes add two products of w-bit codes: int64 for w <= 32
@@ -499,18 +501,13 @@ class GeneratorConfig:
 # pipeline stages
 
 
-def tone_generate(
-    tone: ToneConfig, cfg: GeneratorConfig, n_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude-scaled CORDIC output at band rate.
-
-    Exactly periodic with period L_acc / gcd(L_acc, freq_word).
+def tone_generate(tone: ToneConfig, cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One accumulator period (L_acc samples) of the amplitude-scaled
+    CORDIC output at band rate; the tone repeats every L_acc samples.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
     if tone.freq_word >= cfg.L_acc:
         raise ConfigError("freq_word must be < L_acc")
-    ci, cq = cordic_tone(cfg.L_acc, tone.freq_word, n_samples, cfg.cordic)
+    ci, cq = cordic_tone(cfg.L_acc, tone.freq_word, cfg.cordic)
     amp = np.int64(tone.amplitude_raw)
     sh = np.int64(AMPLITUDE_FORMAT.frac_bits)
     return (ci * amp) >> sh, (cq * amp) >> sh
@@ -620,11 +617,11 @@ class FixedPoint:
     arithmetics, so periodic_extend, _block_products and ddc_products
     serve both."""
 
-    def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
-        return tone_generate(tone, cfg, n)
+    def tone(self, tone: ToneConfig, cfg: GeneratorConfig):
+        return tone_generate(tone, cfg)
 
-    def reference(self, L_acc: int, word: int, n: int, cordic: CordicConfig):
-        return cordic_tone(L_acc, word, n, cordic)
+    def reference(self, L_acc: int, word: int, cordic: CordicConfig):
+        return cordic_tone(L_acc, word, cordic)
 
     def sum(self, streams, width: int):
         return band_sum(streams, width)
@@ -660,15 +657,15 @@ class DoublePrecision:
     def __init__(self, h_interp: np.ndarray, h_chan: np.ndarray) -> None:
         self.h_interp, self.h_chan = h_interp, h_chan
 
-    def tone(self, tone: ToneConfig, cfg: GeneratorConfig, n: int):
+    def tone(self, tone: ToneConfig, cfg: GeneratorConfig):
         amp = tone.amplitude_raw / (1 << AMPLITUDE_FORMAT.frac_bits)
-        return tuple(amp * s for s in self.reference(cfg.L_acc, tone.freq_word, n, cfg.cordic))
+        return tuple(amp * s for s in self.reference(cfg.L_acc, tone.freq_word, cfg.cordic))
 
-    def reference(self, L_acc: int, word: int, n: int, cordic: CordicConfig):
+    def reference(self, L_acc: int, word: int, cordic: CordicConfig):
         # the CORDIC's ideal, at its full scale 2^(data_bits-1) - 1
         amp = float((1 << (cordic.data_bits - 1)) - 1)
-        ph = phase_words(L_acc, word, L_acc // math.gcd(L_acc, word))
-        return tuple(periodic_extend(amp * t[ph], n) for t in _phasor_table(L_acc))
+        ph = phase_words(L_acc, word, L_acc)
+        return tuple(amp * t[ph] for t in _phasor_table(L_acc))
 
     def sum(self, streams, width: int):
         return _stream_sum(streams, np.float64, "the float sum")
@@ -704,6 +701,8 @@ def band_tone_sums(
     all. Tones stream into the sum, so a band holds its running sum and a
     single tone stream at a time.
     """
+    if n_band_samples < 1:
+        raise ConfigError("n_band_samples must be >= 1")
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
         if t.band_index >= cfg.n_bands:
@@ -713,7 +712,7 @@ def band_tone_sums(
         by_band.setdefault(t.band_index, []).append(t)
     n_acc, w = min(cfg.L_acc, n_band_samples), cfg.resolved_sum_width
     return {
-        b: arith.sum((arith.tone(t, cfg, n_acc) for t in by_band[b]), w)
+        b: arith.sum((tuple(s[:n_acc] for s in arith.tone(t, cfg)) for t in by_band[b]), w)
         for b in sorted(by_band)
     }
 

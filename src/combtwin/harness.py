@@ -304,16 +304,15 @@ def _tone_series(
 ) -> IqTimeSeries:
     """The pattern of one tone's retained accumulator outputs from its
     band's span, in arith: the span, starting at phase 0 of the reference
-    period, is demodulated and its window sums taken as a stream that
-    tiles it. That stream repeats every n_pat = span / gcd(L_avg, span)
+    period, is demodulated against one accumulator period of the reference
+    and its window sums taken as a stream that tiles it. That stream repeats every n_pat = span / gcd(L_avg, span)
     windows, so only the warm-up and the first min(n_pat, acquisition_len)
     retained windows are formed; _tiled extends them to the run. On the
     direct plan the span is the whole run, and so is the pattern."""
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
     span = len(sub[0])
     n_pat = span // math.gcd(a.L_avg, span)
-    ref = arith.reference(g.L_acc, tone.freq_word, span, g.cordic)
-    yi, yq = ddc_products(sub, ref, mode)
+    yi, yq = ddc_products(sub, arith.reference(g.L_acc, tone.freq_word, g.cordic), mode)
     n = w + min(n_pat, cfg.acquisition_len)
     i, q = (arith.window_sums(y, a.L_avg, n) for y in (yi, yq))
     return IqTimeSeries(
@@ -322,7 +321,7 @@ def _tone_series(
         freq_word=tone.freq_word,
         i=i[w:],
         q=q[w:],
-        rate_hz=a.fs_hz,
+        rate_hz=g.band_rate_hz / a.L_avg,
         l_avg=a.L_avg,
         demod_mode=mode,
     )
@@ -444,13 +443,12 @@ def run_cordic_sweep(
     cfg = base if base is not None else default_sweep_config()
     g = cfg.generator
     word = cfg.tones[0].freq_word
-    n = g.L_acc
-    fund = word if word <= n // 2 else n - word
+    fund = min(word, g.L_acc - word)
     rows = []
     for b in bits:
         for it in iters:
             cordic = replace(g.cordic, data_bits=b, iterations=it)
-            ci, _ = cordic_tone(g.L_acc, word, n, cordic)
+            ci, _ = cordic_tone(g.L_acc, word, cordic)
             sinad, sfdr = sinad_sfdr(ci.astype(np.float64), fund)
             rows.append(SweepRow(b, it, sinad, sfdr))
     return rows
@@ -528,7 +526,7 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
     rows = []
     for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
         pre = tuple(s[:n_pre] for s in subbands[tone.band_index])
-        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
+        ref = cordic_tone(g.L_acc, tone.freq_word, g.cordic)
         lines, series = [], []
         for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
             yi, yq = ddc_products(pre, ref, mode)

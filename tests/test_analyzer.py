@@ -18,6 +18,7 @@ from combtwin.analyzer import (
 )
 from combtwin.generator import (
     FIXED_POINT,
+    _MIX_BLOCK,
     CordicConfig,
     FilterSpec,
     GeneratorConfig,
@@ -25,7 +26,9 @@ from combtwin.generator import (
     band_tone_sums,
     cordic_sincos_array,
     generate_comb,
+    _block_products,
     lut_mix,
+    periodic_extend,
     phase_words,
 )
 from combtwin.harness import make_chain_config
@@ -244,6 +247,90 @@ def demod(subband, reference, l_avg, mode=DemodMode.SINE_DDC):
         FIXED_POINT.window_sums(y, l_avg, n_windows)
         for y in ddc_products(subband, reference, mode)
     )
+
+
+def elementwise_ddc_products(subband, reference, mode):
+    """ddc_products before it ran as block products, kept as the oracle:
+    the subband times the conjugate of an equal-length reference, sample
+    by sample."""
+    fi, fq = subband
+    ci, cq = reference
+    assert len(fi) == len(ci) and len(fq) == len(cq)
+    if mode is DemodMode.SINE_DDC:
+        return fi * ci + fq * cq, fq * ci - fi * cq
+    sc = np.where(ci >= 0, np.int64(1), np.int64(-1))
+    ss = np.where(cq >= 0, np.int64(1), np.int64(-1))
+    return sc * fi + ss * fq, sc * fq - ss * fi
+
+
+def random_words(rng, n, dtype):
+    """n int64 codes (a quarter of them 0) or float64 values (a quarter
+    of them +0.0 or -0.0)."""
+    if dtype is np.int64:
+        x = rng.integers(-(1 << 20), 1 << 20, n)
+    else:
+        x = rng.standard_normal(n) * 1e3
+    x[rng.random(n) < 0.25] = 0
+    if dtype is np.float64:
+        x[rng.random(n) < 0.5] *= -1.0  # the zeros take both signs
+    return x
+
+
+@st.composite
+def ddc_cases(draw):
+    """A reference of 1 to 3 periods of a random tone period, and a stream
+    of 0 to 3 times one reference length or the whole reference lengths in
+    _MIX_BLOCK, plus no tail or a partial one (so below and above
+    _MIX_BLOCK); one case in five has a reference as long as the stream.
+    int64 or float64, with zeros in both."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    mode = draw(st.sampled_from(list(DemodMode)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    period = draw(st.integers(1, 40))
+    length = period * draw(st.integers(1, 3))
+    b = length * draw(st.sampled_from([1, max(1, _MIX_BLOCK // length)]))
+    n = draw(st.integers(0, 3)) * b + draw(st.just(0) | st.integers(0, b - 1))
+    if n and draw(st.integers(0, 4)) == 0:
+        period = length = n
+    reference = tuple(np.tile(random_words(rng, period, dtype), length // period) for _ in "iq")
+    subband = tuple(random_words(rng, n, dtype) for _ in "iq")
+    return subband, reference, mode
+
+
+def bits(x):
+    return x.view(np.int64) if x.dtype == np.float64 else x
+
+
+@settings(max_examples=300)
+@given(ddc_cases())
+def test_ddc_products_equal_elementwise_on_the_tiled_reference(case):
+    subband, reference, mode = case
+    n = len(subband[0])
+    got = ddc_products(subband, reference, mode)
+    want = elementwise_ddc_products(
+        subband, tuple(periodic_extend(c, n) for c in reference), mode
+    )
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and len(g) == n
+        assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        (2 * 40, 2 * 40 + 1, 40, 40),  # Q one sample past whole rows
+        (100, 100, 0, 0),  # empty table
+        (100, 100, 40, 39),  # table I and Q of unequal length
+    ],
+    ids=["long-q", "empty-table", "unequal-table"],
+)
+def test_block_products_refuse_malformed_operands(lengths):
+    ni, nq, li, lq = (np.ones(k, dtype=np.int64) for k in lengths)
+    with pytest.raises(ConfigError):
+        _block_products((ni, nq), (li, lq))
+    for mode in DemodMode:
+        with pytest.raises(ConfigError):
+            ddc_products((ni, nq), (li, lq), mode)
 
 
 def test_ddc_sine_self_demodulation():

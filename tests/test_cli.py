@@ -528,6 +528,20 @@ def test_config_ini_bad_analyzer_value_exits_1_naming_it(tmp_path, capsys, key, 
     assert key in cap.err.lower()
 
 
+@pytest.mark.parametrize("lut", ["0", "-40"])
+def test_config_ini_shifter_lut_below_one_entry_exits_1_naming_it(tmp_path, capsys, lut):
+    # generator and analyzer agree, so only the generator's own check refuses it
+    text = _desk_a_ini(capsys)
+    for section in ("generator", "analyzer"):
+        text = _edit_ini(text, section, "shifter_lut_len", value=lut)
+    rc, cap = _dump(tmp_path, capsys, text)
+    assert rc == 1
+    assert f"shifter_lut_len {lut} " in cap.err
+    rc = main(["run-loopback", "--config", str(tmp_path / "edited.ini")])
+    assert rc == 1
+    assert f"shifter_lut_len {lut} " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("width", [0, 42])
 def test_config_ini_sum_width_outside_2_to_32_bits_exits_1(tmp_path, capsys, width):
     base = _desk_a_ini(capsys).replace("[generator]\n", f"[generator]\nsum_width_bits = {width}\n")

@@ -127,9 +127,9 @@ def test_phase_words_matches_stepped_accumulator():
 def test_phase_acc_rejects_bad_increment():
     # the tone's frequency word is the accumulator increment: it must be < L_acc
     cfg = desk_cfg()
-    tone_generate(ToneConfig(0, 0, cfg.L_acc - 1, 32767), cfg, 4)
+    tone_generate(ToneConfig(0, 0, cfg.L_acc - 1, 32767), cfg)
     with pytest.raises(ConfigError):
-        tone_generate(ToneConfig(0, 0, cfg.L_acc, 32767), cfg, 4)
+        tone_generate(ToneConfig(0, 0, cfg.L_acc, 32767), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +337,18 @@ def cordic_tones(draw):
     divisors = [d for d in range(1, l_acc + 1) if l_acc % d == 0]
     step = draw(st.sampled_from(divisors))  # words sharing factors with l_acc
     word = step * draw(st.integers(0, l_acc // step - 1))
-    period = l_acc // math.gcd(l_acc, word)
-    n = draw(st.one_of(st.integers(0, period), st.integers(period, 3 * period + 7)))
     cfg = CordicConfig(data_bits=draw(st.integers(4, 16)), iterations=draw(st.integers(1, 16)))
-    return l_acc, word, n, cfg
+    return l_acc, word, cfg
 
 
 @settings(max_examples=200)
 @given(cordic_tones())
 def test_cordic_tone_equals_lookup_of_every_phase_word(case):
-    l_acc, word, n, cfg = case
-    ti, tq = cordic_tone(l_acc, word, n, cfg)
-    ri, rq = cordic_sincos_array(phase_words(l_acc, word, n), l_acc, cfg)
-    assert ti.dtype == np.int64 and len(ti) == len(tq) == n
+    # one accumulator period, whatever the tone's own period
+    l_acc, word, cfg = case
+    ti, tq = cordic_tone(l_acc, word, cfg)
+    ri, rq = cordic_sincos_array(phase_words(l_acc, word, l_acc), l_acc, cfg)
+    assert ti.dtype == np.int64 and len(ti) == len(tq) == l_acc
     assert np.array_equal(ti, ri)
     assert np.array_equal(tq, rq)
 
@@ -357,11 +356,11 @@ def test_cordic_tone_equals_lookup_of_every_phase_word(case):
 def test_cordic_tone_owns_its_arrays_and_checks_l_acc():
     cfg = CordicConfig(data_bits=10, iterations=10)
     with pytest.raises(ConfigError):
-        cordic_tone(1022, 1, 8, cfg)  # not a multiple of 4
-    ci, cq = cordic_tone(1024, 1, 1024, cfg)
+        cordic_tone(1022, 1, cfg)  # not a multiple of 4
+    ci, cq = cordic_tone(1024, 1, cfg)
     ci[:] = 0  # callers own their arrays; the shared table is untouched
     cq[:] = 0
-    again = cordic_tone(1024, 1, 1024, cfg)
+    again = cordic_tone(1024, 1, cfg)
     assert np.array_equal(again, cordic_sincos_array(np.arange(1024), 1024, cfg))
 
 
@@ -371,7 +370,8 @@ def test_cordic_tone_owns_its_arrays_and_checks_l_acc():
 
 def test_tone_dc_word_is_constant():
     cfg = desk_cfg()
-    ti, tq = tone_generate(ToneConfig(0, 0, 0, 32767), cfg, 64)
+    ti, tq = tone_generate(ToneConfig(0, 0, 0, 32767), cfg)
+    assert len(ti) == len(tq) == cfg.L_acc
     want = (511 * 32767) >> 15
     assert np.all(ti == want)
     assert np.all(tq == 0)
@@ -379,7 +379,7 @@ def test_tone_dc_word_is_constant():
 
 def test_tone_periodicity():
     cfg = desk_cfg()
-    ti, tq = tone_generate(ToneConfig(0, 0, 4, 32767), cfg, 1024)
+    ti, tq = tone_generate(ToneConfig(0, 0, 4, 32767), cfg)
     assert np.array_equal(ti[:256], ti[256:512])
     assert np.array_equal(tq[:768], tq[256:])
     assert not np.array_equal(ti[:128], ti[128:256])  # 256 is minimal
@@ -387,8 +387,8 @@ def test_tone_periodicity():
 
 def test_tone_full_modulus_period_for_coprime_word():
     cfg = desk_cfg(l_acc=65536)
-    ti, _ = tone_generate(ToneConfig(0, 0, 997, 32767), cfg, 2 * 65536)
-    assert np.array_equal(ti[:65536], ti[65536:])
+    ti, _ = tone_generate(ToneConfig(0, 0, 997, 32767), cfg)
+    assert len(ti) == 65536  # every period divides 65536, and 32768 is not one
     assert not np.array_equal(ti[: 65536 // 2], ti[65536 // 2 : 65536])
 
 
@@ -421,8 +421,8 @@ def test_band_sum_cancellation():
 
 def test_band_sum_equals_per_tone_sum():
     cfg = desk_cfg()
-    t1 = tone_generate(ToneConfig(0, 0, 3, 8192), cfg, 200)
-    t2 = tone_generate(ToneConfig(0, 1, 5, 8192), cfg, 200)
+    t1 = tone_generate(ToneConfig(0, 0, 3, 8192), cfg)
+    t2 = tone_generate(ToneConfig(0, 1, 5, 8192), cfg)
     bi, bq = band_sum([t1, t2], cfg.resolved_sum_width)
     assert np.array_equal(bi, t1[0] + t2[0])
     assert np.array_equal(bq, t1[1] + t2[1])
@@ -532,7 +532,7 @@ def test_down_shift_dc_becomes_period_five_tone():
 
 def test_down_shift_moves_band_rate_fifth_tone_to_dc():
     cfg = desk_cfg(l_acc=1020)
-    st = tone_generate(ToneConfig(0, 0, 1020 // 5, 32767), cfg, 1020)
+    st = tone_generate(ToneConfig(0, 0, 1020 // 5, 32767), cfg)
     band = band_sum([st], cfg.resolved_sum_width)
     di, dq = down_shift(band, cfg)
     mag = np.abs(np.fft.fft(di + 1j * dq)) / 1020
@@ -856,7 +856,7 @@ def test_generate_comb_empty_band_is_silent():
     only = band_shift(
         upsample_interp(
             down_shift(
-                band_sum([tone_generate(tones[0], cfg, 100)], cfg.resolved_sum_width),
+                band_sum([tone_over(tones[0], cfg, 100)], cfg.resolved_sum_width),
                 cfg,
             ),
             cfg,
@@ -867,12 +867,17 @@ def test_generate_comb_empty_band_is_silent():
     assert np.array_equal(wi, only[0]) and np.array_equal(wq, only[1])
 
 
+def tone_over(tone, cfg, n):
+    """The tone's first n band samples: its accumulator period tiled."""
+    return tuple(periodic_extend(s, n) for s in tone_generate(tone, cfg))
+
+
 def generate_comb_reference(cfg, tones, n):
     """generate_comb before it summed one accumulator period: every tone
     generated over all n band samples, kept as the oracle."""
     bands = []
     for b in sorted({t.band_index for t in tones}):
-        streams = [tone_generate(t, cfg, n) for t in tones if t.band_index == b]
+        streams = [tone_over(t, cfg, n) for t in tones if t.band_index == b]
         band = band_sum(streams, cfg.resolved_sum_width)
         bands.append(band_shift(upsample_interp(down_shift(band, cfg), cfg), b, cfg))
     return band_sum(bands, cfg.wide_width)
@@ -945,6 +950,16 @@ def test_generate_comb_needs_a_toned_band():
     for arith in (FIXED_POINT, DoublePrecision(np.ones(1), np.ones(1))):
         with pytest.raises(ConfigError, match="needs at least one stream"):
             generate_comb(cfg, {}, 100, arith=arith)
+
+
+def test_band_tone_sums_need_a_band_sample():
+    # tones take no length, so the run length is checked where it is cut
+    cfg = desk_cfg()
+    tones = [ToneConfig(0, 0, 51, 8192)]
+    for arith in (FIXED_POINT, DoublePrecision(np.ones(1), np.ones(1))):
+        assert len(band_tone_sums(cfg, tones, 1, arith=arith)[0][0]) == 1
+        with pytest.raises(ConfigError, match="n_band_samples must be >= 1"):
+            band_tone_sums(cfg, tones, 0, arith=arith)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1073,13 @@ def test_make_lut_quarter_symmetry():
     lin, lqn = make_lut(40, 1, 16, sign=-1)
     assert np.array_equal(lin, li)
     assert np.array_equal(lqn, -lq)
+
+
+@pytest.mark.parametrize("lut", [0, -40])
+def test_generator_config_refuses_a_shifter_lut_below_one_entry(lut):
+    # both pass the multiple-of-5U check; a zero phase step then divides by zero
+    with pytest.raises(ConfigError, match=f"shifter_lut_len {lut} "):
+        GeneratorConfig(shifter_lut_len=lut)
 
 
 def test_generator_config_validation():

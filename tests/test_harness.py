@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from combtwin import ConfigError
-from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products
+from combtwin.analyzer import DemodMode, IqTimeSeries, channelize
 from combtwin.formats import config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
@@ -32,6 +32,7 @@ from combtwin.generator import (
     cordic_sincos_array,
     cordic_tone,
     generate_comb,
+    periodic_extend,
     phase_words,
     tone_generate,
     waveform_period,
@@ -67,6 +68,7 @@ from combtwin.metrics import (
     predict_spurs,
     sinad_sfdr,
 )
+from test_analyzer import elementwise_ddc_products
 from test_metrics import _detect_spurs_loop, amp_phase_reference, assert_same_bits
 
 
@@ -335,16 +337,18 @@ def reshape_window_sums(y, l_avg, n_windows):
 
 def whole_run_series(cfg, tone):
     """A tone's retained window sums from the whole run, with no engine
-    plan: the first n_total subband samples, their ddc_products against a
-    reference over the whole run, reshape sums, warm-up windows dropped."""
+    plan: the first n_total subband samples, their elementwise products
+    with the reference tiled over the whole run, reshape sums, warm-up
+    windows dropped."""
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
     n_windows = cfg.acquisition_len + w
     n_total = n_windows * a.L_avg
     sub = _subbands(cfg, 0, n_total, 1)[tone.band_index]
-    ref = cordic_tone(g.L_acc, tone.freq_word, n_total, g.cordic)
+    tone_period = cordic_tone(g.L_acc, tone.freq_word, g.cordic)
+    ref = tuple(periodic_extend(c, n_total) for c in tone_period)
     return tuple(
         reshape_window_sums(y, a.L_avg, n_windows)[w:]
-        for y in ddc_products(sub, ref, a.demod_mode)
+        for y in elementwise_ddc_products(sub, ref, a.demod_mode)
     )
 
 
@@ -877,10 +881,11 @@ def demod_compare_reference(cfg):
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
     rows = []
     for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
-        ref = cordic_tone(g.L_acc, tone.freq_word, n_pre, g.cordic)
+        tone_period = cordic_tone(g.L_acc, tone.freq_word, g.cordic)
+        ref = tuple(periodic_extend(c, n_pre) for c in tone_period)
         sub = subbands[tone.band_index]
-        pi_s, pq_s = ddc_products(sub, ref, DemodMode.SINE_DDC)
-        pi_q, pq_q = ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
+        pi_s, pq_s = elementwise_ddc_products(sub, ref, DemodMode.SINE_DDC)
+        pi_q, pq_q = elementwise_ddc_products(sub, ref, DemodMode.SQUARE_WAVE)
         zs = (pi_s + 1j * pq_s)[skip:]
         zq = (pi_q + 1j * pq_q)[skip:]
         key = (tone.band_index, tone.tone_index)
@@ -1151,7 +1156,7 @@ def test_float_reference_signs_are_the_exact_square_waves(l_acc):
     arith = DoublePrecision(np.ones(1), np.ones(1))
     for word in range(l_acc):
         ph = phase_words(l_acc, word, l_acc)
-        ci, cq = arith.reference(l_acc, word, l_acc, CordicConfig(10, 10))
+        ci, cq = arith.reference(l_acc, word, CordicConfig(10, 10))
         sc, ss = _square_signs(ph, l_acc)
         assert np.array_equal(np.where(ci >= 0, 1.0, -1.0), sc)
         assert np.array_equal(np.where(cq >= 0, 1.0, -1.0), ss)
@@ -1327,6 +1332,31 @@ def test_persisted_artifacts_match_golden_digests(tmp_path, name):
     }
     assert res.config_hash == golden["config_hash"]
     assert digests == golden["files"]
+
+
+# SHA-256 of the series/*.bin files, concatenated in sorted order, of the
+# builtin run with the square-wave demodulator; no golden file holds one
+SQUARE_WAVE_SERIES = {
+    "desk_a": "fdf9c9fee6c066575a5939599dfc35b28534580effdb7a6cf87f5d5245d6afcb",
+    "demod_two_tone": "d586f29c1902eed7cb58a617ce80f29c4d02c03ebc79f2c70aa345a1324e049c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_WAVE_SERIES))
+def test_square_wave_series_bytes_are_pinned(tmp_path, name):
+    cfg = builtin_scenarios()[name]
+    cfg = replace(cfg, analyzer=replace(cfg.analyzer, demod_mode=DemodMode.SQUARE_WAVE))
+    res = run_loopback(cfg)
+    persist(res, tmp_path / name)
+    acc = hashlib.sha256()
+    for p in sorted((tmp_path / name / "series").glob("*.bin")):
+        acc.update(p.read_bytes())
+    assert acc.hexdigest() == SQUARE_WAVE_SERIES[name]
+    if name == "desk_a":
+        # the periodic plan, and the power-of-two modulus's lines at acq/5, 2*acq/5
+        assert res.engine == "periodic"
+        for tr in res.tones:
+            assert {l.bin for l in tr.amp_spurs.lines} == {512, 1024}
 
 
 def test_persisted_config_reloads_to_same_hash(tmp_path, desk_a_result):
