@@ -99,19 +99,22 @@ def channelize(
     band_index: int,
     g: GeneratorConfig,
     spec: FilterSpec,
+    start: int = 0,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extract one band of g's wideband stream back onto the exciter's tone
-    grid at band rate.
+    """Extract one band of g's wideband stream, which starts at band sample
+    start (full-rate sample start * U), back onto the exciter's tone grid
+    at band rate.
 
     Mix by the conjugate of the generator's band shift, lowpass with spec
     and decimate by U (polyphase), then shift up by band_rate/5 to undo the
-    exciter's down-shift, all in arith at g's wideband width.
+    exciter's down-shift, all in arith at g's wideband width, each LUT read
+    at the absolute sample.
     """
-    w, lut = g.wide_width, g.shifter_lut_len
-    mixed = arith.mix(wideband, lut, g.band_shift_cycles(band_index), w, -1)
-    return arith.mix(arith.decimate(mixed, spec, g.upsample_factor, w), 5, 1, w, +1)
+    w, lut, u = g.wide_width, g.shifter_lut_len, g.upsample_factor
+    mixed = arith.mix(wideband, lut, g.band_shift_cycles(band_index), w, -1, start * u)
+    return arith.mix(arith.decimate(mixed, spec, u, w), 5, 1, w, +1, start)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ from .metrics import Spectrum, SpurReport
 _BIN_MAGIC = b"CTIQ"
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # I/Q series
 
@@ -114,15 +110,14 @@ def _series_from_header(header: dict, i: np.ndarray, q: np.ndarray) -> IqTimeSer
 
 
 def series_to_csv(series: IqTimeSeries) -> str:
-    """Header line with tone metadata, column line, then index,i,q rows."""
+    """Header line with tone metadata, column line, then index,i,q rows.
+    Every number in a CSV artifact is its Python scalar's str: an integer's
+    digits, a float's shortest repr that reads back to the same bits."""
     meta = "# " + " ".join(f"{k}={v}" for k, v in _series_header(series).items())
     out = [meta, "index,i,q"]
-    is_int = np.issubdtype(np.asarray(series.i).dtype, np.integer)
-    for n, (i, q) in enumerate(zip(series.i, series.q)):
-        if is_int:
-            out.append(f"{n},{int(i)},{int(q)}")
-        else:
-            out.append(f"{n},{_fmt_float(i)},{_fmt_float(q)}")
+    i, q = (np.asarray(c).tolist() for c in (series.i, series.q))
+    for n, (a, b) in enumerate(zip(i, q)):
+        out.append(f"{n},{a},{b}")
     return "\n".join(out) + "\n"
 
 
@@ -199,16 +194,15 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
     meta = (
         f"# method={spec.method.value} window={spec.window.value} "
         f"units=linear_per_hz n_points={spec.n_points} "
-        f"bin_hz={_fmt_float(spec.bin_hz)}"
+        f"bin_hz={float(spec.bin_hz)}"
     )
     if spec.segment_len is not None:
-        meta += f" segment_len={spec.segment_len} overlap_frac={_fmt_float(spec.overlap_frac)}"
+        meta += f" segment_len={spec.segment_len} overlap_frac={float(spec.overlap_frac)}"
     if config_hash:
         meta += f" config_hash={config_hash}"
     rows = [meta, "freq_hz,value"]
-    freqs = spec.freqs_hz
-    for f, v in zip(freqs, spec.values):
-        rows.append(f"{_fmt_float(f)},{_fmt_float(v)}")
+    for f, v in zip(spec.freqs_hz.tolist(), spec.values.tolist()):
+        rows.append(f"{f},{v}")
     return "\n".join(rows) + "\n"
 
 
@@ -415,7 +409,11 @@ def read_samples(path: str) -> np.ndarray:
     if data[:4] == _BIN_MAGIC:
         x = np.asarray(series_from_binary(data).i, dtype=np.float64)
     else:
-        meta, rows = _csv_rows(data.decode("utf-8"))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not a UTF-8 text file: {e}") from e
+        meta, rows = _csv_rows(text)
         if meta.keys() & _SERIES_KEYS.keys():
             try:
                 x = np.asarray(_series_from_rows(meta, rows).i, dtype=np.float64)
@@ -438,6 +436,6 @@ def read_samples(path: str) -> np.ndarray:
 
 def write_samples_csv(x: Iterable[float]) -> str:
     rows = ["index,value"]
-    for n, v in enumerate(x):
-        rows.append(f"{n},{_fmt_float(v)}")
+    for n, v in enumerate(np.asarray(x, dtype=np.float64).tolist()):
+        rows.append(f"{n},{v}")
     return "\n".join(rows) + "\n"

@@ -400,10 +400,13 @@ def lut_mix(
     cycles: int,
     width: int,
     sign: int,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply a width-bit stream by the make_lut exponential, sample n
-    taking LUT entry n mod length; output stays width bits."""
-    return cmul_lut(*x, *make_lut(length, cycles, width, sign), width)
+    taking LUT entry (start + n) mod length, start the absolute index of
+    the stream's first sample; output stays width bits."""
+    lut = (np.roll(t, -start) for t in make_lut(length, cycles, width, sign))
+    return cmul_lut(*x, *lut, width)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +478,6 @@ class GeneratorConfig:
         if not (0 <= band_index < self.n_bands):
             raise ConfigError(f"band_index {band_index} out of range")
         return (2 * band_index + 1) * self.shifter_lut_len // (5 * self.upsample_factor)
-
-    @property
-    def phase_step(self) -> int:
-        """Band samples after which every LUT phase of the chain is back at
-        its phase of sample 0: the band-rate shifts by band_rate/5 and, at
-        the full rate, the shifter LUT; the decimation phase repeats every
-        band sample. The LUT length is a multiple of 5U, so this is
-        lcm(5, shifter_lut_len / gcd(shifter_lut_len, U))."""
-        return self.shifter_lut_len // self.upsample_factor
 
     @property
     def interp_design(self) -> tuple[int, float, float]:
@@ -626,8 +620,8 @@ class FixedPoint:
     def sum(self, streams, width: int):
         return band_sum(streams, width)
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int):
-        return lut_mix(x, length, cycles, width, sign)
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
+        return lut_mix(x, length, cycles, width, sign, start)
 
     def interp(self, band, cfg: GeneratorConfig):
         return upsample_interp(band, cfg)
@@ -670,8 +664,8 @@ class DoublePrecision:
     def sum(self, streams, width: int):
         return _stream_sum(streams, np.float64, "the float sum")
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int):
-        k = phase_words(length, cycles, length)
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
+        k = np.roll(phase_words(length, cycles, length), -start)
         c, s = _phasor_table(length)
         return _block_products(x, (c[k], sign * s[k]))
 
@@ -688,21 +682,17 @@ class DoublePrecision:
 def band_tone_sums(
     cfg: GeneratorConfig,
     tones: Sequence[ToneConfig],
-    n_band_samples: int,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Each toned band's tone sum over its first min(L_acc, n_band_samples)
-    samples, in arith: the input generate_comb tiles.
+    """Each toned band's tone sum over one accumulator period (L_acc
+    samples from sample 0), in arith: the input generate_comb tiles.
 
-    Each tone repeats every L_acc / gcd(L_acc, word) samples from sample 0,
-    so a band's tone sum repeats every L_acc: one accumulator period holds
-    every value of an n_band_samples run, and the overflow check sees them
-    all. Tones stream into the sum, so a band holds its running sum and a
-    single tone stream at a time.
+    Each tone repeats every L_acc / gcd(L_acc, word) samples, so a band's
+    tone sum repeats every L_acc: one period holds every value of any run,
+    and the overflow check sees them all. Tones stream into the sum, so a
+    band holds its running sum and a single tone stream at a time.
     """
-    if n_band_samples < 1:
-        raise ConfigError("n_band_samples must be >= 1")
     by_band: dict[int, list[ToneConfig]] = {}
     for t in tones:
         if t.band_index >= cfg.n_bands:
@@ -710,10 +700,9 @@ def band_tone_sums(
                 f"tone band_index {t.band_index} >= n_bands {cfg.n_bands}"
             )
         by_band.setdefault(t.band_index, []).append(t)
-    n_acc, w = min(cfg.L_acc, n_band_samples), cfg.resolved_sum_width
+    w = cfg.resolved_sum_width
     return {
-        b: arith.sum((tuple(s[:n_acc] for s in arith.tone(t, cfg)) for t in by_band[b]), w)
-        for b in sorted(by_band)
+        b: arith.sum((arith.tone(t, cfg) for t in by_band[b]), w) for b in sorted(by_band)
     }
 
 
@@ -729,28 +718,27 @@ def generate_comb(
     pipeline, run in arith from zero filter state at start; returns the
     wideband I/Q stream (U samples per band sample).
 
-    tone_sums are the run's band_tone_sums, each tiled from sample start;
-    at least one band must have tones (ConfigError otherwise), and bands
-    without tones contribute silence. start must be a multiple of
-    cfg.phase_step, where every LUT of the chain is at its phase of sample
-    0, so the first samples past the filter transient equal those of a run
-    from 0. The full-rate stages run over every sample.
+    tone_sums are the run's band_tone_sums, one L_acc period each, tiled
+    from sample start; at least one band must have tones (ConfigError
+    otherwise), and bands without tones contribute silence. Every LUT is
+    read at the absolute sample, so past the filter transient the samples
+    equal those of a run from 0 for any start. The full-rate stages run
+    over every sample.
     """
-    if start % cfg.phase_step:
-        raise ConfigError(
-            f"comb start {start} is not a multiple of the phase step {cfg.phase_step}"
-        )
-    end = min(cfg.L_acc, start + n_band_samples)
-    if any(len(s[0]) < end for s in tone_sums.values()):
-        raise ConfigError(f"tone sums must cover band samples [0, {end})")
+    if n_band_samples < 1:
+        raise ConfigError(f"n_band_samples must be >= 1, got {n_band_samples}")
+    if any(len(c) != cfg.L_acc for s in tone_sums.values() for c in s):
+        raise ConfigError(f"tone sums must be one accumulator period of {cfg.L_acc} samples")
 
     def one_band(b: int, band: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         band = tuple(periodic_extend(np.roll(s, -start), n_band_samples) for s in band)
         w = cfg.resolved_sum_width
-        band = arith.mix(band, 5, 1, w, -1)  # down by band_rate/5
+        band = arith.mix(band, 5, 1, w, -1, start)  # down by band_rate/5
         band = arith.interp(band, cfg)
         # up to the band center, an integer number of shifter LUT cycles
-        return arith.mix(band, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1)
+        return arith.mix(
+            band, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1, start * cfg.upsample_factor
+        )
 
     return arith.sum(
         (one_band(b, band) for b, band in sorted(tone_sums.items())), cfg.wide_width

@@ -207,12 +207,6 @@ def _band_transient_len(cfg: ChainConfig) -> int:
     return (n_interp + n_chan) // u + 2
 
 
-def _overlap(cfg: ChainConfig) -> int:
-    """A time slice's lead-in: _band_transient_len rounded up to phase_step."""
-    step = cfg.generator.phase_step
-    return -(-_band_transient_len(cfg) // step) * step
-
-
 # a time slice is at least this many overlaps long, so the overlap each
 # slice recomputes stays within a quarter of its length
 _MIN_SLICE_OVERLAPS = 4
@@ -225,30 +219,30 @@ def _subbands(
     threads: int,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Band samples [start, stop) of the comb run from sample 0, start a
-    multiple of the generator's phase_step, channelized for every band
-    that holds a tone, in arith.
+    """Band samples [start, stop) of the comb run from sample 0,
+    channelized for every band that holds a tone, in arith.
 
     [start, stop) is cut into k = min(threads, (stop - start) // m) time
     slices (at least one), which run in a pool when k > 1 (overlap-save).
-    Each slice starts its chain from zero filter state one overlap before
-    its first sample (or at sample 0) and drops those outputs. m is
-    _MIN_SLICE_OVERLAPS overlaps, and every slice starts on a step
-    multiple, where every LUT is at its phase of sample 0, so the bits do
-    not depend on threads. The band tone sums are formed once per run."""
+    Each slice starts its chain from zero filter state one overlap of
+    _band_transient_len samples before its first sample (or at sample 0)
+    and drops those outputs; m is _MIN_SLICE_OVERLAPS overlaps. Every LUT
+    is read at the absolute sample, so the bits depend neither on threads
+    nor on where a slice starts. The band tone sums are formed once per
+    run."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
-    sums = band_tone_sums(g, cfg.tones, stop, arith=arith)
-    step, overlap, n = g.phase_step, _overlap(cfg), stop - start
+    sums = band_tone_sums(g, cfg.tones, arith=arith)
+    overlap, n = _band_transient_len(cfg), stop - start
     k = max(1, min(threads, n // (_MIN_SLICE_OVERLAPS * overlap)))
-    edges = [start + i * (n // step) // k * step for i in range(k)] + [stop]
+    edges = [start + i * n // k for i in range(k)] + [stop]
 
     def one_slice(a: int, b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         a0 = max(0, a - overlap)
         wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
         return {
-            band: tuple(s[a - a0 :] for s in channelize(wideband, band, g, spec, arith=arith))
+            band: tuple(s[a - a0 :] for s in channelize(wideband, band, g, spec, a0, arith=arith))
             for band in sums
         }
 
@@ -384,7 +378,7 @@ def _loopback(
         wall_time_s=wall,
         throughput_sps=cfg.acquisition_len * a.L_avg * g.upsample_factor / wall,
         # the span and the lead-in its comb starts from
-        computed_sps=(span + min(start, _overlap(cfg))) * g.upsample_factor / wall,
+        computed_sps=(span + min(start, _band_transient_len(cfg))) * g.upsample_factor / wall,
         engine="periodic" if use_periodic else "direct",
         engine_reason=reason,
         predicted=tuple(f for f, _ in aliases),

@@ -112,7 +112,7 @@ def _steady_comb(l_acc):
     period = waveform_period(l_acc, 8, 40)
     n_taps = len(cfg.resolved_interp_filter().taps)
     n_band = (2 * period + n_taps * 8) // 8
-    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones, n_band), n_band)
+    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones), n_band)
     return wi[n_taps - 1 :], wq[n_taps - 1 :], period
 
 

@@ -117,6 +117,17 @@ def test_sample_file_with_a_bad_value_exits_1(tmp_path, capsys, command, row, wh
 
 
 @pytest.mark.parametrize("command", ["psd", "deglitch"])
+def test_sample_file_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"1\n2\n\xff\n4\n")
+    assert main([command, "--in", str(path)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: {path} is not a UTF-8 text file: ")
+    assert "can't decode byte 0xff in position 4" in cap.err
+
+
+@pytest.mark.parametrize("command", ["psd", "deglitch"])
 @pytest.mark.parametrize("suffix", ["csv", "bin"])
 @settings(max_examples=60)
 @given(data=st.data())

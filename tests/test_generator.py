@@ -506,10 +506,10 @@ def test_generate_comb_streams_tones_into_the_band_sum():
     words = default_freq_words(cfg.L_acc, 40)
     tones = [ToneConfig(0, t, w, 819) for t, w in enumerate(words)]
     # fill the CORDIC table and filter caches
-    generate_comb(cfg, band_tone_sums(cfg, tones, 64), 64)
+    generate_comb(cfg, band_tone_sums(cfg, tones), 64)
     tracemalloc.start()
     try:
-        generate_comb(cfg, band_tone_sums(cfg, tones, n), n)
+        generate_comb(cfg, band_tone_sums(cfg, tones), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,12 +645,12 @@ def test_polyphase_interpolator_with_fewer_taps_than_branches():
     assert np.array_equal(uq, zero_stuffed_interp((x, -x), cfg)[1])
 
 
-def modulo_lut_mix(x, length, cycles, width, sign):
+def modulo_lut_mix(x, length, cycles, width, sign, start):
     """lut_mix before tiling, kept as the oracle: modulo-indexed LUT
-    gathers and the out-of-place complex multiply."""
+    gathers at the absolute sample and the out-of-place complex multiply."""
     xi, xq = x
     li, lq = make_lut(length, cycles, width, sign)
-    idx = np.arange(len(xi)) % length
+    idx = (start + np.arange(len(xi))) % length
     li, lq = li[idx], lq[idx]
     sh = np.int64(width - 1)
     pi = (xi * li - xq * lq) >> sh
@@ -658,12 +658,13 @@ def modulo_lut_mix(x, length, cycles, width, sign):
     return clip(pi, width), clip(pq, width)
 
 
-def tiled_float_mix(x, length, cycles, sign):
+def tiled_float_mix(x, length, cycles, sign, start):
     """DoublePrecision.mix before the block layout, kept as its oracle: the
-    phasor table tiled to the stream's length, out-of-place products."""
+    phasor table gathered at each absolute sample, out-of-place products."""
     k = phase_words(length, cycles, length)
     c, s = _phasor_table(length)
-    li, lq = (periodic_extend(t, len(x[0])) for t in (c[k], sign * s[k]))
+    idx = (start + np.arange(len(x[0]))) % length
+    li, lq = (t[idx] for t in (c[k], sign * s[k]))
     return x[0] * li - x[1] * lq, x[0] * lq + x[1] * li
 
 
@@ -673,7 +674,7 @@ def lut_mixes(draw):
     periods in _MIX_BLOCK) plus no tail or a partial block, on widths up
     to GeneratorConfig's 32 bits, a fifth of the codes at the format's
     edges; half the streams are strided views (every other element of an
-    array twice as long)."""
+    array twice as long). The stream starts at any absolute sample."""
     length = draw(st.integers(1, 64) | st.just(_MIX_BLOCK + 3))
     cycles = draw(st.integers(0, 3 * length))
     sign = draw(st.sampled_from([+1, -1]))
@@ -683,16 +684,16 @@ def lut_mixes(draw):
     x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, n)
     if draw(st.booleans()):
         x = tuple(np.repeat(s, 2)[::2] for s in x)
-    return x, length, cycles, width, sign
+    return x, length, cycles, width, sign, draw(st.integers(0, 3 * length))
 
 
 @settings(max_examples=300)
 @given(lut_mixes())
 def test_block_lut_mix_equals_modulo_indexed(case):
-    x, length, cycles, width, sign = case
+    x, length, cycles, width, sign, start = case
     before = (x[0].copy(), x[1].copy())
-    mi, mq = lut_mix(x, length, cycles, width, sign)
-    ri, rq = modulo_lut_mix(x, length, cycles, width, sign)
+    mi, mq = lut_mix(x, length, cycles, width, sign, start)
+    ri, rq = modulo_lut_mix(x, length, cycles, width, sign, start)
     assert mi.dtype == np.int64 and len(mi) == len(x[0])
     assert np.array_equal(mi, ri)
     assert np.array_equal(mq, rq)
@@ -714,11 +715,11 @@ def test_lut_mix_saturates_at_both_format_edges():
 @settings(max_examples=200)
 @given(lut_mixes())
 def test_block_float_mix_equals_tiled(case):
-    x, length, cycles, _, sign = case
+    x, length, cycles, _, sign, start = case
     x = tuple(np.repeat(s / 3.0, 2)[::2] if s.strides[0] > 8 else s / 3.0 for s in x)
     before = (x[0].copy(), x[1].copy())
-    mi, mq = DoublePrecision(np.ones(1), np.ones(1)).mix(x, length, cycles, 0, sign)
-    ri, rq = tiled_float_mix(x, length, cycles, sign)
+    mi, mq = DoublePrecision(np.ones(1), np.ones(1)).mix(x, length, cycles, 0, sign, start)
+    ri, rq = tiled_float_mix(x, length, cycles, sign, start)
     assert mi.dtype == np.float64 and len(mi) == len(x[0])
     assert np.array_equal(mi, ri)
     assert np.array_equal(mq, rq)
@@ -814,7 +815,7 @@ def _comb_steady(cfg, words, n_periods=2):
     period = waveform_period(cfg.L_acc, cfg.upsample_factor, cfg.shifter_lut_len)
     n_taps = len(cfg.resolved_interp_filter().taps)
     n_band = (n_periods * period + n_taps * cfg.upsample_factor) // cfg.upsample_factor
-    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones, n_band), n_band)
+    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones), n_band)
     return wi[n_taps - 1 :], wq[n_taps - 1 :], period
 
 
@@ -843,15 +844,15 @@ def test_comb_period_is_lcm_and_minimal_adjusted_modulus():
 def test_generate_comb_deterministic():
     cfg = desk_cfg()
     tones = [ToneConfig(0, 0, 51, 8192), ToneConfig(1, 2, 257, 8192)]
-    a = generate_comb(cfg, band_tone_sums(cfg, tones, 300), 300)
-    b = generate_comb(cfg, band_tone_sums(cfg, tones, 300), 300)
+    a = generate_comb(cfg, band_tone_sums(cfg, tones), 300)
+    b = generate_comb(cfg, band_tone_sums(cfg, tones), 300)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_generate_comb_empty_band_is_silent():
     cfg = desk_cfg()
     tones = [ToneConfig(0, 0, 51, 8192)]
-    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones, 100), 100)
+    wi, wq = generate_comb(cfg, band_tone_sums(cfg, tones), 100)
     assert len(wi) == 800
     only = band_shift(
         upsample_interp(
@@ -908,41 +909,68 @@ def comb_cases(draw):
     )
     tones = [ToneConfig(b, t, w, a) for t, (b, w, a) in enumerate(specs)]
     n = draw(st.one_of(st.integers(1, l_acc - 1), st.integers(l_acc, 3 * l_acc + 5)))
-    return cfg, tones, n, cfg.phase_step * draw(st.integers(0, 3))
+    # any start, on or off the LUT periods, and past the first period
+    return cfg, tones, n, draw(st.integers(0, 2 * l_acc + 7))
 
 
 @settings(max_examples=150)
 @given(comb_cases())
 def test_generate_comb_sums_one_accumulator_period(case):
     # a comb from start, n below, at and above L_acc, equals the reference
-    # run from 0 past the interpolator's transient; both raise on the same
-    # overflow
+    # run from 0 past the interpolator's transient; the reference covers at
+    # least one accumulator period, so both raise on the same overflow
     cfg, tones, n, start = case
     try:
-        want = generate_comb_reference(cfg, tones, start + n)
+        want = generate_comb_reference(cfg, tones, max(start + n, cfg.L_acc))
     except ConfigError as e:
         with pytest.raises(ConfigError, match=str(e)):
-            generate_comb(cfg, band_tone_sums(cfg, tones, start + n), n, start)
+            generate_comb(cfg, band_tone_sums(cfg, tones), n, start)
         return
-    got = generate_comb(cfg, band_tone_sums(cfg, tones, start + n), n, start)
+    got = generate_comb(cfg, band_tone_sums(cfg, tones), n, start)
     skip = len(cfg.resolved_interp_filter().taps) - 1 if start else 0
     u = cfg.upsample_factor
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype == np.int64
         assert len(g) == n * u
-        assert np.array_equal(g[skip:], w[start * u + skip :])
+        assert np.array_equal(g[skip:], w[start * u + skip : (start + n) * u])
 
 
-def test_generate_comb_refuses_an_off_step_start():
+def float_arith(cfg):
+    """DoublePrecision on cfg's interpolator taps as floats."""
+    spec = cfg.resolved_interp_filter()
+    return DoublePrecision(spec.taps_array() / 2.0**spec.frac_bits, np.ones(1))
+
+
+@settings(max_examples=100)
+@given(comb_cases())
+def test_generate_comb_from_any_start_equals_a_run_from_0(case):
+    # every LUT is read at the absolute sample: past the interpolator's
+    # transient a comb from start is the run from 0, bit for bit, in both
+    # arithmetics
+    cfg, tones, n, start = case
+    skip, u = len(cfg.resolved_interp_filter().taps) - 1, cfg.upsample_factor
+    for arith in (FIXED_POINT, float_arith(cfg)):
+        try:
+            sums = band_tone_sums(cfg, tones, arith=arith)
+        except ConfigError:  # the sum width overflows: no run at any start
+            continue
+        want = generate_comb(cfg, sums, start + n, arith=arith)
+        got = generate_comb(cfg, sums, n, start, arith=arith)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and len(g) == n * u
+            assert np.array_equal(g[skip:], w[start * u + skip :])
+
+
+def test_generate_comb_needs_one_period_tone_sums():
     cfg = desk_cfg()
-    assert cfg.phase_step == 5
-    sums = band_tone_sums(cfg, [ToneConfig(0, 0, 51, 8192)], 100)
-    generate_comb(cfg, sums, 50, 10)
-    for start in (1, 4, 12):
-        with pytest.raises(ConfigError, match=f"comb start {start} is not a multiple"):
-            generate_comb(cfg, sums, 50, start)
-    with pytest.raises(ConfigError, match=r"tone sums must cover band samples \[0, 105\)"):
-        generate_comb(cfg, sums, 50, 55)
+    tone = ToneConfig(0, 0, 51, 8192)
+    for arith in (FIXED_POINT, float_arith(cfg)):
+        [(si, sq)] = band_tone_sums(cfg, [tone], arith=arith).values()
+        assert len(si) == len(sq) == cfg.L_acc
+        generate_comb(cfg, {0: (si, sq)}, 50, 1001, arith=arith)
+        for bad in ((si[:-1], sq[:-1]), (si, sq[:-1]), tone_over(tone, cfg, 2 * cfg.L_acc)):
+            with pytest.raises(ConfigError, match="tone sums must be one accumulator period of 1024"):
+                generate_comb(cfg, {0: bad}, 50, arith=arith)
 
 
 def test_generate_comb_needs_a_toned_band():
@@ -952,14 +980,15 @@ def test_generate_comb_needs_a_toned_band():
             generate_comb(cfg, {}, 100, arith=arith)
 
 
-def test_band_tone_sums_need_a_band_sample():
-    # tones take no length, so the run length is checked where it is cut
+def test_generate_comb_needs_a_band_sample():
+    # tone sums take no length, so the run length is checked where it is cut
     cfg = desk_cfg()
-    tones = [ToneConfig(0, 0, 51, 8192)]
-    for arith in (FIXED_POINT, DoublePrecision(np.ones(1), np.ones(1))):
-        assert len(band_tone_sums(cfg, tones, 1, arith=arith)[0][0]) == 1
-        with pytest.raises(ConfigError, match="n_band_samples must be >= 1"):
-            band_tone_sums(cfg, tones, 0, arith=arith)
+    for arith in (FIXED_POINT, float_arith(cfg)):
+        sums = band_tone_sums(cfg, [ToneConfig(0, 0, 51, 8192)], arith=arith)
+        assert len(generate_comb(cfg, sums, 1, arith=arith)[0]) == cfg.upsample_factor
+        for n in (0, -3):
+            with pytest.raises(ConfigError, match=f"n_band_samples must be >= 1, got {n}"):
+                generate_comb(cfg, sums, n, arith=arith)
 
 
 # ---------------------------------------------------------------------------
