@@ -402,12 +402,15 @@ def read_samples(path: str) -> np.ndarray:
     """Read one real-valued series: the I column of an I/Q binary file or
     of a CSV whose metadata holds a series header key, both through the
     series readers, or else the second column of a CSV (the only one of a
-    one-column CSV). A value that does not parse or is not finite raises
-    ConfigError naming the file and the data row."""
+    one-column CSV). Every ConfigError names the file; a value that does
+    not parse or is not finite also names the data row."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] == _BIN_MAGIC:
-        x = np.asarray(series_from_binary(data).i, dtype=np.float64)
+        try:
+            x = np.asarray(series_from_binary(data).i, dtype=np.float64)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}") from e
     else:
         try:
             text = data.decode("utf-8")

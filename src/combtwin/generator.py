@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import (
     ConfigError,
@@ -229,6 +230,12 @@ class FilterSpec:
                 "(sum|h| * 2^(stream_bits-1) >= 2^63)"
             )
 
+    def exact_in_float64(self, stream_bits: int) -> bool:
+        """Whether every partial sum of a convolution over a stream_bits-bit
+        input is an integer below 2^53, sum|h| * 2^(stream_bits-1) < 2^53:
+        then exact_interpolate and exact_decimate give the int64 sums."""
+        return sum(abs(t) for t in self.taps) << (stream_bits - 1) < 1 << 53
+
 
 def windowed_sinc_taps(num_taps: int, cutoff_cycles: float, gain: float = 1.0) -> np.ndarray:
     """Unquantized Hamming windowed-sinc lowpass taps."""
@@ -271,8 +278,9 @@ def _design_windowed_sinc(
 
 
 # Polyphase kernels (Crochiere & Rabiner 1983) return the branch sums before
-# any requantization: exact on int64 (the fixed-point chain), complex128 for
-# the float oracle.
+# any requantization: exact on int64 (the fixed-point chain past the 2^53
+# bound of the exact products below, and their test oracle), float64 for the
+# float oracle.
 
 
 def polyphase_interpolate(x: np.ndarray, h: np.ndarray, u: int) -> np.ndarray:
@@ -299,6 +307,80 @@ def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
             xr = np.zeros(n_out, dtype=x.dtype)
             xr[1:] = x[d - r :: d][: n_out - 1]
         y += np.convolve(xr, h[r::d])[:n_out]
+    return y
+
+
+# The block kernels (the LUT mixes and the exact FIR products) work on about
+# this many elements at a time: numpy's cost per call falls as blocks grow,
+# and a block's 64 KiB arrays (the LUT repeated to one row, a FIR block cast
+# to float64) still sit in the L2 cache.
+_MIX_BLOCK = 8192
+
+
+def _float_span(x: np.ndarray, a: int, b: int) -> np.ndarray:
+    """x[a:b] cast to float64, zero outside the stream (a may be negative)."""
+    out = np.zeros(b - a)
+    lo, hi = max(a, 0), min(b, len(x))
+    out[lo - a : hi - a] = x[lo:hi]
+    return out
+
+
+# Every integer of magnitude up to 2^53 is exact in float64, so a sum of
+# integer products whose every partial sum stays below 2^53 is exact under
+# any summation order, FMA included: BLAS gives the int64 bits. Each block
+# of about _MIX_BLOCK elements is cast to float64 on its own and its products
+# are written into the int64 output, so no float array is stream-sized.
+# FilterSpec.exact_in_float64 states the bound.
+
+
+def exact_interpolate(x: np.ndarray, h: np.ndarray, u: int) -> np.ndarray:
+    """polyphase_interpolate(x, h, u) on int64 x and taps h within the 2^53
+    bound, as float64 matrix products: the K = ceil(len(h)/u) latest inputs
+    x[m-K+1 .. m] times the (K x u) branch matrix give outputs m*u to
+    m*u + u - 1."""
+    k = -(-len(h) // u)
+    taps = np.zeros(k * u)
+    taps[: len(h)] = h
+    branches = taps.reshape(k, u)[::-1].copy()  # row j meets x[m - k + 1 + j]
+    n = len(x)
+    y = np.empty((n, u), dtype=np.int64)
+    # output m takes the window x[m-k+1 .. m]: the first k - 1 windows reach
+    # before the stream and come from its zero-padded head, the others are
+    # rows of one window view of x, cast to float64 a block at a time
+    head = min(n, k - 1)
+    if head:
+        y[:head] = sliding_window_view(_float_span(x, 1 - k, head), k) @ branches
+    if n >= k:
+        windows = sliding_window_view(x, k)
+        rows = max(1, _MIX_BLOCK // k)
+        for s in range(k - 1, n, rows):
+            e = min(n, s + rows)
+            y[s:e] = windows[s - k + 1 : e - k + 1].astype(np.float64) @ branches
+    return y.reshape(-1)
+
+
+def exact_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
+    """polyphase_decimate(x, h, d) on int64 x and taps h within the 2^53
+    bound, as float64 matrix products: input block j, x[j*d .. j*d + d - 1],
+    meets taps h[r*d - t] for output j + r, r < K = (len(h) + d - 2) // d + 1.
+    The transposed product G.T @ blocks.T has block j's partial sum for
+    output j + r in row r, each row contiguous, and each output adds its K
+    partial sums along the diagonal."""
+    k = (len(h) + d - 2) // d + 1
+    taps = np.zeros(k * d)
+    taps[d - 1 : d - 1 + len(h)] = h
+    gt = taps.reshape(k, d)[:, ::-1].copy()  # gt[r, t] = h[r*d - t], 0 outside h
+    n_out = -(-len(x) // d)
+    y = np.empty(n_out, dtype=np.int64)
+    rows = max(1, _MIX_BLOCK // d)
+    for s in range(0, n_out, rows):
+        e = min(n_out, s + rows)
+        # blocks s-k+1 .. e-1: output s + i's share from row r is column i + k-1-r
+        parts = gt @ _float_span(x, (s - k + 1) * d, e * d).reshape(-1, d).T
+        acc = np.zeros(e - s)
+        for r in range(k):
+            acc += parts[r, k - 1 - r : k - 1 - r + e - s]
+        y[s:e] = acc
     return y
 
 
@@ -334,12 +416,6 @@ def make_lut(
     li = np.floor(sc * np.cos(ang) + 0.5).astype(np.int64)
     lq = np.floor(sc * np.sin(ang) + 0.5).astype(np.int64)
     return li, lq
-
-
-# The LUT mixes run over rows of whole LUT periods, about this many samples
-# each: numpy's cost per broadcast row falls as rows grow, and the LUT
-# repeated to one row (two 64 KiB int64 arrays) still sits in the L2 cache.
-_MIX_BLOCK = 8192
 
 
 def _block_products(
@@ -549,7 +625,8 @@ def band_sum(
 def upsample_interp(
     band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolate by U with the configured FIR, as a polyphase filter.
+    """Interpolate by U with the configured FIR, as a polyphase filter:
+    exact_interpolate within the 2^53 bound, polyphase_interpolate past it.
 
     Bit-identical to zero-stuffing by U and running the FIR at the full
     rate, but only the U branch filters (len(taps)/U taps each) run.
@@ -559,10 +636,9 @@ def upsample_interp(
     """
     spec = cfg.resolved_interp_filter()
     h, u, w = spec.taps_array(), cfg.upsample_factor, cfg.resolved_sum_width
+    fir = exact_interpolate if spec.exact_in_float64(w) else polyphase_interpolate
     return tuple(
-        requantize(
-            polyphase_interpolate(s, h, u), spec.frac_bits, w, Rounding.TRUNCATE_TOWARD_NEG_INF
-        )
+        requantize(fir(s, h, u), spec.frac_bits, w, Rounding.TRUNCATE_TOWARD_NEG_INF)
         for s in band
     )
 
@@ -628,10 +704,9 @@ class FixedPoint:
 
     def decimate(self, x, spec: FilterSpec, d: int, width: int):
         h = spec.taps_array()
+        fir = exact_decimate if spec.exact_in_float64(width) else polyphase_decimate
         return tuple(
-            requantize(
-                polyphase_decimate(s, h, d), spec.frac_bits, width, Rounding.TRUNCATE_TOWARD_NEG_INF
-            )
+            requantize(fir(s, h, d), spec.frac_bits, width, Rounding.TRUNCATE_TOWARD_NEG_INF)
             for s in x
         )
 
@@ -669,6 +744,8 @@ class DoublePrecision:
         c, s = _phasor_table(length)
         return _block_products(x, (c[k], sign * s[k]))
 
+    # polyphase_* and not the exact products: float sums rounded per block
+    # would make a slice's bits depend on where its blocks start
     def interp(self, band, cfg: GeneratorConfig):
         return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)
 

@@ -378,8 +378,20 @@ def test_psd_on_a_binary_with_a_bogus_demod_mode_exits_1(tmp_path, capsys):
     assert main(["psd", "--in", str(src), "--fs", "1"]) == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: I/Q series header key 'demod_mode': 'bogus' is not a valid DemodMode\n"
+        f"error: {src}: I/Q series header key 'demod_mode': 'bogus' is not a valid DemodMode\n"
     )
+
+
+def test_psd_on_a_truncated_binary_names_the_file(tmp_path, capsys):
+    blob = series_to_binary(
+        IqTimeSeries(0, 0, 1, np.arange(8), np.arange(8), 1.0, 1, DemodMode.SINE_DDC)
+    )
+    src = tmp_path / "x.bin"
+    for cut, what in ((6, "header or sample count cut short"), (-1, "fewer than 8 I and Q samples")):
+        src.write_bytes(blob[:cut])
+        assert main(["psd", "--in", str(src), "--fs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {src}: truncated I/Q binary file: {what}\n"
+
 
 @pytest.mark.parametrize("fs", ["inf", "nan"])
 def test_psd_refuses_a_non_finite_fs(tmp_path, capsys, fs):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtwin import ConfigError, FxpFormat, FxpValue
+from combtwin import ConfigError, FxpFormat, FxpValue, generator
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     CordicConfig,
@@ -30,11 +30,15 @@ from combtwin.generator import (
     cordic_tone,
     default_freq_words,
     design_windowed_sinc,
+    exact_decimate,
+    exact_interpolate,
     generate_comb,
     lut_mix,
     make_lut,
     periodic_extend,
     phase_words,
+    polyphase_decimate,
+    polyphase_interpolate,
     tone_generate,
     upsample_interp,
     waveform_period,
@@ -643,6 +647,83 @@ def test_polyphase_interpolator_with_fewer_taps_than_branches():
     gap = [0] * 5
     assert ui.tolist() == [50, 100, 50] + gap + [-100, -200, -100] + gap + [1023, 2047, 1023] + gap
     assert np.array_equal(uq, zero_stuffed_interp((x, -x), cfg)[1])
+
+
+@st.composite
+def exact_fir_cases(draw):
+    """A rate 1 to 8, odd symmetric int64 taps (1 to 129, so also fewer
+    than the rate) and a stream of 1 sample (fewer outputs than the
+    window) to 4 blocks of _MIX_BLOCK, a fifth of its codes at the edges
+    of a format up to the widest that keeps every partial sum below 2^53."""
+    rate = draw(st.integers(1, 8))
+    lim = 1 << (draw(st.integers(1, 24)) - 1)
+    m = draw(st.integers(1, 65))
+    half = draw(st.lists(st.integers(-lim, lim - 1), min_size=m, max_size=m))
+    h = np.array(half + half[-2::-1], dtype=np.int64)
+    total = int(np.abs(h).sum())
+    top = max(w for w in range(2, 33) if total << (w - 1) < 1 << 53)
+    width = draw(st.just(top) | st.integers(2, top))
+    whole = draw(st.integers(0, 3)) * _MIX_BLOCK
+    n = whole + draw(st.integers(1, 40) | st.integers(41, _MIX_BLOCK))
+    return stream_pair(draw(st.integers(0, 2**32 - 1)), width, n)[0], h, rate
+
+
+@settings(max_examples=200)
+@given(exact_fir_cases())
+def test_exact_fir_products_equal_the_polyphase_kernels(case):
+    x, h, rate = case
+    for exact, polyphase in (
+        (exact_interpolate, polyphase_interpolate),
+        (exact_decimate, polyphase_decimate),
+    ):
+        got, want = exact(x, h, rate), polyphase(x, h, rate)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_exact_fir_products_with_block_edges_mid_window(monkeypatch):
+    # a prime block puts the block edges at every offset within the windows,
+    # down to one output per block
+    rng = np.random.default_rng(32)
+    for block in (2, 7, 13):
+        monkeypatch.setattr(generator, "_MIX_BLOCK", block)
+        for rate in (1, 3, 8):
+            for n_taps in (1, 5, 63, 127):
+                h = rng.integers(-(1 << 17), 1 << 17, n_taps)
+                x = rng.integers(-(1 << 19), 1 << 19, 200)
+                for exact, polyphase in (
+                    (exact_interpolate, polyphase_interpolate),
+                    (exact_decimate, polyphase_decimate),
+                ):
+                    assert np.array_equal(exact(x, h, rate), polyphase(x, h, rate))
+
+
+@pytest.mark.parametrize(
+    "centre, kernel", [((1 << 33) - 1, "exact"), (1 << 33, "polyphase")], ids=["below", "at"]
+)
+def test_fir_callers_take_the_exact_product_below_2_53(monkeypatch, centre, kernel):
+    """Taps (2^32, centre, 2^32) in Q2.34 on a 20-bit stream: sum|h| *
+    2^19 is 2^53 - 2^19, the largest bound below 2^53, or 2^53 itself.
+    Full-scale codes of both signs reach it. Only the kernel named runs
+    (the other raises), and both callers equal the zero-stuffed oracle."""
+    spec = FilterSpec((1 << 32, centre, 1 << 32), 36, 34, "at the bound")
+    assert spec.exact_in_float64(20) is (kernel == "exact")
+    unused = ("polyphase" if kernel == "exact" else "exact") + "_{}"
+    for name in ("interpolate", "decimate"):
+        monkeypatch.setattr(generator, unused.format(name), None)
+    lim = 1 << 19
+    x = np.array([-lim] * 5 + [lim - 1] * 5 + [-lim, lim - 1] * 3, dtype=np.int64)
+    raw = np.convolve(x, spec.taps_array())
+    assert -raw.min() == int(np.abs(spec.taps_array()).sum()) << 19
+    cfg = GeneratorConfig(
+        n_bands=1, tones_per_band=1, L_acc=8, upsample_factor=1, shifter_lut_len=5,
+        interp_filter=spec, sum_width_bits=20,
+    )
+    want = fir_apply(x, -x, spec, 20)
+    for got in (upsample_interp((x, -x), cfg), FIXED_POINT.decimate((x, -x), spec, 1, 20)):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = FIXED_POINT.decimate((x, -x), spec, 3, 20)
+    assert np.array_equal(got[0], want[0][::3]) and np.array_equal(got[1], want[1][::3])
 
 
 def modulo_lut_mix(x, length, cycles, width, sign, start):
