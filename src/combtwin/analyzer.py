@@ -1,19 +1,21 @@
 """Loopback analysis path.
 
 Channelizes the wideband stream back into band-rate subbands (mix, FIR,
-decimate, re-shift) and forms each tone's block products with one
-accumulator period of its regenerated reference (full-precision sine DDC
-or sign-only square wave), which repeats as the shifter LUTs do. The boxcar
-that accumulates L_avg products per output sample is the arithmetic's
-window_sums, which harness._tone_series applies on both engine plans.
-Accumulator outputs are undivided integer sums; normalization happens in
-the metrics layer.
+decimate, re-shift) and demodulates each tone against one accumulator
+period of its regenerated reference (full-precision sine DDC or sign-only
+square wave), which repeats as the shifter LUTs do. The DDC bank forms the
+boxcar sums of L_avg products per output sample for every tone of a band
+at once, on both engine plans; ddc_products gives one tone's products
+before accumulation. Accumulator outputs are undivided integer sums;
+normalization happens in the metrics layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .generator import (
     FixedPoint,
     GeneratorConfig,
     _block_products,
+    phase_words,
 )
 
 
@@ -112,6 +115,8 @@ def channelize(
     exciter's down-shift, all in arith at g's wideband width, each LUT read
     at the absolute sample.
     """
+    if len(wideband[0]) < 1:
+        raise ConfigError(f"wideband stream must hold >= 1 sample, got {len(wideband[0])}")
     w, lut, u = g.wide_width, g.shifter_lut_len, g.upsample_factor
     mixed = arith.mix(wideband, lut, g.band_shift_cycles(band_index), w, -1, start * u)
     return arith.mix(arith.decimate(mixed, spec, u, w), 5, 1, w, +1, start)
@@ -119,6 +124,11 @@ def channelize(
 
 # ---------------------------------------------------------------------------
 # demodulation
+
+
+def _square(c: np.ndarray) -> np.ndarray:
+    """The MSB square wave of a reference component: sign(c), sign(0) = +1."""
+    return np.where(c >= 0, np.int64(1), np.int64(-1))
 
 
 def ddc_products(
@@ -136,5 +146,98 @@ def ddc_products(
     """
     ci, cq = reference
     if mode is DemodMode.SQUARE_WAVE:
-        ci, cq = (np.where(c >= 0, np.int64(1), np.int64(-1)) for c in (ci, cq))
+        ci, cq = _square(ci), _square(cq)
     return _block_products(subband, (ci, -cq))
+
+
+# The bank's arrays hold at most about this many entries: a block of
+# stacked references, or the block sums of a block of tones and rows.
+# Blocks built and dropped one at a time keep the bank's live memory to
+# one block, where all 40 of a full-scale band's references would take
+# 40 MiB.
+_BANK_BLOCK = 1 << 19
+
+
+def reference_bank(
+    table: tuple[np.ndarray, np.ndarray], words: Sequence[int], mode: DemodMode, dtype
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The references of the tones with the given words stacked in dtype,
+    one row per tone, in blocks of at most _BANK_BLOCK entries, each built
+    when it is drawn: row k is entry n * words[k] mod L of table, the
+    reference of every phase word (word 1, L entries), or for SQUARE_WAVE
+    of its MSB square waves."""
+    waves = [(_square(c) if mode is DemodMode.SQUARE_WAVE else c).astype(dtype) for c in table]
+    step = max(1, _BANK_BLOCK // len(waves[0]))
+    for t0 in range(0, len(words), step):
+        yield _reference_block(waves, words[t0 : t0 + step])
+
+
+def _reference_block(
+    waves: list[np.ndarray], words: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row k of each wave's block is entry n * words[k] mod L of the wave."""
+    length = len(waves[0])
+    block = tuple(np.empty((len(words), length), w.dtype) for w in waves)
+    for k, word in enumerate(words):
+        ph = phase_words(length, word, length)
+        for wave, rows in zip(waves, block):
+            np.take(wave, ph, out=rows[k], mode="clip")  # unbuffered; ph < length
+    return block
+
+
+def ddc_bank(
+    subband: tuple[np.ndarray, np.ndarray],
+    bank: Iterable[tuple[np.ndarray, np.ndarray]],
+    l_avg: int,
+    n_windows: int,
+    *,
+    arith: FixedPoint | DoublePrecision = FIXED_POINT,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first n_windows boxcar sums of L_avg DDC products of every tone
+    in bank (reference_bank's blocks of rows, L entries each, drawn once)
+    over the stream that is the subband tiled from absolute sample 0, at
+    reference phase 0: I and Q of shape (tones, n_windows), in the
+    subband's dtype.
+
+    The span is viewed as rows of L samples (the last one zero-padded),
+    each cut into K blocks of h = gcd(L_avg, L, span) samples: every window
+    edge of the tiled stream is a block edge, and block j of every row
+    meets entries j*h .. j*h + h - 1 of each reference. With a row's
+    blocks X_i, X_q and a tone's C_i, C_q, its block sums are
+    I = C_i X_i + C_q X_q and Q = C_i X_q - C_q X_i: one batched matrix
+    product per reference component, (K, tones, h) @ (K, h, rows), in the
+    bank's dtype, for blocks of tones and rows. arith.accumulate then sums
+    each window's blocks. So the work is tones times the span for any
+    L_avg; with h = L (every builtin) it is one product of the stacked
+    references and the rows.
+
+    A float64 bank gives the exact integer block sums of an int64 subband
+    when every partial sum stays below 2^53 (ChainConfig.ddc_exact_in_float64):
+    each block lies in one window, so its partial sums are sums of some of
+    one window's products, and float64 holds those integers in any
+    summation order. An int64 bank runs the same products in int64."""
+    span, x, out = len(subband[0]), None, []
+    for bi, bq in bank:
+        if x is None:  # the span in the bank's dtype, in rows of L samples
+            length, dtype = bi.shape[1], bi.dtype
+            h = math.gcd(l_avg, length, span)
+            k, rows, full = length // h, -(-span // length), span // length
+            x = np.zeros((rows, 2, length), dtype)  # row r's I samples, then its Q samples
+            for c, s in enumerate(subband):
+                x[:full, c] = s[: full * length].reshape(full, length)
+                x[full:, c, : span - full * length] = s[full * length :]
+            sub = max(1, _BANK_BLOCK // (rows * k))  # tones whose block sums are held at once
+        for s0 in range(0, len(bi), sub):
+            ci, cq = (c[s0 : s0 + sub].reshape(-1, k, h).transpose(1, 0, 2) for c in (bi, bq))
+            tb = ci.shape[1]
+            sums = np.empty((2, tb, rows, k), dtype)
+            step = max(1, _BANK_BLOCK // (tb * k))
+            for r0 in range(0, rows, step):
+                xs = x[r0 : r0 + step].reshape(-1, k, h).transpose(1, 2, 0)  # (K, h, 2 rows)
+                a, b = ci @ xs, cq @ xs  # columns: a row's I blocks, then its Q blocks
+                sums[0, :, r0 : r0 + step] = (a[..., 0::2] + b[..., 1::2]).transpose(1, 2, 0)
+                sums[1, :, r0 : r0 + step] = (a[..., 1::2] - b[..., 0::2]).transpose(1, 2, 0)
+            out.append([arith.accumulate(c[:, : span // h], l_avg // h, n_windows)
+                        for c in sums.reshape(2, tb, -1)])
+        del bi, bq, ci, cq  # dropped before the bank builds its next block
+    return tuple(np.concatenate(c) for c in zip(*out))

@@ -98,6 +98,15 @@ class ChainConfig:
         return self.ddc_product_bits + max(1, math.ceil(math.log2(self.analyzer.L_avg)))
 
     @property
+    def ddc_exact_in_float64(self) -> bool:
+        """Whether every partial sum of the DDC bank's products is an integer
+        below 2^53. Each is a sum of some of one window's DDC products, so it
+        fits the accumulator need, at most 2^(need-1) in magnitude; the bound
+        holds when 2^(need-1) < 2^53. Then the bank's float64 products give
+        the int64 block sums (analyzer.ddc_bank)."""
+        return 1 << (self._accumulator_need - 1) < 1 << 53
+
+    @property
     def resolved_accumulator_width(self) -> int:
         if self.analyzer.accumulator_width_bits is not None:
             return self.analyzer.accumulator_width_bits

@@ -8,6 +8,7 @@ desk- and full-scale configurations and deterministic persistence.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +31,9 @@ from .analyzer import (
     DemodMode,
     IqTimeSeries,
     channelize,
+    ddc_bank,
     ddc_products,
+    reference_bank,
 )
 from .config import _MIRRORED, ChainConfig
 from .formats import (
@@ -262,7 +265,7 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     Direct spans the whole run. Periodic spans one period from the first
     multiple of the period at or past the transient: a steady-state
     period at phase 0 of every tone reference and of the windows, so it
-    tiles the run and _tone_series treats both plans alike. "auto" also
+    tiles the run and _band_series treats both plans alike. "auto" also
     needs the period plus the transient to be shorter than the run."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
@@ -289,36 +292,63 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     return True, -(-transient // p_band) * p_band, p_band, f"{why} and the transient fits"
 
 
-def _tone_series(
+def _band_series(
     cfg: ChainConfig,
     sub: tuple[np.ndarray, np.ndarray],
-    tone: ToneConfig,
+    tones: Sequence[ToneConfig],
     mode: DemodMode,
-    arith: FixedPoint | DoublePrecision = FIXED_POINT,
-) -> IqTimeSeries:
-    """The pattern of one tone's retained accumulator outputs from its
-    band's span, in arith: the span, starting at phase 0 of the reference
-    period, is demodulated against one accumulator period of the reference
-    and its window sums taken as a stream that tiles it. That stream repeats every n_pat = span / gcd(L_avg, span)
-    windows, so only the warm-up and the first min(n_pat, acquisition_len)
-    retained windows are formed; _tiled extends them to the run. On the
-    direct plan the span is the whole run, and so is the pattern."""
+    arith: FixedPoint | DoublePrecision,
+) -> list[IqTimeSeries]:
+    """The pattern of each of a band's tones' retained accumulator outputs
+    from the band's span, in arith: the span, starting at phase 0 of the
+    reference period, is demodulated against the tones' stacked references
+    and its window sums taken as a stream that tiles it (analyzer.ddc_bank),
+    in float64 when the fixed-point products are exact there
+    (ChainConfig.ddc_exact_in_float64). That stream repeats every
+    n_pat = span / gcd(L_avg, span) windows, so only the warm-up and the
+    first min(n_pat, acquisition_len) retained windows are formed; _tiled
+    extends them to the run. On the direct plan the span is the whole run,
+    and so is the pattern."""
     g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
     span = len(sub[0])
     n_pat = span // math.gcd(a.L_avg, span)
-    yi, yq = ddc_products(sub, arith.reference(g.L_acc, tone.freq_word, g.cordic), mode)
     n = w + min(n_pat, cfg.acquisition_len)
-    i, q = (arith.window_sums(y, a.L_avg, n) for y in (yi, yq))
-    return IqTimeSeries(
-        band_index=tone.band_index,
-        tone_index=tone.tone_index,
-        freq_word=tone.freq_word,
-        i=i[w:],
-        q=q[w:],
-        rate_hz=g.band_rate_hz / a.L_avg,
-        l_avg=a.L_avg,
-        demod_mode=mode,
-    )
+    table = arith.reference(g.L_acc, 1, g.cordic)  # every phase word
+    dtype = np.float64 if cfg.ddc_exact_in_float64 else table[0].dtype
+    bank = reference_bank(table, [t.freq_word for t in tones], mode, dtype)
+    i, q = ddc_bank(sub, bank, a.L_avg, n, arith=arith)
+    return [
+        IqTimeSeries(
+            band_index=t.band_index,
+            tone_index=t.tone_index,
+            freq_word=t.freq_word,
+            i=i[k, w:],
+            q=q[k, w:],
+            rate_hz=g.band_rate_hz / a.L_avg,
+            l_avg=a.L_avg,
+            demod_mode=mode,
+        )
+        for k, t in enumerate(tones)
+    ]
+
+
+def _patterns(
+    cfg: ChainConfig,
+    spans: dict[int, tuple[np.ndarray, np.ndarray]],
+    mode: DemodMode,
+    arith: FixedPoint | DoublePrecision,
+    run,
+) -> list[IqTimeSeries]:
+    """Every tone's pattern, band-major and tone-minor: each band's
+    _band_series is one task of run, a map (_pool)."""
+    by_band: dict[int, list[ToneConfig]] = {}
+    for t in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
+        by_band.setdefault(t.band_index, []).append(t)
+
+    def one_band(b: int) -> list[IqTimeSeries]:
+        return _band_series(cfg, spans[b], by_band[b], mode, arith)
+
+    return [p for patterns in run(one_band, by_band) for p in patterns]
 
 
 def _tiled(pattern: IqTimeSeries, n: int) -> IqTimeSeries:
@@ -332,8 +362,8 @@ def run_loopback(
     """Generate the comb, loop it straight into the analyzer, demodulate
     every tone, and compute amplitude/phase PSDs and spur reports.
     threads > 1 runs time slices of the comb and channelizer (see
-    _subbands) and then the tones (DDC and every metric) in thread pools;
-    the bits do not depend on it.
+    _subbands), then each band's DDC bank and then each tone's metrics in
+    thread pools; the bits do not depend on it.
 
     engine: "direct" streams every sample; "periodic" computes one
     steady-state waveform period past the filter transient and assembles
@@ -349,23 +379,19 @@ def _loopback(
     cfg: ChainConfig, engine: str, threads: int, arith: FixedPoint | DoublePrecision
 ) -> RunResult:
     """The one driver of run_loopback and float_oracle: the engine plan,
-    comb, channelizer, tone series and metrics, run in arith."""
+    comb, channelizer, DDC banks and tone metrics, run in arith."""
     t0 = time.perf_counter()
     use_periodic, start, span, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
     spans = _subbands(cfg, start, start + span, threads, arith)
 
-    def one_tone(tone: ToneConfig) -> ToneResult:
-        # the DDC temporaries are freed before the metrics start
-        pattern = _tone_series(cfg, spans[tone.band_index], tone, a.demod_mode, arith)
+    def one_tone(pattern: IqTimeSeries) -> ToneResult:
         return _tone_metrics(pattern, cfg.acquisition_len)
 
-    ordered_tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
-    if threads > 1 and len(ordered_tones) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            tone_results = tuple(ex.map(one_tone, ordered_tones))
-    else:
-        tone_results = tuple(map(one_tone, ordered_tones))
+    with _pool(threads) as run:
+        patterns = _patterns(cfg, spans, a.demod_mode, arith, run)
+        del spans
+        tone_results = tuple(run(one_tone, patterns))
     aliases = predict_spurs(
         g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
     )
@@ -383,6 +409,18 @@ def _loopback(
         engine_reason=reason,
         predicted=tuple(f for f, _ in aliases),
     )
+
+
+@contextlib.contextmanager
+def _pool(threads: int):
+    """The map that runs a stage's tasks: the map of a pool of `threads`
+    workers when threads > 1, the builtin map on the calling thread
+    otherwise."""
+    if threads < 2:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        yield ex.map
 
 
 def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spectrum]:
@@ -516,17 +554,20 @@ def run_demod_compare(cfg: ChainConfig, threads: int = 1) -> DemodComparison:
     subbands = _subbands(cfg, start, start + max(span, n_pre), threads)
     spans = {b: tuple(x[:span] for x in s) for b, s in subbands.items()}
     ref_amp = float((1 << (g.cordic.data_bits - 1)) - 1)
+    modes = (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE)
+    with _pool(threads) as run:
+        patterns = [_patterns(cfg, spans, mode, FIXED_POINT, run) for mode in modes]
 
     rows = []
-    for tone in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
+    tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
+    for tone, *mode_patterns in zip(tones, *patterns):
         pre = tuple(s[:n_pre] for s in subbands[tone.band_index])
         ref = cordic_tone(g.L_acc, tone.freq_word, g.cordic)
-        lines, series = [], []
-        for mode in (DemodMode.SINE_DDC, DemodMode.SQUARE_WAVE):
-            yi, yq = ddc_products(pre, ref, mode)
-            lines.append(_spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB))
-            pattern = _tone_series(cfg, spans[tone.band_index], tone, mode)
-            series.append(_tiled(pattern, cfg.acquisition_len))
+        lines = [
+            _spectral_line_count((yi + 1j * yq)[skip:], PRE_ACCUM_LINE_THRESHOLD_DB)
+            for yi, yq in (ddc_products(pre, ref, mode) for mode in modes)
+        ]
+        series = [_tiled(p, cfg.acquisition_len) for p in mode_patterns]
         m_sine, m_square = (complex(np.mean(s.complex_values())) for s in series)
         mag_ratio = abs(m_square) * ref_amp / abs(m_sine) if m_sine != 0 else math.inf
         dphi = math.remainder(

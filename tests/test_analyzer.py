@@ -2,19 +2,22 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combtwin import ConfigError
+from combtwin import ConfigError, analyzer
 from combtwin.analyzer import (
     AnalyzerConfig,
     DemodMode,
     IqTimeSeries,
     channelize,
+    ddc_bank,
     ddc_products,
+    reference_bank,
 )
 from combtwin.generator import (
     FIXED_POINT,
@@ -124,6 +127,15 @@ def test_channelize_zero_in_zero_out():
         yi, yq = channelize((z, z), b, g, spec)
         assert len(yi) == 512
         assert not yi.any() and not yq.any()
+
+
+def test_channelize_refuses_an_empty_stream_in_both_arithmetics():
+    g, spec = desk_generator(), desk_channelizer()
+    double = DoublePrecision(np.ones(1), spec.taps_array() / 2.0**spec.frac_bits)
+    for arith, dtype in ((FIXED_POINT, np.int64), (double, np.float64)):
+        z = np.zeros(0, dtype=dtype)
+        with pytest.raises(ConfigError, match="wideband stream must hold >= 1 sample, got 0"):
+            channelize((z, z), 0, g, spec, arith=arith)
 
 
 def test_channelize_rejects_bad_band():
@@ -260,13 +272,32 @@ def test_channelize_undoes_band_shift_on_tone_grid():
 
 
 def demod(subband, reference, l_avg, mode=DemodMode.SINE_DDC):
-    """The chain's demodulator: ddc_products, then the fixed-point window
-    sums of every whole window."""
+    """The chain's demodulator on one tone: a one-row bank of the
+    reference (the table of word 1 is the reference itself) through
+    ddc_bank, every whole window."""
     n_windows = len(subband[0]) // l_avg
-    return tuple(
-        FIXED_POINT.window_sums(y, l_avg, n_windows)
-        for y in ddc_products(subband, reference, mode)
-    )
+    bank = reference_bank(reference, [1], mode, np.float64)  # one block of one row
+    return tuple(x[0] for x in ddc_bank(subband, bank, l_avg, n_windows))
+
+
+def prefix_window_sums(y, l_avg, n_windows):
+    """The fixed-point window sums before the DDC bank, kept as an oracle:
+    the first n_windows boxcar sums over the stream that is y (p samples)
+    tiled from absolute sample 0, window m covering [m*l_avg,
+    (m+1)*l_avg). The stream's prefix sum at x is (x // p) * c[p] +
+    c[x % p], c the prefix sums of y; int64 wraparound cancels in the
+    differences, so every sum that fits int64 is exact."""
+    p = len(y)
+    c = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(y, out=c[1:])
+    x = np.arange(n_windows + 1, dtype=np.int64) * l_avg
+    return np.diff((x // p) * c[p] + c[x % p])
+
+
+def float_window_sums(y, l_avg, n_windows):
+    """The float oracle's window sums before the DDC bank, kept as an
+    oracle: every window of the tiled stream summed from its own samples."""
+    return periodic_extend(y, n_windows * l_avg).reshape(n_windows, l_avg).sum(axis=1)
 
 
 def elementwise_ddc_products(subband, reference, mode):
@@ -333,6 +364,62 @@ def test_ddc_products_equal_elementwise_on_the_tiled_reference(case):
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and len(g) == n
         assert np.array_equal(bits(g), bits(w))
+
+
+@st.composite
+def bank_cases(draw):
+    """1-4 random tones of a random reference table of 1-40 entries, a
+    span of 1-4 tables (whole or not), windows shorter or longer than the
+    table, 1-25 windows that may wrap the span, and blocks of 1, 7 or
+    _BANK_BLOCK entries (one tone and one row a product at the smallest).
+    int64 or float64 codes below 2^20, with zeros; every int64 partial sum
+    stays below 2^53."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    mode = draw(st.sampled_from(list(DemodMode)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(1, 40))
+    span = draw(
+        st.integers(1, 4 * length) | st.integers(1, 6).map(lambda k: k * length)
+    )
+    l_avg = draw(st.integers(1, 3 * length + 5) | st.integers(1, 3).map(lambda k: k * length))
+    words = draw(st.lists(st.integers(0, length - 1), min_size=1, max_size=4))
+    table = tuple(random_words(rng, length, dtype) for _ in "iq")
+    subband = tuple(random_words(rng, span, dtype) for _ in "iq")
+    block = draw(st.sampled_from([1, 7, analyzer._BANK_BLOCK]))
+    return subband, table, words, mode, l_avg, draw(st.integers(1, 25)), block
+
+
+@settings(max_examples=300)
+@given(bank_cases())
+def test_ddc_bank_equals_ddc_products_and_window_sums(case):
+    # the old per-tone path: one tone's products on its one-period
+    # reference, then the window sums of the tiled product stream. int64
+    # codes give its bits through a float64 and an int64 bank; float64
+    # codes agree within the rounding of each window's terms
+    subband, table, words, mode, l_avg, n_windows, block = case
+    dtype = subband[0].dtype
+    banks = [np.float64, np.int64] if dtype == np.int64 else [np.float64]
+    for bank_dtype in banks:
+        with mock.patch.object(analyzer, "_BANK_BLOCK", block):
+            bank = list(reference_bank(table, words, mode, bank_dtype))
+            got = ddc_bank(subband, bank, l_avg, n_windows, arith=arith_of(dtype))
+        stacked = [np.concatenate(c) for c in zip(*bank)]
+        assert all(c.dtype == bank_dtype and c.shape == (len(words), len(table[0])) for c in stacked)
+        for k, word in enumerate(words):
+            ph = phase_words(len(table[0]), word, len(table[0]))
+            y = ddc_products(subband, tuple(c[ph] for c in table), mode)
+            for g, yc in zip(got, y, strict=True):
+                assert g.dtype == dtype and g.shape == (len(words), n_windows)
+                if dtype == np.int64:
+                    assert g[k].tolist() == prefix_window_sums(yc, l_avg, n_windows).tolist()
+                else:
+                    scale = float_window_sums(np.abs(y[0]) + np.abs(y[1]), l_avg, n_windows)
+                    want = float_window_sums(yc, l_avg, n_windows)
+                    assert np.all(np.abs(g[k] - want) <= 1e-12 * scale)
+
+
+def arith_of(dtype):
+    return FIXED_POINT if dtype == np.int64 else DoublePrecision(np.ones(1), np.ones(1))
 
 
 @pytest.mark.parametrize(

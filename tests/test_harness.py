@@ -19,14 +19,13 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from combtwin import ConfigError
-from combtwin.analyzer import DemodMode, IqTimeSeries, channelize
+from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products, reference_bank
 from combtwin.formats import config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     FIXED_POINT,
     CordicConfig,
     DoublePrecision,
-    _window_sums,
     ToneConfig,
     band_tone_sums,
     cordic_sincos_array,
@@ -53,6 +52,7 @@ from combtwin.harness import (
     _band_transient_len,
     _engine_plan,
     _float_taps,
+    _loopback,
     _MIN_SLICE_OVERLAPS,
     _post_accum_residual_db,
     _spectral_line_count,
@@ -68,7 +68,7 @@ from combtwin.metrics import (
     predict_spurs,
     sinad_sfdr,
 )
-from test_analyzer import elementwise_ddc_products
+from test_analyzer import elementwise_ddc_products, float_window_sums, prefix_window_sums
 from test_metrics import _detect_spurs_loop, amp_phase_reference, assert_same_bits
 
 
@@ -368,6 +368,95 @@ def test_periodic_engine_equals_direct_on_random_chains(cfg):
         assert np.array_equal(tp.phase_spectrum.values, td.phase_spectrum.values)
 
 
+def tone_series(cfg, sub, tone, mode, arith=FIXED_POINT):
+    """harness._tone_series before the DDC bank, kept as the bank's oracle:
+    one tone's ddc_products against one accumulator period of its
+    reference, then the window sums of the product stream tiled from the
+    span's start (prefix_window_sums in int64, float_window_sums in
+    float64) for the warm-up and the first min(n_pat, acquisition_len)
+    retained windows. Returns the retained (i, q)."""
+    g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
+    span = len(sub[0])
+    n_pat = span // math.gcd(a.L_avg, span)
+    n = w + min(n_pat, cfg.acquisition_len)
+    y = ddc_products(sub, arith.reference(g.L_acc, tone.freq_word, g.cordic), mode)
+    sums = prefix_window_sums if arith is FIXED_POINT else float_window_sums
+    return tuple(sums(c, a.L_avg, n)[w:] for c in y)
+
+
+def with_mode(cfg, mode):
+    return replace(cfg, analyzer=replace(cfg.analyzer, demod_mode=mode))
+
+
+def wrapping_chain():
+    # L_acc 8 does not divide L_avg 12; the 40-sample period holds
+    # n_pat = 10 windows, so the warm-up and pattern windows wrap its span
+    cfg = make_chain_config(
+        "wrap", 8, 12, 1, 2, 20, upsample_factor=1, shifter_lut_len=5, freq_words=[1, 3]
+    )
+    return replace(cfg, warmup_windows=-(-_band_transient_len(cfg) // 12))
+
+
+def assert_bank_equals_tone_series(cfg, engine, threads, arith):
+    """Both modes through _loopback against tone_series on the plan's
+    span: int64 bit for bit, float64 within the rounding of the window sums
+    at the chain's full scale (ref_amp^2 * L_avg)."""
+    _, start, span, _ = _engine_plan(cfg, engine)
+    spans = _subbands(cfg, start, start + span, 1, arith)
+    ref_amp = float((1 << (cfg.generator.cordic.data_bits - 1)) - 1)
+    full_scale = ref_amp**2 * cfg.analyzer.L_avg
+    tones = sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index))
+    for mode in DemodMode:
+        c = with_mode(cfg, mode)
+        got = _loopback(c, engine, threads, arith).tones
+        for tone, tr in zip(tones, got, strict=True):
+            want = tone_series(c, spans[tone.band_index], tone, mode, arith)
+            for g, w in zip((tr.pattern.i, tr.pattern.q), want, strict=True):
+                assert g.dtype == w.dtype and len(g) == len(w)
+                if arith is FIXED_POINT:
+                    assert g.tolist() == w.tolist()
+                else:
+                    assert np.abs(g - w).max() <= 1e-12 * max(np.abs(w).max(), full_scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_chains(), st.sampled_from(["periodic", "direct"]), st.sampled_from([1, 3]))
+@example(wrapping_chain(), "periodic", 3)
+def test_ddc_bank_equals_the_per_tone_oracle(cfg, engine, threads):
+    # L_avg 4-32 against L_acc 8-64, so L_acc often does not divide it, and
+    # the periodic plan's windows wrap its span
+    assert_bank_equals_tone_series(cfg, engine, threads, FIXED_POINT)
+    assert_bank_equals_tone_series(cfg, engine, threads, DoublePrecision(*_float_taps(cfg)))
+
+
+def need_chain(l_avg):
+    # a 24-bit CORDIC and 2 bands of 2 tones: a 26-bit wideband stream and
+    # 51-bit DDC products, so the accumulator need is 51 + ceil(log2 L_avg)
+    cfg = make_chain_config(
+        "need", 16, l_avg, 2, 2, 12,
+        upsample_factor=2, shifter_lut_len=10, cordic=CordicConfig(24, 24),
+    )
+    return replace(cfg, warmup_windows=-(-_band_transient_len(cfg) // l_avg))
+
+
+@pytest.mark.parametrize("l_avg, need, in_float64", [(4, 53, True), (5, 54, False), (8, 54, False)])
+def test_ddc_bank_at_the_float64_bound_and_one_bit_past_it(l_avg, need, in_float64):
+    # at 53 bits every partial sum is below 2^53 and the bank is float64;
+    # one bit past it the same products run on an int64 bank
+    cfg = need_chain(l_avg)
+    assert cfg._accumulator_need == need
+    assert cfg.ddc_exact_in_float64 is in_float64
+    for engine in ("periodic", "direct"):
+        with mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank:
+            assert_bank_equals_tone_series(cfg, engine, 1, FIXED_POINT)
+        want = np.float64 if in_float64 else np.int64
+        assert {np.dtype(c.args[3]) for c in bank.call_args_list} == {np.dtype(want)}
+    # the float arithmetic's bank is float64 on both sides of the bound
+    with mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank:
+        assert_bank_equals_tone_series(cfg, "direct", 1, DoublePrecision(*_float_taps(cfg)))
+    assert {np.dtype(c.args[3]) for c in bank.call_args_list} == {np.dtype(np.float64)}
+
+
 @st.composite
 def coherent_chains(draw):
     """small_chains() with the capture made coherent: acquisition_len
@@ -647,7 +736,7 @@ def test_tone_results_hold_the_same_pattern_at_any_run_length():
 
 def periodic_window_sums_reference(y, p_band, l_avg, n_windows):
     """Prefix sums over two periods and a modulo gather: the window sums of
-    y tiled from sample 0, kept as an oracle for _window_sums."""
+    y tiled from sample 0, kept as an oracle for prefix_window_sums."""
     period_sum = int(y.sum())
     c = np.concatenate(([0], np.cumsum(np.concatenate((y, y)))))
     full, rem = divmod(l_avg, p_band)
@@ -690,21 +779,32 @@ def window_sum_cases(draw):
 @settings(max_examples=200)
 @given(window_sum_cases())
 def test_periodic_window_sums_equal_the_two_period_reference(case):
+    # the window sums of tone_series, the oracle of the DDC bank, and the
+    # bank's accumulators, which take them over rows of block sums
     y, p_band, l_avg, n_windows = case
-    got = _window_sums(y, l_avg, n_windows)
+    got = prefix_window_sums(y, l_avg, n_windows)
     want = periodic_window_sums_reference(y, p_band, l_avg, n_windows)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert got.tolist() == exact_window_sums(y, l_avg, n_windows).tolist()
-    # the float arithmetic, with n_windows well past n_pat: every window is
+    rows = np.stack((y, y[::-1], np.roll(y, 1)))
+    sums = FIXED_POINT.accumulate(rows, l_avg, n_windows)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [exact_window_sums(r, l_avg, n_windows).tolist() for r in rows]
+    # the float sums, with n_windows well past n_pat: every window is
     # summed from its own samples, so window m repeats window m - n_pat bit
     # for bit; y / 3 makes sums that round, so the order of their terms shows
-    y = y / 3.0
-    got = DoublePrecision(np.ones(1), np.ones(1)).window_sums(y, l_avg, n_windows)
+    y, rows = y / 3.0, rows / 3.0
+    got = float_window_sums(y, l_avg, n_windows)
     tiled = y[np.arange(n_windows * l_avg) % p_band]
     assert_same_bits((got,), (reshape_window_sums(tiled, l_avg, n_windows),))
     n_pat = p_band // math.gcd(l_avg, p_band)
     assert_same_bits((got[n_pat:],), (got[: max(n_windows - n_pat, 0)],))
+    sums = DoublePrecision(np.ones(1), np.ones(1)).accumulate(rows, l_avg, n_windows)
+    for row, r in zip(sums, rows, strict=True):
+        want = float_window_sums(r, l_avg, n_windows)
+        assert np.all(np.abs(row - want) <= 1e-12 * float_window_sums(np.abs(r), l_avg, n_windows))
+    assert_same_bits((sums[:, n_pat:],), (sums[:, : max(n_windows - n_pat, 0)],))
 
 
 def test_thread_count_does_not_change_bits():
