@@ -8,6 +8,7 @@ psd, deglitch, dump-config. Exit codes: 0 success, 1 validation error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -60,7 +61,10 @@ def _load_config(name_or_path: str, long_run: bool) -> ChainConfig:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args leaves it unchanged, so
+    in-process callers of main build it once."""
     ap = _Parser(prog="combtwin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -18,6 +18,7 @@ import json
 import struct
 import typing
 from enum import Enum
+from itertools import chain
 from typing import Any, Iterable, NamedTuple
 
 import numpy as np
@@ -83,6 +84,37 @@ def _data_values(rows: list[list[str]], columns: str, conv, what: str) -> list:
     return out
 
 
+def _csv_text(head: Iterable[str], first: tuple[str, ...], *columns) -> str:
+    """The head lines, then one data row per entry of first, the row's
+    "x," first-column text, followed by the columns' values: each the
+    str of its Python scalar (.tolist()), an integer's digits or a float's
+    shortest repr that reads back to the same bits, comma-separated. Rows
+    stop at the shortest column."""
+    row = "{}" + ",".join(["{}"] * len(columns))
+    values = (np.asarray(c).tolist() for c in columns)
+    return "\n".join(chain(head, map(row.format, first, *values))) + "\n"
+
+
+# A run's series share one length and its spectra one geometry, so each
+# first column is formatted once per run and reused by every file. The memo
+# holds 39.9 MiB for a 655360-row index column and 23.6 MiB for a
+# 327681-bin frequency column at full scale, 0.24 MiB for both of desk_a's.
+@functools.lru_cache(maxsize=1)
+def _index_column(n: int) -> tuple[str, ...]:
+    """The first-column text "0,", "1,", ... of n rows."""
+    return tuple(f"{k}," for k in range(n))
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _freq_column(n_points: int, bin_hz: float) -> tuple[str, ...]:
+    """The first-column text of a spectrum's rows: Spectrum.freqs_hz of an
+    n_points spectrum with bins bin_hz apart, each value's str and a comma.
+    Typed, so an int bin_hz (whose column is integers) is not an equal
+    float's."""
+    freqs = np.arange(n_points // 2 + 1) * bin_hz
+    return tuple(f"{f}," for f in freqs.tolist())
+
+
 def _series_header(series: IqTimeSeries) -> dict:
     """The tone metadata both series formats store, in the CSV's key order."""
     return {
@@ -114,11 +146,7 @@ def series_to_csv(series: IqTimeSeries) -> str:
     Every number in a CSV artifact is its Python scalar's str: an integer's
     digits, a float's shortest repr that reads back to the same bits."""
     meta = "# " + " ".join(f"{k}={v}" for k, v in _series_header(series).items())
-    out = [meta, "index,i,q"]
-    i, q = (np.asarray(c).tolist() for c in (series.i, series.q))
-    for n, (a, b) in enumerate(zip(i, q)):
-        out.append(f"{n},{a},{b}")
-    return "\n".join(out) + "\n"
+    return _csv_text((meta, "index,i,q"), _index_column(len(series.i)), series.i, series.q)
 
 
 def series_from_csv(text: str) -> IqTimeSeries:
@@ -200,10 +228,9 @@ def spectrum_to_csv(spec: Spectrum, config_hash: str = "") -> str:
         meta += f" segment_len={spec.segment_len} overlap_frac={float(spec.overlap_frac)}"
     if config_hash:
         meta += f" config_hash={config_hash}"
-    rows = [meta, "freq_hz,value"]
-    for f, v in zip(spec.freqs_hz.tolist(), spec.values.tolist()):
-        rows.append(f"{f},{v}")
-    return "\n".join(rows) + "\n"
+    return _csv_text(
+        (meta, "freq_hz,value"), _freq_column(spec.n_points, spec.bin_hz), spec.values
+    )
 
 
 def spur_report_dict(report: SpurReport, predicted: tuple[float, ...]) -> dict:
@@ -438,7 +465,5 @@ def read_samples(path: str) -> np.ndarray:
 
 
 def write_samples_csv(x: Iterable[float]) -> str:
-    rows = ["index,value"]
-    for n, v in enumerate(np.asarray(x, dtype=np.float64).tolist()):
-        rows.append(f"{n},{v}")
-    return "\n".join(rows) + "\n"
+    x = np.asarray(x, dtype=np.float64)
+    return _csv_text(("index,value",), _index_column(len(x)), x)

@@ -172,10 +172,13 @@ def cordic_sincos_array(
     return i_out, q_out
 
 
-@functools.lru_cache(maxsize=8)
+# 32 tables hold the sweeps of two moduli (sweep-cordic --bits 8,10,12
+# --iters 6,8,10,12 uses 12 configs per modulus) with a run's own beside
+# them: two int64 arrays of L_acc entries each, 1 MiB at an L_acc of 65536
+@functools.lru_cache(maxsize=32)
 def _cordic_table(L_acc: int, cfg: CordicConfig) -> tuple[np.ndarray, np.ndarray]:
     """cordic_sincos_array of every phase word, read-only: the tables of the
-    8 most recent (L_acc, cfg) are shared by all callers."""
+    32 most recent (L_acc, cfg) are shared by all callers."""
     ci, cq = cordic_sincos_array(np.arange(L_acc, dtype=np.int64), L_acc, cfg)
     ci.flags.writeable = False
     cq.flags.writeable = False

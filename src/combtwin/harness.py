@@ -672,12 +672,12 @@ def persist(result: RunResult, out_dir) -> dict:
                     spurs, sort_keys=True, separators=(",", ":")
                 ).encode("utf-8")
 
+        for sub in ("series", "spectra", "spurs"):
+            (tmp / sub).mkdir()
         # written and hashed one at a time: only one encoded artifact is held
         digests: dict[str, str] = {}
         for rel, data in artifacts():
-            p = tmp / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_bytes(data)
+            (tmp / rel).write_bytes(data)
             digests[rel] = hashlib.sha256(data).hexdigest()
         manifest = {
             "package_version": __version__,

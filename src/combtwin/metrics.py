@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import rfft as _rfft
+from numpy.fft import rfft as _rfft
 
 from .fxp import ConfigError
 from .generator import periodic_extend, waveform_period

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combtwin
+from combtwin import cli
 from combtwin.analyzer import DemodMode, IqTimeSeries
 from combtwin.cli import main
 from combtwin.formats import (
@@ -146,15 +147,69 @@ def test_sample_commands_on_a_mutated_series_exit_0_or_1(demod_single_dir, comma
 # start-up
 
 
+_NO_SCIPY_AFTER_A_RUN = """
+import contextlib, io, sys
+import combtwin.cli
+if "scipy.signal" in sys.modules:
+    sys.exit("import combtwin.cli loaded scipy.signal")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        combtwin.cli.main(["run-loopback", "--config", "desk_b"]),
+        combtwin.cli.main(["predict-spurs", "--l-acc", "65536", "--l-avg", "65536"]),
+    ]
+if codes != [0, 0]:
+    sys.exit(f"exit codes {codes}")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if loaded:
+    sys.exit(f"a run loaded {loaded[:5]}")
+"""
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about 0.4 s of import; only Welch and Hann load it
+    # scipy.signal costs about 0.4 s of import; only Welch and Hann load it.
+    # A loopback run and predict-spurs load no scipy module at all: the
+    # periodogram's rfft is numpy's
     src = str(Path(combtwin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, combtwin.cli; sys.exit('scipy.signal' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=60
+        [sys.executable, "-c", _NO_SCIPY_AFTER_A_RUN],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_one_parser_serves_every_call_and_keeps_its_defaults():
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    with mock.patch.dict(cli._COMMANDS, {"run-loopback": lambda args: seen.append(args) or 0}):
+        assert main(["run-loopback", "--threads", "3", "--engine", "direct", "--long-run"]) == 0
+        assert main(["run-loopback"]) == 0
+    assert (seen[0].threads, seen[0].engine, seen[0].long_run) == (3, "direct", True)
+    assert vars(seen[1]) == {
+        "command": "run-loopback", "config": None, "long_run": False, "threads": 1,
+        "out": None, "engine": "auto",
+    }
+
+
+def test_a_parse_error_leaves_later_calls_of_other_subcommands_right(tmp_path, capsys):
+    assert main(["run-loopback", "--no-such-flag"]) == 1
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert main(["predict-spurs", "--l-acc", "65536"]) == 1
+    assert "--l-avg" in capsys.readouterr().err
+    assert main(["predict-spurs", "--l-acc", "65536", "--l-avg", "65536"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "762.94 Hz and 1525.88 Hz"
+    assert main(["dump-config", "--config", "desk_a"]) == 0
+    assert capsys.readouterr().out == config_to_ini(builtin_scenarios()["desk_a"])
+    samples = tmp_path / "x.csv"
+    samples.write_text("index,value\n0,1.0\n1,-1.0\n2,1.0\n3,-1.0\n", encoding="utf-8")
+    assert main(["psd", "--in", str(samples)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# method=periodogram window=rect ")
+    assert out.splitlines()[2:] == ["0.0,0.0", "0.25,0.0", "0.5,4.0"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combtwin.analyzer import AnalyzerConfig, DemodMode, IqTimeSeries
@@ -15,7 +16,9 @@ from combtwin.config import ChainConfig
 from combtwin.formats import (
     _csv_rows,
     _data_values,
+    _freq_column,
     _header,
+    _index_column,
     config_from_ini,
     config_hash,
     config_to_dict,
@@ -280,6 +283,142 @@ def test_spectrum_header_with_a_bad_enum_names_the_key(key, enum):
         ConfigError, match=f"^spectrum header key '{key}': 'bogus' is not a valid {enum}$"
     ):
         spectrum_from_csv(meta + "\n" + rest)
+
+# ---------------------------------------------------------------------------
+# CSV writers against their former per-row loops
+
+
+def series_csv_loop(series: IqTimeSeries) -> str:
+    """series_to_csv as one f-string per row, kept as its byte oracle."""
+    meta = "# " + " ".join(
+        f"{k}={v}"
+        for k, v in (
+            ("band_index", series.band_index),
+            ("tone_index", series.tone_index),
+            ("freq_word", series.freq_word),
+            ("fs_hz", float(series.rate_hz)),
+            ("l_avg", series.l_avg),
+            ("demod_mode", series.demod_mode.value),
+            ("n_discarded", series.n_discarded),
+        )
+    )
+    out = [meta, "index,i,q"]
+    i, q = (np.asarray(c).tolist() for c in (series.i, series.q))
+    for n, (a, b) in enumerate(zip(i, q)):
+        out.append(f"{n},{a},{b}")
+    return "\n".join(out) + "\n"
+
+
+def spectrum_csv_loop(spec: Spectrum, config_hash: str = "") -> str:
+    """spectrum_to_csv as one f-string per row over Spectrum.freqs_hz."""
+    meta = (
+        f"# method={spec.method.value} window={spec.window.value} "
+        f"units=linear_per_hz n_points={spec.n_points} "
+        f"bin_hz={float(spec.bin_hz)}"
+    )
+    if spec.segment_len is not None:
+        meta += f" segment_len={spec.segment_len} overlap_frac={float(spec.overlap_frac)}"
+    if config_hash:
+        meta += f" config_hash={config_hash}"
+    rows = [meta, "freq_hz,value"]
+    for f, v in zip(spec.freqs_hz.tolist(), spec.values.tolist()):
+        rows.append(f"{f},{v}")
+    return "\n".join(rows) + "\n"
+
+
+def samples_csv_loop(x) -> str:
+    """write_samples_csv as one f-string per row."""
+    rows = ["index,value"]
+    for n, v in enumerate(np.asarray(x, dtype=np.float64).tolist()):
+        rows.append(f"{n},{v}")
+    return "\n".join(rows) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e308, -1e308]
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats()
+_int64s = st.integers(-(2**63), 2**63 - 1)
+# dyadic spacings (exact multiples) and others whose multiples round
+_bin_hz = st.sampled_from(
+    [0.5, 3814.697265625, 2.0**-30, 0.37, 1 / 3, 250e6 / 65520, 244140.625 / 3]
+) | st.floats(1e-9, 1e12)
+
+
+@st.composite
+def iq_columns(draw):
+    """(i, q) lists of one length, both int64 or both float64."""
+    n = draw(st.integers(0, 40))
+    elems, dtype = draw(st.sampled_from([(_int64s, np.int64), (_floats, np.float64)]))
+    i, q = (draw(st.lists(elems, min_size=n, max_size=n)) for _ in range(2))
+    return np.array(i, dtype=dtype), np.array(q, dtype=dtype)
+
+
+@st.composite
+def spectra(draw):
+    n = draw(st.integers(2, 80))
+    values = np.array(draw(st.lists(_floats, min_size=n // 2 + 1, max_size=n // 2 + 1)))
+    welch = draw(st.booleans())
+    return Spectrum(
+        n_points=n,
+        bin_hz=draw(_bin_hz),
+        values=values,
+        window=draw(st.sampled_from(list(SpectrumWindow))),
+        method=PsdMethod.WELCH if welch else PsdMethod.PERIODOGRAM,
+        segment_len=n if welch else None,
+        overlap_frac=0.5 if welch else None,
+    )
+
+
+def _iq_series(i, q):
+    return replace(make_series(n=0), i=i, q=q)
+
+
+@settings(max_examples=150)
+@given(first=iq_columns(), second=iq_columns())
+@example(first=(np.zeros(0, np.int64),) * 2, second=(np.zeros(0),) * 2)
+@example(first=(np.array([7]), np.array([-2**63])), second=(np.array([-0.0]), np.array([5e-324])))
+@example(
+    first=(np.array(_EDGE_FLOATS), np.array(_EDGE_FLOATS[::-1])),
+    second=(np.array([2**63 - 1, 0]), np.array([-1, 1])),
+)
+def test_series_and_samples_csv_equal_the_row_loops(first, second):
+    # first, second, first: a length change between calls evicts the memo
+    for i, q in (first, second, first):
+        s = _iq_series(i, q)
+        assert series_to_csv(s) == series_csv_loop(s)
+        assert write_samples_csv(i) == samples_csv_loop(i)
+        assert write_samples_csv(i.tolist()) == samples_csv_loop(i.tolist())
+
+
+@settings(max_examples=150)
+@given(first=spectra(), second=spectra(), config_hash=st.sampled_from(["", "ab12"]))
+def test_spectrum_csv_equals_the_row_loop(first, second, config_hash):
+    for spec in (first, second, first):
+        assert spectrum_to_csv(spec, config_hash) == spectrum_csv_loop(spec, config_hash)
+
+
+def test_a_geometry_change_evicts_the_axis_memo():
+    a = psd(np.arange(64.0), 10.0)
+    b = psd(np.arange(65.0), 10.0)
+    # an int spacing's column is integers, not an equal float's
+    c = replace(a, bin_hz=3)
+    d = replace(a, bin_hz=3.0)
+    _freq_column.cache_clear()
+    for spec in (a, a, b, a, c, d, c):
+        assert spectrum_to_csv(spec) == spectrum_csv_loop(spec)
+    assert _freq_column.cache_info().hits == 1
+    assert _freq_column.cache_info().misses == 6
+    assert spectrum_to_csv(c).splitlines()[3] == f"3,{float(a.values[1])!r}"
+
+
+def test_persist_formats_each_axis_once_per_run(tmp_path):
+    # desk_a: 8 tones of one series length, 16 spectra of one geometry
+    res = run_loopback(builtin_scenarios()["desk_a"])
+    _freq_column.cache_clear()
+    _index_column.cache_clear()
+    persist(res, tmp_path / "run")
+    assert (_freq_column.cache_info().misses, _freq_column.cache_info().hits) == (1, 15)
+    assert (_index_column.cache_info().misses, _index_column.cache_info().hits) == (1, 7)
+
 
 def test_spur_report_json_fields():
     from combtwin.metrics import detect_spurs

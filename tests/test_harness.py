@@ -27,6 +27,7 @@ from combtwin.generator import (
     CordicConfig,
     DoublePrecision,
     ToneConfig,
+    _cordic_table,
     band_tone_sums,
     cordic_sincos_array,
     cordic_tone,
@@ -939,6 +940,20 @@ def test_sweep_rows_equal_the_cordic_of_every_phase_word(word, angle_bits, guard
         )
         ci, _ = cordic_sincos_array(ph, l_acc, cordic)
         assert (row.sinad_db, row.sfdr_db) == sinad_sfdr(ci.astype(np.float64), fund)
+
+
+def test_repeated_sweeps_of_two_moduli_read_their_cordic_tables_from_the_cache():
+    # 12 configs per sweep, as in sweep-cordic --bits 8,10,12 --iters
+    # 6,8,10,12, on L_acc 1024 and 1020: the first sweep of each modulus
+    # builds its 12 tables, the second identical sweep reads all 12
+    sc = builtin_scenarios()
+    bits, iters = [8, 10, 12], [6, 8, 10, 12]
+    _cordic_table.cache_clear()
+    first = [run_cordic_sweep(bits, iters, sc[name]) for name in ("desk_a", "desk_b")]
+    assert (_cordic_table.cache_info().misses, _cordic_table.cache_info().hits) == (24, 0)
+    second = [run_cordic_sweep(bits, iters, sc[name]) for name in ("desk_a", "desk_b")]
+    assert (_cordic_table.cache_info().misses, _cordic_table.cache_info().hits) == (24, 24)
+    assert second == first
 
 
 def test_sweep_table_shape():

@@ -32,7 +32,8 @@ from test_analyzer import boxcar_response
 
 
 # ---------------------------------------------------------------------------
-# FFT: metrics._rfft (scipy.fft.rfft), the transform every periodogram runs
+# FFT: metrics._rfft (numpy.fft.rfft, the pocketfft that scipy.fft.rfft also
+# wraps), the transform every periodogram runs
 
 
 def _direct_rdft(x):
@@ -278,6 +279,11 @@ def test_psd_method_defaults():
 @example(n=2, window=SpectrumWindow.HANN, fs=1.0, seed=0)
 @example(n=999, window=SpectrumWindow.HANN, fs=244140.625, seed=1)
 @example(n=2560, window=SpectrumWindow.RECT, fs=244140.625, seed=2)
+# long lengths: 655360, a full-scale acquisition in windows, half of it,
+# and 524160 = 2^7 * 3^2 * 5 * 7 * 13, whose transform mixes radices
+@example(n=327680, window=SpectrumWindow.RECT, fs=3814.697265625, seed=3)
+@example(n=524160, window=SpectrumWindow.HANN, fs=3814.697265625, seed=4)
+@example(n=655360, window=SpectrumWindow.RECT, fs=3814.697265625, seed=5)
 def test_periodogram_equals_scipy_bit_for_bit(n, window, fs, seed):
     x = np.random.default_rng(seed).standard_normal(n)
     name = "boxcar" if window is SpectrumWindow.RECT else "hann"
