@@ -222,12 +222,23 @@ class FilterSpec:
             )
 
     def taps_array(self) -> np.ndarray:
-        return np.asarray(self.taps, dtype=np.int64)
+        return self._taps_array
+
+    # every FIR call reads both; the spec is immutable, so each is made once
+    @functools.cached_property
+    def _taps_array(self) -> np.ndarray:
+        h = np.asarray(self.taps, dtype=np.int64)
+        h.flags.writeable = False
+        return h
+
+    @functools.cached_property
+    def _abs_tap_sum(self) -> int:
+        return sum(abs(t) for t in self.taps)
 
     def check_int64_headroom(self, stream_bits: int, name: str) -> None:
         """Raise ConfigError unless every convolution sum over a
         stream_bits-bit input fits int64: sum|h| * 2^(stream_bits-1) < 2^63."""
-        if sum(abs(t) for t in self.taps) << (stream_bits - 1) >= 1 << 63:
+        if self._abs_tap_sum << (stream_bits - 1) >= 1 << 63:
             raise ConfigError(
                 f"{name} taps on a {stream_bits}-bit stream can overflow int64 "
                 "(sum|h| * 2^(stream_bits-1) >= 2^63)"
@@ -237,7 +248,7 @@ class FilterSpec:
         """Whether every partial sum of a convolution over a stream_bits-bit
         input is an integer below 2^53, sum|h| * 2^(stream_bits-1) < 2^53:
         then exact_interpolate and exact_decimate give the int64 sums."""
-        return sum(abs(t) for t in self.taps) << (stream_bits - 1) < 1 << 53
+        return self._abs_tap_sum << (stream_bits - 1) < 1 << 53
 
 
 def windowed_sinc_taps(num_taps: int, cutoff_cycles: float, gain: float = 1.0) -> np.ndarray:
@@ -388,16 +399,22 @@ def exact_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     return y
 
 
-def periodic_extend(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """a[k % len(a)] for k < n, into out (length n) if given.
+def periodic_extend(
+    a: np.ndarray, n: int, out: np.ndarray | None = None, start: int = 0
+) -> np.ndarray:
+    """a[(start + k) % len(a)] for k < n, into out (length n) if given.
 
-    One copy of a, then each copy doubles the filled prefix: about
-    log2(n / len(a)) contiguous copies, and no array beyond the result."""
+    One copy of a's first min(n, len(a)) entries from start, then each
+    copy doubles the filled prefix: about log2(n / len(a)) contiguous
+    copies, and no array beyond the result."""
     a = np.asarray(a)
     if out is None:
         out = np.empty(n, dtype=a.dtype)
     k = min(n, len(a))
-    out[:k] = a[:k]
+    j = start % len(a) if len(a) else 0
+    head = min(k, len(a) - j)
+    out[:head] = a[j : j + head]
+    out[head:k] = a[: k - head]
     while k < n:
         j = min(k, n - k)
         out[k : k + j] = out[:j]
@@ -405,12 +422,14 @@ def periodic_extend(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def make_lut(
     length: int, cycles: int, width: int, sign: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex exponential LUT: entry n = quantized e^(sign*j*2pi*cycles*n/length).
 
-    Quantized to (2^(width-1)-1) * cos/sin with round-half-up.
+    Quantized to (2^(width-1)-1) * cos/sin with round-half-up. The tables
+    are shared (every mix reads one) and so read-only.
     """
     if sign not in (+1, -1):
         raise ConfigError("sign must be +1 or -1")
@@ -419,6 +438,7 @@ def make_lut(
     sc = (1 << (width - 1)) - 1
     li = np.floor(sc * np.cos(ang) + 0.5).astype(np.int64)
     lq = np.floor(sc * np.sin(ang) + 0.5).astype(np.int64)
+    li.flags.writeable = lq.flags.writeable = False
     return li, lq
 
 
@@ -439,7 +459,8 @@ def _block_products(
     if len(xq) != n or len(lq) != length or length == 0:
         raise ConfigError("block products need I and Q of equal length and a nonempty LUT")
     reps = max(1, min(_MIX_BLOCK, n) // length)
-    li, lq, b = np.tile(li, reps), np.tile(lq, reps), reps * length
+    b = reps * length
+    li, lq = periodic_extend(li, b), periodic_extend(lq, b)
     m = n - n % b
     dtype = np.result_type(xi, xq, li, lq)
     oi, oq = np.empty(n, dtype), np.empty(n, dtype)
@@ -485,7 +506,7 @@ def lut_mix(
     """Multiply a width-bit stream by the make_lut exponential, sample n
     taking LUT entry (start + n) mod length, start the absolute index of
     the stream's first sample; output stays width bits."""
-    lut = (np.roll(t, -start) for t in make_lut(length, cycles, width, sign))
+    lut = (periodic_extend(t, length, start=start) for t in make_lut(length, cycles, width, sign))
     return cmul_lut(*x, *lut, width)
 
 
@@ -741,7 +762,7 @@ class DoublePrecision:
         return _stream_sum(streams, np.float64, "the float sum")
 
     def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
-        k = np.roll(phase_words(length, cycles, length), -start)
+        k = periodic_extend(phase_words(length, cycles, length), length, start=start)
         c, s = _phasor_table(length)
         return _block_products(x, (c[k], sign * s[k]))
 
@@ -765,9 +786,11 @@ def band_tone_sums(
     tones: Sequence[ToneConfig],
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
+    run=map,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Each toned band's tone sum over one accumulator period (L_acc
-    samples from sample 0), in arith: the input generate_comb tiles.
+    samples from sample 0), in arith: the input generate_comb tiles. Each
+    band's sum is one task of run, a map (a thread pool's, or the builtin).
 
     Each tone repeats every L_acc / gcd(L_acc, word) samples, so a band's
     tone sum repeats every L_acc: one period holds every value of any run,
@@ -782,9 +805,12 @@ def band_tone_sums(
             )
         by_band.setdefault(t.band_index, []).append(t)
     w = cfg.resolved_sum_width
-    return {
-        b: arith.sum((arith.tone(t, cfg) for t in by_band[b]), w) for b in sorted(by_band)
-    }
+
+    def one_band(b: int) -> tuple[np.ndarray, np.ndarray]:
+        return arith.sum((arith.tone(t, cfg) for t in by_band[b]), w)
+
+    bands = sorted(by_band)
+    return dict(zip(bands, run(one_band, bands)))
 
 
 def generate_comb(
@@ -812,7 +838,7 @@ def generate_comb(
         raise ConfigError(f"tone sums must be one accumulator period of {cfg.L_acc} samples")
 
     def one_band(b: int, band: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        band = tuple(periodic_extend(np.roll(s, -start), n_band_samples) for s in band)
+        band = tuple(periodic_extend(s, n_band_samples, start=start) for s in band)
         w = cfg.resolved_sum_width
         band = arith.mix(band, 5, 1, w, -1, start)  # down by band_rate/5
         band = arith.interp(band, cfg)

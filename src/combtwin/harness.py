@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -177,11 +177,11 @@ class ToneResult:
 
     @property
     def amp_spectrum(self) -> Spectrum:
-        return _tone_spectra(self.pattern, self.n_windows)[1]
+        return next(_tone_spectra(self.pattern, self.n_windows)[1])
 
     @property
     def phase_spectrum(self) -> Spectrum:
-        return _tone_spectra(self.pattern, self.n_windows)[2]
+        return tuple(_tone_spectra(self.pattern, self.n_windows)[1])[1]
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,18 @@ def _band_transient_len(cfg: ChainConfig) -> int:
 # slice recomputes stays within a quarter of its length
 _MIN_SLICE_OVERLAPS = 4
 
+# full-rate samples per time slice: 512 KiB per int64 array. A slice's comb
+# holds about 57 bytes of live arrays per sample (tracemalloc): 3.6 MiB at
+# 2^16, 7.1 MiB at 2^17. The share of the host's L3 a guest gets varies
+# with its neighbours, and a slice near its edge runs fast in one process
+# and slow in the next. On one 2-vCPU KVM guest (2 MiB L2 per core) a
+# desk_direct pass went from 209 to 258 ms between 2^17 and 2^18, and
+# desk_direct's runs at 2^17 spread twice as wide as the unsliced chain's;
+# on another the step came between 2^19 and 2^20 (171 and 194 ms), with
+# 193, 186 and 179 ms at 2^15 to 2^17 (8 interleaved passes each).
+# full_band reads the same at 2^16 and 2^17
+_SLICE_SAMPLES = 1 << 16
+
 
 def _subbands(
     cfg: ChainConfig,
@@ -225,38 +237,41 @@ def _subbands(
     """Band samples [start, stop) of the comb run from sample 0,
     channelized for every band that holds a tone, in arith.
 
-    [start, stop) is cut into k = min(threads, (stop - start) // m) time
-    slices (at least one), which run in a pool when k > 1 (overlap-save).
-    Each slice starts its chain from zero filter state one overlap of
-    _band_transient_len samples before its first sample (or at sample 0)
-    and drops those outputs; m is _MIN_SLICE_OVERLAPS overlaps. Every LUT
-    is read at the absolute sample, so the bits depend neither on threads
-    nor on where a slice starts. The band tone sums are formed once per
-    run."""
+    [start, stop) is cut into k time slices of about _SLICE_SAMPLES
+    full-rate samples each, and into at least min(threads, (stop - start)
+    // m) of them, m being _MIN_SLICE_OVERLAPS overlaps; they run through
+    the map of _pool(threads) (overlap-save). Each slice starts its chain
+    from zero filter state one overlap of _band_transient_len samples
+    before its first sample (or at sample 0), drops those outputs and
+    writes the rest into the run's per-band arrays. Every LUT is read at
+    the absolute sample, so the bits depend neither on threads nor on
+    where a slice starts. Each band's tone sum is formed once per run, one
+    band per task of the same map."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
-    sums = band_tone_sums(g, cfg.tones, arith=arith)
     overlap, n = _band_transient_len(cfg), stop - start
-    k = max(1, min(threads, n // (_MIN_SLICE_OVERLAPS * overlap)))
-    edges = [start + i * n // k for i in range(k)] + [stop]
+    k = max(
+        1,
+        min(threads, n // (_MIN_SLICE_OVERLAPS * overlap)),
+        -(-n * g.upsample_factor // _SLICE_SAMPLES),
+    )
+    edges = [start + i * n // k for i in range(k + 1)]
+    with _pool(threads) as run:
+        sums = band_tone_sums(g, cfg.tones, arith=arith, run=run)
+        dtype = next(iter(sums.values()))[0].dtype
+        out = {b: (np.empty(n, dtype), np.empty(n, dtype)) for b in sums}
 
-    def one_slice(a: int, b: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        a0 = max(0, a - overlap)
-        wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
-        return {
-            band: tuple(s[a - a0 :] for s in channelize(wideband, band, g, spec, a0, arith=arith))
-            for band in sums
-        }
+        def one_slice(a: int, b: int) -> None:
+            a0 = max(0, a - overlap)
+            wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
+            for band, dst in out.items():
+                for d, s in zip(dst, channelize(wideband, band, g, spec, a0, arith=arith)):
+                    d[a - start : b - start] = s[a - a0 :]
 
-    if k == 1:
-        return one_slice(start, stop)
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        parts = list(ex.map(one_slice, edges[:-1], edges[1:]))
-    return {
-        band: tuple(np.concatenate([p[band][c] for p in parts]) for c in (0, 1))
-        for band in sums
-    }
+        for _ in run(one_slice, edges[:-1], edges[1:]):
+            pass
+    return out
 
 
 def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
@@ -361,9 +376,10 @@ def run_loopback(
 ) -> RunResult:
     """Generate the comb, loop it straight into the analyzer, demodulate
     every tone, and compute amplitude/phase PSDs and spur reports.
-    threads > 1 runs time slices of the comb and channelizer (see
-    _subbands), then each band's DDC bank and then each tone's metrics in
-    thread pools; the bits do not depend on it.
+    threads > 1 runs the band tone sums and the time slices of the comb
+    and channelizer (see _subbands), then each band's DDC bank and then
+    the tones' metrics, in contiguous chunks of tones, in thread pools; the
+    bits do not depend on it.
 
     engine: "direct" streams every sample; "periodic" computes one
     steady-state waveform period past the filter transient and assembles
@@ -384,14 +400,20 @@ def _loopback(
     use_periodic, start, span, reason = _engine_plan(cfg, engine)
     g, a = cfg.generator, cfg.analyzer
     spans = _subbands(cfg, start, start + span, threads, arith)
+    n = cfg.acquisition_len
 
-    def one_tone(pattern: IqTimeSeries) -> ToneResult:
-        return _tone_metrics(pattern, cfg.acquisition_len)
+    def tone_chunk(chunk: list[IqTimeSeries]) -> list[ToneResult]:
+        work = _tone_workspace(n)
+        return [_tone_metrics(pattern, n, work) for pattern in chunk]
 
     with _pool(threads) as run:
         patterns = _patterns(cfg, spans, a.demod_mode, arith, run)
         del spans
-        tone_results = tuple(run(one_tone, patterns))
+        # contiguous chunks of tones, one per worker, each with one workspace
+        m = len(patterns)
+        w = min(threads, m)
+        chunks = [patterns[i * m // w : (i + 1) * m // w] for i in range(w)]
+        tone_results = tuple(r for results in run(tone_chunk, chunks) for r in results)
     aliases = predict_spurs(
         g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
     )
@@ -423,23 +445,35 @@ def _pool(threads: int):
         yield ex.map
 
 
-def _tone_spectra(pattern: IqTimeSeries, n: int) -> tuple[float, Spectrum, Spectrum]:
-    """The mean amplitude and the amplitude and phase PSDs of the series of
-    n windows that tiles pattern, from one _amp_phase pass. Each
-    periodogram input is its fluctuation pattern times the Rect window's
-    constant scale, tiled: the same products as the whole series times the
-    scale, built at pattern cost."""
+def _tone_workspace(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """One worker's arrays for _tone_spectra on series of n windows: both
+    tiled fluctuation series, and the rfft output and PSD values that each
+    periodogram in turn writes over."""
+    m = n // 2 + 1
+    return (np.empty(n), np.empty(n)), (np.empty(m, np.complex128), np.empty(m))
+
+
+def _tone_spectra(pattern: IqTimeSeries, n: int, work=None) -> tuple[float, Iterator[Spectrum]]:
+    """The mean amplitude, and the amplitude then the phase PSD, drawn one
+    at a time, of the series of n windows that tiles pattern, from one
+    _amp_phase pass. Each periodogram input is its fluctuation pattern
+    times the Rect window's constant scale, tiled: the same products as
+    the whole series times the scale, built at pattern cost. With work (a
+    _tone_workspace), every array is written into work's: a spectrum is
+    valid only until the next is drawn or work is used again."""
     fs = pattern.rate_hz
-    mean_amp, xa, xp = _amp_phase(pattern.i, pattern.q, n, _periodogram_fac(n, fs))
-    amp, phase = (_periodogram(x, fs, SpectrumWindow.RECT) for x in (xa, xp))
-    return mean_amp, amp, phase
+    series_out, psd_work = (None, None) if work is None else work
+    mean_amp, *xs = _amp_phase(pattern.i, pattern.q, n, _periodogram_fac(n, fs), series_out)
+    return mean_amp, (_periodogram(x, fs, SpectrumWindow.RECT, psd_work) for x in xs)
 
 
-def _tone_metrics(pattern: IqTimeSeries, n: int) -> ToneResult:
+def _tone_metrics(pattern: IqTimeSeries, n: int, work=None) -> ToneResult:
     """The ToneResult of the series of n windows that tiles pattern: both
-    spur reports and the carrier power, from spectra it then drops."""
-    mean_amp, *specs = _tone_spectra(pattern, n)
-    return ToneResult(pattern, n, *map(detect_spurs, specs), carrier_power=mean_amp**2)
+    spur reports and the carrier power, from spectra it then drops, in
+    work's arrays if given (see _tone_spectra); the result holds none of
+    them."""
+    mean_amp, spectra = _tone_spectra(pattern, n, work)
+    return ToneResult(pattern, n, *map(detect_spurs, spectra), carrier_power=mean_amp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +692,8 @@ def persist(result: RunResult, out_dir) -> dict:
                 yield f"series/{stem}.csv", series_to_csv(s).encode("utf-8")
                 yield f"series/{stem}.bin", series_to_binary(s)
                 del s  # freed before both spectra are derived, in one pass
-                _, amp, phase = _tone_spectra(p, tr.n_windows)
-                for kind, spec in (("amp", amp), ("phase", phase)):
+                _, spectra = _tone_spectra(p, tr.n_windows)
+                for kind, spec in zip(("amp", "phase"), spectra):
                     yield f"spectra/{stem}_{kind}.csv", spectrum_to_csv(
                         spec, result.config_hash
                     ).encode("utf-8")

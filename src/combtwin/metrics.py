@@ -71,41 +71,45 @@ class SpurReport:
 # amplitude / phase
 
 
-def _amp_phase(i, q, n: int, fac: float):
+def _amp_phase(i, q, n: int, fac: float, out=None):
     """The mean amplitude and the fractional fluctuation series of the
     series that tiles (i, q) to n samples: (mean(amp), (amp/mean(amp) - 1)
     * fac, (phase - mean(phase)) * fac), where amp is sqrt(I^2+Q^2) and
     phase the unwrapped four-quadrant phase; a silent series, mean(amp) 0,
     gives 0.0 and two zero series. The elementwise work runs on
     the given samples only, the means over the tiled arrays, and each
-    fluctuation series is written over its tiled array. Unless some cyclic
-    step of the pattern's phase (the wrap step included) is a jump,
-    np.unwrap of the tiled phase adds 0.0 to every sample after the first
-    and nothing else, so delta_phase tiles the pattern too; otherwise
-    np.unwrap runs over the tiled phase."""
+    fluctuation series is written over its tiled array: out's two
+    n-length float64 arrays if given, fresh ones otherwise. Unless some
+    cyclic step of the pattern's phase (the wrap step included) is a
+    jump, np.unwrap of the tiled phase adds 0.0 to every sample after the
+    first and nothing else, so delta_phase tiles the pattern too;
+    otherwise np.unwrap runs over the tiled phase."""
     i = np.asarray(i, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if len(i) == 0:
         raise ConfigError("amp_phase needs a nonempty series")
+    amp, phase = (np.empty(n), np.empty(n)) if out is None else out
     amp_pat = np.hypot(i, q)
-    amp = periodic_extend(amp_pat, n)
+    periodic_extend(amp_pat, n, out=amp)
     mean_amp = float(np.mean(amp))
     if mean_amp == 0.0:  # a silent series fluctuates by nothing
-        return 0.0, np.zeros(n), np.zeros(n)
-    delta_amp = periodic_extend((amp_pat / mean_amp - 1.0) * fac, n, out=amp)
+        amp.fill(0.0)
+        phase.fill(0.0)
+        return 0.0, amp, phase
+    periodic_extend((amp_pat / mean_amp - 1.0) * fac, n, out=amp)
     p = np.arctan2(q, i)
     if np.all(np.abs(np.diff(p, append=p[:1])) < np.pi):
         p_up = p + 0.0
-        phase = periodic_extend(p_up, n)
+        periodic_extend(p_up, n, out=phase)
         phase[0] = p[0]
         mean_phase = float(np.mean(phase))
-        delta_phase = periodic_extend((p_up - mean_phase) * fac, n, out=phase)
-        delta_phase[0] = (p[0] - mean_phase) * fac
+        periodic_extend((p_up - mean_phase) * fac, n, out=phase)
+        phase[0] = (p[0] - mean_phase) * fac
     else:
-        delta_phase = np.unwrap(periodic_extend(p, n))
-        delta_phase -= float(np.mean(delta_phase))
-        delta_phase *= fac
-    return mean_amp, delta_amp, delta_phase
+        phase[:] = np.unwrap(periodic_extend(p, n, out=phase))
+        phase -= float(np.mean(phase))
+        phase *= fac
+    return mean_amp, amp, phase
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def _periodogram_fac(w2: float, fs: float) -> float:
     return float(1 / np.sqrt(w2 / (1 / fs)))
 
 
-def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
+def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow, work=None) -> Spectrum:
     """The periodogram of xw, the input already multiplied by the window
     and its _periodogram_fac: scipy.signal.periodogram(
     detrend=False, scaling="density") written out around one rfft, in its
@@ -127,16 +131,19 @@ def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow) -> Spectrum:
     without ShortTimeFFT's overhead. Squaring the rfft output in place
     through its float64 view forms scipy's re**2 and im**2, which numpy
     computes as re*re and im*im. The rfft of +-0 is +-0, so an all-zero
-    input skips it."""
+    input skips it. work, if given, is the (n/2+1 complex128 rfft output,
+    n/2+1 float64 values) pair written over: the spectrum's values are
+    then work's, valid until work is used again."""
     n = len(xw)
     if n < 2:
         raise ConfigError("psd needs at least 2 samples")
+    z, pxx = (None, np.empty(n // 2 + 1)) if work is None else work
     if not (xw[0] or xw.any()):
-        pxx = np.zeros(n // 2 + 1)
+        pxx.fill(0.0)
     else:
-        ri = _rfft(xw).view(np.float64)
+        ri = _rfft(xw, out=z).view(np.float64)
         np.multiply(ri, ri, out=ri)
-        pxx = ri[0::2] + ri[1::2]
+        np.add(ri[0::2], ri[1::2], out=pxx)
         pxx[1 : -1 if n % 2 == 0 else None] *= 2
     return Spectrum(
         n_points=n,

@@ -815,15 +815,16 @@ def test_block_float_mix_equals_tiled(case):
             st.integers(0, 8 * m + 9),
             st.sampled_from([np.int64, np.float64]),
             st.booleans(),
+            st.integers(-3 * m, 3 * m),
         )
     )
 )
 def test_periodic_extend_equals_modulo_indexed(case):
-    values, n, dtype, into = case
+    values, n, dtype, into, start = case
     a = np.array(values, dtype=dtype)
-    want = a[np.arange(n) % len(a)]
+    want = a[(start + np.arange(n)) % len(a)]
     out = np.full(n, -1, dtype=dtype) if into else None
-    got = periodic_extend(a, n, out=out)
+    got = periodic_extend(a, n, out=out, start=start)
     assert got.dtype == a.dtype and got.flags.writeable
     assert np.array_equal(got, want)
     if into:
@@ -1183,6 +1184,17 @@ def test_make_lut_quarter_symmetry():
     lin, lqn = make_lut(40, 1, 16, sign=-1)
     assert np.array_equal(lin, li)
     assert np.array_equal(lqn, -lq)
+
+
+def test_shared_tables_are_read_only():
+    # every mix shares one LUT and every FIR call one tap array
+    li, lq = make_lut(40, 3, 13, -1)
+    assert make_lut(40, 3, 13, -1)[0] is li
+    taps = design_windowed_sinc(63, 1.0 / 16, gain=8, coeff_bits=18).taps_array()
+    for a in (li, lq, taps):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("lut", [0, -40])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import resource
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
-from combtwin import ConfigError
+from combtwin import ConfigError, harness
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products, reference_bank
 from combtwin.formats import config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
@@ -59,6 +60,7 @@ from combtwin.harness import (
     _spectral_line_count,
     _subbands,
     _tone_metrics,
+    _tone_workspace,
 )
 from combtwin.metrics import (
     PsdMethod,
@@ -720,6 +722,32 @@ def test_tone_metrics_on_constant_and_pi_crossing_patterns(i, q, n):
     assert_same_tone(got, tone_metrics_reference(series))
 
 
+def test_one_workspace_serves_a_run_of_tones_as_fresh_arrays_do(desk_a_result):
+    # a fluctuating desk_a tone, a silent one, one that crosses +-pi (the
+    # tiled unwrap runs), then the first again, all through one workspace
+    first = desk_a_result.tones[0]
+    n = first.n_windows
+    silent = replace(first.pattern, i=np.zeros(3), q=np.zeros(3))
+    crossing = replace(
+        first.pattern, i=np.array([-500.0, -500, -500, -500]), q=np.array([3.0, -3, 2, -1])
+    )
+    p = np.arctan2(crossing.q, crossing.i)
+    assert not np.all(np.abs(np.diff(p, append=p[:1])) < np.pi)
+    assert first.amp_spurs.lines and first.phase_spurs.lines
+    work = _tone_workspace(n)
+    got = [_tone_metrics(pat, n, work) for pat in (first.pattern, silent, crossing, first.pattern)]
+    assert got[1].carrier_power == 0.0
+    for g in got:
+        want = _tone_metrics(g.pattern, n)
+        assert_same_tone(g, want)
+        assert repr(g) == repr(want)
+    # a result's spectra are its own fresh arrays
+    values = [g.amp_spectrum.values for g in got]
+    for k, v in enumerate(values):
+        assert not any(np.shares_memory(v, w) for pair in work for w in pair)
+        assert not any(np.shares_memory(v, u) for u in values[k + 1 :])
+
+
 def test_tone_results_hold_the_same_pattern_at_any_run_length():
     # desk_a's two bands of four tones: every series tiles n_pat = 5
     # windows, so what a result retains does not grow with the run
@@ -834,23 +862,37 @@ def test_thread_count_does_not_change_bits():
                 assert ta.carrier_power == tb.carrier_power
 
 
+def unsliced_subbands(cfg, stop, arith):
+    """Band samples [0, stop) of every toned band, from one unsliced chain:
+    band_tone_sums, generate_comb and channelize from sample 0."""
+    g = cfg.generator
+    sums = band_tone_sums(g, cfg.tones, arith=arith)
+    wideband = generate_comb(g, sums, stop, arith=arith)
+    spec = cfg.resolved_channelizer_filter()
+    return {b: channelize(wideband, b, g, spec, arith=arith) for b in sums}
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_chains(), st.data())
 def test_time_slices_equal_one_slice_bit_for_bit(cfg, data):
     # n_band from below one minimum slice, m, to several slices and periods;
     # drawn as whole slices plus a rest, since small integers dominate draws.
-    # The interval starts at any band sample, on or off the LUT periods
+    # The interval starts at any band sample, on or off the LUT periods.
+    # Slices of 1 to 4 overlaps cut the interval into many slices
     g = cfg.generator
-    m = _MIN_SLICE_OVERLAPS * _band_transient_len(cfg)
+    overlap = _band_transient_len(cfg)
+    m = _MIN_SLICE_OVERLAPS * overlap
     p_band = waveform_period(g.L_acc, g.upsample_factor, g.shifter_lut_len) // g.upsample_factor
     n_band = m * data.draw(st.integers(0, 4)) + data.draw(st.integers(1, m + 3 * p_band))
     start = data.draw(st.integers(0, 2 * p_band + m))
+    slice_samples = data.draw(st.integers(1, 4)) * overlap * g.upsample_factor
     double = DoublePrecision(*_float_taps(cfg))
     for arith in (FIXED_POINT, double):
-        want = _subbands(cfg, 0, start + n_band, 1, arith)
+        want = unsliced_subbands(cfg, start + n_band, arith)
         assert sorted(want) == sorted({t.band_index for t in cfg.tones})
         for threads in (1, 2, 3, 4):
-            got = _subbands(cfg, start, start + n_band, threads, arith)
+            with mock.patch.object(harness, "_SLICE_SAMPLES", slice_samples):
+                got = _subbands(cfg, start, start + n_band, threads, arith)
             assert sorted(got) == sorted(want)
             for b in want:
                 for x, y in zip(got[b], want[b], strict=True):
@@ -859,23 +901,55 @@ def test_time_slices_equal_one_slice_bit_for_bit(cfg, data):
 
 
 def test_time_slices_run_in_the_harness_pool():
-    # one band: min(threads, n_band // m) slices, one pool of that many
-    # workers, and every tone generated once per run, not once per slice
+    # desk_a (a 25-sample transient, U = 8): k slices at edges i * n_band // k,
+    # each run from one overlap early, through one pool of `threads` workers
+    # (none at one thread); each band's tone sum is one task of that pool, and
+    # every tone is generated once per run, not once per slice
     cfg = builtin_scenarios()["desk_a"]
-    cfg = replace(cfg, tones=tuple(t for t in cfg.tones if t.band_index == 0))
-    m = _MIN_SLICE_OVERLAPS * 25  # a 25-sample transient
-    for n_band, threads, k in ((m - 1, 4, None), (2 * m + 3, 4, 2), (5145, 3, 3)):
+    assert _band_transient_len(cfg) == 25 and cfg.generator.upsample_factor == 8
+    m, full = _MIN_SLICE_OVERLAPS * 25, harness._SLICE_SAMPLES
+    tone_threads = set()
+
+    def on_thread(*args):
+        tone_threads.add(threading.get_ident())
+        return tone_generate(*args)
+
+    cases = (
+        # the thread rule: min(threads, n_band // m) slices, at least one
+        (m - 1, 4, full, 1),
+        (2 * m + 3, 4, full, 2),
+        (5145, 3, full, 3),
+        # the size rule: ceil(n_band * U / _SLICE_SAMPLES) slices
+        (5145, 1, 8000, 6),
+        (5145, 3, 8000, 6),
+        (2 * full // 8 + 1, 1, full, 3),
+    )
+    for n_band, threads, slice_samples, k in cases:
         with (
+            mock.patch.object(harness, "_SLICE_SAMPLES", slice_samples),
             mock.patch("combtwin.harness.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool,
-            mock.patch("combtwin.generator.tone_generate", wraps=tone_generate) as tone,
+            mock.patch("combtwin.harness.generate_comb", wraps=generate_comb) as comb,
+            mock.patch("combtwin.generator.tone_generate", side_effect=on_thread) as tone,
         ):
+            tone_threads.clear()
             got = _subbands(cfg, 0, n_band, threads)
-        if k is None:
+        if threads == 1:
             pool.assert_not_called()
+            assert tone_threads == {threading.get_ident()}
         else:
-            pool.assert_called_once_with(max_workers=k)
+            pool.assert_called_once_with(max_workers=threads)
+            assert threading.get_ident() not in tone_threads
         assert tone.call_count == len(cfg.tones)
-        assert np.array_equal(got[0][0], _subbands(cfg, 0, n_band, 1)[0][0])
+        edges = [i * n_band // k for i in range(k + 1)]
+        starts = [max(0, a - 25) for a in edges[:-1]]
+        # (start, length) of each slice's comb, in edge order
+        assert sorted((c.args[3], c.args[2]) for c in comb.call_args_list) == [
+            (a0, b - a0) for a0, b in zip(starts, edges[1:])
+        ]
+        want = unsliced_subbands(cfg, n_band, FIXED_POINT)
+        for b in want:
+            assert np.array_equal(got[b][0], want[b][0])
+            assert np.array_equal(got[b][1], want[b][1])
 
 
 def test_rerun_is_bit_identical(desk_a_result):

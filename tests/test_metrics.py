@@ -19,6 +19,7 @@ from combtwin.metrics import (
     SpectrumWindow,
     SpurLine,
     _amp_phase,
+    _periodogram,
     _periodogram_fac,
     _rfft,
     _spur_floor,
@@ -178,13 +179,20 @@ def test_amp_phase_on_a_pattern_equals_the_tiled_series_bit_for_bit(case):
     try:
         amp, _, delta_amp, delta_phase = amp_phase_reference(i[k], q[k])
     except ValueError:  # a silent series: no fluctuation at all
-        mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac)
-        assert mean_amp == 0.0
-        assert_same_bits((got_da, got_dp), (np.zeros(n), np.zeros(n)))
+        for out in (None, (np.full(n, np.nan), np.full(n, -1.0))):
+            mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac, out)
+            assert mean_amp == 0.0
+            assert_same_bits((got_da, got_dp), (np.zeros(n), np.zeros(n)))
         return
     mean_amp, got_da, got_dp = _amp_phase(i, q, n, fac)
     assert_same_bits((got_da, got_dp), (delta_amp * fac, delta_phase * fac))
     assert mean_amp.hex() == float(np.mean(amp)).hex()
+    # written into given arrays, whatever they held: the same bits
+    out = (np.full(n, np.nan), np.full(n, -1.0))
+    mean_out, *series = _amp_phase(i, q, n, fac, out)
+    assert all(s is o for s, o in zip(series, out, strict=True))
+    assert_same_bits(series, (got_da, got_dp))
+    assert mean_out.hex() == mean_amp.hex()
     # the whole series as its own pattern, at the unscaled fac
     mean_amp, got_da, got_dp = _amp_phase(i[k], q[k], n, 1.0)
     assert_same_bits((got_da, got_dp), (delta_amp, delta_phase))
@@ -321,6 +329,12 @@ def test_periodogram_of_zero_and_near_zero_inputs_equals_scipy(x, window):
     w = _window(window, len(x))
     xw = x * (w * _periodogram_fac(np.add.accumulate(w * w)[-1], 3.0))
     assert rfft.call_count == (1 if xw.any() else 0)
+    # into a workspace that holds another spectrum: the same bits, in its array
+    m = len(x) // 2 + 1
+    work = (np.full(m, np.nan + 1j), np.full(m, np.nan))
+    spec = _periodogram(xw, 3.0, window, work)
+    assert spec.values is work[1]
+    assert spec.values.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @settings(max_examples=60)
