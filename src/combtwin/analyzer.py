@@ -26,6 +26,7 @@ from .generator import (
     FilterSpec,
     FixedPoint,
     GeneratorConfig,
+    Workspace,
     _block_products,
     phase_words,
 )
@@ -105,21 +106,27 @@ def channelize(
     start: int = 0,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract one band of g's wideband stream, which starts at band sample
     start (full-rate sample start * U), back onto the exciter's tone grid
-    at band rate.
+    at band rate, in arith's dtype.
 
     Mix by the conjugate of the generator's band shift, lowpass with spec
     and decimate by U (polyphase), then shift up by band_rate/5 to undo the
     exciter's down-shift, all in arith at g's wideband width, each LUT read
-    at the absolute sample.
+    at the absolute sample. Each stage writes into work's buffers (a fresh
+    Workspace if None); the result is valid until work channelizes again.
     """
-    if len(wideband[0]) < 1:
-        raise ConfigError(f"wideband stream must hold >= 1 sample, got {len(wideband[0])}")
-    w, lut, u = g.wide_width, g.shifter_lut_len, g.upsample_factor
-    mixed = arith.mix(wideband, lut, g.band_shift_cycles(band_index), w, -1, start * u)
-    return arith.mix(arith.decimate(mixed, spec, u, w), 5, 1, w, +1, start)
+    n = len(wideband[0])
+    if n < 1:
+        raise ConfigError(f"wideband stream must hold >= 1 sample, got {n}")
+    work = Workspace() if work is None else work
+    w, lut, u, dtype = g.wide_width, g.shifter_lut_len, g.upsample_factor, arith.dtype
+    cycles, n_band = g.band_shift_cycles(band_index), -(-n // u)
+    mixed = arith.mix(wideband, lut, cycles, w, -1, start * u, work.take("channel", n, dtype))
+    band = arith.decimate(mixed, spec, u, w, work.take("decimated", n_band, dtype))
+    return arith.mix(band, 5, 1, w, +1, start, work.take("subband", n_band, dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,7 @@ def ddc_products(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample products of the subband with the conjugate reference,
     sample k taking reference entry k % len(ci) (one accumulator period
-    serves any stream): _block_products with the table (ci, -cq).
+    serves any stream): _block_products by the conjugate of (ci, cq).
 
     SINE_DDC: two real multiplies per output component, kept exact (no
     rounding before accumulation). SQUARE_WAVE: the same products with the
@@ -147,7 +154,7 @@ def ddc_products(
     ci, cq = reference
     if mode is DemodMode.SQUARE_WAVE:
         ci, cq = _square(ci), _square(cq)
-    return _block_products(subband, (ci, -cq))
+    return _block_products(subband, (ci, cq), conj=True)
 
 
 # The bank's arrays hold at most about this many entries: a block of
@@ -209,7 +216,11 @@ def ddc_bank(
     bank's dtype, for blocks of tones and rows. arith.accumulate then sums
     each window's blocks. So the work is tones times the span for any
     L_avg; with h = L (every builtin) it is one product of the stacked
-    references and the rows.
+    references and the rows. The span's rows are the left operand, (K,
+    2 rows, h), C-contiguous when K = 1 (every builtin), and each block of
+    references the right one, (K, h, tones), the transpose of its
+    contiguous rows: no product takes the span as a strided transposed
+    view, which a threaded BLAS can run far slower.
 
     A float64 bank gives the exact integer block sums of an int64 subband
     when every partial sum stays below 2^53 (ChainConfig.ddc_exact_in_float64):
@@ -228,15 +239,17 @@ def ddc_bank(
                 x[full:, c, : span - full * length] = s[full * length :]
             sub = max(1, _BANK_BLOCK // (rows * k))  # tones whose block sums are held at once
         for s0 in range(0, len(bi), sub):
-            ci, cq = (c[s0 : s0 + sub].reshape(-1, k, h).transpose(1, 0, 2) for c in (bi, bq))
-            tb = ci.shape[1]
+            # (K, h, tones): block j of each reference as a column, the
+            # transpose of the bank's rows (no copy)
+            ci, cq = (c[s0 : s0 + sub].reshape(-1, k, h).transpose(1, 2, 0) for c in (bi, bq))
+            tb = ci.shape[2]
             sums = np.empty((2, tb, rows, k), dtype)
             step = max(1, _BANK_BLOCK // (tb * k))
             for r0 in range(0, rows, step):
-                xs = x[r0 : r0 + step].reshape(-1, k, h).transpose(1, 2, 0)  # (K, h, 2 rows)
-                a, b = ci @ xs, cq @ xs  # columns: a row's I blocks, then its Q blocks
-                sums[0, :, r0 : r0 + step] = (a[..., 0::2] + b[..., 1::2]).transpose(1, 2, 0)
-                sums[1, :, r0 : r0 + step] = (a[..., 1::2] - b[..., 0::2]).transpose(1, 2, 0)
+                xs = x[r0 : r0 + step].reshape(-1, k, h).transpose(1, 0, 2)  # (K, 2 rows, h)
+                a, b = xs @ ci, xs @ cq  # rows: a row's I blocks, then its Q blocks
+                sums[0, :, r0 : r0 + step] = (a[:, 0::2] + b[:, 1::2]).transpose(2, 1, 0)
+                sums[1, :, r0 : r0 + step] = (a[:, 1::2] - b[:, 0::2]).transpose(2, 1, 0)
             out.append([arith.accumulate(c[:, : span // h], l_avg // h, n_windows)
                         for c in sums.reshape(2, tb, -1)])
         del bi, bq, ci, cq  # dropped before the bank builds its next block

@@ -3,8 +3,10 @@
 Per-tone phase accumulator and CORDIC, per-band tone summation, -f_b/5
 down-shift, xU polyphase interpolation, band shift via a sine/cosine
 lookup table, and band summation into one wideband I/Q stream. The stages
-run on raw integer codes (int64 arrays; stream formats are Q1.(w-1)), or,
-for the float oracle, through the DoublePrecision arithmetic.
+run on raw integer codes (int32 streams, every one at most 32 bits wide;
+stream formats are Q1.(w-1)), or, for the float oracle, through the
+DoublePrecision arithmetic. A stream stage writes into the buffers its
+caller passes in, so a run's slices reuse one Workspace per worker.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import (
     ConfigError,
@@ -23,6 +25,7 @@ from .fxp import (
     FxpValue,
     Rounding,
     requantize,
+    truncate,
 )
 
 
@@ -251,6 +254,16 @@ class FilterSpec:
         return self._abs_tap_sum << (stream_bits - 1) < 1 << 53
 
 
+def mix_dtype(width: int) -> type:
+    """The dtype of a width-bit LUT mix's products, and so of make_lut's
+    tables: int32 when width <= 16, int64 past it. The mix's inputs are
+    saturated to width bits and its LUT to 2^(width-1) - 1, so each
+    two-term sum is at most 2^(2*width-1) - 2^width in magnitude: below
+    2^31 at width 16. An int32 stream times an int32 table multiplies in
+    int32; an int64 table promotes the products to int64."""
+    return np.int32 if width <= 16 else np.int64
+
+
 def windowed_sinc_taps(num_taps: int, cutoff_cycles: float, gain: float = 1.0) -> np.ndarray:
     """Unquantized Hamming windowed-sinc lowpass taps."""
     m = np.arange(num_taps) - (num_taps - 1) / 2
@@ -326,10 +339,11 @@ def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
 
 # The block kernels (the LUT mixes and the exact FIR products) work on about
 # this many elements at a time: numpy's cost per call falls as blocks grow,
-# and a block's 64 KiB arrays (the LUT repeated to one row, a FIR block cast
-# to float64) sit well inside a 2 MiB per-core L2 cache. Blocks of 16384 made
-# the full-scale band runs about 3 % faster but raised their median peak RSS
-# from 189 to 193 MB (10 runs each), so the block stays at 8192.
+# and a block's arrays (the LUT repeated to one row, 32 KiB in int32; a FIR
+# block cast to float64, 64 KiB) sit well inside a 2 MiB per-core L2 cache.
+# With int32 streams, blocks of 16384 to 65536 took desk_direct's comb and
+# channelizer from 113 to 108-112 ms (6 alternating rounds, one thread), a
+# step within the host's run-to-run spread, so the block stays at 8192.
 _MIX_BLOCK = 8192
 
 
@@ -343,60 +357,97 @@ def _float_span(x: np.ndarray, a: int, b: int) -> np.ndarray:
 
 # Every integer of magnitude up to 2^53 is exact in float64, so a sum of
 # integer products whose every partial sum stays below 2^53 is exact under
-# any summation order, FMA included: BLAS gives the int64 bits. Each block
-# of about _MIX_BLOCK elements is cast to float64 on its own and its products
-# are written into the int64 output, so no float array is stream-sized.
-# FilterSpec.exact_in_float64 states the bound.
+# any summation order, FMA included: BLAS gives the int64 bits. Taps scaled
+# by 2^-shift keep every product and partial sum exact (a power of two only
+# moves the exponent), so a block's sums come out already shifted, and their
+# floor is the truncating requantization (fxp.truncate). Each block of about
+# _MIX_BLOCK elements is cast to float64 on its own and narrowed into the
+# integer output, so no float array is stream-sized. The matrices are built
+# once per taps, rate and shift. FilterSpec.exact_in_float64 states the bound.
 
 
-def exact_interpolate(x: np.ndarray, h: np.ndarray, u: int) -> np.ndarray:
-    """polyphase_interpolate(x, h, u) on int64 x and taps h within the 2^53
-    bound, as float64 matrix products: the K = ceil(len(h)/u) latest inputs
-    x[m-K+1 .. m] times the (K x u) branch matrix give outputs m*u to
-    m*u + u - 1."""
+@functools.lru_cache(maxsize=32)
+def _branch_matrix(taps: bytes, u: int, shift: int) -> np.ndarray:
+    """exact_interpolate's (K x u) branch matrix of int64 taps (as bytes)
+    times 2^-shift: row j meets x[m - K + 1 + j]. Read-only, shared."""
+    h = np.frombuffer(taps, np.int64)
     k = -(-len(h) // u)
-    taps = np.zeros(k * u)
-    taps[: len(h)] = h
-    branches = taps.reshape(k, u)[::-1].copy()  # row j meets x[m - k + 1 + j]
-    n = len(x)
-    y = np.empty((n, u), dtype=np.int64)
+    m = np.zeros(k * u)
+    m[: len(h)] = h * 2.0**-shift
+    m = m.reshape(k, u)[::-1].copy()
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=32)
+def _decimation_matrix(taps: bytes, d: int, shift: int) -> np.ndarray:
+    """exact_decimate's (K x d) matrix of int64 taps (as bytes) times
+    2^-shift: gt[r, t] = h[r*d - t], 0 outside h. Read-only, shared."""
+    h = np.frombuffer(taps, np.int64)
+    k = (len(h) + d - 2) // d + 1
+    m = np.zeros(k * d)
+    m[d - 1 : d - 1 + len(h)] = h * 2.0**-shift
+    m = m.reshape(k, d)[:, ::-1].copy()
+    m.flags.writeable = False
+    return m
+
+
+def exact_interpolate(
+    x: np.ndarray, h: np.ndarray, u: int, out: np.ndarray | None = None, *,
+    shift: int = 0, width: int = 64,
+) -> np.ndarray:
+    """polyphase_interpolate(x, h, u) on integer x and int64 taps h within
+    the 2^53 bound, as float64 matrix products, requantized by shift bits
+    (truncating) to width bits into out (a fresh int64 array if None; the
+    defaults give the sums themselves): the K = ceil(len(h)/u) latest
+    inputs x[m-K+1 .. m] times the (K x u) branch matrix give outputs m*u
+    to m*u + u - 1."""
+    branches = _branch_matrix(np.asarray(h, np.int64).tobytes(), u, shift)
+    k, n = len(branches), len(x)
+    if out is None:
+        out = np.empty(n * u, np.int64)
+    y = out.reshape(n, u)
     # output m takes the window x[m-k+1 .. m]: the first k - 1 windows reach
     # before the stream and come from its zero-padded head, the others are
     # rows of one window view of x, cast to float64 a block at a time
     head = min(n, k - 1)
     if head:
-        y[:head] = sliding_window_view(_float_span(x, 1 - k, head), k) @ branches
+        truncate(sliding_window_view(_float_span(x, 1 - k, head), k) @ branches, width, y[:head])
     if n >= k:
         windows = sliding_window_view(x, k)
         rows = max(1, _MIX_BLOCK // k)
         for s in range(k - 1, n, rows):
             e = min(n, s + rows)
-            y[s:e] = windows[s - k + 1 : e - k + 1].astype(np.float64) @ branches
-    return y.reshape(-1)
+            truncate(windows[s - k + 1 : e - k + 1].astype(np.float64) @ branches, width, y[s:e])
+    return out
 
 
-def exact_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
-    """polyphase_decimate(x, h, d) on int64 x and taps h within the 2^53
-    bound, as float64 matrix products: input block j, x[j*d .. j*d + d - 1],
-    meets taps h[r*d - t] for output j + r, r < K = (len(h) + d - 2) // d + 1.
-    The transposed product G.T @ blocks.T has block j's partial sum for
-    output j + r in row r, each row contiguous, and each output adds its K
-    partial sums along the diagonal, read as the rows of one strided view."""
-    k = (len(h) + d - 2) // d + 1
-    taps = np.zeros(k * d)
-    taps[d - 1 : d - 1 + len(h)] = h
-    gt = taps.reshape(k, d)[:, ::-1].copy()  # gt[r, t] = h[r*d - t], 0 outside h
-    n_out = -(-len(x) // d)
-    y = np.empty(n_out, dtype=np.int64)
+def exact_decimate(
+    x: np.ndarray, h: np.ndarray, d: int, out: np.ndarray | None = None, *,
+    shift: int = 0, width: int = 64,
+) -> np.ndarray:
+    """polyphase_decimate(x, h, d) on integer x and int64 taps h within the
+    2^53 bound, as float64 matrix products, requantized by shift bits
+    (truncating) to width bits into out (a fresh int64 array if None; the
+    defaults give the sums themselves): input block j, x[j*d .. j*d + d -
+    1], meets taps h[r*d - t] for output j + r, r < K = (len(h) + d - 2) //
+    d + 1. The transposed product G.T @ blocks.T has block j's partial sum
+    for output j + r in row r, each row contiguous, and each output adds
+    its K partial sums along the diagonal, read as the rows of one strided
+    view."""
+    gt = _decimation_matrix(np.asarray(h, np.int64).tobytes(), d, shift)
+    k, n_out = len(gt), -(-len(x) // d)
+    if out is None:
+        out = np.empty(n_out, np.int64)
     rows = max(1, _MIX_BLOCK // d)
     for s in range(0, n_out, rows):
         e = min(n_out, s + rows)
         # blocks s-k+1 .. e-1: output s + i's share from row r is column i + k-1-r
         parts = gt @ _float_span(x, (s - k + 1) * d, e * d).reshape(-1, d).T
         s0, s1 = parts.strides
-        diagonals = as_strided(parts[0, k - 1 :], shape=(k, e - s), strides=(s0 - s1, s1))
-        y[s:e] = diagonals.sum(axis=0)
-    return y
+        diagonals = np.ndarray((k, e - s), parts.dtype, parts, (k - 1) * s1, (s0 - s1, s1))
+        truncate(diagonals.sum(axis=0), width, out[s:e])
+    return out
 
 
 def periodic_extend(
@@ -428,70 +479,93 @@ def make_lut(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex exponential LUT: entry n = quantized e^(sign*j*2pi*cycles*n/length).
 
-    Quantized to (2^(width-1)-1) * cos/sin with round-half-up. The tables
-    are shared (every mix reads one) and so read-only.
+    Quantized to (2^(width-1)-1) * cos/sin with round-half-up, in
+    mix_dtype(width). The tables are shared (every mix reads one) and so
+    read-only.
     """
     if sign not in (+1, -1):
         raise ConfigError("sign must be +1 or -1")
     n = np.arange(length)
     ang = sign * 2.0 * np.pi * cycles * n / length
     sc = (1 << (width - 1)) - 1
-    li = np.floor(sc * np.cos(ang) + 0.5).astype(np.int64)
-    lq = np.floor(sc * np.sin(ang) + 0.5).astype(np.int64)
+    li = np.floor(sc * np.cos(ang) + 0.5).astype(mix_dtype(width))
+    lq = np.floor(sc * np.sin(ang) + 0.5).astype(mix_dtype(width))
     li.flags.writeable = lq.flags.writeable = False
     return li, lq
 
 
 def _block_products(
-    x: tuple[np.ndarray, np.ndarray], lut: tuple[np.ndarray, np.ndarray]
+    x: tuple[np.ndarray, np.ndarray],
+    lut: tuple[np.ndarray, np.ndarray],
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    start: int = 0,
+    conj: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The complex products (x_i + j*x_q) * (l_i + j*l_q), sample k taking
-    LUT entry k % len(l_i), into fresh arrays.
+    """The complex products (x_i + j*x_q) * (l_i + j*l_q), or by the
+    conjugate LUT (l_i - j*l_q) if conj, sample k taking LUT entry
+    (start + k) % len(l_i), in the dtype numpy gives the stream and the LUT:
+    written into out (fresh arrays if None; they must not overlap x)
+    through one temporary.
 
     The stream is viewed as rows of B samples, B the whole LUT periods in
     min(_MIX_BLOCK, n) (one period if longer), and the rows are
-    multiplied by the LUT repeated to B entries; the last n % B samples
-    take that row's first entries. Every row starts at LUT phase 0, and
-    the LUT is repeated to one row only. ConfigError unless the stream's
-    and the LUT's I and Q have equal lengths and the LUT is not empty."""
+    multiplied by the LUT rotated to start and repeated to B entries, a
+    copy made only when the table must move; the last n % B samples take
+    that row's first entries. ConfigError unless the stream's and the
+    LUT's I and Q have equal lengths and the LUT is not empty."""
     (xi, xq), (li, lq) = x, lut
     n, length = len(xi), len(li)
     if len(xq) != n or len(lq) != length or length == 0:
         raise ConfigError("block products need I and Q of equal length and a nonempty LUT")
-    reps = max(1, min(_MIX_BLOCK, n) // length)
-    b = reps * length
-    li, lq = periodic_extend(li, b), periodic_extend(lq, b)
-    m = n - n % b
+    b = max(1, min(_MIX_BLOCK, n) // length) * length
+    if b > length or start % length:
+        li, lq = periodic_extend(li, b, start=start), periodic_extend(lq, b, start=start)
     dtype = np.result_type(xi, xq, li, lq)
-    oi, oq = np.empty(n, dtype), np.empty(n, dtype)
-
-    def rows(a: np.ndarray) -> np.ndarray:
-        return a[:m].reshape(-1, b)
-
-    for ai, aq, ci, cq, pi, pq in (
-        (rows(xi), rows(xq), li, lq, rows(oi), rows(oq)),
-        (xi[m:], xq[m:], li[: n - m], lq[: n - m], oi[m:], oq[m:]),
-    ):
+    oi, oq = (np.empty(n, dtype), np.empty(n, dtype)) if out is None else out
+    t = np.empty(n, dtype)
+    first, second = (np.add, np.subtract) if conj else (np.subtract, np.add)
+    m = n - n % b
+    # the whole rows, then the tail (each skipped when empty)
+    for lo, hi, shape in ((0, m, (-1, b)), (m, n, (-1,))):
+        if lo == hi:
+            continue
+        ai, aq, pi, pq, tt = (a[lo:hi].reshape(shape) for a in (xi, xq, oi, oq, t))
+        ci, cq = li[: ai.shape[-1]], lq[: ai.shape[-1]]
         np.multiply(ai, ci, out=pi)
-        pi -= aq * cq
-        np.multiply(ai, cq, out=pq)
-        pq += aq * ci
+        np.multiply(aq, cq, out=tt)
+        first(pi, tt, out=pi)
+        np.multiply(aq, ci, out=pq)
+        np.multiply(ai, cq, out=tt)
+        second(pq, tt, out=pq)
     return oi, oq
 
 
 def cmul_lut(
-    xi: np.ndarray, xq: np.ndarray, li: np.ndarray, lq: np.ndarray, width: int
+    xi: np.ndarray,
+    xq: np.ndarray,
+    li: np.ndarray,
+    lq: np.ndarray,
+    width: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex multiply of a width-bit stream by width-bit LUT values,
-    sample k taking entry k % len(li): sample-wise for a LUT as long as
-    the stream.
+    sample k taking entry (start + k) % len(li): sample-wise for a LUT as
+    long as the stream.
 
-    Four exact integer products (_block_products), requantized in place
-    by width-1 bits (truncate toward -inf) to width bits.
+    Four exact integer products (_block_products), requantized by width-1
+    bits (truncate toward -inf) to width bits into out (fresh arrays of the
+    stream's dtype if None). The products are formed straight in out when
+    out has their dtype, and in a temporary pair otherwise (an int32
+    stream times an int64 table, mix_dtype).
     """
+    if out is None:
+        out = tuple(np.empty(len(xi), np.result_type(xi, xq)) for _ in "iq")
+    direct = out[0].dtype == np.result_type(xi, xq, li, lq)
+    prods = _block_products((xi, xq), (li, lq), out if direct else None, start)
     return tuple(
-        requantize(p, width - 1, width, Rounding.TRUNCATE_TOWARD_NEG_INF)
-        for p in _block_products((xi, xq), (li, lq))
+        requantize(p, width - 1, width, Rounding.TRUNCATE_TOWARD_NEG_INF, o)
+        for p, o in zip(prods, out)
     )
 
 
@@ -502,12 +576,13 @@ def lut_mix(
     width: int,
     sign: int,
     start: int = 0,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply a width-bit stream by the make_lut exponential, sample n
     taking LUT entry (start + n) mod length, start the absolute index of
-    the stream's first sample; output stays width bits."""
-    lut = (periodic_extend(t, length, start=start) for t in make_lut(length, cycles, width, sign))
-    return cmul_lut(*x, *lut, width)
+    the stream's first sample; output stays width bits (cmul_lut, into
+    out if given)."""
+    return cmul_lut(*x, *make_lut(length, cycles, width, sign), width, out, start)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +713,7 @@ def band_sum(
     tone_streams: Iterable[tuple[np.ndarray, np.ndarray]], sum_width_bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact integer sum of streams (_stream_sum), checked against
-    sum_width_bits: the tones of one band (band format) and the shifted
-    bands of the comb (wideband format)."""
+    sum_width_bits: the tones of one band (band format)."""
     bi, bq = _stream_sum(tone_streams, np.int64, "band_sum")
     hi = (1 << (sum_width_bits - 1)) - 1
     if bi.size and (max(bi.max(), bq.max()) > hi or min(bi.min(), bq.min()) < -hi - 1):
@@ -647,11 +721,28 @@ def band_sum(
     return bi, bq
 
 
+def _fir(exact, polyphase, x, spec: FilterSpec, rate: int, width: int, out):
+    """spec's FIR at rate (an interpolator's or a decimator's pair of
+    kernels) of each stream of x, requantized by spec.frac_bits (truncate
+    toward -inf) to width bits into out: the exact float64 products within
+    the 2^53 bound, the int64 polyphase sums past it."""
+    h, fast = spec.taps_array(), spec.exact_in_float64(width)
+    for s, o in zip(x, out):
+        if fast:
+            exact(s, h, rate, o, shift=spec.frac_bits, width=width)
+        else:
+            requantize(polyphase(s, h, rate), spec.frac_bits, width, out=o)
+    return out
+
+
 def upsample_interp(
-    band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig
+    band: tuple[np.ndarray, np.ndarray],
+    cfg: GeneratorConfig,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate by U with the configured FIR, as a polyphase filter:
-    exact_interpolate within the 2^53 bound, polyphase_interpolate past it.
+    exact_interpolate within the 2^53 bound, polyphase_interpolate past it,
+    into out (fresh arrays of the band's dtype if None).
 
     Bit-identical to zero-stuffing by U and running the FIR at the full
     rate, but only the U branch filters (len(taps)/U taps each) run.
@@ -659,13 +750,11 @@ def upsample_interp(
     state (past the first taps-1 samples) is periodic with U times the
     input period.
     """
-    spec = cfg.resolved_interp_filter()
-    h, u, w = spec.taps_array(), cfg.upsample_factor, cfg.resolved_sum_width
-    fir = exact_interpolate if spec.exact_in_float64(w) else polyphase_interpolate
-    return tuple(
-        requantize(fir(s, h, u), spec.frac_bits, w, Rounding.TRUNCATE_TOWARD_NEG_INF)
-        for s in band
-    )
+    u = cfg.upsample_factor
+    if out is None:
+        out = tuple(np.empty(len(s) * u, np.asarray(s).dtype) for s in band)
+    spec, w = cfg.resolved_interp_filter(), cfg.resolved_sum_width
+    return _fir(exact_interpolate, polyphase_interpolate, band, spec, u, w, out)
 
 
 def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
@@ -693,11 +782,15 @@ def _phasor_table(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FixedPoint:
-    """The chain's int64 arithmetic: quantized CORDIC and LUT tables,
-    requantization, saturation and an exact boxcar accumulator. Each
-    operation is the stage function itself. Streams are (i, q) pairs in
-    both arithmetics, so periodic_extend, _block_products, ddc_products and
-    ddc_bank serve both."""
+    """The chain's integer arithmetic: int32 streams (GeneratorConfig caps
+    every stream at 32 bits), quantized CORDIC and LUT tables,
+    requantization, saturation and an exact int64 boxcar accumulator. Each
+    operation is the stage function itself; the stream stages write into
+    out if given. Streams are (i, q) pairs in both arithmetics, so
+    periodic_extend, _block_products, ddc_products and ddc_bank serve
+    both."""
+
+    dtype = np.int32
 
     def tone(self, tone: ToneConfig, cfg: GeneratorConfig):
         return tone_generate(tone, cfg)
@@ -708,19 +801,16 @@ class FixedPoint:
     def sum(self, streams, width: int):
         return band_sum(streams, width)
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
-        return lut_mix(x, length, cycles, width, sign, start)
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0, out=None):
+        return lut_mix(x, length, cycles, width, sign, start, out)
 
-    def interp(self, band, cfg: GeneratorConfig):
-        return upsample_interp(band, cfg)
+    def interp(self, band, cfg: GeneratorConfig, out=None):
+        return upsample_interp(band, cfg, out)
 
-    def decimate(self, x, spec: FilterSpec, d: int, width: int):
-        h = spec.taps_array()
-        fir = exact_decimate if spec.exact_in_float64(width) else polyphase_decimate
-        return tuple(
-            requantize(fir(s, h, d), spec.frac_bits, width, Rounding.TRUNCATE_TOWARD_NEG_INF)
-            for s in x
-        )
+    def decimate(self, x, spec: FilterSpec, d: int, width: int, out=None):
+        if out is None:
+            out = tuple(np.empty(-(-len(s) // d), s.dtype) for s in x)
+        return _fir(exact_decimate, polyphase_decimate, x, spec, d, width, out)
 
     def accumulate(self, blocks: np.ndarray, per_window: int, n_windows: int):
         """The first n_windows sums of per_window consecutive blocks, row by
@@ -743,7 +833,10 @@ class DoublePrecision:
     """The same stages in float64: exact phasor tables indexed modulo their
     periods (so the chain is exactly periodic), the given ideal
     interpolator and channelizer taps, no requantization or saturation,
-    and every window summed from its own blocks."""
+    and every window summed from its own blocks. The mixes write into out
+    if given; the FIRs return fresh arrays."""
+
+    dtype = np.float64
 
     def __init__(self, h_interp: np.ndarray, h_chan: np.ndarray) -> None:
         self.h_interp, self.h_chan = h_interp, h_chan
@@ -761,17 +854,18 @@ class DoublePrecision:
     def sum(self, streams, width: int):
         return _stream_sum(streams, np.float64, "the float sum")
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
-        k = periodic_extend(phase_words(length, cycles, length), length, start=start)
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0, out=None):
+        k = phase_words(length, cycles, length)
         c, s = _phasor_table(length)
-        return _block_products(x, (c[k], sign * s[k]))
+        return _block_products(x, (c[k], sign * s[k]), out, start)
 
     # polyphase_* and not the exact products: float sums rounded per block
-    # would make a slice's bits depend on where its blocks start
-    def interp(self, band, cfg: GeneratorConfig):
+    # would make a slice's bits depend on where its blocks start. The
+    # convolutions make their own arrays, so out is not used
+    def interp(self, band, cfg: GeneratorConfig, out=None):
         return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)
 
-    def decimate(self, x, spec: FilterSpec, d: int, width: int):
+    def decimate(self, x, spec: FilterSpec, d: int, width: int, out=None):
         return tuple(polyphase_decimate(s, self.h_chan, d) for s in x)
 
     def accumulate(self, blocks: np.ndarray, per_window: int, n_windows: int):
@@ -779,6 +873,22 @@ class DoublePrecision:
         # float prefix differences would cancel
         idx = np.arange(n_windows * per_window) % blocks.shape[1]
         return blocks[:, idx].reshape(len(blocks), n_windows, per_window).sum(axis=2)
+
+
+class Workspace:
+    """One worker's stream buffers, reused over the slices it runs: take
+    gives the I and Q rows of n samples of the buffer of a name, allocated
+    at its first use and again only to grow or change dtype. Rows taken
+    are valid until their name is taken again."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1] < n or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty((2, n), dtype)
+        return buf[0, :n], buf[1, :n]
 
 
 def band_tone_sums(
@@ -820,10 +930,11 @@ def generate_comb(
     start: int = 0,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Band samples [start, start + n_band_samples) of the excitation
     pipeline, run in arith from zero filter state at start; returns the
-    wideband I/Q stream (U samples per band sample).
+    wideband I/Q stream (U samples per band sample) in arith's dtype.
 
     tone_sums are the run's band_tone_sums, one L_acc period each, tiled
     from sample start; at least one band must have tones (ConfigError
@@ -831,25 +942,37 @@ def generate_comb(
     read at the absolute sample, so past the filter transient the samples
     equal those of a run from 0 for any start. The full-rate stages run
     over every sample.
+
+    Each band runs through work's buffers (a fresh Workspace if None):
+    its tiled tone sum, the down-shift, the interpolator and the band
+    shift, which writes the first band into the wideband buffer and is
+    added into it for the others. The result is work's wideband buffer,
+    valid until work runs the next comb. Each band is saturated to the band
+    width and there are at most 2^(wide_width - band width) bands, so the
+    wideband sum cannot leave its width.
     """
     if n_band_samples < 1:
         raise ConfigError(f"n_band_samples must be >= 1, got {n_band_samples}")
     if any(len(c) != cfg.L_acc for s in tone_sums.values() for c in s):
         raise ConfigError(f"tone sums must be one accumulator period of {cfg.L_acc} samples")
-
-    def one_band(b: int, band: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        band = tuple(periodic_extend(s, n_band_samples, start=start) for s in band)
-        w = cfg.resolved_sum_width
-        band = arith.mix(band, 5, 1, w, -1, start)  # down by band_rate/5
-        band = arith.interp(band, cfg)
+    if not tone_sums:
+        raise ConfigError("generate_comb needs at least one stream")
+    work = Workspace() if work is None else work
+    n, u, w, dtype = n_band_samples, cfg.upsample_factor, cfg.resolved_sum_width, arith.dtype
+    wide = work.take("wideband", n * u, dtype)
+    for k, (b, sums) in enumerate(sorted(tone_sums.items())):
+        band = work.take("band", n, dtype)
+        for s, o in zip(sums, band):
+            periodic_extend(s, n, out=o, start=start)
+        band = arith.mix(band, 5, 1, w, -1, start, work.take("down", n, dtype))  # by band_rate/5
+        up = arith.interp(band, cfg, work.take("up", n * u, dtype))
         # up to the band center, an integer number of shifter LUT cycles
-        return arith.mix(
-            band, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1, start * cfg.upsample_factor
-        )
-
-    return arith.sum(
-        (one_band(b, band) for b, band in sorted(tone_sums.items())), cfg.wide_width
-    )
+        shifted = wide if k == 0 else work.take("shifted", n * u, dtype)
+        arith.mix(up, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1, start * u, shifted)
+        if k:
+            for total, s in zip(wide, shifted):
+                total += s
+    return wide
 
 
 def default_freq_words(L_acc: int, tones_per_band: int) -> list[int]:

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .generator import (
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
+    Workspace,
     band_tone_sums,
     cordic_tone,
     default_freq_words,
@@ -177,11 +178,11 @@ class ToneResult:
 
     @property
     def amp_spectrum(self) -> Spectrum:
-        return next(_tone_spectra(self.pattern, self.n_windows)[1])
+        return _tone_spectra(self.pattern, self.n_windows)[1](0)
 
     @property
     def phase_spectrum(self) -> Spectrum:
-        return tuple(_tone_spectra(self.pattern, self.n_windows)[1])[1]
+        return _tone_spectra(self.pattern, self.n_windows)[1](1)
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,20 @@ def _band_transient_len(cfg: ChainConfig) -> int:
 # slice recomputes stays within a quarter of its length
 _MIN_SLICE_OVERLAPS = 4
 
-# full-rate samples per time slice: 512 KiB per int64 array. A slice's comb
-# holds about 57 bytes of live arrays per sample (tracemalloc): 3.6 MiB at
-# 2^16, 7.1 MiB at 2^17. The share of the host's L3 a guest gets varies
-# with its neighbours, and a slice near its edge runs fast in one process
-# and slow in the next. On one 2-vCPU KVM guest (2 MiB L2 per core) a
-# desk_direct pass went from 209 to 258 ms between 2^17 and 2^18, and
-# desk_direct's runs at 2^17 spread twice as wide as the unsliced chain's;
-# on another the step came between 2^19 and 2^20 (171 and 194 ms), with
-# 193, 186 and 179 ms at 2^15 to 2^17 (8 interleaved passes each).
+# full-rate samples per time slice: 256 KiB per int32 stream. A slice's comb
+# and channelizer hold about 41 bytes of live arrays per sample on desk_a
+# and 63 on full_a, whose 20-bit channelizer forms its LUT products in int64
+# (tracemalloc, one fresh Workspace): 2.6 and 4.0 MiB at 2^16. The share of
+# the host's L3 a guest gets varies with its neighbours, and a slice near
+# its edge runs fast in one process and slow in the next. With int64
+# streams (57 bytes per sample), on one 2-vCPU KVM guest (2 MiB L2 per
+# core) a desk_direct pass went from 209 to 258 ms between 2^17 and 2^18,
+# and desk_direct's runs at 2^17 spread twice as wide as the unsliced
+# chain's; on another the step came between 2^19 and 2^20 (171 and 194
+# ms), with 193, 186 and 179 ms at 2^15 to 2^17 (8 interleaved passes
+# each). With int32 streams desk_direct's comb and channelizer took 148,
+# 130, 124 and 125 ms at 2^15 to 2^18 (8 alternating rounds, one thread):
+# 2^17 gains about 5 %, within that spread, so the slice stays at 2^16.
 # full_band reads the same at 2^16 and 2^17
 _SLICE_SAMPLES = 1 << 16
 
@@ -246,7 +252,10 @@ def _subbands(
     writes the rest into the run's per-band arrays. Every LUT is read at
     the absolute sample, so the bits depend neither on threads nor on
     where a slice starts. Each band's tone sum is formed once per run, one
-    band per task of the same map."""
+    band per task of the same map. The slices run in contiguous chunks,
+    one per worker, each through one Workspace: the comb's and the
+    channelizer's buffers are allocated once per worker, not per slice.
+    The subbands are in arith's dtype."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
@@ -257,19 +266,24 @@ def _subbands(
         -(-n * g.upsample_factor // _SLICE_SAMPLES),
     )
     edges = [start + i * n // k for i in range(k + 1)]
+    slices = list(zip(edges[:-1], edges[1:]))
+    w = min(threads, k)
+    chunks = [slices[i * k // w : (i + 1) * k // w] for i in range(w)]
     with _pool(threads) as run:
         sums = band_tone_sums(g, cfg.tones, arith=arith, run=run)
-        dtype = next(iter(sums.values()))[0].dtype
-        out = {b: (np.empty(n, dtype), np.empty(n, dtype)) for b in sums}
+        out = {b: (np.empty(n, arith.dtype), np.empty(n, arith.dtype)) for b in sums}
 
-        def one_slice(a: int, b: int) -> None:
-            a0 = max(0, a - overlap)
-            wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
-            for band, dst in out.items():
-                for d, s in zip(dst, channelize(wideband, band, g, spec, a0, arith=arith)):
-                    d[a - start : b - start] = s[a - a0 :]
+        def slice_chunk(chunk: list[tuple[int, int]]) -> None:
+            work = Workspace()
+            for a, b in chunk:
+                a0 = max(0, a - overlap)
+                wideband = generate_comb(g, sums, b - a0, a0, arith=arith, work=work)
+                for band, dst in out.items():
+                    sub = channelize(wideband, band, g, spec, a0, arith=arith, work=work)
+                    for d, s in zip(dst, sub):
+                        d[a - start : b - start] = s[a - a0 :]
 
-        for _ in run(one_slice, edges[:-1], edges[1:]):
+        for _ in run(slice_chunk, chunks):
             pass
     return out
 
@@ -453,18 +467,21 @@ def _tone_workspace(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, .
     return (np.empty(n), np.empty(n)), (np.empty(m, np.complex128), np.empty(m))
 
 
-def _tone_spectra(pattern: IqTimeSeries, n: int, work=None) -> tuple[float, Iterator[Spectrum]]:
-    """The mean amplitude, and the amplitude then the phase PSD, drawn one
-    at a time, of the series of n windows that tiles pattern, from one
-    _amp_phase pass. Each periodogram input is its fluctuation pattern
-    times the Rect window's constant scale, tiled: the same products as
-    the whole series times the scale, built at pattern cost. With work (a
-    _tone_workspace), every array is written into work's: a spectrum is
-    valid only until the next is drawn or work is used again."""
+def _tone_spectra(
+    pattern: IqTimeSeries, n: int, work=None
+) -> tuple[float, Callable[[int], Spectrum]]:
+    """The mean amplitude of the series of n windows that tiles pattern,
+    and psd, where psd(0) draws its amplitude PSD and psd(1) its phase PSD,
+    each one periodogram, from one _amp_phase pass. Each periodogram input
+    is its fluctuation pattern times the Rect window's constant scale,
+    tiled: the same products as the whole series times the scale, built
+    at pattern cost. With work (a _tone_workspace), every array is written
+    into work's: a spectrum is valid only until the next is drawn or work
+    is used again."""
     fs = pattern.rate_hz
     series_out, psd_work = (None, None) if work is None else work
     mean_amp, *xs = _amp_phase(pattern.i, pattern.q, n, _periodogram_fac(n, fs), series_out)
-    return mean_amp, (_periodogram(x, fs, SpectrumWindow.RECT, psd_work) for x in xs)
+    return mean_amp, lambda k: _periodogram(xs[k], fs, SpectrumWindow.RECT, psd_work)
 
 
 def _tone_metrics(pattern: IqTimeSeries, n: int, work=None) -> ToneResult:
@@ -472,8 +489,10 @@ def _tone_metrics(pattern: IqTimeSeries, n: int, work=None) -> ToneResult:
     spur reports and the carrier power, from spectra it then drops, in
     work's arrays if given (see _tone_spectra); the result holds none of
     them."""
-    mean_amp, spectra = _tone_spectra(pattern, n, work)
-    return ToneResult(pattern, n, *map(detect_spurs, spectra), carrier_power=mean_amp**2)
+    mean_amp, psd = _tone_spectra(pattern, n, work)
+    # each report is made before the next spectrum overwrites work's arrays
+    amp_spurs = detect_spurs(psd(0))
+    return ToneResult(pattern, n, amp_spurs, detect_spurs(psd(1)), carrier_power=mean_amp**2)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +711,10 @@ def persist(result: RunResult, out_dir) -> dict:
                 yield f"series/{stem}.csv", series_to_csv(s).encode("utf-8")
                 yield f"series/{stem}.bin", series_to_binary(s)
                 del s  # freed before both spectra are derived, in one pass
-                _, spectra = _tone_spectra(p, tr.n_windows)
-                for kind, spec in zip(("amp", "phase"), spectra):
+                _, psd = _tone_spectra(p, tr.n_windows)
+                for k, kind in enumerate(("amp", "phase")):
                     yield f"spectra/{stem}_{kind}.csv", spectrum_to_csv(
-                        spec, result.config_hash
+                        psd(k), result.config_hash
                     ).encode("utf-8")
                 spurs = {
                     "amp": spur_report_dict(tr.amp_spurs, result.predicted),

@@ -24,7 +24,9 @@ from combtwin.generator import (
     band_tone_sums,
     _cordic_table,
     _MIX_BLOCK,
+    _block_products,
     _phasor_table,
+    cmul_lut,
     cordic_gain,
     cordic_sincos_array,
     cordic_tone,
@@ -35,6 +37,7 @@ from combtwin.generator import (
     generate_comb,
     lut_mix,
     make_lut,
+    mix_dtype,
     periodic_extend,
     phase_words,
     polyphase_decimate,
@@ -781,6 +784,29 @@ def test_block_lut_mix_equals_modulo_indexed(case):
     assert np.array_equal(x[0], before[0]) and np.array_equal(x[1], before[1])
 
 
+@pytest.mark.parametrize("w, dtype", [(16, np.int32), (17, np.int64)])
+def test_mix_products_are_int32_up_to_16_bits(w, dtype):
+    # the worst case: every sample at -2^(w-1) against LUT entries at
+    # +-(2^(w-1) - 1) in both components, so the two products of each sum
+    # add, to 2^(2w-1) - 2^w: below 2^31 at 16 bits, past it at 17
+    assert mix_dtype(w) is dtype and make_lut(40, 3, w, +1)[0].dtype == dtype
+    lim, sc = 1 << (w - 1), (1 << (w - 1)) - 1
+    x = np.full(4, -lim, np.int32)
+    li, lq = np.array([sc, sc, -sc, -sc], dtype), np.array([sc, -sc, sc, -sc], dtype)
+    exact = [
+        [int(a) * int(c) - int(b) * int(d) for a, b, c, d in zip(x, x, li, lq)],
+        [int(a) * int(d) + int(b) * int(c) for a, b, c, d in zip(x, x, li, lq)],
+    ]
+    assert max(abs(v) for v in exact[0] + exact[1]) == (1 << (2 * w - 1)) - (1 << w)
+    assert (max(abs(v) for v in exact[0]) < 1 << 31) is (w == 16)
+    products = _block_products((x, x), (li, lq))
+    assert [p.dtype for p in products] == [dtype, dtype]
+    assert [p.tolist() for p in products] == exact
+    got = cmul_lut(x, x, li, lq, w)
+    assert [g.dtype for g in got] == [np.int32, np.int32]
+    assert [g.tolist() for g in got] == [clip(np.array(e) >> (w - 1), w).tolist() for e in exact]
+
+
 def test_lut_mix_saturates_at_both_format_edges():
     # at 45 degrees, edge codes of opposite sign overflow the format upwards
     # and downwards, in whole blocks and in the tail
@@ -1012,7 +1038,7 @@ def test_generate_comb_sums_one_accumulator_period(case):
     skip = len(cfg.resolved_interp_filter().taps) - 1 if start else 0
     u = cfg.upsample_factor
     for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype == np.int64
+        assert g.dtype == np.int32 and w.dtype == np.int64
         assert len(g) == n * u
         assert np.array_equal(g[skip:], w[start * u + skip : (start + n) * u])
 

@@ -28,14 +28,18 @@ from combtwin.generator import (
     CordicConfig,
     DoublePrecision,
     ToneConfig,
+    Workspace,
     _cordic_table,
+    band_sum,
     band_tone_sums,
     cordic_sincos_array,
     cordic_tone,
     generate_comb,
+    lut_mix,
     periodic_extend,
     phase_words,
     tone_generate,
+    upsample_interp,
     waveform_period,
 )
 from combtwin.harness import (
@@ -68,6 +72,7 @@ from combtwin.metrics import (
     SpectrumWindow,
     SpurReport,
     _rfft,
+    detect_spurs,
     predict_spurs,
     sinad_sfdr,
 )
@@ -591,7 +596,7 @@ def test_rotated_span_equals_the_last_period_of_a_whole_period_run(name):
     assert sorted(got) == sorted(whole)
     for b in whole:
         for g, s in zip(got[b], whole[b], strict=True):
-            assert g.dtype == s.dtype == np.int64
+            assert g.dtype == s.dtype == np.int32
             assert np.array_equal(g, s[start:])
 
 
@@ -609,7 +614,7 @@ def test_periodic_interval_equals_both_periods_of_a_whole_run(cfg):
         assert sorted(got) == sorted(whole)
         for b in whole:
             for g, s in zip(got[b], whole[b], strict=True):
-                assert g.dtype == s.dtype == np.int64
+                assert g.dtype == s.dtype == np.int32
                 assert np.array_equal(g, s[start : start + p_band])
                 assert np.array_equal(g, s[start + p_band :])
 
@@ -748,6 +753,18 @@ def test_one_workspace_serves_a_run_of_tones_as_fresh_arrays_do(desk_a_result):
         assert not any(np.shares_memory(v, u) for u in values[k + 1 :])
 
 
+def test_each_spectrum_property_takes_one_fft(desk_a_result):
+    # a desk_a tone fluctuates in amplitude and phase, so each PSD is one
+    # rfft: reading the phase spectrum forms no amplitude spectrum
+    tone = desk_a_result.tones[0]
+    assert tone.amp_spurs.lines and tone.phase_spurs.lines
+    for kind in ("amp", "phase"):
+        with mock.patch("combtwin.metrics._rfft", wraps=_rfft) as rfft:
+            spec = getattr(tone, f"{kind}_spectrum")
+        assert rfft.call_count == 1, kind
+        assert detect_spurs(spec) == getattr(tone, f"{kind}_spurs")
+
+
 def test_tone_results_hold_the_same_pattern_at_any_run_length():
     # desk_a's two bands of four tones: every series tiles n_pat = 5
     # windows, so what a result retains does not grow with the run
@@ -870,6 +887,65 @@ def unsliced_subbands(cfg, stop, arith):
     wideband = generate_comb(g, sums, stop, arith=arith)
     spec = cfg.resolved_channelizer_filter()
     return {b: channelize(wideband, b, g, spec, arith=arith) for b in sums}
+
+
+def int64_generate_comb(g, tone_sums, n, start=0):
+    """generate_comb before its streams were int32 and its stages wrote into
+    a workspace, kept as the oracle: each band's int64 stages in fresh
+    arrays (int64 LUT products), summed by band_sum."""
+
+    def one_band(b, band):
+        band = tuple(periodic_extend(s.astype(np.int64), n, start=start) for s in band)
+        w = g.resolved_sum_width
+        band = upsample_interp(lut_mix(band, 5, 1, w, -1, start), g)
+        return lut_mix(band, g.shifter_lut_len, g.band_shift_cycles(b), w, +1, start * g.upsample_factor)
+
+    return band_sum((one_band(b, band) for b, band in sorted(tone_sums.items())), g.wide_width)
+
+
+def int64_channelize(wideband, band_index, g, spec, start=0):
+    """channelize before its streams were int32, kept as the oracle: int64
+    stages in fresh arrays."""
+    w, u = g.wide_width, g.upsample_factor
+    mixed = lut_mix(wideband, g.shifter_lut_len, g.band_shift_cycles(band_index), w, -1, start * u)
+    return lut_mix(FIXED_POINT.decimate(mixed, spec, u, w), 5, 1, w, +1, start)
+
+
+def wide_chain(cfg, w):
+    """cfg with band sums of w bits and CORDIC tones of w - 1 bits, so that
+    the streams reach their formats' edges."""
+    cordic = CordicConfig(w - 1, 10)
+    g = replace(cfg.generator, sum_width_bits=w, cordic=cordic)
+    a = replace(cfg.analyzer, wide_width_bits=g.wide_width, reference_bits=cordic.data_bits)
+    return replace(cfg, generator=g, analyzer=a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_chains(), st.data())
+def test_int32_streams_equal_the_int64_chain(cfg, data):
+    # band sums of 15 to 17 bits put the LUT mixes on both sides of the
+    # int32 product bound (mix_dtype), the channelizer's one bit or more
+    # wider. Two slices of any start and length run through one workspace,
+    # the second reusing the first's buffers: the comb and every band's
+    # channelizer output equal the int64 chain's bits
+    for w in (15, 16, 17):
+        c = wide_chain(cfg, w)
+        g, spec = c.generator, c.resolved_channelizer_filter()
+        sums = band_tone_sums(g, c.tones)
+        work = Workspace()
+        for _ in range(2):
+            start = data.draw(st.integers(0, 3 * g.L_acc * g.shifter_lut_len))
+            n = data.draw(st.integers(1, 3 * _band_transient_len(c)) | st.integers(1, 2000))
+            want = int64_generate_comb(g, sums, n, start)
+            got = generate_comb(g, sums, n, start, work=work)
+            for x, y in zip(got, want, strict=True):
+                assert x.dtype == np.int32 and y.dtype == np.int64
+                assert np.array_equal(x, y)
+            for b in sums:
+                ref = int64_channelize(want, b, g, spec, start)
+                for x, y in zip(channelize(got, b, g, spec, start, work=work), ref, strict=True):
+                    assert x.dtype == np.int32 and y.dtype == np.int64
+                    assert np.array_equal(x, y)
 
 
 @settings(max_examples=40, deadline=None)
