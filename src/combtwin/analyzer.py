@@ -212,7 +212,7 @@ def ddc_bank(
     meets entries j*h .. j*h + h - 1 of each reference. With a row's
     blocks X_i, X_q and a tone's C_i, C_q, its block sums are
     I = C_i X_i + C_q X_q and Q = C_i X_q - C_q X_i: one batched matrix
-    product per reference component, (K, tones, h) @ (K, h, rows), in the
+    product per reference component, (K, rows, h) @ (K, h, tones), in the
     bank's dtype, for blocks of tones and rows. arith.accumulate then sums
     each window's blocks. So the work is tones times the span for any
     L_avg; with h = L (every builtin) it is one product of the stacked

@@ -220,16 +220,13 @@ _MIN_SLICE_OVERLAPS = 4
 # and 63 on full_a, whose 20-bit channelizer forms its LUT products in int64
 # (tracemalloc, one fresh Workspace): 2.6 and 4.0 MiB at 2^16. The share of
 # the host's L3 a guest gets varies with its neighbours, and a slice near
-# its edge runs fast in one process and slow in the next. With int64
-# streams (57 bytes per sample), on one 2-vCPU KVM guest (2 MiB L2 per
-# core) a desk_direct pass went from 209 to 258 ms between 2^17 and 2^18,
-# and desk_direct's runs at 2^17 spread twice as wide as the unsliced
-# chain's; on another the step came between 2^19 and 2^20 (171 and 194
-# ms), with 193, 186 and 179 ms at 2^15 to 2^17 (8 interleaved passes
-# each). With int32 streams desk_direct's comb and channelizer took 148,
-# 130, 124 and 125 ms at 2^15 to 2^18 (8 alternating rounds, one thread):
-# 2^17 gains about 5 %, within that spread, so the slice stays at 2^16.
-# full_band reads the same at 2^16 and 2^17
+# its edge runs fast in one process and slow in the next: with int64
+# streams (57 bytes per sample), a desk_direct pass on one 2-vCPU KVM
+# guest (2 MiB L2 per core) went from 209 to 258 ms between 2^17 and 2^18.
+# With int32 streams desk_direct's comb and channelizer took 148, 130, 124
+# and 125 ms at 2^15 to 2^18 (8 alternating rounds, one thread): 2^17
+# gains about 5 %, within the run-to-run spread, so the slice stays at
+# 2^16. full_band reads the same at 2^16 and 2^17
 _SLICE_SAMPLES = 1 << 16
 
 
