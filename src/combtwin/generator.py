@@ -337,16 +337,6 @@ def polyphase_decimate(x: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     return y
 
 
-# The block kernels (the LUT mixes and the exact FIR products) work on about
-# this many elements at a time: numpy's cost per call falls as blocks grow,
-# and a block's arrays (the LUT repeated to one row, 32 KiB in int32; a FIR
-# block cast to float64, 64 KiB) sit well inside a 2 MiB per-core L2 cache.
-# With int32 streams, blocks of 16384 to 65536 took desk_direct's comb and
-# channelizer from 113 to 108-112 ms (6 alternating rounds, one thread), a
-# step within the host's run-to-run spread, so the block stays at 8192.
-_MIX_BLOCK = 8192
-
-
 def _float_span(x: np.ndarray, a: int, b: int) -> np.ndarray:
     """x[a:b] cast to float64, zero outside the stream (a may be negative)."""
     out = np.zeros(b - a)
@@ -359,11 +349,12 @@ def _float_span(x: np.ndarray, a: int, b: int) -> np.ndarray:
 # integer products whose every partial sum stays below 2^53 is exact under
 # any summation order, FMA included: BLAS gives the int64 bits. Taps scaled
 # by 2^-shift keep every product and partial sum exact (a power of two only
-# moves the exponent), so a block's sums come out already shifted, and their
-# floor is the truncating requantization (fxp.truncate). Each block of about
-# _MIX_BLOCK elements is cast to float64 on its own and narrowed into the
-# integer output, so no float array is stream-sized. The matrices are built
-# once per taps, rate and shift. FilterSpec.exact_in_float64 states the bound.
+# moves the exponent), so the sums come out already shifted, and their
+# floor is the truncating requantization (fxp.truncate). Each call forms its
+# products over the whole stream it is given, one time slice of a run
+# (harness._SLICE_SAMPLES), and narrows them into the integer output. The
+# matrices are built once per taps, rate and shift.
+# FilterSpec.exact_in_float64 states the bound.
 
 
 @functools.lru_cache(maxsize=32)
@@ -397,28 +388,17 @@ def exact_interpolate(
     shift: int = 0, width: int = 64,
 ) -> np.ndarray:
     """polyphase_interpolate(x, h, u) on integer x and int64 taps h within
-    the 2^53 bound, as float64 matrix products, requantized by shift bits
-    (truncating) to width bits into out (a fresh int64 array if None; the
-    defaults give the sums themselves): the K = ceil(len(h)/u) latest
-    inputs x[m-K+1 .. m] times the (K x u) branch matrix give outputs m*u
-    to m*u + u - 1."""
+    the 2^53 bound, as one float64 matrix product, requantized by shift
+    bits (truncating) to width bits into out (a fresh int64 array if None;
+    the defaults give the sums themselves): the window of the K =
+    ceil(len(h)/u) latest inputs x[m-K+1 .. m], zero before the stream
+    starts, times the (K x u) branch matrix gives outputs m*u to m*u + u - 1."""
     branches = _branch_matrix(np.asarray(h, np.int64).tobytes(), u, shift)
     k, n = len(branches), len(x)
     if out is None:
         out = np.empty(n * u, np.int64)
-    y = out.reshape(n, u)
-    # output m takes the window x[m-k+1 .. m]: the first k - 1 windows reach
-    # before the stream and come from its zero-padded head, the others are
-    # rows of one window view of x, cast to float64 a block at a time
-    head = min(n, k - 1)
-    if head:
-        truncate(sliding_window_view(_float_span(x, 1 - k, head), k) @ branches, width, y[:head])
-    if n >= k:
-        windows = sliding_window_view(x, k)
-        rows = max(1, _MIX_BLOCK // k)
-        for s in range(k - 1, n, rows):
-            e = min(n, s + rows)
-            truncate(windows[s - k + 1 : e - k + 1].astype(np.float64) @ branches, width, y[s:e])
+    windows = sliding_window_view(_float_span(x, 1 - k, n), k)
+    truncate(windows @ branches, width, out.reshape(n, u))
     return out
 
 
@@ -427,26 +407,23 @@ def exact_decimate(
     shift: int = 0, width: int = 64,
 ) -> np.ndarray:
     """polyphase_decimate(x, h, d) on integer x and int64 taps h within the
-    2^53 bound, as float64 matrix products, requantized by shift bits
+    2^53 bound, as one float64 matrix product, requantized by shift bits
     (truncating) to width bits into out (a fresh int64 array if None; the
     defaults give the sums themselves): input block j, x[j*d .. j*d + d -
     1], meets taps h[r*d - t] for output j + r, r < K = (len(h) + d - 2) //
-    d + 1. The transposed product G.T @ blocks.T has block j's partial sum
-    for output j + r in row r, each row contiguous, and each output adds
-    its K partial sums along the diagonal, read as the rows of one strided
-    view."""
+    d + 1. The transposed product G.T @ blocks.T, over the K - 1 zero
+    blocks before the stream and its own, has block j's partial sum for
+    output j + r in row r, each row contiguous, and each output adds its K
+    partial sums along the diagonal, read as the rows of one strided view."""
     gt = _decimation_matrix(np.asarray(h, np.int64).tobytes(), d, shift)
     k, n_out = len(gt), -(-len(x) // d)
     if out is None:
         out = np.empty(n_out, np.int64)
-    rows = max(1, _MIX_BLOCK // d)
-    for s in range(0, n_out, rows):
-        e = min(n_out, s + rows)
-        # blocks s-k+1 .. e-1: output s + i's share from row r is column i + k-1-r
-        parts = gt @ _float_span(x, (s - k + 1) * d, e * d).reshape(-1, d).T
-        s0, s1 = parts.strides
-        diagonals = np.ndarray((k, e - s), parts.dtype, parts, (k - 1) * s1, (s0 - s1, s1))
-        truncate(diagonals.sum(axis=0), width, out[s:e])
+    # output i's share from row r is column i + k-1-r
+    parts = gt @ _float_span(x, (1 - k) * d, n_out * d).reshape(-1, d).T
+    s0, s1 = parts.strides
+    diagonals = np.ndarray((k, n_out), parts.dtype, parts, (k - 1) * s1, (s0 - s1, s1))
+    truncate(diagonals.sum(axis=0), width, out)
     return out
 
 
@@ -507,36 +484,26 @@ def _block_products(
     written into out (fresh arrays if None; they must not overlap x)
     through one temporary.
 
-    The stream is viewed as rows of B samples, B the whole LUT periods in
-    min(_MIX_BLOCK, n) (one period if longer), and the rows are
-    multiplied by the LUT rotated to start and repeated to B entries, a
-    copy made only when the table must move; the last n % B samples take
-    that row's first entries. ConfigError unless the stream's and the
-    LUT's I and Q have equal lengths and the LUT is not empty."""
+    The LUT is tiled to the stream from start (periodic_extend), unless it
+    already is the stream's own table: as long as the stream, read from
+    entry 0. ConfigError unless the stream's and the LUT's I and Q have
+    equal lengths and the LUT is not empty."""
     (xi, xq), (li, lq) = x, lut
     n, length = len(xi), len(li)
     if len(xq) != n or len(lq) != length or length == 0:
         raise ConfigError("block products need I and Q of equal length and a nonempty LUT")
-    b = max(1, min(_MIX_BLOCK, n) // length) * length
-    if b > length or start % length:
-        li, lq = periodic_extend(li, b, start=start), periodic_extend(lq, b, start=start)
+    if length != n or start % length:
+        li, lq = periodic_extend(li, n, start=start), periodic_extend(lq, n, start=start)
     dtype = np.result_type(xi, xq, li, lq)
     oi, oq = (np.empty(n, dtype), np.empty(n, dtype)) if out is None else out
     t = np.empty(n, dtype)
     first, second = (np.add, np.subtract) if conj else (np.subtract, np.add)
-    m = n - n % b
-    # the whole rows, then the tail (each skipped when empty)
-    for lo, hi, shape in ((0, m, (-1, b)), (m, n, (-1,))):
-        if lo == hi:
-            continue
-        ai, aq, pi, pq, tt = (a[lo:hi].reshape(shape) for a in (xi, xq, oi, oq, t))
-        ci, cq = li[: ai.shape[-1]], lq[: ai.shape[-1]]
-        np.multiply(ai, ci, out=pi)
-        np.multiply(aq, cq, out=tt)
-        first(pi, tt, out=pi)
-        np.multiply(aq, ci, out=pq)
-        np.multiply(ai, cq, out=tt)
-        second(pq, tt, out=pq)
+    np.multiply(xi, li, out=oi)
+    np.multiply(xq, lq, out=t)
+    first(oi, t, out=oi)
+    np.multiply(xq, li, out=oq)
+    np.multiply(xi, lq, out=t)
+    second(oq, t, out=oq)
     return oi, oq
 
 
@@ -627,7 +594,8 @@ class GeneratorConfig:
                 f"shifter_lut_len {self.shifter_lut_len} must be >= 1 and hold an "
                 "integer number of cycles for band 0"
             )
-        # the LUT mixes add two products of w-bit codes: int64 for w <= 32
+        # every stream is held in FixedPoint.dtype, int32, so none is wider
+        # than 32 bits; mix_dtype gives the dtype of the LUT mixes' products
         if self.resolved_sum_width < 2 or self.wide_width > 32:
             raise ConfigError(
                 f"sum_width_bits {self.resolved_sum_width} must be >= 2 and give a "

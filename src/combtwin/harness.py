@@ -215,18 +215,16 @@ def _band_transient_len(cfg: ChainConfig) -> int:
 # slice recomputes stays within a quarter of its length
 _MIN_SLICE_OVERLAPS = 4
 
-# full-rate samples per time slice: 256 KiB per int32 stream. A slice's comb
-# and channelizer hold about 41 bytes of live arrays per sample on desk_a
-# and 63 on full_a, whose 20-bit channelizer forms its LUT products in int64
-# (tracemalloc, one fresh Workspace): 2.6 and 4.0 MiB at 2^16. The share of
-# the host's L3 a guest gets varies with its neighbours, and a slice near
-# its edge runs fast in one process and slow in the next: with int64
-# streams (57 bytes per sample), a desk_direct pass on one 2-vCPU KVM
-# guest (2 MiB L2 per core) went from 209 to 258 ms between 2^17 and 2^18.
-# With int32 streams desk_direct's comb and channelizer took 148, 130, 124
-# and 125 ms at 2^15 to 2^18 (8 alternating rounds, one thread): 2^17
-# gains about 5 %, within the run-to-run spread, so the slice stays at
-# 2^16. full_band reads the same at 2^16 and 2^17
+# full-rate samples per time slice, the one working-set bound of the stream
+# kernels, which each run over a whole slice: 256 KiB per int32 stream. A
+# slice's comb and channelizer hold about 61 bytes of live arrays per sample
+# on desk_a and 77 on full_a (67 on its band 0), whose 20-bit channelizer
+# forms its LUT products in int64 (tracemalloc, one fresh Workspace): 3.8
+# and 4.8 MiB at 2^16. The share of the host's L3 a guest gets varies with
+# its neighbours, so a slice near its edge runs fast in one process and
+# slow in the next. A direct desk_a run's comb and channelizer took 892,
+# 786, 874 and 895 ms at 2^15 to 2^18 (medians of 8 alternating rounds, one
+# thread), so the slice stays at 2^16
 _SLICE_SAMPLES = 1 << 16
 
 
@@ -263,9 +261,7 @@ def _subbands(
         -(-n * g.upsample_factor // _SLICE_SAMPLES),
     )
     edges = [start + i * n // k for i in range(k + 1)]
-    slices = list(zip(edges[:-1], edges[1:]))
-    w = min(threads, k)
-    chunks = [slices[i * k // w : (i + 1) * k // w] for i in range(w)]
+    chunks = _chunks(list(zip(edges[:-1], edges[1:])), threads)
     with _pool(threads) as run:
         sums = band_tone_sums(g, cfg.tones, arith=arith, run=run)
         out = {b: (np.empty(n, arith.dtype), np.empty(n, arith.dtype)) for b in sums}
@@ -420,10 +416,7 @@ def _loopback(
     with _pool(threads) as run:
         patterns = _patterns(cfg, spans, a.demod_mode, arith, run)
         del spans
-        # contiguous chunks of tones, one per worker, each with one workspace
-        m = len(patterns)
-        w = min(threads, m)
-        chunks = [patterns[i * m // w : (i + 1) * m // w] for i in range(w)]
+        chunks = _chunks(patterns, threads)
         tone_results = tuple(r for results in run(tone_chunk, chunks) for r in results)
     aliases = predict_spurs(
         g.L_acc, g.upsample_factor, g.shifter_lut_len, a.L_avg, g.band_rate_hz
@@ -454,6 +447,14 @@ def _pool(threads: int):
         return
     with ThreadPoolExecutor(max_workers=threads) as ex:
         yield ex.map
+
+
+def _chunks(items: list, threads: int) -> list[list]:
+    """items in min(threads, len(items)) contiguous chunks of near-equal
+    length, in order: one per worker, each run through one workspace."""
+    m = len(items)
+    w = min(threads, m)
+    return [items[i * m // w : (i + 1) * m // w] for i in range(w)]
 
 
 def _tone_workspace(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

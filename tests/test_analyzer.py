@@ -21,7 +21,6 @@ from combtwin.analyzer import (
 )
 from combtwin.generator import (
     FIXED_POINT,
-    _MIX_BLOCK,
     CordicConfig,
     DoublePrecision,
     FilterSpec,
@@ -36,7 +35,7 @@ from combtwin.generator import (
     phase_words,
 )
 from combtwin.harness import make_chain_config
-from test_generator import fir_apply
+from test_generator import fir_apply, stream_length
 
 
 def desk_analyzer(l_avg=1024, mode=DemodMode.SINE_DDC, n_bands=2, wide=13):
@@ -330,17 +329,15 @@ def random_words(rng, n, dtype):
 @st.composite
 def ddc_cases(draw):
     """A reference of 1 to 3 periods of a random tone period, and a stream
-    of 0 to 3 times one reference length or the whole reference lengths in
-    _MIX_BLOCK, plus no tail or a partial one (so below and above
-    _MIX_BLOCK); one case in five has a reference as long as the stream.
+    of 0 samples to 3 time slices, also on and one off whole reference
+    lengths; one case in five has a reference as long as the stream.
     int64 or float64, with zeros in both."""
     dtype = draw(st.sampled_from([np.int64, np.float64]))
     mode = draw(st.sampled_from(list(DemodMode)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     period = draw(st.integers(1, 40))
     length = period * draw(st.integers(1, 3))
-    b = length * draw(st.sampled_from([1, max(1, _MIX_BLOCK // length)]))
-    n = draw(st.integers(0, 3)) * b + draw(st.just(0) | st.integers(0, b - 1))
+    n = stream_length(draw, length)
     if n and draw(st.integers(0, 4)) == 0:
         period = length = n
     reference = tuple(np.tile(random_words(rng, period, dtype), length // period) for _ in "iq")

@@ -23,7 +23,6 @@ from combtwin.generator import (
     band_sum,
     band_tone_sums,
     _cordic_table,
-    _MIX_BLOCK,
     _block_products,
     _phasor_table,
     cmul_lut,
@@ -46,6 +45,7 @@ from combtwin.generator import (
     upsample_interp,
     waveform_period,
 )
+from combtwin.harness import _SLICE_SAMPLES
 from combtwin.metrics import sinad_sfdr
 
 
@@ -652,12 +652,25 @@ def test_polyphase_interpolator_with_fewer_taps_than_branches():
     assert np.array_equal(uq, zero_stuffed_interp((x, -x), cfg)[1])
 
 
+def stream_length(draw, period, low=0):
+    """A stream length from low to 3 time slices of _SLICE_SAMPLES, the
+    largest stream a run's kernels see: any, or on or one off a whole
+    number of periods (a LUT's, or a FIR's window), most often 0 to 2."""
+    top = 3 * _SLICE_SAMPLES
+    if draw(st.booleans()):
+        return draw(st.integers(low, 40) | st.integers(low, top))
+    whole = draw(st.integers(0, 2) | st.integers(0, top // period)) * period
+    return max(low, whole + draw(st.sampled_from([-1, 0, 1])))
+
+
 @st.composite
 def exact_fir_cases(draw):
     """A rate 1 to 8, odd symmetric int64 taps (1 to 129, so also fewer
-    than the rate) and a stream of 1 sample (fewer outputs than the
-    window) to 4 blocks of _MIX_BLOCK, a fifth of its codes at the edges
-    of a format up to the widest that keeps every partial sum below 2^53."""
+    than the rate) and a stream of 1 sample to 3 time slices, also on and
+    one off whole windows (the interpolator's K = ceil(len(h) / rate)
+    inputs, or the decimator's K blocks of rate inputs), a fifth of its
+    codes at the edges of a format up to the widest that keeps every
+    partial sum below 2^53."""
     rate = draw(st.integers(1, 8))
     lim = 1 << (draw(st.integers(1, 24)) - 1)
     m = draw(st.integers(1, 65))
@@ -666,8 +679,8 @@ def exact_fir_cases(draw):
     total = int(np.abs(h).sum())
     top = max(w for w in range(2, 33) if total << (w - 1) < 1 << 53)
     width = draw(st.just(top) | st.integers(2, top))
-    whole = draw(st.integers(0, 3)) * _MIX_BLOCK
-    n = whole + draw(st.integers(1, 40) | st.integers(41, _MIX_BLOCK))
+    window = draw(st.sampled_from([-(-len(h) // rate), ((len(h) + rate - 2) // rate + 1) * rate]))
+    n = stream_length(draw, window, low=1)
     return stream_pair(draw(st.integers(0, 2**32 - 1)), width, n)[0], h, rate
 
 
@@ -682,23 +695,6 @@ def test_exact_fir_products_equal_the_polyphase_kernels(case):
         got, want = exact(x, h, rate), polyphase(x, h, rate)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
-
-
-def test_exact_fir_products_with_block_edges_mid_window(monkeypatch):
-    # a prime block puts the block edges at every offset within the windows,
-    # down to one output per block
-    rng = np.random.default_rng(32)
-    for block in (2, 7, 13):
-        monkeypatch.setattr(generator, "_MIX_BLOCK", block)
-        for rate in (1, 3, 8):
-            for n_taps in (1, 5, 63, 127):
-                h = rng.integers(-(1 << 17), 1 << 17, n_taps)
-                x = rng.integers(-(1 << 19), 1 << 19, 200)
-                for exact, polyphase in (
-                    (exact_interpolate, polyphase_interpolate),
-                    (exact_decimate, polyphase_decimate),
-                ):
-                    assert np.array_equal(exact(x, h, rate), polyphase(x, h, rate))
 
 
 @pytest.mark.parametrize(
@@ -754,21 +750,22 @@ def tiled_float_mix(x, length, cycles, sign, start):
 
 @st.composite
 def lut_mixes(draw):
-    """A LUT mix over 0 to 3 whole blocks of B samples (B the whole LUT
-    periods in _MIX_BLOCK) plus no tail or a partial block, on widths up
-    to GeneratorConfig's 32 bits, a fifth of the codes at the format's
-    edges; half the streams are strided views (every other element of an
-    array twice as long). The stream starts at any absolute sample."""
-    length = draw(st.integers(1, 64) | st.just(_MIX_BLOCK + 3))
+    """A LUT mix over a stream of 0 samples to 3 time slices, also on and
+    one off whole LUT periods, from any absolute sample, a whole number of
+    periods in (so also the LUT as the stream's own table, untiled) or
+    not; a LUT longer than a slice; widths up to GeneratorConfig's 32
+    bits, a fifth of the codes at the format's edges; half the streams are
+    strided views (every other element of an array twice as long)."""
+    length = draw(st.integers(1, 64) | st.just(_SLICE_SAMPLES + 3))
     cycles = draw(st.integers(0, 3 * length))
     sign = draw(st.sampled_from([+1, -1]))
     width = draw(st.integers(2, 32))
-    b = length * max(1, _MIX_BLOCK // length)
-    n = draw(st.integers(0, 3)) * b + draw(st.just(0) | st.integers(1, b - 1))
+    n = stream_length(draw, length)
     x = stream_pair(draw(st.integers(0, 2**32 - 1)), width, n)
     if draw(st.booleans()):
         x = tuple(np.repeat(s, 2)[::2] for s in x)
-    return x, length, cycles, width, sign, draw(st.integers(0, 3 * length))
+    start = draw(st.integers(0, 3).map(lambda k: k * length) | st.integers(0, 3 * length))
+    return x, length, cycles, width, sign, start
 
 
 @settings(max_examples=300)
@@ -809,13 +806,15 @@ def test_mix_products_are_int32_up_to_16_bits(w, dtype):
 
 def test_lut_mix_saturates_at_both_format_edges():
     # at 45 degrees, edge codes of opposite sign overflow the format upwards
-    # and downwards, in whole blocks and in the tail
-    x = stream_pair(3, 16, 2 * _MIX_BLOCK + 999)
+    # and downwards, in the stream's first time slice and in the 999
+    # samples past it, which end off a whole LUT period
+    x = stream_pair(3, 16, _SLICE_SAMPLES + 999)
     li, lq = make_lut(8, 1, 16, +1)
     idx = np.arange(len(x[0])) % 8
     raw = (x[0] * li[idx] - x[1] * lq[idx]) >> np.int64(15)
-    for part in (raw[: 2 * _MIX_BLOCK], raw[2 * _MIX_BLOCK :]):
+    for part in (raw[:_SLICE_SAMPLES], raw[_SLICE_SAMPLES:]):
         assert part.max() > (1 << 15) - 1 and part.min() < -(1 << 15)
+    assert len(raw) % 8
     assert np.array_equal(lut_mix(x, 8, 1, 16, +1)[0], clip(raw, 16))
 
 

@@ -21,12 +21,14 @@ from scipy import signal
 
 from combtwin import ConfigError, harness
 from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products, reference_bank
+from combtwin.config import ChainConfig
 from combtwin.formats import config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
     AMPLITUDE_FORMAT,
     FIXED_POINT,
     CordicConfig,
     DoublePrecision,
+    FilterSpec,
     ToneConfig,
     Workspace,
     _cordic_table,
@@ -60,6 +62,7 @@ from combtwin.harness import (
     _float_taps,
     _loopback,
     _MIN_SLICE_OVERLAPS,
+    _SLICE_SAMPLES,
     _post_accum_residual_db,
     _spectral_line_count,
     _subbands,
@@ -946,6 +949,69 @@ def test_int32_streams_equal_the_int64_chain(cfg, data):
                 for x, y in zip(channelize(got, b, g, spec, start, work=work), ref, strict=True):
                     assert x.dtype == np.int32 and y.dtype == np.int64
                     assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["full_a", "full_b"])
+def test_int64_fallbacks_equal_the_float64_paths_at_full_scale(name):
+    # band 0 of the full-scale config cut to 8 windows, where the margins
+    # to 2^53 are thinnest (full_a's channelizer sums reach 2^35.4, its
+    # DDC accumulator needs 47 bits): with both float64 predicates false,
+    # the FIRs run as int64 polyphase convolutions (the float64 products
+    # raise if called) and the DDC bank in int64, and every tone's bits
+    # equal those of the float64 paths
+    cfg = replace(one_band_builtin(name), acquisition_len=8)
+    assert cfg.ddc_exact_in_float64
+    assert cfg.resolved_channelizer_filter().exact_in_float64(cfg.generator.wide_width)
+    want = run_loopback(cfg)
+    with (
+        mock.patch.object(FilterSpec, "exact_in_float64", lambda self, bits: False),
+        mock.patch.object(ChainConfig, "ddc_exact_in_float64", property(lambda self: False)),
+        mock.patch("combtwin.generator.exact_interpolate", None),
+        mock.patch("combtwin.generator.exact_decimate", None),
+        mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank,
+    ):
+        got = run_loopback(cfg)
+    assert [c.args[3] for c in bank.call_args_list] == [np.int64]
+    assert len(got.tones) == len(want.tones) == 40
+    for g, w in zip(got.tones, want.tones, strict=True):
+        assert g.pattern.i.dtype == np.int64
+        assert np.array_equal(g.pattern.i, w.pattern.i)
+        assert np.array_equal(g.pattern.q, w.pattern.q)
+        assert g.carrier_power == w.carrier_power
+
+
+@pytest.mark.parametrize("name, bound", [("desk_a", 64), ("full_a", 70)])
+def test_one_slice_holds_its_pinned_bytes_per_sample(name, bound):
+    # the live arrays of one time slice's comb and channelizer, every band
+    # of desk_a (2) and band 0 of full_a, through a fresh workspace: a
+    # slice of _SLICE_SAMPLES full-rate samples plus its overlap lead-in,
+    # from a start off every LUT period. Measured: 61.1 bytes per full-rate
+    # sample on desk_a and 67.1 on full_a, whose 20-bit channelizer mix
+    # forms int64 products against its LUT tiled to the slice. The bounds
+    # sit less than 4 bytes above: one more full-rate temporary held at the
+    # peak, even an int32 one, fails here
+    cfg = one_band_builtin(name)
+    g, spec = cfg.generator, cfg.resolved_channelizer_filter()
+    sums = band_tone_sums(g, cfg.tones)
+    start = 12346
+
+    def one_slice(n):
+        work = Workspace()
+        wideband = generate_comb(g, sums, n, start, work=work)
+        for b in sums:
+            channelize(wideband, b, g, spec, start, work=work)
+
+    one_slice(64)  # fill the filter, matrix and LUT caches
+    n = _SLICE_SAMPLES // g.upsample_factor + _band_transient_len(cfg)
+    tracemalloc.start()
+    try:
+        one_slice(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_sample = peak / (n * g.upsample_factor)
+    print(f"{name}: {peak} B live, {per_sample:.1f} B per full-rate sample")
+    assert per_sample <= bound
 
 
 @settings(max_examples=40, deadline=None)
