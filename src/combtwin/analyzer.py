@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,9 +87,6 @@ class IqTimeSeries:
         if len(self.i) != len(self.q):
             raise ConfigError("i and q must have equal length")
 
-    def __len__(self) -> int:
-        return len(self.i)
-
     def complex_values(self) -> np.ndarray:
         return self.i.astype(np.float64) + 1j * self.q.astype(np.float64)
 
@@ -159,98 +156,80 @@ def ddc_products(
 
 # The bank's arrays hold at most about this many entries: a block of
 # stacked references, or the block sums of a block of tones and rows.
-# Blocks built and dropped one at a time keep the bank's live memory to
+# One block built and dropped at a time keeps the bank's live memory to
 # one block, where all 40 of a full-scale band's references would take
 # 40 MiB.
 _BANK_BLOCK = 1 << 19
 
 
-def reference_bank(
-    table: tuple[np.ndarray, np.ndarray], words: Sequence[int], mode: DemodMode, dtype
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The references of the tones with the given words stacked in dtype,
-    one row per tone, in blocks of at most _BANK_BLOCK entries, each built
-    when it is drawn: row k is entry n * words[k] mod L of table, the
-    reference of every phase word (word 1, L entries), or for SQUARE_WAVE
-    of its MSB square waves."""
-    waves = [(_square(c) if mode is DemodMode.SQUARE_WAVE else c).astype(dtype) for c in table]
-    step = max(1, _BANK_BLOCK // len(waves[0]))
-    for t0 in range(0, len(words), step):
-        yield _reference_block(waves, words[t0 : t0 + step])
-
-
-def _reference_block(
-    waves: list[np.ndarray], words: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row k of each wave's block is entry n * words[k] mod L of the wave."""
-    length = len(waves[0])
-    block = tuple(np.empty((len(words), length), w.dtype) for w in waves)
-    for k, word in enumerate(words):
-        ph = phase_words(length, word, length)
-        for wave, rows in zip(waves, block):
-            np.take(wave, ph, out=rows[k], mode="clip")  # unbuffered; ph < length
-    return block
-
-
 def ddc_bank(
     subband: tuple[np.ndarray, np.ndarray],
-    bank: Iterable[tuple[np.ndarray, np.ndarray]],
+    table: tuple[np.ndarray, np.ndarray],
+    words: Sequence[int],
+    mode: DemodMode,
     l_avg: int,
     n_windows: int,
+    dtype,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The first n_windows boxcar sums of L_avg DDC products of every tone
-    in bank (reference_bank's blocks of rows, L entries each, drawn once)
-    over the stream that is the subband tiled from absolute sample 0, at
-    reference phase 0: I and Q of shape (tones, n_windows), in the
-    subband's dtype.
+    """The first n_windows boxcar sums of L_avg DDC products of the tones
+    with the given words over the stream that is the subband tiled from
+    absolute sample 0, at reference phase 0: I and Q of shape (tones,
+    n_windows), in the subband's dtype. table is the reference of every
+    phase word (word 1, L entries): a tone's reference is entry n * word
+    mod L of it, or for SQUARE_WAVE of its MSB square waves.
 
-    The span is viewed as rows of L samples (the last one zero-padded),
-    each cut into K blocks of h = gcd(L_avg, L, span) samples: every window
-    edge of the tiled stream is a block edge, and block j of every row
-    meets entries j*h .. j*h + h - 1 of each reference. With a row's
-    blocks X_i, X_q and a tone's C_i, C_q, its block sums are
-    I = C_i X_i + C_q X_q and Q = C_i X_q - C_q X_i: one batched matrix
-    product per reference component, (K, rows, h) @ (K, h, tones), in the
-    bank's dtype, for blocks of tones and rows. arith.accumulate then sums
-    each window's blocks. So the work is tones times the span for any
-    L_avg; with h = L (every builtin) it is one product of the stacked
-    references and the rows. The span's rows are the left operand, (K,
-    2 rows, h), C-contiguous when K = 1 (every builtin), and each block of
-    references the right one, (K, h, tones), the transpose of its
-    contiguous rows: no product takes the span as a strided transposed
-    view, which a threaded BLAS can run far slower.
+    The span is laid out once in dtype as rows of L samples (the last one
+    zero-padded), each cut into K blocks of h = gcd(L_avg, L, span)
+    samples: every window edge of the tiled stream is a block edge, and
+    block j of every row meets entries j*h .. j*h + h - 1 of each
+    reference. One loop runs over blocks of tones, each stacking its own
+    references in dtype, at most _BANK_BLOCK entries of references or of
+    block sums at once. With a row's blocks X_i, X_q and a tone's C_i,
+    C_q, its block sums are I = C_i X_i + C_q X_q and Q = C_i X_q - C_q
+    X_i: one batched matrix product per reference component, (K, rows, h)
+    @ (K, h, tones), for blocks of rows when one block's sums would pass
+    _BANK_BLOCK. arith.accumulate then sums each window's blocks. So the
+    work is tones times the span for any L_avg; with h = L (every
+    builtin) it is one product of the stacked references and the rows.
+    The span's rows are the left operand, (K, 2 rows, h), C-contiguous
+    when K = 1 (every builtin), and the references the right one, (K, h,
+    tones), the transpose of their contiguous rows: no product takes the
+    span as a strided transposed view, which a threaded BLAS can run far
+    slower.
 
     A float64 bank gives the exact integer block sums of an int64 subband
     when every partial sum stays below 2^53 (ChainConfig.ddc_exact_in_float64):
     each block lies in one window, so its partial sums are sums of some of
     one window's products, and float64 holds those integers in any
     summation order. An int64 bank runs the same products in int64."""
-    span, x, out = len(subband[0]), None, []
-    for bi, bq in bank:
-        if x is None:  # the span in the bank's dtype, in rows of L samples
-            length, dtype = bi.shape[1], bi.dtype
-            h = math.gcd(l_avg, length, span)
-            k, rows, full = length // h, -(-span // length), span // length
-            x = np.zeros((rows, 2, length), dtype)  # row r's I samples, then its Q samples
-            for c, s in enumerate(subband):
-                x[:full, c] = s[: full * length].reshape(full, length)
-                x[full:, c, : span - full * length] = s[full * length :]
-            sub = max(1, _BANK_BLOCK // (rows * k))  # tones whose block sums are held at once
-        for s0 in range(0, len(bi), sub):
-            # (K, h, tones): block j of each reference as a column, the
-            # transpose of the bank's rows (no copy)
-            ci, cq = (c[s0 : s0 + sub].reshape(-1, k, h).transpose(1, 2, 0) for c in (bi, bq))
-            tb = ci.shape[2]
-            sums = np.empty((2, tb, rows, k), dtype)
-            step = max(1, _BANK_BLOCK // (tb * k))
-            for r0 in range(0, rows, step):
-                xs = x[r0 : r0 + step].reshape(-1, k, h).transpose(1, 0, 2)  # (K, 2 rows, h)
-                a, b = xs @ ci, xs @ cq  # rows: a row's I blocks, then its Q blocks
-                sums[0, :, r0 : r0 + step] = (a[:, 0::2] + b[:, 1::2]).transpose(2, 1, 0)
-                sums[1, :, r0 : r0 + step] = (a[:, 1::2] - b[:, 0::2]).transpose(2, 1, 0)
-            out.append([arith.accumulate(c[:, : span // h], l_avg // h, n_windows)
-                        for c in sums.reshape(2, tb, -1)])
-        del bi, bq, ci, cq  # dropped before the bank builds its next block
+    span, length = len(subband[0]), len(table[0])
+    h = math.gcd(l_avg, length, span)
+    k, rows, full = length // h, -(-span // length), span // length
+    x = np.zeros((rows, 2, length), dtype)  # row r's I samples, then its Q samples
+    for c, s in enumerate(subband):
+        x[:full, c] = s[: full * length].reshape(full, length)
+        x[full:, c, : span - full * length] = s[full * length :]
+    waves = [(_square(c) if mode is DemodMode.SQUARE_WAVE else c).astype(dtype) for c in table]
+    tb, out = max(1, _BANK_BLOCK // max(length, rows * k)), []
+    for t0 in range(0, len(words), tb):
+        block = words[t0 : t0 + tb]
+        refs = np.empty((2, len(block), length), dtype)  # the tones' I rows, then their Q rows
+        for j, word in enumerate(block):
+            ph = phase_words(length, word, length)
+            for wave, c in zip(waves, refs):
+                np.take(wave, ph, out=c[j], mode="clip")  # unbuffered; ph < length
+        # (K, h, tones): block j of each reference as a column (no copy)
+        ci, cq = (c.reshape(-1, k, h).transpose(1, 2, 0) for c in refs)
+        sums = np.empty((2, len(block), rows, k), dtype)
+        step = max(1, _BANK_BLOCK // (len(block) * k))
+        for r0 in range(0, rows, step):
+            xs = x[r0 : r0 + step].reshape(-1, k, h).transpose(1, 0, 2)  # (K, 2 rows, h)
+            a, b = xs @ ci, xs @ cq  # rows: a row's I blocks, then its Q blocks
+            sums[0, :, r0 : r0 + step] = (a[:, 0::2] + b[:, 1::2]).transpose(2, 1, 0)
+            sums[1, :, r0 : r0 + step] = (a[:, 1::2] - b[:, 0::2]).transpose(2, 1, 0)
+        out.append([arith.accumulate(c[:, : span // h], l_avg // h, n_windows)
+                    for c in sums.reshape(2, len(block), -1)])
+        del refs, c, ci, cq, a, b, sums  # no name holds this block while the next is built
     return tuple(np.concatenate(c) for c in zip(*out))

@@ -107,8 +107,8 @@ def _index_column(n: int) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=1, typed=True)
 def _freq_column(n_points: int, bin_hz: float) -> tuple[str, ...]:
-    """The first-column text of a spectrum's rows: Spectrum.freqs_hz of an
-    n_points spectrum with bins bin_hz apart, each value's str and a comma.
+    """The first-column text of a spectrum's rows: the frequency k * bin_hz
+    of each bin k of an n_points spectrum, each value's str and a comma.
     Typed, so an int bin_hz (whose column is integers) is not an equal
     float's."""
     freqs = np.arange(n_points // 2 + 1) * bin_hz

@@ -827,9 +827,13 @@ class DoublePrecision:
         c, s = _phasor_table(length)
         return _block_products(x, (c[k], sign * s[k]), out, start)
 
-    # polyphase_* and not the exact products: float sums rounded per block
-    # would make a slice's bits depend on where its blocks start. The
-    # convolutions make their own arrays, so out is not used
+    # polyphase_* and not the exact kernels' matrix products: on float taps
+    # BLAS rounds a row by where it sits in the product, so a comb from a
+    # start off 0 would not equal the run from 0 past the transient (L_acc
+    # 36, U 2, one tone of word 0, start 1 differs). An einsum in a fixed
+    # order keeps the bits but made desk_direct's float oracle about 30 %
+    # slower (2 vCPU). The convolutions make their own arrays, so out is
+    # not used
     def interp(self, band, cfg: GeneratorConfig, out=None):
         return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)
 

@@ -33,7 +33,6 @@ from .analyzer import (
     channelize,
     ddc_bank,
     ddc_products,
-    reference_bank,
 )
 from .config import _MIRRORED, ChainConfig
 from .formats import (
@@ -287,7 +286,7 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     Direct spans the whole run. Periodic spans one period from the first
     multiple of the period at or past the transient: a steady-state
     period at phase 0 of every tone reference and of the windows, so it
-    tiles the run and _band_series treats both plans alike. "auto" also
+    tiles the run and _patterns treats both plans alike. "auto" also
     needs the period plus the transient to be shorter than the run."""
     if engine not in ("auto", "periodic", "direct"):
         raise ConfigError("engine must be 'auto', 'periodic', or 'direct'")
@@ -314,46 +313,6 @@ def _engine_plan(cfg: ChainConfig, engine: str) -> tuple[bool, int, int, str]:
     return True, -(-transient // p_band) * p_band, p_band, f"{why} and the transient fits"
 
 
-def _band_series(
-    cfg: ChainConfig,
-    sub: tuple[np.ndarray, np.ndarray],
-    tones: Sequence[ToneConfig],
-    mode: DemodMode,
-    arith: FixedPoint | DoublePrecision,
-) -> list[IqTimeSeries]:
-    """The pattern of each of a band's tones' retained accumulator outputs
-    from the band's span, in arith: the span, starting at phase 0 of the
-    reference period, is demodulated against the tones' stacked references
-    and its window sums taken as a stream that tiles it (analyzer.ddc_bank),
-    in float64 when the fixed-point products are exact there
-    (ChainConfig.ddc_exact_in_float64). That stream repeats every
-    n_pat = span / gcd(L_avg, span) windows, so only the warm-up and the
-    first min(n_pat, acquisition_len) retained windows are formed; _tiled
-    extends them to the run. On the direct plan the span is the whole run,
-    and so is the pattern."""
-    g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
-    span = len(sub[0])
-    n_pat = span // math.gcd(a.L_avg, span)
-    n = w + min(n_pat, cfg.acquisition_len)
-    table = arith.reference(g.L_acc, 1, g.cordic)  # every phase word
-    dtype = np.float64 if cfg.ddc_exact_in_float64 else table[0].dtype
-    bank = reference_bank(table, [t.freq_word for t in tones], mode, dtype)
-    i, q = ddc_bank(sub, bank, a.L_avg, n, arith=arith)
-    return [
-        IqTimeSeries(
-            band_index=t.band_index,
-            tone_index=t.tone_index,
-            freq_word=t.freq_word,
-            i=i[k, w:],
-            q=q[k, w:],
-            rate_hz=g.band_rate_hz / a.L_avg,
-            l_avg=a.L_avg,
-            demod_mode=mode,
-        )
-        for k, t in enumerate(tones)
-    ]
-
-
 def _patterns(
     cfg: ChainConfig,
     spans: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -361,14 +320,42 @@ def _patterns(
     arith: FixedPoint | DoublePrecision,
     run,
 ) -> list[IqTimeSeries]:
-    """Every tone's pattern, band-major and tone-minor: each band's
-    _band_series is one task of run, a map (_pool)."""
+    """The pattern of every tone's retained accumulator outputs, band-major
+    and tone-minor, in arith; each band's bank is one task of run, a map
+    (_pool). A band's span, starting at phase 0 of the reference period,
+    is demodulated against its tones' references and its window sums
+    taken as a stream that tiles it (analyzer.ddc_bank), in float64 when
+    the fixed-point products are exact there
+    (ChainConfig.ddc_exact_in_float64). That stream repeats every n_pat =
+    span / gcd(L_avg, span) windows, so only the warm-up and the first
+    min(n_pat, acquisition_len) retained windows are formed; _tiled
+    extends them to the run. On the direct plan the span is the whole run,
+    and so is the pattern."""
+    g, a, w = cfg.generator, cfg.analyzer, cfg.warmup_windows
+    table = arith.reference(g.L_acc, 1, g.cordic)  # every phase word
+    dtype = np.float64 if cfg.ddc_exact_in_float64 else table[0].dtype
     by_band: dict[int, list[ToneConfig]] = {}
     for t in sorted(cfg.tones, key=lambda t: (t.band_index, t.tone_index)):
         by_band.setdefault(t.band_index, []).append(t)
 
     def one_band(b: int) -> list[IqTimeSeries]:
-        return _band_series(cfg, spans[b], by_band[b], mode, arith)
+        tones, span = by_band[b], len(spans[b][0])
+        n = w + min(span // math.gcd(a.L_avg, span), cfg.acquisition_len)
+        words = [t.freq_word for t in tones]
+        i, q = ddc_bank(spans[b], table, words, mode, a.L_avg, n, dtype, arith=arith)
+        return [
+            IqTimeSeries(
+                band_index=t.band_index,
+                tone_index=t.tone_index,
+                freq_word=t.freq_word,
+                i=i[k, w:],
+                q=q[k, w:],
+                rate_hz=g.band_rate_hz / a.L_avg,
+                l_avg=a.L_avg,
+                demod_mode=mode,
+            )
+            for k, t in enumerate(tones)
+        ]
 
     return [p for patterns in run(one_band, by_band) for p in patterns]
 

@@ -49,10 +49,6 @@ class Spectrum:
         if len(self.values) != self.n_points // 2 + 1:
             raise ConfigError("one-sided spectrum must have n_points/2 + 1 bins")
 
-    @property
-    def freqs_hz(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.bin_hz
-
 
 @dataclass(frozen=True)
 class SpurLine:

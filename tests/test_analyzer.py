@@ -17,7 +17,6 @@ from combtwin.analyzer import (
     channelize,
     ddc_bank,
     ddc_products,
-    reference_bank,
 )
 from combtwin.generator import (
     FIXED_POINT,
@@ -271,12 +270,11 @@ def test_channelize_undoes_band_shift_on_tone_grid():
 
 
 def demod(subband, reference, l_avg, mode=DemodMode.SINE_DDC):
-    """The chain's demodulator on one tone: a one-row bank of the
-    reference (the table of word 1 is the reference itself) through
-    ddc_bank, every whole window."""
+    """The chain's demodulator on one tone: a one-tone bank of the
+    reference (the table of word 1 is the reference itself) in float64
+    through ddc_bank, every whole window."""
     n_windows = len(subband[0]) // l_avg
-    bank = reference_bank(reference, [1], mode, np.float64)  # one block of one row
-    return tuple(x[0] for x in ddc_bank(subband, bank, l_avg, n_windows))
+    return tuple(x[0] for x in ddc_bank(subband, reference, [1], mode, l_avg, n_windows, np.float64))
 
 
 def prefix_window_sums(y, l_avg, n_windows):
@@ -398,10 +396,9 @@ def test_ddc_bank_equals_ddc_products_and_window_sums(case):
     banks = [np.float64, np.int64] if dtype == np.int64 else [np.float64]
     for bank_dtype in banks:
         with mock.patch.object(analyzer, "_BANK_BLOCK", block):
-            bank = list(reference_bank(table, words, mode, bank_dtype))
-            got = ddc_bank(subband, bank, l_avg, n_windows, arith=arith_of(dtype))
-        stacked = [np.concatenate(c) for c in zip(*bank)]
-        assert all(c.dtype == bank_dtype and c.shape == (len(words), len(table[0])) for c in stacked)
+            got = ddc_bank(
+                subband, table, words, mode, l_avg, n_windows, bank_dtype, arith=arith_of(dtype)
+            )
         for k, word in enumerate(words):
             ph = phase_words(len(table[0]), word, len(table[0]))
             y = ddc_products(subband, tuple(c[ph] for c in table), mode)

@@ -310,7 +310,7 @@ def series_csv_loop(series: IqTimeSeries) -> str:
 
 
 def spectrum_csv_loop(spec: Spectrum, config_hash: str = "") -> str:
-    """spectrum_to_csv as one f-string per row over Spectrum.freqs_hz."""
+    """spectrum_to_csv as one f-string per row over the bin frequencies."""
     meta = (
         f"# method={spec.method.value} window={spec.window.value} "
         f"units=linear_per_hz n_points={spec.n_points} "
@@ -321,7 +321,8 @@ def spectrum_csv_loop(spec: Spectrum, config_hash: str = "") -> str:
     if config_hash:
         meta += f" config_hash={config_hash}"
     rows = [meta, "freq_hz,value"]
-    for f, v in zip(spec.freqs_hz.tolist(), spec.values.tolist()):
+    freqs = np.arange(len(spec.values)) * spec.bin_hz
+    for f, v in zip(freqs.tolist(), spec.values.tolist()):
         rows.append(f"{f},{v}")
     return "\n".join(rows) + "\n"
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from combtwin import ConfigError, harness
-from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_products, reference_bank
+from combtwin.analyzer import DemodMode, IqTimeSeries, channelize, ddc_bank, ddc_products
 from combtwin.config import ChainConfig
 from combtwin.formats import config_from_ini, config_hash, config_to_dict
 from combtwin.generator import (
@@ -256,7 +256,7 @@ def test_run_result_metadata(desk_a_result):
     assert desk_a_result.wall_time_s > 0
     t = tone_result(desk_a_result, 1, 2)
     assert t.series.band_index == 1 and t.series.tone_index == 2
-    assert len(t.series) == 2560
+    assert len(t.series.i) == 2560
 
 
 def test_throughput_counter(desk_a_result):
@@ -458,14 +458,14 @@ def test_ddc_bank_at_the_float64_bound_and_one_bit_past_it(l_avg, need, in_float
     assert cfg._accumulator_need == need
     assert cfg.ddc_exact_in_float64 is in_float64
     for engine in ("periodic", "direct"):
-        with mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank:
+        with mock.patch("combtwin.harness.ddc_bank", wraps=ddc_bank) as bank:
             assert_bank_equals_tone_series(cfg, engine, 1, FIXED_POINT)
         want = np.float64 if in_float64 else np.int64
-        assert {np.dtype(c.args[3]) for c in bank.call_args_list} == {np.dtype(want)}
+        assert {np.dtype(c.args[6]) for c in bank.call_args_list} == {np.dtype(want)}
     # the float arithmetic's bank is float64 on both sides of the bound
-    with mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank:
+    with mock.patch("combtwin.harness.ddc_bank", wraps=ddc_bank) as bank:
         assert_bank_equals_tone_series(cfg, "direct", 1, DoublePrecision(*_float_taps(cfg)))
-    assert {np.dtype(c.args[3]) for c in bank.call_args_list} == {np.dtype(np.float64)}
+    assert {np.dtype(c.args[6]) for c in bank.call_args_list} == {np.dtype(np.float64)}
 
 
 @st.composite
@@ -639,7 +639,7 @@ def tone_metrics_reference(series):
     and phase over the whole series, scipy's periodogram of each
     fluctuation series, the bin-loop spur detector and the carrier from the
     mean amplitude of the whole series."""
-    n, fs = len(series), series.rate_hz
+    n, fs = len(series.i), series.rate_hz
 
     def spectrum(values):
         return Spectrum(
@@ -776,7 +776,7 @@ def test_tone_results_hold_the_same_pattern_at_any_run_length():
     for res, acq in zip(runs, (40, 400)):
         assert res.engine == "periodic" and len(res.tones) == 8
         for t in res.tones:
-            assert type(t) is ToneResult and t.n_windows == len(t.series) == acq
+            assert type(t) is ToneResult and t.n_windows == len(t.series.i) == acq
     nbytes = [sum(t.pattern.i.nbytes + t.pattern.q.nbytes for t in r.tones) for r in runs]
     assert nbytes[0] == nbytes[1] == 8 * 2 * 5 * 8
     for ta, tb in zip(*(r.tones for r in runs)):
@@ -968,10 +968,10 @@ def test_int64_fallbacks_equal_the_float64_paths_at_full_scale(name):
         mock.patch.object(ChainConfig, "ddc_exact_in_float64", property(lambda self: False)),
         mock.patch("combtwin.generator.exact_interpolate", None),
         mock.patch("combtwin.generator.exact_decimate", None),
-        mock.patch("combtwin.harness.reference_bank", wraps=reference_bank) as bank,
+        mock.patch("combtwin.harness.ddc_bank", wraps=ddc_bank) as bank,
     ):
         got = run_loopback(cfg)
-    assert [c.args[3] for c in bank.call_args_list] == [np.int64]
+    assert [c.args[6] for c in bank.call_args_list] == [np.int64]
     assert len(got.tones) == len(want.tones) == 40
     for g, w in zip(got.tones, want.tones, strict=True):
         assert g.pattern.i.dtype == np.int64
@@ -1012,6 +1012,32 @@ def test_one_slice_holds_its_pinned_bytes_per_sample(name, bound):
     per_sample = peak / (n * g.upsample_factor)
     print(f"{name}: {peak} B live, {per_sample:.1f} B per full-rate sample")
     assert per_sample <= bound
+
+
+@pytest.mark.parametrize("name, bound_mib", [("full_a", 17.5), ("full_b", 13.5)])
+def test_one_ddc_bank_holds_one_block_of_references(name, bound_mib):
+    # the live arrays of one DDC bank over band 0's periodic span, its 40
+    # tones in blocks of 8: the span laid out once in float64 (5 MiB on
+    # full_a, 1 MiB on full_b), the table in float64 (1 MiB), one block of
+    # 8 stacked references (8 MiB) and one tone's phase words at a time.
+    # Measured: 15.5 MiB on full_a and 11.5 MiB on full_b. Holding one more
+    # block of references, or on full_a one more copy of the span, fails
+    cfg = one_band_builtin(name)
+    g, a = cfg.generator, cfg.analyzer
+    _, start, span, _ = _engine_plan(cfg, "periodic")
+    sub = _subbands(cfg, start, start + span, 1, FIXED_POINT)[0]
+    table = FIXED_POINT.reference(g.L_acc, 1, g.cordic)
+    words = [t.freq_word for t in cfg.tones]
+    n = cfg.warmup_windows + span // math.gcd(a.L_avg, span)
+    assert cfg.ddc_exact_in_float64 and len(words) == 40
+    tracemalloc.start()
+    try:
+        ddc_bank(sub, table, words, a.demod_mode, a.L_avg, n, np.float64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{name}: {peak / 2**20:.2f} MiB live")
+    assert peak <= bound_mib * 2**20
 
 
 @settings(max_examples=40, deadline=None)
@@ -1429,7 +1455,7 @@ def float_oracle_reference(cfg):
                 demod_mode=a.demod_mode,
                 n_discarded=len(y) - nw * a.L_avg,
             )
-            results.append(_tone_metrics(series, len(series)))
+            results.append(_tone_metrics(series, len(series.i)))
     return results
 
 

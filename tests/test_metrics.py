@@ -508,7 +508,7 @@ def test_detect_spurs_single_line():
     assert len(rep.lines) == 1
     assert rep.lines[0].bin == 100
     assert rep.lines[0].level_db == pytest.approx(30.0, abs=0.1)
-    assert rep.lines[0].freq_hz == pytest.approx(spec.freqs_hz[100])
+    assert rep.lines[0].freq_hz == pytest.approx(100 * spec.bin_hz)
 
 
 def test_detect_spurs_finds_all_injected_lines():
