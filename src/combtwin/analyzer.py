@@ -26,7 +26,6 @@ from .generator import (
     FilterSpec,
     FixedPoint,
     GeneratorConfig,
-    Workspace,
     _block_products,
     phase_words,
 )
@@ -103,7 +102,6 @@ def channelize(
     start: int = 0,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
-    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract one band of g's wideband stream, which starts at band sample
     start (full-rate sample start * U), back onto the exciter's tone grid
@@ -112,18 +110,15 @@ def channelize(
     Mix by the conjugate of the generator's band shift, lowpass with spec
     and decimate by U (polyphase), then shift up by band_rate/5 to undo the
     exciter's down-shift, all in arith at g's wideband width, each LUT read
-    at the absolute sample. Each stage writes into work's buffers (a fresh
-    Workspace if None); the result is valid until work channelizes again.
+    at the absolute sample, each stage into fresh arrays.
     """
     n = len(wideband[0])
     if n < 1:
         raise ConfigError(f"wideband stream must hold >= 1 sample, got {n}")
-    work = Workspace() if work is None else work
-    w, lut, u, dtype = g.wide_width, g.shifter_lut_len, g.upsample_factor, arith.dtype
-    cycles, n_band = g.band_shift_cycles(band_index), -(-n // u)
-    mixed = arith.mix(wideband, lut, cycles, w, -1, start * u, work.take("channel", n, dtype))
-    band = arith.decimate(mixed, spec, u, w, work.take("decimated", n_band, dtype))
-    return arith.mix(band, 5, 1, w, +1, start, work.take("subband", n_band, dtype))
+    w, lut, u = g.wide_width, g.shifter_lut_len, g.upsample_factor
+    cycles = g.band_shift_cycles(band_index)
+    band = arith.decimate(arith.mix(wideband, lut, cycles, w, -1, start * u), spec, u, w)
+    return arith.mix(band, 5, 1, w, +1, start)
 
 
 # ---------------------------------------------------------------------------

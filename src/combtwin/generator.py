@@ -5,8 +5,8 @@ down-shift, xU polyphase interpolation, band shift via a sine/cosine
 lookup table, and band summation into one wideband I/Q stream. The stages
 run on raw integer codes (int32 streams, every one at most 32 bits wide;
 stream formats are Q1.(w-1)), or, for the float oracle, through the
-DoublePrecision arithmetic. A stream stage writes into the buffers its
-caller passes in, so a run's slices reuse one Workspace per worker.
+DoublePrecision arithmetic. Each stream stage returns fresh arrays in
+its stream's dtype.
 """
 
 from __future__ import annotations
@@ -474,15 +474,13 @@ def make_lut(
 def _block_products(
     x: tuple[np.ndarray, np.ndarray],
     lut: tuple[np.ndarray, np.ndarray],
-    out: tuple[np.ndarray, np.ndarray] | None = None,
     start: int = 0,
     conj: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The complex products (x_i + j*x_q) * (l_i + j*l_q), or by the
     conjugate LUT (l_i - j*l_q) if conj, sample k taking LUT entry
     (start + k) % len(l_i), in the dtype numpy gives the stream and the LUT:
-    written into out (fresh arrays if None; they must not overlap x)
-    through one temporary.
+    two fresh arrays, formed through one temporary.
 
     The LUT is tiled to the stream from start (periodic_extend), unless it
     already is the stream's own table: as long as the stream, read from
@@ -494,14 +492,10 @@ def _block_products(
         raise ConfigError("block products need I and Q of equal length and a nonempty LUT")
     if length != n or start % length:
         li, lq = periodic_extend(li, n, start=start), periodic_extend(lq, n, start=start)
-    dtype = np.result_type(xi, xq, li, lq)
-    oi, oq = (np.empty(n, dtype), np.empty(n, dtype)) if out is None else out
-    t = np.empty(n, dtype)
     first, second = (np.add, np.subtract) if conj else (np.subtract, np.add)
-    np.multiply(xi, li, out=oi)
-    np.multiply(xq, lq, out=t)
+    oi, t = np.multiply(xi, li), np.multiply(xq, lq)
     first(oi, t, out=oi)
-    np.multiply(xq, li, out=oq)
+    oq = np.multiply(xq, li)
     np.multiply(xi, lq, out=t)
     second(oq, t, out=oq)
     return oi, oq
@@ -513,7 +507,6 @@ def cmul_lut(
     li: np.ndarray,
     lq: np.ndarray,
     width: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
     start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex multiply of a width-bit stream by width-bit LUT values,
@@ -521,18 +514,18 @@ def cmul_lut(
     long as the stream.
 
     Four exact integer products (_block_products), requantized by width-1
-    bits (truncate toward -inf) to width bits into out (fresh arrays of the
-    stream's dtype if None). The products are formed straight in out when
-    out has their dtype, and in a temporary pair otherwise (an int32
-    stream times an int64 table, mix_dtype).
+    bits (truncate toward -inf) to width bits in the stream's dtype: in
+    place when the products have it, and into one fresh array per
+    component when they are wider (an int32 stream times an int64 table,
+    mix_dtype).
     """
-    if out is None:
-        out = tuple(np.empty(len(xi), np.result_type(xi, xq)) for _ in "iq")
-    direct = out[0].dtype == np.result_type(xi, xq, li, lq)
-    prods = _block_products((xi, xq), (li, lq), out if direct else None, start)
+    dtype = np.result_type(xi, xq)
     return tuple(
-        requantize(p, width - 1, width, Rounding.TRUNCATE_TOWARD_NEG_INF, o)
-        for p, o in zip(prods, out)
+        requantize(
+            p, width - 1, width, Rounding.TRUNCATE_TOWARD_NEG_INF,
+            None if p.dtype == dtype else np.empty(len(p), dtype),
+        )
+        for p in _block_products((xi, xq), (li, lq), start)
     )
 
 
@@ -543,13 +536,11 @@ def lut_mix(
     width: int,
     sign: int,
     start: int = 0,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply a width-bit stream by the make_lut exponential, sample n
     taking LUT entry (start + n) mod length, start the absolute index of
-    the stream's first sample; output stays width bits (cmul_lut, into
-    out if given)."""
-    return cmul_lut(*x, *make_lut(length, cycles, width, sign), width, out, start)
+    the stream's first sample; output stays width bits (cmul_lut)."""
+    return cmul_lut(*x, *make_lut(length, cycles, width, sign), width, start)
 
 
 # ---------------------------------------------------------------------------
@@ -689,12 +680,14 @@ def band_sum(
     return bi, bq
 
 
-def _fir(exact, polyphase, x, spec: FilterSpec, rate: int, width: int, out):
+def _fir(exact, polyphase, x, spec: FilterSpec, rate: int, width: int, n_out: int):
     """spec's FIR at rate (an interpolator's or a decimator's pair of
     kernels) of each stream of x, requantized by spec.frac_bits (truncate
-    toward -inf) to width bits into out: the exact float64 products within
-    the 2^53 bound, the int64 polyphase sums past it."""
+    toward -inf) to width bits into a fresh array of n_out samples in the
+    stream's dtype: the exact float64 products within the 2^53 bound, the
+    int64 polyphase sums past it."""
     h, fast = spec.taps_array(), spec.exact_in_float64(width)
+    out = tuple(np.empty(n_out, np.asarray(s).dtype) for s in x)
     for s, o in zip(x, out):
         if fast:
             exact(s, h, rate, o, shift=spec.frac_bits, width=width)
@@ -704,13 +697,11 @@ def _fir(exact, polyphase, x, spec: FilterSpec, rate: int, width: int, out):
 
 
 def upsample_interp(
-    band: tuple[np.ndarray, np.ndarray],
-    cfg: GeneratorConfig,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    band: tuple[np.ndarray, np.ndarray], cfg: GeneratorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate by U with the configured FIR, as a polyphase filter:
     exact_interpolate within the 2^53 bound, polyphase_interpolate past it,
-    into out (fresh arrays of the band's dtype if None).
+    into fresh arrays of the band's dtype.
 
     Bit-identical to zero-stuffing by U and running the FIR at the full
     rate, but only the U branch filters (len(taps)/U taps each) run.
@@ -719,10 +710,8 @@ def upsample_interp(
     input period.
     """
     u = cfg.upsample_factor
-    if out is None:
-        out = tuple(np.empty(len(s) * u, np.asarray(s).dtype) for s in band)
     spec, w = cfg.resolved_interp_filter(), cfg.resolved_sum_width
-    return _fir(exact_interpolate, polyphase_interpolate, band, spec, u, w, out)
+    return _fir(exact_interpolate, polyphase_interpolate, band, spec, u, w, len(band[0]) * u)
 
 
 def waveform_period(L_acc: int, U: int, lut_len: int) -> int:
@@ -753,10 +742,9 @@ class FixedPoint:
     """The chain's integer arithmetic: int32 streams (GeneratorConfig caps
     every stream at 32 bits), quantized CORDIC and LUT tables,
     requantization, saturation and an exact int64 boxcar accumulator. Each
-    operation is the stage function itself; the stream stages write into
-    out if given. Streams are (i, q) pairs in both arithmetics, so
-    periodic_extend, _block_products, ddc_products and ddc_bank serve
-    both."""
+    operation is the stage function itself. Streams are (i, q) pairs in
+    both arithmetics, so periodic_extend, _block_products, ddc_products and
+    ddc_bank serve both."""
 
     dtype = np.int32
 
@@ -769,16 +757,14 @@ class FixedPoint:
     def sum(self, streams, width: int):
         return band_sum(streams, width)
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0, out=None):
-        return lut_mix(x, length, cycles, width, sign, start, out)
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
+        return lut_mix(x, length, cycles, width, sign, start)
 
-    def interp(self, band, cfg: GeneratorConfig, out=None):
-        return upsample_interp(band, cfg, out)
+    def interp(self, band, cfg: GeneratorConfig):
+        return upsample_interp(band, cfg)
 
-    def decimate(self, x, spec: FilterSpec, d: int, width: int, out=None):
-        if out is None:
-            out = tuple(np.empty(-(-len(s) // d), s.dtype) for s in x)
-        return _fir(exact_decimate, polyphase_decimate, x, spec, d, width, out)
+    def decimate(self, x, spec: FilterSpec, d: int, width: int):
+        return _fir(exact_decimate, polyphase_decimate, x, spec, d, width, -(-len(x[0]) // d))
 
     def accumulate(self, blocks: np.ndarray, per_window: int, n_windows: int):
         """The first n_windows sums of per_window consecutive blocks, row by
@@ -801,8 +787,7 @@ class DoublePrecision:
     """The same stages in float64: exact phasor tables indexed modulo their
     periods (so the chain is exactly periodic), the given ideal
     interpolator and channelizer taps, no requantization or saturation,
-    and every window summed from its own blocks. The mixes write into out
-    if given; the FIRs return fresh arrays."""
+    and every window summed from its own blocks."""
 
     dtype = np.float64
 
@@ -822,22 +807,21 @@ class DoublePrecision:
     def sum(self, streams, width: int):
         return _stream_sum(streams, np.float64, "the float sum")
 
-    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0, out=None):
+    def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
         k = phase_words(length, cycles, length)
         c, s = _phasor_table(length)
-        return _block_products(x, (c[k], sign * s[k]), out, start)
+        return _block_products(x, (c[k], sign * s[k]), start)
 
     # polyphase_* and not the exact kernels' matrix products: on float taps
     # BLAS rounds a row by where it sits in the product, so a comb from a
     # start off 0 would not equal the run from 0 past the transient (L_acc
     # 36, U 2, one tone of word 0, start 1 differs). An einsum in a fixed
     # order keeps the bits but made desk_direct's float oracle about 30 %
-    # slower (2 vCPU). The convolutions make their own arrays, so out is
-    # not used
-    def interp(self, band, cfg: GeneratorConfig, out=None):
+    # slower (2 vCPU)
+    def interp(self, band, cfg: GeneratorConfig):
         return tuple(polyphase_interpolate(s, self.h_interp, cfg.upsample_factor) for s in band)
 
-    def decimate(self, x, spec: FilterSpec, d: int, width: int, out=None):
+    def decimate(self, x, spec: FilterSpec, d: int, width: int):
         return tuple(polyphase_decimate(s, self.h_chan, d) for s in x)
 
     def accumulate(self, blocks: np.ndarray, per_window: int, n_windows: int):
@@ -845,22 +829,6 @@ class DoublePrecision:
         # float prefix differences would cancel
         idx = np.arange(n_windows * per_window) % blocks.shape[1]
         return blocks[:, idx].reshape(len(blocks), n_windows, per_window).sum(axis=2)
-
-
-class Workspace:
-    """One worker's stream buffers, reused over the slices it runs: take
-    gives the I and Q rows of n samples of the buffer of a name, allocated
-    at its first use and again only to grow or change dtype. Rows taken
-    are valid until their name is taken again."""
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape[1] < n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty((2, n), dtype)
-        return buf[0, :n], buf[1, :n]
 
 
 def band_tone_sums(
@@ -902,7 +870,6 @@ def generate_comb(
     start: int = 0,
     *,
     arith: FixedPoint | DoublePrecision = FIXED_POINT,
-    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Band samples [start, start + n_band_samples) of the excitation
     pipeline, run in arith from zero filter state at start; returns the
@@ -915,13 +882,12 @@ def generate_comb(
     equal those of a run from 0 for any start. The full-rate stages run
     over every sample.
 
-    Each band runs through work's buffers (a fresh Workspace if None):
-    its tiled tone sum, the down-shift, the interpolator and the band
-    shift, which writes the first band into the wideband buffer and is
-    added into it for the others. The result is work's wideband buffer,
-    valid until work runs the next comb. Each band is saturated to the band
-    width and there are at most 2^(wide_width - band width) bands, so the
-    wideband sum cannot leave its width.
+    Each band's tone sum is tiled into arith's dtype, then down-shifted,
+    interpolated and band-shifted, each stage into fresh arrays. The
+    wideband sum is the first band's band-shift output, the other bands
+    added into it in place. Each band is saturated to the band width and
+    there are at most 2^(wide_width - band width) bands, so the wideband
+    sum cannot leave its width.
     """
     if n_band_samples < 1:
         raise ConfigError(f"n_band_samples must be >= 1, got {n_band_samples}")
@@ -929,21 +895,19 @@ def generate_comb(
         raise ConfigError(f"tone sums must be one accumulator period of {cfg.L_acc} samples")
     if not tone_sums:
         raise ConfigError("generate_comb needs at least one stream")
-    work = Workspace() if work is None else work
-    n, u, w, dtype = n_band_samples, cfg.upsample_factor, cfg.resolved_sum_width, arith.dtype
-    wide = work.take("wideband", n * u, dtype)
-    for k, (b, sums) in enumerate(sorted(tone_sums.items())):
-        band = work.take("band", n, dtype)
-        for s, o in zip(sums, band):
-            periodic_extend(s, n, out=o, start=start)
-        band = arith.mix(band, 5, 1, w, -1, start, work.take("down", n, dtype))  # by band_rate/5
-        up = arith.interp(band, cfg, work.take("up", n * u, dtype))
+    n, u, w = n_band_samples, cfg.upsample_factor, cfg.resolved_sum_width
+    wide = None
+    for b, sums in sorted(tone_sums.items()):
+        band = tuple(periodic_extend(s, n, np.empty(n, arith.dtype), start) for s in sums)
+        up = arith.interp(arith.mix(band, 5, 1, w, -1, start), cfg)  # down by band_rate/5
         # up to the band center, an integer number of shifter LUT cycles
-        shifted = wide if k == 0 else work.take("shifted", n * u, dtype)
-        arith.mix(up, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1, start * u, shifted)
-        if k:
+        shifted = arith.mix(up, cfg.shifter_lut_len, cfg.band_shift_cycles(b), w, +1, start * u)
+        if wide is None:
+            wide = shifted
+        else:
             for total, s in zip(wide, shifted):
                 total += s
+        del band, up, shifted  # no array of this band is held while the next is made
     return wide
 
 

@@ -53,7 +53,6 @@ from .generator import (
     FixedPoint,
     GeneratorConfig,
     ToneConfig,
-    Workspace,
     band_tone_sums,
     cordic_tone,
     default_freq_words,
@@ -216,14 +215,14 @@ _MIN_SLICE_OVERLAPS = 4
 
 # full-rate samples per time slice, the one working-set bound of the stream
 # kernels, which each run over a whole slice: 256 KiB per int32 stream. A
-# slice's comb and channelizer hold about 61 bytes of live arrays per sample
-# on desk_a and 77 on full_a (67 on its band 0), whose 20-bit channelizer
-# forms its LUT products in int64 (tracemalloc, one fresh Workspace): 3.8
-# and 4.8 MiB at 2^16. The share of the host's L3 a guest gets varies with
-# its neighbours, so a slice near its edge runs fast in one process and
-# slow in the next. A direct desk_a run's comb and channelizer took 892,
-# 786, 874 and 895 ms at 2^15 to 2^18 (medians of 8 alternating rounds, one
-# thread), so the slice stays at 2^16
+# slice's comb and channelizer hold about 42 bytes of live arrays per sample
+# on desk_a and 49 on full_a, whose 20-bit channelizer forms its LUT
+# products in int64, as many as on its band 0 alone, since no band's arrays
+# outlive its stages (tracemalloc): 2.6 and 3.1 MiB at 2^16. The share of
+# the host's L3 a guest gets varies with its neighbours, so a slice near its
+# edge runs fast in one process and slow in the next. A direct desk_a run's
+# comb and channelizer took 892, 786, 874 and 895 ms at 2^15 to 2^18
+# (medians of 8 alternating rounds, one thread), so the slice stays at 2^16
 _SLICE_SAMPLES = 1 << 16
 
 
@@ -246,10 +245,8 @@ def _subbands(
     writes the rest into the run's per-band arrays. Every LUT is read at
     the absolute sample, so the bits depend neither on threads nor on
     where a slice starts. Each band's tone sum is formed once per run, one
-    band per task of the same map. The slices run in contiguous chunks,
-    one per worker, each through one Workspace: the comb's and the
-    channelizer's buffers are allocated once per worker, not per slice.
-    The subbands are in arith's dtype."""
+    band per task of the same map, and each slice is one task. The
+    subbands are in arith's dtype."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
@@ -260,22 +257,19 @@ def _subbands(
         -(-n * g.upsample_factor // _SLICE_SAMPLES),
     )
     edges = [start + i * n // k for i in range(k + 1)]
-    chunks = _chunks(list(zip(edges[:-1], edges[1:])), threads)
     with _pool(threads) as run:
         sums = band_tone_sums(g, cfg.tones, arith=arith, run=run)
         out = {b: (np.empty(n, arith.dtype), np.empty(n, arith.dtype)) for b in sums}
 
-        def slice_chunk(chunk: list[tuple[int, int]]) -> None:
-            work = Workspace()
-            for a, b in chunk:
-                a0 = max(0, a - overlap)
-                wideband = generate_comb(g, sums, b - a0, a0, arith=arith, work=work)
-                for band, dst in out.items():
-                    sub = channelize(wideband, band, g, spec, a0, arith=arith, work=work)
-                    for d, s in zip(dst, sub):
-                        d[a - start : b - start] = s[a - a0 :]
+        def one_slice(a: int, b: int) -> None:
+            a0 = max(0, a - overlap)
+            wideband = generate_comb(g, sums, b - a0, a0, arith=arith)
+            for band, dst in out.items():
+                sub = channelize(wideband, band, g, spec, a0, arith=arith)
+                for d, s in zip(dst, sub):
+                    d[a - start : b - start] = s[a - a0 :]
 
-        for _ in run(slice_chunk, chunks):
+        for _ in run(one_slice, edges[:-1], edges[1:]):
             pass
     return out
 

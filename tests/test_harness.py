@@ -30,7 +30,6 @@ from combtwin.generator import (
     DoublePrecision,
     FilterSpec,
     ToneConfig,
-    Workspace,
     _cordic_table,
     band_sum,
     band_tone_sums,
@@ -893,9 +892,8 @@ def unsliced_subbands(cfg, stop, arith):
 
 
 def int64_generate_comb(g, tone_sums, n, start=0):
-    """generate_comb before its streams were int32 and its stages wrote into
-    a workspace, kept as the oracle: each band's int64 stages in fresh
-    arrays (int64 LUT products), summed by band_sum."""
+    """generate_comb before its streams were int32, kept as the oracle: each
+    band's int64 stages (int64 LUT products), summed by band_sum."""
 
     def one_band(b, band):
         band = tuple(periodic_extend(s.astype(np.int64), n, start=start) for s in band)
@@ -908,7 +906,7 @@ def int64_generate_comb(g, tone_sums, n, start=0):
 
 def int64_channelize(wideband, band_index, g, spec, start=0):
     """channelize before its streams were int32, kept as the oracle: int64
-    stages in fresh arrays."""
+    stages."""
     w, u = g.wide_width, g.upsample_factor
     mixed = lut_mix(wideband, g.shifter_lut_len, g.band_shift_cycles(band_index), w, -1, start * u)
     return lut_mix(FIXED_POINT.decimate(mixed, spec, u, w), 5, 1, w, +1, start)
@@ -928,27 +926,31 @@ def wide_chain(cfg, w):
 def test_int32_streams_equal_the_int64_chain(cfg, data):
     # band sums of 15 to 17 bits put the LUT mixes on both sides of the
     # int32 product bound (mix_dtype), the channelizer's one bit or more
-    # wider. Two slices of any start and length run through one workspace,
-    # the second reusing the first's buffers: the comb and every band's
-    # channelizer output equal the int64 chain's bits
+    # wider. Two slices of any start and length: the comb and every band's
+    # channelizer output equal the int64 chain's bits, and the second
+    # slice's generate_comb and channelize calls leave the first slice's
+    # results unchanged
     for w in (15, 16, 17):
         c = wide_chain(cfg, w)
         g, spec = c.generator, c.resolved_channelizer_filter()
         sums = band_tone_sums(g, c.tones)
-        work = Workspace()
+        first = None
         for _ in range(2):
             start = data.draw(st.integers(0, 3 * g.L_acc * g.shifter_lut_len))
             n = data.draw(st.integers(1, 3 * _band_transient_len(c)) | st.integers(1, 2000))
             want = int64_generate_comb(g, sums, n, start)
-            got = generate_comb(g, sums, n, start, work=work)
-            for x, y in zip(got, want, strict=True):
+            got = generate_comb(g, sums, n, start)
+            pairs = [(got, want)] + [
+                (channelize(got, b, g, spec, start), int64_channelize(want, b, g, spec, start))
+                for b in sums
+            ]
+            for x, y in (xy for p in pairs for xy in zip(*p, strict=True)):
                 assert x.dtype == np.int32 and y.dtype == np.int64
                 assert np.array_equal(x, y)
-            for b in sums:
-                ref = int64_channelize(want, b, g, spec, start)
-                for x, y in zip(channelize(got, b, g, spec, start, work=work), ref, strict=True):
-                    assert x.dtype == np.int32 and y.dtype == np.int64
-                    assert np.array_equal(x, y)
+            if first is None:
+                first = [(x, x.copy()) for p in pairs for x in p[0]]
+        for x, saved in first:
+            assert np.array_equal(x, saved)
 
 
 @pytest.mark.parametrize("name", ["full_a", "full_b"])
@@ -980,26 +982,25 @@ def test_int64_fallbacks_equal_the_float64_paths_at_full_scale(name):
         assert g.carrier_power == w.carrier_power
 
 
-@pytest.mark.parametrize("name, bound", [("desk_a", 64), ("full_a", 70)])
+@pytest.mark.parametrize("name, bound", [("desk_a", 45), ("full_a", 52)])
 def test_one_slice_holds_its_pinned_bytes_per_sample(name, bound):
     # the live arrays of one time slice's comb and channelizer, every band
-    # of desk_a (2) and band 0 of full_a, through a fresh workspace: a
-    # slice of _SLICE_SAMPLES full-rate samples plus its overlap lead-in,
-    # from a start off every LUT period. Measured: 61.1 bytes per full-rate
-    # sample on desk_a and 67.1 on full_a, whose 20-bit channelizer mix
-    # forms int64 products against its LUT tiled to the slice. The bounds
-    # sit less than 4 bytes above: one more full-rate temporary held at the
-    # peak, even an int32 one, fails here
+    # of desk_a (2) and band 0 of full_a: a slice of _SLICE_SAMPLES
+    # full-rate samples plus its overlap lead-in, from a start off every
+    # LUT period. Measured: 42.1 bytes per full-rate sample on desk_a and
+    # 49.0 on full_a, whose 20-bit channelizer mix forms int64 products
+    # against its LUT tiled to the slice. The bounds sit less than 4 bytes
+    # above: one more full-rate temporary held at the peak, even an int32
+    # one, fails here
     cfg = one_band_builtin(name)
     g, spec = cfg.generator, cfg.resolved_channelizer_filter()
     sums = band_tone_sums(g, cfg.tones)
     start = 12346
 
     def one_slice(n):
-        work = Workspace()
-        wideband = generate_comb(g, sums, n, start, work=work)
+        wideband = generate_comb(g, sums, n, start)
         for b in sums:
-            channelize(wideband, b, g, spec, start, work=work)
+            channelize(wideband, b, g, spec, start)
 
     one_slice(64)  # fill the filter, matrix and LUT caches
     n = _SLICE_SAMPLES // g.upsample_factor + _band_transient_len(cfg)
@@ -1012,6 +1013,26 @@ def test_one_slice_holds_its_pinned_bytes_per_sample(name, bound):
     per_sample = peak / (n * g.upsample_factor)
     print(f"{name}: {peak} B live, {per_sample:.1f} B per full-rate sample")
     assert per_sample <= bound
+
+
+def test_whole_full_a_subbands_hold_their_pinned_peak():
+    # the live arrays of _subbands over whole full_a's periodic interval at 2
+    # threads: the 10 bands' int32 subbands (25 MiB), their int64 tone sums
+    # (10 MiB) and one time slice's comb and channelizer per worker (3.1 MiB
+    # each). Measured: 41.4 MiB; the bound leaves 1.6 MiB above it. Holding
+    # the subbands in int64, or each slice's wideband stream past its task,
+    # fails here
+    cfg = builtin_scenarios()["full_a"]
+    _, start, span, _ = _engine_plan(cfg, "periodic")
+    _subbands(cfg, start, start + 1000, 2)  # fill the filter, matrix and LUT caches
+    tracemalloc.start()
+    try:
+        _subbands(cfg, start, start + span, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"full_a: {peak / 2**20:.2f} MiB live")
+    assert peak <= 43 * 2**20
 
 
 @pytest.mark.parametrize("name, bound_mib", [("full_a", 17.5), ("full_b", 13.5)])
