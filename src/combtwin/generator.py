@@ -755,7 +755,9 @@ class FixedPoint:
         return cordic_tone(L_acc, word, cordic)
 
     def sum(self, streams, width: int):
-        return band_sum(streams, width)
+        """band_sum's checked int64 sums, narrowed to dtype: a width of at
+        most 32 bits fits it."""
+        return tuple(s.astype(self.dtype) for s in band_sum(streams, width))
 
     def mix(self, x, length: int, cycles: int, width: int, sign: int, start: int = 0):
         return lut_mix(x, length, cycles, width, sign, start)
@@ -839,8 +841,9 @@ def band_tone_sums(
     run=map,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Each toned band's tone sum over one accumulator period (L_acc
-    samples from sample 0), in arith: the input generate_comb tiles. Each
-    band's sum is one task of run, a map (a thread pool's, or the builtin).
+    samples from sample 0), in arith's dtype: the input generate_comb
+    tiles. Each band's sum is one task of run, a map (a thread pool's, or
+    the builtin).
 
     Each tone repeats every L_acc / gcd(L_acc, word) samples, so a band's
     tone sum repeats every L_acc: one period holds every value of any run,

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.fft import rfft as _rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fxp import ConfigError
 from .generator import periodic_extend, waveform_period
@@ -150,6 +151,46 @@ def _periodogram(xw: np.ndarray, fs: float, window: SpectrumWindow, work=None) -
     )
 
 
+def _hann(m: int) -> np.ndarray:
+    """scipy.signal.get_window("hann", m), the periodic Hann window, in
+    general_cosine's exact operation order: sum a_k * cos(k * fac) over
+    m + 1 points from -pi to pi, a = (0.5, 0.5), the last point dropped."""
+    if m <= 1:
+        return np.ones(m)
+    fac = np.linspace(-np.pi, np.pi, m + 1)
+    w = np.zeros(m + 1)
+    for k, a in enumerate((0.5, 0.5)):
+        w += a * np.cos(k * fac)
+    return w[:-1]
+
+
+def _scaled_window(window: SpectrumWindow, m: int, fs: float) -> np.ndarray:
+    """The length-m window times its _periodogram_fac, whose sum of squares
+    runs in the order of scipy's builtin sum."""
+    w = _hann(m) if window is SpectrumWindow.HANN else np.ones(m)
+    return w * _periodogram_fac(np.add.accumulate(w * w)[-1], fs)
+
+
+def _welch(x: np.ndarray, scale: np.ndarray, noverlap: int) -> np.ndarray:
+    """The values of scipy.signal.welch(x, nperseg=len(scale), noverlap=
+    noverlap, detrend=False, scaling="density") for the window times its
+    density factor scale, in the exact operation order of the
+    ShortTimeFFT.spectrogram that csd runs: the (n - noverlap) // hop
+    segments times scale, one rfft each, squared and added (re**2 + im**2)
+    into a C-contiguous (bins, segments) array, every bin but DC (and
+    Nyquist for an even length) doubled, then the mean over the segments,
+    whose pairwise summation runs along that array's rows."""
+    seg = len(scale)
+    hop = seg - noverlap
+    p1 = (len(x) - noverlap) // hop
+    ri = _rfft(sliding_window_view(x, seg)[::hop][:p1] * scale).view(np.float64)
+    np.multiply(ri, ri, out=ri)
+    pxx = np.empty((seg // 2 + 1, p1))
+    np.add(ri[:, 0::2], ri[:, 1::2], out=pxx.T)
+    pxx[1 : -1 if seg % 2 == 0 else None] *= 2
+    return pxx.mean(axis=-1) if p1 > 1 else pxx.reshape(-1)
+
+
 def psd(
     x: np.ndarray,
     fs: float,
@@ -164,6 +205,11 @@ def psd(
     unless specified. Welch: Hann-windowed segments (default length N/8,
     50% overlap), window power compensated, segment periodograms averaged.
     Non-finite samples are refused.
+
+    Both methods are numpy code written in the exact operation order of
+    scipy.signal.periodogram and scipy.signal.welch (detrend=False,
+    scaling="density"), so their values are scipy's bit for bit. scipy is
+    the reference order and the tests' oracle, not a runtime import.
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
@@ -177,30 +223,15 @@ def psd(
         if segment_len is not None:
             raise ConfigError("segment_len applies to the Welch method only")
         if window is SpectrumWindow.HANN:
-            from scipy.signal import get_window
-
-            w = get_window("hann", n)
-            scale = w * _periodogram_fac(np.add.accumulate(w * w)[-1], fs)
-            return _periodogram(x * scale, fs, window)
+            return _periodogram(x * _scaled_window(window, n, fs), fs, window)
         return _periodogram(x * _periodogram_fac(n, fs), fs, SpectrumWindow.RECT)
     win = window if window is not None else SpectrumWindow.HANN
-    win_name = "boxcar" if win is SpectrumWindow.RECT else "hann"
     seg = segment_len if segment_len is not None else max(2, n // 8)
     if seg < 2 or seg > n:
         raise ConfigError(f"segment_len {seg} out of range 2..{n}")
     if not (0.0 <= overlap_frac < 1.0):
         raise ConfigError("overlap_frac must be in [0, 1)")
-    from scipy.signal import welch
-
-    _, pxx = welch(
-        x,
-        fs=fs,
-        window=win_name,
-        nperseg=seg,
-        noverlap=int(seg * overlap_frac),
-        detrend=False,
-        scaling="density",
-    )
+    pxx = _welch(x, _scaled_window(win, seg, fs), int(seg * overlap_frac))
     return Spectrum(
         n_points=seg,
         bin_hz=fs / seg,

@@ -147,32 +147,36 @@ def test_sample_commands_on_a_mutated_series_exit_0_or_1(demod_single_dir, comma
 # start-up
 
 
-_NO_SCIPY_AFTER_A_RUN = """
-import contextlib, io, sys
+_NO_SCIPY_AFTER_THE_RUNS = """
+import contextlib, io, math, os, sys, tempfile
 import combtwin.cli
-if "scipy.signal" in sys.modules:
-    sys.exit("import combtwin.cli loaded scipy.signal")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        combtwin.cli.main(["run-loopback", "--config", "desk_b"]),
-        combtwin.cli.main(["predict-spurs", "--l-acc", "65536", "--l-avg", "65536"]),
-    ]
-if codes != [0, 0]:
+with tempfile.TemporaryDirectory() as tmp:
+    series = os.path.join(tmp, "series.csv")
+    with open(series, "w") as f:
+        f.write("".join(f"{math.sin(0.3 * k)}\\n" for k in range(256)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [
+            combtwin.cli.main(["run-loopback", "--config", "desk_b"]),
+            combtwin.cli.main(["predict-spurs", "--l-acc", "65536", "--l-avg", "65536"]),
+            combtwin.cli.main(["psd", "--in", series, "--method", "welch"]),
+            combtwin.cli.main(["psd", "--in", series, "--window", "hann"]),
+        ]
+if codes != [0, 0, 0, 0]:
     sys.exit(f"exit codes {codes}")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 if loaded:
-    sys.exit(f"a run loaded {loaded[:5]}")
+    sys.exit(f"the runs loaded {loaded[:5]}")
 """
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs about 0.4 s of import; only Welch and Hann load it.
-    # A loopback run and predict-spurs load no scipy module at all: the
-    # periodogram's rfft is numpy's
+def test_cli_runs_load_no_scipy_module():
+    # scipy.signal costs about 66 MB of RSS and 0.8 s of import. A loopback
+    # run, predict-spurs, a Welch PSD and a Hann periodogram load no scipy
+    # module at all: the PSDs are numpy code in scipy's operation order
     src = str(Path(combtwin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_AFTER_A_RUN],
+        [sys.executable, "-c", _NO_SCIPY_AFTER_THE_RUNS],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

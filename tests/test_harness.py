@@ -1017,11 +1017,11 @@ def test_one_slice_holds_its_pinned_bytes_per_sample(name, bound):
 
 def test_whole_full_a_subbands_hold_their_pinned_peak():
     # the live arrays of _subbands over whole full_a's periodic interval at 2
-    # threads: the 10 bands' int32 subbands (25 MiB), their int64 tone sums
-    # (10 MiB) and one time slice's comb and channelizer per worker (3.1 MiB
-    # each). Measured: 41.4 MiB; the bound leaves 1.6 MiB above it. Holding
-    # the subbands in int64, or each slice's wideband stream past its task,
-    # fails here
+    # threads: the 10 bands' int32 subbands (25 MiB), their int32 tone sums
+    # (5 MiB) and one time slice's comb and channelizer per worker (3.1 MiB
+    # each). Measured: 36.4 MiB; the bound leaves 1.6 MiB above it. Holding
+    # the subbands or the tone sums in int64, or each slice's wideband
+    # stream past its task, fails here
     cfg = builtin_scenarios()["full_a"]
     _, start, span, _ = _engine_plan(cfg, "periodic")
     _subbands(cfg, start, start + 1000, 2)  # fill the filter, matrix and LUT caches
@@ -1032,7 +1032,7 @@ def test_whole_full_a_subbands_hold_their_pinned_peak():
     finally:
         tracemalloc.stop()
     print(f"full_a: {peak / 2**20:.2f} MiB live")
-    assert peak <= 43 * 2**20
+    assert peak <= 38 * 2**20
 
 
 @pytest.mark.parametrize("name, bound_mib", [("full_a", 17.5), ("full_b", 13.5)])

@@ -19,6 +19,7 @@ from combtwin.metrics import (
     SpectrumWindow,
     SpurLine,
     _amp_phase,
+    _hann,
     _periodogram,
     _periodogram_fac,
     _rfft,
@@ -356,6 +357,58 @@ def test_periodogram_fac_and_scale_equal_scipy_order(window, n, fs):
         assert_same_bits((np.full(n, _periodogram_fac(n, fs)),), (w * fac,))
     else:
         assert_same_bits((w * _periodogram_fac(w2, fs),), (w * fac,))
+
+
+# inputs for the scipy comparisons: Gaussian samples at a scale, all zeros,
+# or subnormal and tiny samples, whose scaled squares underflow
+_PSD_SCALES = st.sampled_from([1.0, 1e-20, 1e5, 1e-160, 0.0])
+
+
+@st.composite
+def welch_cases(draw):
+    n = draw(st.integers(2, 4096))
+    seg = draw(st.one_of(st.integers(2, n), st.just(n), st.integers(2, min(n, 9))))
+    frac = draw(st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.99)))
+    fs = draw(st.sampled_from([1.0, 0.1, 0.37, 3814.697265625, 244140.625, 1e9]))
+    scale = draw(_PSD_SCALES)
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n) * scale
+    if draw(st.booleans()) and scale == 1e-160:
+        x = np.full(n, 5e-324) * np.sign(x)  # subnormal, +-0 once scaled
+    return x, fs, seg, frac
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=welch_cases(), window=st.sampled_from(list(SpectrumWindow)))
+# one segment: the whole input, and a segment past half of it at overlap 0
+@example(case=(np.arange(7.0), 1.0, 7, 0.5), window=SpectrumWindow.HANN)
+@example(case=(np.arange(10.0), 2.0, 6, 0.0), window=SpectrumWindow.RECT)
+@example(case=(np.ones(2), 1.0, 2, 0.0), window=SpectrumWindow.HANN)
+@example(case=(np.zeros(33), 3.0, 8, 0.5), window=SpectrumWindow.HANN)
+# odd and even segments, many of them, overlap near 1
+@example(case=(np.sin(np.arange(4096.0)), 1e9, 511, 0.99), window=SpectrumWindow.HANN)
+@example(case=(np.cos(np.arange(4096.0)), 0.1, 512, 0.99), window=SpectrumWindow.RECT)
+def test_welch_and_hann_periodogram_equal_scipy_bit_for_bit(case, window):
+    # the Welch segments' mean runs along the rows of a C-contiguous (bins,
+    # segments) array, as in scipy: a transposed layout moves the low bits
+    x, fs, seg, frac = case
+    name = "boxcar" if window is SpectrumWindow.RECT else "hann"
+    _, want = signal.welch(
+        x, fs=fs, window=name, nperseg=seg, noverlap=int(seg * frac), detrend=False,
+        scaling="density",
+    )
+    got = psd(x, fs, PsdMethod.WELCH, window, seg, frac).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    _, want = signal.periodogram(x, fs=fs, window="hann", detrend=False, scaling="density")
+    got = psd(x, fs, PsdMethod.PERIODOGRAM, SpectrumWindow.HANN).values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_hann_equals_scipy_window_bit_for_bit():
+    # get_window refuses a zero length; the periodic window it returns
+    # otherwise is windows.hann(m, sym=False)
+    assert _hann(0).tobytes() == signal.windows.hann(0, sym=False).tobytes()
+    for m in range(1, 601):
+        assert _hann(m).tobytes() == signal.get_window("hann", m).tobytes(), m
 
 
 def test_psd_rejects_short_input():

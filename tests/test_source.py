@@ -138,6 +138,29 @@ def test_no_function_imports_a_combtwin_module(path):
     assert package_imports_in_functions(path.read_text(encoding="utf-8")) == []
 
 
+def scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy or one of its modules, at any depth."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if any(m.split(".")[0] == "scipy" for m in _modules([node]))
+    )
+
+
+def test_scipy_import_finder_flags_every_depth():
+    src = (
+        "import numpy, scipy\nfrom scipy.signal import welch\nfrom . import scipy_like\n"
+        "def f():\n    import scipy.fft as fft\n    from .scipy import x\n"
+    )
+    assert scipy_imports(src) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # scipy is the tests' oracle only; the package's PSDs are numpy code
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
 def unreferenced_public_names(sources: dict[str, str], entry_points=()) -> list[str]:
     """Public module-level functions and classes (`module.name`) whose name
     no module of sources references, as a name or as an attribute, other
