@@ -170,7 +170,7 @@ if loaded:
 
 
 def test_cli_runs_load_no_scipy_module():
-    # scipy.signal costs about 66 MB of RSS and 0.8 s of import. A loopback
+    # scipy.signal costs about 70 MB of RSS and 0.9 s of import. A loopback
     # run, predict-spurs, a Welch PSD and a Hann periodogram load no scipy
     # module at all: the PSDs are numpy code in scipy's operation order
     src = str(Path(combtwin.__file__).resolve().parents[1])

@@ -359,18 +359,15 @@ def test_periodogram_fac_and_scale_equal_scipy_order(window, n, fs):
         assert_same_bits((w * _periodogram_fac(w2, fs),), (w * fac,))
 
 
-# inputs for the scipy comparisons: Gaussian samples at a scale, all zeros,
-# or subnormal and tiny samples, whose scaled squares underflow
-_PSD_SCALES = st.sampled_from([1.0, 1e-20, 1e5, 1e-160, 0.0])
-
-
 @st.composite
 def welch_cases(draw):
+    # Gaussian samples at a scale, all zeros, or tiny and subnormal samples,
+    # whose scaled squares underflow
     n = draw(st.integers(2, 4096))
     seg = draw(st.one_of(st.integers(2, n), st.just(n), st.integers(2, min(n, 9))))
     frac = draw(st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.99)))
     fs = draw(st.sampled_from([1.0, 0.1, 0.37, 3814.697265625, 244140.625, 1e9]))
-    scale = draw(_PSD_SCALES)
+    scale = draw(st.sampled_from([1.0, 1e-20, 1e5, 1e-160, 0.0]))
     x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n) * scale
     if draw(st.booleans()) and scale == 1e-160:
         x = np.full(n, 5e-324) * np.sign(x)  # subnormal, +-0 once scaled
